@@ -68,10 +68,11 @@ def run_bench() -> dict:
 
     qs = entry.queries()
     # warm the session before timing: worker-pool spin-up and the
-    # FIRST AllToAll's shuffle-machinery init are cluster-startup
-    # costs, invariant in data size (measured at 5k docs: the first
-    # grouped exchange runs 2.8 s, the identical exchange 0.45 s
-    # steady-state — BENCH/fixed_cost_profile_r5.md).  They amortize
+    # FIRST grouped_apply (worker-side package imports, export of the
+    # exchange's split/reduce tasks) are cluster-startup costs,
+    # invariant in data size (BENCH/fixed_cost_profile_r5.md measured
+    # the effect on the earlier AllToAll exchange at 5k docs: 2.8 s
+    # first, 0.45 s steady-state).  They amortize
     # to nothing over a real corpus, so they are excluded from
     # per-query timings and reported separately as warmup_sec — the
     # same rationale as the scaling children's pre-timed warmup.

@@ -13,57 +13,16 @@ semantics (content identity key → group → rank → keep/act) onto
 Common-Crawl-style web pages and extends identity from exact SHA-256 to
 MinHash-LSH / SimHash / substring near-duplicate signatures.
 
+Every "group" step is one ``stages.common.grouped_apply`` hash exchange,
+written as plain Ray tasks over block refs (a split task per block, a
+reduce task per partition) rather than a Ray Data all-to-all operator,
+so the engine has one exchange strategy and no shuffle settings.
+
 Nothing in this package calls ``ray.init()`` — the driver, ``bench.py``
 or the test fixture owns the Ray session.
 """
 
 __version__ = "0.1.0"
-
-
-def _configure_data_context() -> None:
-    """Engine-wide Ray Data settings, applied at import (no Ray session
-    is started — DataContext is independent of ray.init).
-
-    * ``HASH_SHUFFLE``: every groupby exchange routes by key hash
-      through streaming aggregators instead of the sort-based exchange,
-      whose sample→map→reduce barriers cost ~3 s of fixed wall PER
-      SHUFFLE at any data size (measured via ds.stats(); the dominant
-      term of the N-vs-4N scaling gap).  Results are identical — the
-      engine's grouped stages need co-location, never order.
-    * fractional aggregator CPUs so small (4-cpu test) sessions don't
-      deadlock the streaming executor (same reasoning as the join
-      aggregators in stages/joins.py).
-
-    Must run before any Dataset is created: datasets snapshot the
-    context at creation.
-
-    OPT-IN (GRAFT_SHUFFLE=hash), default stays sort: Ray 2.49's
-    hash-shuffle executor deadlocks on DAGs holding ≥3 hash-shuffle
-    operators plus a union (reproduced in isolation — three chained
-    grouped_applys whose middle output also feeds a union never
-    finish), and its per-execution aggregator actor spin-up costs more
-    than the sort exchange saves on small inputs.  The engine's hot
-    paths break such DAGs with cheap materialize barriers, and the
-    flagship is verified byte-identical under both strategies, but the
-    sort exchange remains the safe default.
-    """
-    import os
-    if os.environ.get("GRAFT_SHUFFLE", "sort") != "hash":
-        return
-    try:
-        import ray.data
-        from ray.data.context import ShuffleStrategy
-    except Exception:   # pragma: no cover - ray always present in CI
-        return
-    # conservative static defaults, safe for the smallest (4-cpu)
-    # session; stages/common.py re-sizes them from the LIVE session at
-    # every grouped_apply build (package import may precede ray.init)
-    ctx = ray.data.DataContext.get_current()
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
-    ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.05
-    ctx.default_hash_shuffle_parallelism = 16
-    ctx.max_hash_shuffle_aggregators = 4
 
 
 def _install_empty_schema_log_filter() -> None:
@@ -95,5 +54,4 @@ def _install_empty_schema_log_filter() -> None:
     ).addFilter(_EmptyNewSchema())
 
 
-_configure_data_context()
 _install_empty_schema_log_filter()

@@ -190,7 +190,7 @@ class PipelineConfig:
     # flood-verify endpoint semi-filter gate: at or below this many
     # candidate edges the partitioned verify first drops payload rows
     # (sigs / texts) whose uid matches no edge endpoint — they would be
-    # dropped by the inner join anyway, after riding both packed
+    # dropped by the inner join anyway, after riding both attach
     # exchanges.  Above it the endpoint array (16 B/edge, broadcast as
     # block refs + one sorted plasma array) stops being worth holding
     # per node and everything ships.
@@ -201,7 +201,7 @@ class PipelineConfig:
     # driver collect); above them the hash-partitioned join path runs.
     # ≙ J2/J4's broadcast-small-side rule (SURVEY.md §2.4) applied
     # adaptively.  5M rep uids = 40 MB per worker — comfortable; beyond
-    # that the rep texts ride the exact packed shuffle instead.
+    # that the rep texts ride the exact hash exchange instead.
     broadcast_max_reps: int = 5_000_000
     # candidate/pair sets at or below this row count verify via the
     # semi-filter + broadcast plan (verify_edges_smallset / containment

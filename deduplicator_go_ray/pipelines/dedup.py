@@ -273,7 +273,7 @@ def run_dedup(
     #     broadcast as OBJECT STORE BLOCK REFS (nothing is collected on
     #     the driver);
     #   * large corpus: the text column rides through the ONE exact
-    #     packed shuffle (bounded per partition, spills with the
+    #     hash exchange (bounded per partition, spills with the
     #     exchange) and reps fall out of the group reduce directly — no
     #     O(n_reps) set exists anywhere, on the driver or in any worker.
     from ..stages.buckets import semi_filter_by_uid_refs, uid_of_urls
@@ -459,8 +459,6 @@ def run_dedup(
         flood = n_cand > cfg.smallset_max_edges
         near_cand = cand.filter(expr=f"kind != {KIND_ANCHOR}")
         if flood:
-            import os as _os
-
             # the speculative direct-index builds lost the bet — stop
             # them NOW instead of letting a wasted 1-cpu gather+sort
             # (25% of a 4-cpu node) run under the verify exchanges;
@@ -489,15 +487,11 @@ def run_dedup(
             timer.note("n_anchor", n_anchor)
             timer.note("anchor_plan",
                        "smallset" if anchor_small else "partitioned")
-            # the containment verify's CONSTRUCTION is map-only work
-            # (endpoint tasks + text semi-filter + blob materialize —
-            # ~3.6 GB of text scan at 2M docs, measured ~20 s at 16
-            # cpus) and its exchanges only run at ITS materialize —
-            # build it on a background thread so the payload scan
-            # overlaps the near verify's round-1 exchanges instead of
-            # running serially between them (maps + one exchange in
-            # flight: the chained-AllToAll hazard shape cannot
-            # assemble).
+            # the containment verify (endpoint tasks + text semi-filter
+            # + blob materialize — ~3.6 GB of text scan at 2M docs,
+            # measured ~20 s at 16 cpus — then its exchanges) runs on a
+            # background thread, so its payload scan shares the cluster
+            # with the near verify instead of running serially after it.
             cont_box: dict = {}
             cont_th = None
             if cfg.run_substring_pass:
@@ -518,14 +512,16 @@ def run_dedup(
                                     num_partitions=cfg.bucket_partitions,
                                     uid_bits=cfg.uid_bits,
                                     endpoint_filter=semifilter)
-                    except BaseException as e:  # pragma: no cover
+                    except Exception as e:  # pragma: no cover
+                        # Exception, not BaseException: an interrupt on
+                        # this thread must propagate, not be parked
                         cont_box["err"] = e
 
                 cont_th = _threading.Thread(
                     target=_build_cont, name="containment-verify-build",
                     daemon=True)
                 cont_th.start()
-            near_lazy = verify_near_edges_partitioned(
+            near_edges = verify_near_edges_partitioned(
                 near_cand, sigs, cfg.minhash,
                 num_partitions=cfg.bucket_partitions,
                 uid_bits=cfg.uid_bits,
@@ -534,34 +530,11 @@ def run_dedup(
                 cont_th.join()
                 if "err" in cont_box:
                     raise cont_box["err"]
-            cont_lazy = cont_box.get("ds")
-            overlap = (_os.environ.get("GRAFT_VERIFY_OVERLAP") == "1"
-                       and _os.environ.get("GRAFT_SHUFFLE", "sort") != "hash")
-            if not overlap:
-                # each partitioned verify is a 2-shuffle chain off the
-                # same materialized cand; materialize each before the
-                # union.  Sequential is the DEFAULT: interleaved A/B at
-                # 500k docs measured overlapped execution at best equal
-                # and at worst 1.8× slower (concurrent sort exchanges
-                # contend for the object store), and under
-                # GRAFT_SHUFFLE=hash one DAG holding ≥3 hash-shuffle
-                # operators plus a union deadlocks Ray's streaming
-                # executor (reproduced in isolation).  The edge sets
-                # are skinny uid pairs, so the barrier is cheap.
-                edge_sets = [near_lazy.materialize()]
-                timer.tick("verify_near")
-                if cont_lazy is not None:
-                    edge_sets.append(cont_lazy.materialize())
-                    timer.tick("verify_containment")
-            else:
-                # GRAFT_VERIFY_OVERLAP=1 (sort exchange only): run both
-                # verify chains in one DAG — the executor interleaves
-                # their exchanges.  Kept opt-in for experimentation; see
-                # BENCH/flood_plan_ab.md
-                edge_sets = [(near_lazy.union(cont_lazy)
-                              if cont_lazy is not None
-                              else near_lazy).materialize()]
-                timer.tick("verify_near+containment")
+            edge_sets = [near_edges.materialize()]
+            timer.tick("verify_near")
+            if "ds" in cont_box:
+                edge_sets.append(cont_box["ds"].materialize())
+                timer.tick("verify_containment")
         else:
             # direct-refs sub-plan: with 64-bit uids and a rep-signature
             # matrix under verify_direct_max_bytes, score against the

@@ -30,8 +30,6 @@ the partition-count-invariance contract (files/move.go:226-236).
 
 from __future__ import annotations
 
-import os as _os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -41,7 +39,7 @@ import ray.data
 from ..config import LSHConfig, MinHashConfig, SimHashConfig
 from ..functions.hashing import (combine64, hash64_str, mix64,
                                  rolling_hashes_many)
-from .common import _hash_partitions, grouped_apply
+from .common import grouped_apply
 
 KIND_BAND = 0
 KIND_SIMHASH = 1
@@ -647,7 +645,7 @@ def semi_filter_by_uid_partitioned(
     """Hash-partitioned semi-join on uid(url): nothing is broadcast and
     nothing lands on the driver — the scale path above
     ``broadcast_max_reps`` (same shape as the reference's candidate
-    gating by shared state, expressed as one packed shuffle).  The ds
+    gating by shared state, expressed as one hash exchange).  The ds
     payload ships through the shuffle once; int columns are restored
     after the null-padded union."""
     # marker rows carry sentinel zeros for the payload's int columns —
@@ -700,7 +698,7 @@ def _attach_payload_partitioned(
     post_fn=None,
 ) -> "ray.data.Dataset":
     """Inner-join ``payload`` (uid, value) onto edge rows keyed by the
-    ``endpoint`` column — one hash-partitioned packed shuffle, pandas
+    ``endpoint`` column — one hash-partitioned exchange, pandas
     merge per partition.  Building block of the flood-verify fallback.
     ``int_cols`` (edge-side integer columns) must be passed when the
     edges dataset is lazy (schema unknown without executing).
@@ -801,7 +799,7 @@ def _attach_payload_partitioned(
             keep_e = edge_rows[hit]                 # inner join
             take_p = prow[pos[hit]]
             # combine before the random-index takes: `full` arrives as
-            # one chunk per packed blob (hundreds), and chunked take
+            # one chunk per split slice (hundreds), and chunked take
             # over the 1 KiB payload column is the pathological case
             base = base.combine_chunks()
             pay = full[out_col]
@@ -812,8 +810,7 @@ def _attach_payload_partitioned(
             return post_fn(out) if post_fn is not None else out
 
         return grouped_apply([e, p], ["__k"], merge_arrow,
-                             num_partitions=num_partitions, arrow_fn=True,
-                             out_blocks=_hash_partitions(num_partitions))
+                             num_partitions=num_partitions, arrow_fn=True)
 
     def merge(df: pd.DataFrame):
         is_p = df["__m"] == 1
@@ -841,8 +838,7 @@ def _attach_payload_partitioned(
         return out
 
     return grouped_apply([e, p], ["__k"], merge,
-                         num_partitions=num_partitions,
-                         out_blocks=_hash_partitions(num_partitions))
+                         num_partitions=num_partitions)
 
 
 def _sig_blob_table(sigs: "ray.data.Dataset", P: int,
@@ -864,39 +860,29 @@ def _sig_blob_table(sigs: "ray.data.Dataset", P: int,
         f, batch_format="pyarrow")
 
 
-def _slot_slice_table(blobs: "ray.data.Dataset", P: int,
-                      lo: int, hi: int) -> "ray.data.Dataset":
-    """Lazy zero-copy-ish slot slice of a (uid, value=binary(P*8))
-    blob table: value → slots [lo, hi) as fixed binary((hi-lo)*8).
-    Stacked on a MATERIALIZED blob table it reads blocks zero-copy and
-    only the sliced bytes are ever packed into an exchange."""
-    w = hi - lo
-
-    def f(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if n == 0:
-            return pa.table({"uid": t["uid"],
-                             "value": pa.array([], pa.binary(w * 8))})
-        col = t["value"]
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        flat = np.frombuffer(arr.buffers()[1], dtype=np.uint64,
-                             count=(arr.offset + n) * P)[arr.offset * P:]
-        part = np.ascontiguousarray(flat.reshape(n, P)[:, lo:hi])
-        blob = pa.Array.from_buffers(
-            pa.binary(w * 8), n, [None, pa.py_buffer(part.tobytes())])
-        return pa.table({"uid": t["uid"], "value": blob})
-
-    return blobs.map_batches(f, batch_format="pyarrow")
+def _slot_matrix(col, n: int, P: int) -> np.ndarray:
+    """(n, P) uint64 view of a ``fixed_size_binary(P*8)`` signature blob
+    column — one buffer view, no per-row Python.  Any other type has no
+    fixed-stride data buffer to view, so it is refused."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if not (pa.types.is_fixed_size_binary(arr.type)
+            and arr.type.byte_width == P * 8):
+        raise TypeError(f"signature blobs must be fixed_size_binary({P * 8}),"
+                        f" got {arr.type}")
+    flat = np.frombuffer(arr.buffers()[1], dtype=np.uint64,
+                         count=(arr.offset + n) * P)[arr.offset * P:]
+    return flat.reshape(n, P)
 
 
 def _slot_fp_table(blobs: "ray.data.Dataset", P: int,
                    lo: int, hi: int) -> "ray.data.Dataset":
-    """Like :func:`_slot_slice_table` but emits ONE-BYTE slot
-    fingerprints (each u64 slot's low byte) as binary(hi-lo) — 8×
-    less exchange volume than the slot values.  Fingerprints can only
-    OVER-count matches (equal slots always fingerprint equal), so a
-    match-count upper bound computed on them remains a sound prune
-    bound; survivors are re-scored exactly on full signatures."""
+    """Lazy slot fingerprints of a (uid, value=binary(P*8)) blob table:
+    value → ONE-BYTE fingerprints (each u64 slot's low byte) of slots
+    [lo, hi) as binary(hi-lo) — 8× less exchange volume than the slot
+    values.  Fingerprints can only OVER-count matches (equal slots
+    always fingerprint equal), so a match-count upper bound computed
+    on them remains a sound prune bound; survivors are re-scored
+    exactly on full signatures."""
     w = hi - lo
 
     def f(t: pa.Table) -> pa.Table:
@@ -904,11 +890,7 @@ def _slot_fp_table(blobs: "ray.data.Dataset", P: int,
         if n == 0:
             return pa.table({"uid": t["uid"],
                              "value": pa.array([], pa.binary(w))})
-        col = t["value"]
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        flat = np.frombuffer(arr.buffers()[1], dtype=np.uint64,
-                             count=(arr.offset + n) * P)[arr.offset * P:]
-        fp = (flat.reshape(n, P)[:, lo:hi]
+        fp = (_slot_matrix(t["value"], n, P)[:, lo:hi]
               & np.uint64(0xFF)).astype(np.uint8)
         blob = pa.Array.from_buffers(
             pa.binary(w), n,
@@ -1003,7 +985,7 @@ def _filter_payload_by_uid_ref(
     endpoint uid array (an ObjectRef from :func:`endpoint_uid_refs`) —
     workers map the array zero-copy from plasma (``_shared_index``
     cache).  Lazy — stacked on a materialized payload it reads blocks
-    zero-copy and only the kept rows are ever packed into the attach
+    zero-copy and only the kept rows are ever shipped through the attach
     exchange."""
 
     def f(batch: pa.Table) -> pa.Table:
@@ -1067,37 +1049,6 @@ def _combine_uid_value_blocks(refs: tuple, w: int):
     return uid[order], np.ascontiguousarray(mat[order])
 
 
-def _overlapped_materialize(primary: "ray.data.Dataset",
-                            secondary: "ray.data.Dataset"):
-    """Materialize ``primary`` while ``secondary`` materializes on a
-    background thread (VERDICT r3 next #2b: the v-side payload filter
-    used to run serially AFTER the u-attach barrier; it is map-only —
-    no exchange — so overlapping it with the u-attach's execution
-    cannot assemble the chained-AllToAll hazard shape).  Returns
-    ``(primary_materialized, secondary_materialized)``; a secondary
-    failure falls back to returning it lazy (the caller's next
-    execution surfaces any real error)."""
-    import threading
-
-    box: dict = {}
-
-    def run() -> None:
-        try:
-            box["ds"] = secondary.materialize()
-        except Exception as e:  # pragma: no cover - fallback path
-            # Exception, not BaseException: a KeyboardInterrupt /
-            # SystemExit on the prefetch thread must propagate, not be
-            # swallowed into the lazy fallback (VERDICT r4 wrong #5).
-            box["err"] = e
-
-    th = threading.Thread(target=run, name="v-payload-prefetch",
-                          daemon=True)
-    th.start()
-    prim = primary.materialize()
-    th.join()
-    return prim, box.get("ds", secondary)
-
-
 def verify_near_edges_partitioned(
     edges: "ray.data.Dataset",
     sigs: "ray.data.Dataset",
@@ -1115,7 +1066,7 @@ def verify_near_edges_partitioned(
     ``endpoint_filter``: semi-filter the signature table to edge
     endpoints before the exchange — payload rows that match no edge
     would be dropped by the inner join anyway, AFTER shipping through
-    both packed exchanges (the whole sig table twice).  The caller
+    both attach exchanges (the whole sig table twice).  The caller
     disables it past ``verify_semifilter_max_edges``, where the
     endpoint array itself stops being broadcastable."""
     import os as _os
@@ -1185,20 +1136,6 @@ def verify_near_edges_partitioned(
                          "v": pa.array([], uid_pa_type(uid_bits)),
                          "kind": pa.array([], pa.int8())})
 
-    def _barrier_materialize(att_u, blobs_v):
-        # BARRIER between the two attach exchanges: two AllToAll
-        # operators chained lazily in one streaming DAG split the CPU
-        # budget between their concurrent sub-stages — adjacent A/B at
-        # 500k docs measured the lazy chain 1.6× slower at 16 cpus and
-        # neutral at 4, i.e. the lazy chain is precisely what flattens
-        # the N-vs-4N scaling curve.  The v-side payload filter is
-        # map-only — it materializes on a background thread DURING the
-        # u-attach instead of serially after the barrier (no second
-        # exchange in flight, so the hazard shape cannot assemble)
-        if endpoint_filter and not _os.environ.get("GRAFT_NO_OVERLAP"):
-            return _overlapped_materialize(att_u, blobs_v)
-        return att_u.materialize(), blobs_v
-
     if not two_round:
         # single-round plan (tiny P or a threshold the first half
         # cannot bound): full signatures through both exchanges
@@ -1223,10 +1160,9 @@ def verify_near_edges_partitioned(
             edges, blobs_u, "u", "sig_u",
             num_partitions, int_cols=edge_ints, out_type=sig_t,
             dedupe_on=("u", "v"))
-        att_u_m, blobs_v = _barrier_materialize(att_u, blobs_v)
-        _sub("u_attach_mat")
+        _sub("u_attach")
         return _attach_payload_partitioned(
-            att_u_m,
+            att_u,
             blobs_v, "v", "sig_v", num_partitions, int_cols=edge_ints,
             out_type=sig_t, post_fn=score)
 
@@ -1301,12 +1237,11 @@ def verify_near_edges_partitioned(
         # — drop the copies before any payload is glued on (~2.9×
         # fewer rows through the second exchange)
         dedupe_on=("u", "v"))
-    att_u_m, lo_v = _barrier_materialize(att_u, lo_v)
-    _sub("u_attach_mat")
+    _sub("u_attach")
     survivors = _attach_payload_partitioned(
-        att_u_m,
+        att_u,
         lo_v, "v", "sig_v", num_partitions, int_cols=edge_ints,
-        out_type=fp_t, post_fn=score_half).materialize()
+        out_type=fp_t, post_fn=score_half)
     n_surv = survivors.count()
     if _timing:
         print(f"[note] n_survivors: {n_surv}", flush=True)
@@ -1511,25 +1446,17 @@ def verify_containment_edges_partitioned(
             "kind": batch["kind"].filter(m).combine_chunks().cast(pa.int8()),
         })
 
-    # prune fused into the second attach's reduce, barrier between the
-    # exchanges, v-payload prefetch overlapped with the u-attach —
-    # all as in the near twin (see the rationale there).  The
-    # GRAFT_NO_OVERLAP kill-switch covers this twin too (ADVICE r4 #5:
-    # it used to guard only the near path).
+    # prune fused into the second attach's reduce, as in the near twin
     bl_u = _bloom_len_table(blobs_u)
     bl_v = _bloom_len_table(blobs_v)
     att_u = _attach_payload_partitioned(
         pairs, bl_u, "u", "bl_u",
         num_partitions, int_cols=edge_ints,
         out_type=pa.binary(_CONT_PAY_BYTES))
-    if endpoint_filter and not _os.environ.get("GRAFT_NO_OVERLAP"):
-        att_u_m, bl_v = _overlapped_materialize(att_u, bl_v)
-    else:
-        att_u_m = att_u.materialize()
     survivors = _attach_payload_partitioned(
-        att_u_m,
+        att_u,
         bl_v, "v", "bl_v", num_partitions, int_cols=edge_ints,
-        out_type=pa.binary(_CONT_PAY_BYTES), post_fn=prune).materialize()
+        out_type=pa.binary(_CONT_PAY_BYTES), post_fn=prune)
     n_surv = survivors.count()
     if n_surv == 0:
         return ray.data.from_arrow(pa.table({
@@ -1697,5 +1624,4 @@ def candidate_edges_fused(
         return pd.concat(outs, ignore_index=True)
 
     return grouped_apply(buckets, ["key"], emit, num_partitions=num_partitions,
-                         empty_result=_edge_empty,
-                         out_blocks=_hash_partitions(num_partitions))
+                         empty_result=_edge_empty)

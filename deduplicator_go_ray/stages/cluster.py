@@ -204,11 +204,6 @@ def connected_components_distributed(
     import os
     import time
     trace = os.environ.get("GRAFT_PHASE_TIMING") == "1"
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 32))
-    except Exception:
-        cpus = 32
-    blocks = max(8, 2 * cpus)
 
     # signature-vs-previous convergence sees the POSSIBLY-duplicated
     # small_star output (cross-partition duplicate pairs exist only
@@ -223,11 +218,10 @@ def connected_components_distributed(
         t0 = time.time()
         both = cur.map_batches(undirect, batch_format="pyarrow")
         cur = grouped_apply(both, ["u"], large_star,
-                            empty_result=edge_empty, out_blocks=blocks)
+                            empty_result=edge_empty)
         both = cur.map_batches(undirect, batch_format="pyarrow")
         cur = grouped_apply(both, ["u"], small_star,
-                            empty_result=edge_empty,
-                            out_blocks=blocks).materialize()
+                            empty_result=edge_empty)
         sig = signature(cur)
         if trace:
             print(f"[cc] iter {it}: {time.time() - t0:.2f}s "
@@ -252,8 +246,7 @@ def connected_components_distributed(
                          ["u"], emit,
                          empty_result=pa.table({
                              "url": pa.array([], key_t),
-                             "root": pa.array([], key_t)}),
-                         out_blocks=blocks)
+                             "root": pa.array([], key_t)}))
 
 
 def resolve_components(

@@ -3,13 +3,16 @@
 Ray's ``groupby(key).map_groups(fn)`` invokes ``fn`` once per key — at
 web scale the dup-group key space has ~as many groups as rows, and a
 Python call per group dominates wall time.  The engine's pattern
-instead: append a coarse partition column ``__part = hash(key) % P``,
-group by THAT (P groups total, each a complete set of key-groups), and
-run a **vectorized partition-level function** (pandas groupby
-transforms / numpy) inside each partition.  Correctness only needs
-co-location of equal keys, which the hash guarantees; determinism
-holds because every partition function is a pure function of its rows
-(≙ the reference's coordination-free invariant, files/move.go:226-236).
+instead: route every row to partition ``hash(key) % P`` (each partition
+a complete set of key-groups) and run a **vectorized partition-level
+function** (pandas groupby transforms / numpy) once per partition.
+Correctness only needs co-location of equal keys, which the hash
+guarantees; determinism holds because every partition function is a
+pure function of its rows (≙ the reference's coordination-free
+invariant, files/move.go:226-236).  The exchange itself is plain Ray
+tasks over block refs, not a Ray Data all-to-all operator: its cost is
+then one task per block and one per partition, with no sample/sort
+barriers or shuffle actors.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from collections.abc import Callable
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data
 
 from ..functions.hashing import hash64_str, mix64
@@ -39,100 +43,57 @@ def _key_hash(batch: pa.Table, keys: list[str], seed: int = 11) -> np.ndarray:
     return acc
 
 
-def _enable_hash_shuffle() -> None:
-    """Switch Ray Data's groupby exchange to the hash-shuffle operator.
+@ray.remote
+def _split_block(block, keys: list[str], n_parts: int, pre_fn):
+    """Map side of the exchange: one input block → ``n_parts`` Arrow
+    slices, slice ``p`` holding the rows whose key hash is ``p`` mod
+    ``n_parts``."""
+    from ray.data.block import BlockAccessor
 
-    The default sort-based exchange costs ~3 s of fixed wall per
-    shuffle on this box even when the data is tiny (sample → SortMap →
-    SortReduce barriers, measured via ds.stats()); the hash-shuffle
-    aggregators stream instead.  Results are identical — grouped_apply
-    only needs co-location of equal keys, not order.  Fractional
-    aggregator CPUs so small (4-cpu test) sessions don't deadlock the
-    streaming executor — same reasoning as the join aggregators in
-    stages/joins.py."""
-    import os
-
-    import ray
-    import ray.data
-    from ray.data.context import ShuffleStrategy
-
-    if os.environ.get("GRAFT_SHUFFLE", "sort") != "hash":
-        return
-    ctx = ray.data.DataContext.get_current()
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
-    ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.05
-    # aggregator pool sized to the LIVE session: too many actors melts
-    # a 4-cpu session (process stampede), too few (a fixed cap of 4)
-    # bottlenecks every reduce at 32 cpus
-    try:
-        cpus = (int(ray.cluster_resources().get("CPU", 32))
-                if ray.is_initialized() else 32)
-    except Exception:
-        cpus = 32
-    ctx.max_hash_shuffle_aggregators = max(4, min(cpus, 64))
-    ctx.default_hash_shuffle_parallelism = max(16, 2 * cpus)
+    tbl = BlockAccessor.for_block(block).to_arrow()
+    if pre_fn is not None:
+        tbl = pre_fn(tbl)
+    if n_parts == 1:
+        return tbl
+    part = (_key_hash(tbl, keys) % np.uint64(n_parts)).astype(np.int64)
+    order = np.argsort(part, kind="stable")
+    # combine first: take() with a shuffled index over a MANY-chunk
+    # table degrades ~1000x on wide binary columns (per-element chunk
+    # binary search); upstream unions deliver dozens of chunks a block
+    tbl = tbl.combine_chunks().take(pa.array(order))
+    bounds = np.searchsorted(part[order], np.arange(n_parts + 1))
+    return tuple(tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
+                 for p in range(n_parts))
 
 
-def _unmaterialized_exchanges(ds: "ray.data.Dataset") -> int:
-    """Count all-to-all (exchange) operators in a dataset's pending
-    logical plan — Sort / Aggregate / Repartition / RandomShuffle /
-    Join / any hash-shuffle op.  A materialized dataset reports 0 (its
-    plan is just an input buffer): the count measures what one
-    streaming execution would have to run CONCURRENTLY."""
-    try:
-        dag = ds._logical_plan.dag
-    except Exception:  # pragma: no cover - plan API drift
-        return 0
-    n = 0
-    seen: set[int] = set()
-    stack = [dag]
-    while stack:
-        op = stack.pop()
-        if id(op) in seen:
-            continue
-        seen.add(id(op))
-        name = type(op).__name__
-        if (name in ("Sort", "Aggregate", "RandomShuffle", "Repartition",
-                     "Join") or "Shuffle" in name or "Aggregate" in name):
-            n += 1
-        stack.extend(getattr(op, "input_dependencies", ()))
-    return n
+@ray.remote(num_returns=2)
+def _reduce_partition(partition_fn, arrow_fn: bool, *slices):
+    """Reduce side: concatenate one partition's slices and run
+    ``partition_fn`` on them.  Returns ``(table, rows)``; ``rows`` is
+    -1 when the partition received no rows (``partition_fn`` is never
+    called on an empty partition)."""
+    tables = [t for t in slices if t.num_rows]
+    if not tables:
+        return pa.table({}), -1
+    # unioned inputs may disagree on column ORDER: unify by name
+    full = pa.concat_tables(tables, promote_options="default")
+    out = partition_fn(full if arrow_fn else full.to_pandas())
+    if isinstance(out, pd.DataFrame):
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    # strip the pandas schema-metadata dict: Ray hashes schemas for
+    # dedup and a dict payload defeats it
+    out = out.replace_schema_metadata(None)
+    return out, out.num_rows
 
 
-def exchange_barrier(ds: "ray.data.Dataset",
-                     max_pending: int = 2) -> "ray.data.Dataset":
-    """Materialize ``ds`` if its pending plan already carries
-    ``max_pending`` exchange operators, so the exchange the caller is
-    about to ADD never becomes the third concurrent all-to-all in one
-    DAG.  Under ``GRAFT_SHUFFLE=hash`` that shape (≥3 hash exchanges +
-    a union) deadlocks Ray 2.49's streaming executor outright
-    (VERDICT r3 wrong #5 — this guard makes the config value safe
-    instead of retiring it); under the default sort strategy chained
-    exchanges merely split the CPU budget (up to 1.6× slower at 16
-    cpus), so the barrier only engages in hash mode."""
-    import os
-
-    if os.environ.get("GRAFT_SHUFFLE", "sort") != "hash":
-        return ds
-    if _unmaterialized_exchanges(ds) >= max_pending:
-        return ds.materialize()
-    return ds
-
-
-def _hash_partitions(num_partitions: int) -> int:
-    """Hash-shuffle partition count, capped by session size: >4×CPU
-    partitions on a small session starves the aggregator actors and
-    deadlocks the streaming executor (empirically: 64 partitions hang a
-    4-cpu session; 2×CPU streams fine at every size).  Results never
-    depend on the partition count — `__part` carries the semantic
-    grouping."""
-    try:
-        import ray
-        cpus = int(ray.cluster_resources().get("CPU", 32)) if ray.is_initialized() else 32
-    except Exception:
-        cpus = 32
-    return int(min(num_partitions, max(16, 2 * cpus)))
+def _exchange_partitions(num_partitions: int, input_bytes: int) -> int:
+    """Reduce-task count: enough to keep every CPU of the session busy
+    and every partition near Ray Data's target block size, never more
+    than the caller's ``num_partitions``.  Results never depend on it."""
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    target = ray.data.DataContext.get_current().target_max_block_size
+    by_size = -(-input_bytes // target) if target else 1
+    return max(1, min(num_partitions, max(2 * cpus, by_size)))
 
 
 def grouped_apply(
@@ -140,11 +101,9 @@ def grouped_apply(
     keys: list[str],
     partition_fn: Callable[[pd.DataFrame], pd.DataFrame],
     num_partitions: int = 64,
-    packed: bool = True,
     empty_result: pa.Table | None = None,
     arrow_fn: bool = False,
     pre_fn: Callable[[pa.Table], pa.Table] | None = None,
-    out_blocks: int | None = None,
 ) -> "ray.data.Dataset":
     """Hash-partition `ds` on `keys`, then run `partition_fn` once per
     partition over a pandas frame containing only complete key-groups.
@@ -153,178 +112,60 @@ def grouped_apply(
     beyond what it itself sorts — results are then independent of the
     partition count (N-vs-4N determinism).
 
-    ``packed=True`` (default) routes the exchange through per-partition
-    Arrow-IPC blobs: each map batch is split by partition and serialized
-    into ONE (part, blob) row per partition, so Ray's sort-based shuffle
-    orders ~(blocks × partitions) blob rows instead of every data row —
-    the global sort was the dominant cost of wide grouped stages.  The
-    reduce side deserializes and concatenates its blobs zero-copy-ish
-    before running `partition_fn` on the full partition.
+    The exchange is plain Ray tasks over block refs: every input is
+    executed once (its upstream maps fused into that execution) and
+    zero-row blocks are skipped by their metadata.  One split task per
+    block applies ``pre_fn``, hashes ``keys`` and returns one Arrow
+    slice per partition; one reduce task per partition concatenates
+    its slices and runs ``partition_fn``.  No block data reaches the
+    driver, only the partition row counts.  The exchange runs when
+    this function is called; the result is a materialized dataset of
+    the non-empty partitions.
 
     ``empty_result``: a ZERO-ROW Arrow table with `partition_fn`'s
-    output schema.  When given, a sentinel row rides the exchange so
-    the result carries that schema even when `ds` is fully empty —
-    otherwise Ray emits schema-less empty bundles that leak
-    "different schema" warnings into downstream unions.
+    output schema, returned when every partition comes out empty.
 
-    ``arrow_fn=True`` (packed mode only): `partition_fn` receives the
-    concatenated partition as a **pyarrow Table** and must return one —
-    skipping the ``to_pandas`` round-trip, which materializes a Python
-    object per cell and dominates wall time when rows carry wide binary
+    ``arrow_fn=True``: `partition_fn` receives the concatenated
+    partition as a **pyarrow Table** and must return one — skipping
+    the ``to_pandas`` round-trip, which materializes a Python object
+    per cell and dominates wall time when rows carry wide binary
     payloads (the flood-verify signature blobs).
 
     ``ds`` may be a LIST of datasets (a union exchange — e.g. edges +
-    payload sides of a partitioned join): each is packed separately and
-    the union happens on the uniform ``(__part, __blob)`` schema, so
-    the executor never bundles mixed-schema blocks (the "RefBundle with
-    a different schema" warning cascade).  Packed mode only.
-
-    ``out_blocks``: coalesce the result to ~this many blocks
-    (``repartition`` without shuffle — order-preserving, cheap).  The
-    sort-based exchange emits ~one output block per INPUT block, so a
-    grouped stage fed by a many-block union hands its fragmentation to
-    every consumer — a downstream exchange over 800 near-empty blocks
-    spends 100+ s of driver-side scheduling on zero data (measured:
-    the flood-verify edge union at 500k docs).  Set it on stages whose
-    output is known to be small (edge sets, per-group reductions);
-    leave None for corpus-sized outputs where the extra copy pass
-    would cost more than the scheduling it saves."""
-
-    _enable_hash_shuffle()
-    hash_parts = _hash_partitions(num_partitions)
-    multi = isinstance(ds, (list, tuple))
-    if multi and not packed:
-        raise ValueError("a dataset list requires packed=True")
-    if arrow_fn and not packed:
-        raise ValueError("arrow_fn requires packed=True")
-    if pre_fn is not None and packed and empty_result is None:
-        # the all-filtered-batch sentinel row lands in the -1 group,
-        # whose unpack must return a schema'd empty table
-        raise ValueError("pre_fn requires empty_result in packed mode")
-    if not packed:
-        def add_part(batch: pa.Table) -> pa.Table:
-            if pre_fn is not None:
-                batch = pre_fn(batch)
-            part = (_key_hash(batch, keys) % np.uint64(num_partitions)).astype(np.int64)
-            return batch.append_column("__part", pa.array(part, pa.int64()))
-
-        def run(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.drop(columns="__part")
-            return partition_fn(df)
-
-        out = (
-            exchange_barrier(ds.map_batches(add_part,
-                                            batch_format="pyarrow"))
-            .groupby("__part", num_partitions=hash_parts)
-            .map_groups(run, batch_format="pandas")
-        )
-        return out.repartition(out_blocks) if out_blocks else out
-
-    def pack(batch: pa.Table) -> pa.Table:
-        import pyarrow.ipc as ipc
-        import io
-
-        # pre_fn runs INSIDE pack (not as a separate fused map stage):
-        # when a fused upstream stage yields a zero-row batch, Ray skips
-        # the remaining fns in the chain and the task's output block is
-        # rebuilt with NO schema — a schema-less empty block then rides
-        # untouched through every downstream operator (Ray never calls
-        # UDFs on empty blocks) and trips "different schema" warnings
-        # (VERDICT r2 #9).  Folding the filter here keeps every task
-        # output on the (part, blob) schema.
-        if pre_fn is not None:
-            batch = pre_fn(batch)
-            if batch.num_rows == 0:
-                # a SENTINEL row, not a zero-row table: the sort/shuffle
-                # operator rebuilds empty input blocks schema-less too,
-                # so an all-filtered batch must still ship one row
-                # (part -1 / empty blob — unpack_run skips empty blobs)
-                return pa.table({
-                    "__part": pa.array([-1], pa.int64()),
-                    "__blob": pa.array([b""], pa.large_binary()),
-                })
-        part = (_key_hash(batch, keys) % np.uint64(num_partitions)).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        # combine first: take() with a shuffled index over a MANY-chunk
-        # table degrades ~1000× on wide binary columns (per-element
-        # chunk binary-search — the CLAUDE.md chunked-take pathology);
-        # upstream unions routinely deliver dozens of chunks per batch
-        sorted_tbl = batch.combine_chunks().take(pa.array(order))
-        sp = part[order]
-        starts = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]])
-        sizes = np.diff(np.r_[starts, sp.size])
-        parts_out, blobs = [], []
-        for s, n in zip(starts, sizes):
-            sub = sorted_tbl.slice(int(s), int(n))
-            sink = io.BytesIO()
-            with ipc.new_stream(sink, sub.schema) as w:
-                w.write_table(sub)
-            parts_out.append(int(sp[s]))
-            blobs.append(sink.getvalue())
-        return pa.table({
-            "__part": pa.array(parts_out, pa.int64()),
-            "__blob": pa.array(blobs, pa.large_binary()),
-        })
-
-    def unpack_run(df: pd.DataFrame) -> pd.DataFrame:
-        import pyarrow.ipc as ipc
-        import io
-
-        tables = [ipc.open_stream(io.BytesIO(b)).read_all()
-                  for b in df["__blob"] if len(b)]
-        if not tables:
-            # sentinel-only group (or fully-empty exchange): no data rows
-            return empty_result if empty_result is not None else pd.DataFrame()
-        # unioned inputs may disagree on column ORDER — unify by name
-        full = pa.concat_tables(tables, promote_options="default")
-        if arrow_fn:
-            return partition_fn(full).replace_schema_metadata(None)
-        out = partition_fn(full.to_pandas())
-        # pin the output block to Arrow: heterogeneous pandas/arrow
-        # block schemas otherwise leak PandasBlockSchema into downstream
-        # schema unification (BENCH_r01 tail warning)
-        if isinstance(out, pd.DataFrame):
-            # strip the pandas schema-metadata dict: Ray hashes schemas
-            # for dedup and a dict payload defeats it (log noise)
-            return pa.Table.from_pandas(
-                out, preserve_index=False).replace_schema_metadata(None)
-        return out
-
-    # sentinel row: Ray Data never calls a map UDF on a zero-row block,
-    # so a fully-filtered input would reach the groupby as blocks
-    # WITHOUT the packed (__part, __blob) schema — the sort exchange
-    # shrugs, but the hash-shuffle aggregators crash on the missing key
-    # column, and a fully-empty exchange yields schema-less bundles that
-    # leak "different schema" warnings into downstream unions.  One
-    # guaranteed well-schema'd row (part -1, empty blob — real parts
-    # are ≥ 0, empty blobs are skipped in unpack_run) keeps the exchange
-    # schema-stable; with `empty_result` its group also pins the OUTPUT
-    # schema.  In sort mode without `empty_result` the sentinel is
-    # omitted — its group would itself emit a schema-less block
-    # (`PandasBlockSchema(names=[])`, VERDICT r1 §wrong #7).
-    import os
-
-    if multi:
-        parts = [d.map_batches(pack, batch_format="pyarrow") for d in ds]
-        packed_ds = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-    else:
-        packed_ds = ds.map_batches(pack, batch_format="pyarrow")
-    if (empty_result is not None
-            or os.environ.get("GRAFT_SHUFFLE", "sort") == "hash"):
-        sentinel = ray.data.from_arrow(pa.table({
-            "__part": pa.array([-1], pa.int64()),
-            "__blob": pa.array([b""], pa.large_binary()),
-        }))
-        packed_ds = packed_ds.union(sentinel)
-    # hash-mode deadlock guard: never let this groupby become the
-    # third concurrent hash exchange in one DAG (see exchange_barrier)
-    packed_ds = exchange_barrier(packed_ds)
-    out = (
-        packed_ds
-        .groupby("__part", num_partitions=hash_parts)
-        .map_groups(unpack_run, batch_format="pandas")
-    )
-    return out.repartition(out_blocks) if out_blocks else out
+    payload sides of a partitioned join); their columns are unified by
+    name inside each partition."""
+    inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
+    blocks, input_bytes = [], 0
+    for d in inputs:
+        for bundle in d.iter_internal_ref_bundles():
+            for ref, meta in bundle.blocks:
+                # Ray forwards zero-row blocks untouched, often without
+                # a schema: never let one reach a split task
+                if meta.num_rows == 0:
+                    continue
+                blocks.append(ref)
+                input_bytes += meta.size_bytes or 0
+    n_parts = _exchange_partitions(num_partitions, input_bytes)
+    pre_ref = ray.put(pre_fn) if pre_fn is not None else None
+    split = _split_block.options(num_returns=n_parts)
+    slices = [split.remote(b, keys, n_parts, pre_ref) for b in blocks]
+    if n_parts == 1:
+        slices = [[s] for s in slices]
+    fn_ref = ray.put(partition_fn)
+    outs = [_reduce_partition.remote(fn_ref, arrow_fn,
+                                     *[s[p] for s in slices])
+            for p in range(n_parts if blocks else 0)]
+    rows = ray.get([r for _, r in outs])
+    kept = [t for (t, _), n in zip(outs, rows) if n > 0]
+    if kept:
+        return ray.data.from_arrow_refs(kept)
+    if empty_result is not None:
+        return ray.data.from_arrow(empty_result)
+    # every partition came out empty: keep partition_fn's own schema
+    # when it ran at all
+    ran = [t for (t, _), n in zip(outs, rows) if n == 0]
+    return (ray.data.from_arrow_refs(ran[:1]) if ran
+            else ray.data.from_arrow(pa.table({})))
 
 
 def compact_materialized(ds: "ray.data.Dataset") -> "ray.data.Dataset":

@@ -58,8 +58,8 @@ def join_on(
 
 
 def _union_groupby_join(left, right, key, how):
-    """Portable hash-partitioned join: tag sides, union, ONE packed
-    shuffle (grouped_apply — partition-level pandas merge, not a Python
+    """Portable hash-partitioned join: tag sides, union, ONE hash
+    exchange (grouped_apply — partition-level pandas merge, not a Python
     call per key; VERDICT r1 #7), merge per partition.
 
     Non-key integer columns are encoded as 8-byte binary for the ride:
@@ -179,7 +179,7 @@ def keyed_membership_filter(
     num_partitions: int = 64,
 ) -> "ray.data.Dataset":
     """Semi/anti join against a key DATASET via one hash-partitioned
-    packed shuffle — the scale twin of :func:`broadcast_semi_filter`
+    exchange — the scale twin of :func:`broadcast_semi_filter`
     when the key set is too large to broadcast (VERDICT r1 "what's
     wrong" #4).  Key rows and data rows co-locate on the key; each
     partition keeps data rows whose key is (semi) / is not (anti)

@@ -500,11 +500,9 @@ def _incremental_signatures_impl(
         # scale twin (store exceeds the plasma budget): keyed-shuffle
         # anti-join + hash join — nothing broadcast, nothing on the
         # driver (equality-tested against the fused plan).  Materialize
-        # the (possibly union-of-versioned-and-legacy) store FIRST: an
-        # un-materialized union feeding join_on plus two
-        # keyed_membership_filter shuffles chains ≥3 exchanges in one
-        # DAG, the documented executor-deadlock shape under hash
-        # shuffle and a CPU-splitting hazard under sort (ADVICE r3 #2)
+        # the (possibly union-of-versioned-and-legacy) store FIRST: it
+        # feeds both the key set and join_on, and would otherwise be
+        # read twice
         store = store.materialize()
         slim = reps.select_columns(["url", *passthrough, "text_sha256"])
         keys = store.select_columns(["text_sha256"]).materialize()

@@ -112,6 +112,23 @@ def test_uid_stability():
     assert len(set(a.tolist())) == 3
 
 
+def test_slot_matrix_refuses_non_fixed_blobs():
+    """Signature blobs are viewed through their fixed-stride data buffer;
+    a variable-binary or wrong-width column raises TypeError instead of
+    misreading its offsets as slot values."""
+    from deduplicator_go_ray.stages.buckets import _slot_matrix
+
+    sig = np.arange(6, dtype=np.uint64).reshape(2, 3)
+    fixed = pa.Array.from_buffers(pa.binary(24), 2,
+                                  [None, pa.py_buffer(sig.tobytes())])
+    assert (_slot_matrix(fixed, 2, 3) == sig).all()
+    assert (_slot_matrix(pa.chunked_array([fixed]), 2, 3) == sig).all()
+    with pytest.raises(TypeError):
+        _slot_matrix(pa.array(fixed.to_pylist(), pa.binary()), 2, 3)
+    with pytest.raises(TypeError):
+        _slot_matrix(fixed, 2, 2)
+
+
 def test_prebuilt_index_verify_equals_inline_plans(small_sigs):
     """The speculative prebuilt verify index (launched early to overlap
     the candidate shuffle) must yield edge sets identical to both the

@@ -123,10 +123,17 @@ def test_quality_score_ranges():
     assert 0.0 <= bad <= good <= 1.0
 
 
-def test_grouped_apply_packed_equals_unpacked(ray_session):
+def test_grouped_apply_contract(ray_session):
+    """grouped_apply equals a pandas reference over the whole input at
+    every partition count, on the edge inputs of the exchange: empty
+    input (with and without ``empty_result``), a ``pre_fn`` that drops
+    every row, schema-less zero-row blocks, a dataset list whose column
+    orders differ, ``arrow_fn``, and chained exchanges whose middle
+    output also feeds a union."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
+    import ray
     import ray.data
 
     from deduplicator_go_ray.stages.common import grouped_apply
@@ -136,18 +143,91 @@ def test_grouped_apply_packed_equals_unpacked(ray_session):
         "k": pa.array(rng.integers(0, 50, 3000), pa.int64()),
         "v": pa.array(rng.integers(0, 1000, 3000), pa.int64()),
     })
-    ds = ray.data.from_arrow(tbl).repartition(6)
+    full = tbl.to_pandas()
+    out_empty = pa.table({"k": pa.array([], pa.int64()),
+                          "vmin": pa.array([], pa.int64()),
+                          "cnt": pa.array([], pa.int64())})
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("k", sort=True)["v"]
         return pd.DataFrame({"k": g.min().index, "vmin": g.min().values,
                              "cnt": g.size().values})
 
-    a = grouped_apply(ds, ["k"], fn, packed=True).to_pandas()
-    b = grouped_apply(ds, ["k"], fn, packed=False).to_pandas()
-    a = a.sort_values("k").reset_index(drop=True)
-    b = b.sort_values("k").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
+    def fn_arrow(t: pa.Table) -> pa.Table:
+        g = t.group_by("k").aggregate([("v", "min"), ("v", "count")])
+        return g.select(["k", "v_min", "v_count"]).rename_columns(
+            ["k", "vmin", "cnt"])
+
+    def vsum(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("k", as_index=False)["v"].sum()
+
+    twice = vsum(full).assign(v=lambda d: 2 * d["v"])
+
+    def check(out: "ray.data.Dataset", ref: pd.DataFrame) -> None:
+        got = out.to_pandas()
+        assert len(got) == len(ref)
+        if len(ref):
+            got = got[list(ref.columns)].sort_values("k").reset_index(drop=True)
+            pd.testing.assert_frame_equal(
+                got, ref.sort_values("k").reset_index(drop=True),
+                check_dtype=False)
+
+    ds = ray.data.from_arrow(tbl).repartition(6).materialize()
+    empty = ds.filter(expr="k < 0")
+    # zero-row, zero-column blocks between the data blocks
+    holes = ray.data.from_arrow_refs(
+        [ray.put(pa.table({}))]
+        + [ray.put(tbl.slice(i, 500)) for i in range(0, 3000, 500)]
+        + [ray.put(pa.table({}))])
+    swapped = [ray.data.from_arrow(tbl.slice(0, 1200)),
+               ray.data.from_arrow(tbl.slice(1200).select(["v", "k"]))]
+    for P in (1, 2, 7):
+        out = grouped_apply(ds, ["k"], fn, num_partitions=P)
+        assert out.num_blocks() <= P
+        check(out, fn(full))
+        assert grouped_apply(empty, ["k"], fn, num_partitions=P).count() == 0
+        out = grouped_apply(empty, ["k"], fn, num_partitions=P,
+                            empty_result=out_empty)
+        assert out.count() == 0 and out.schema().base_schema == out_empty.schema
+        out = grouped_apply(ds, ["k"], fn, num_partitions=P,
+                            empty_result=out_empty,
+                            pre_fn=lambda t: t.slice(0, 0))
+        assert out.count() == 0 and out.schema().base_schema == out_empty.schema
+        check(grouped_apply(holes, ["k"], fn, num_partitions=P), fn(full))
+        check(grouped_apply(swapped, ["k"], fn, num_partitions=P), fn(full))
+        check(grouped_apply(ds, ["k"], fn_arrow, num_partitions=P,
+                            arrow_fn=True), fn(full))
+        a = grouped_apply(ds, ["k"], vsum, num_partitions=P)
+        b = grouped_apply(a, ["k"], vsum, num_partitions=P)
+        check(grouped_apply(b.union(a), ["k"], vsum, num_partitions=P), twice)
+
+
+def test_grouped_apply_keeps_fixed_size_binary(ray_session):
+    """An Arrow partition function sees, and returns, a fixed_size_binary
+    payload column with its type intact (the signature blob views rely
+    on the fixed stride)."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from deduplicator_go_ray.stages.common import grouped_apply
+
+    n = 400
+    raw = np.arange(n * 16, dtype=np.uint8).tobytes()
+    blob = pa.Array.from_buffers(pa.binary(16), n, [None, pa.py_buffer(raw)])
+    tbl = pa.table({"k": pa.array(np.arange(n) % 37, pa.int64()),
+                    "value": blob})
+
+    def ident(t: pa.Table) -> pa.Table:
+        assert pa.types.is_fixed_size_binary(t["value"].type), t["value"].type
+        return t
+
+    ds = ray.data.from_arrow(tbl).repartition(5)
+    out = grouped_apply(ds, ["k"], ident, num_partitions=3, arrow_fn=True)
+    assert out.schema().base_schema.field("value").type == pa.binary(16)
+    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    assert sorted(got["value"].to_pylist()) == sorted(blob.to_pylist())
 
 
 def test_md5_hex16_matches_hashlib():

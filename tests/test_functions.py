@@ -123,6 +123,36 @@ def test_quality_score_ranges():
     assert 0.0 <= bad <= good <= 1.0
 
 
+def test_grouped_apply_packed_equals_unpacked(ray_session):
+    """The exchange ships each partition as Arrow slices packed by key
+    hash; its output equals the partition function applied to the whole,
+    unexchanged input."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    from deduplicator_go_ray.stages.common import grouped_apply
+
+    rng = np.random.default_rng(5)
+    tbl = pa.table({
+        "k": pa.array(rng.integers(0, 50, 3000), pa.int64()),
+        "v": pa.array(rng.integers(0, 1000, 3000), pa.int64()),
+    })
+    ds = ray.data.from_arrow(tbl).repartition(6)
+
+    def fn(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("k", sort=True)["v"]
+        return pd.DataFrame({"k": g.min().index, "vmin": g.min().values,
+                             "cnt": g.size().values})
+
+    a = grouped_apply(ds, ["k"], fn).to_pandas()
+    b = fn(tbl.to_pandas())
+    a = a[list(b.columns)].sort_values("k").reset_index(drop=True)
+    b = b.sort_values("k").reset_index(drop=True)
+    pd.testing.assert_frame_equal(a, b)
+
+
 def test_grouped_apply_contract(ray_session):
     """grouped_apply equals a pandas reference over the whole input at
     every partition count, on the edge inputs of the exchange: empty

@@ -3,8 +3,8 @@
 A from-scratch re-expression of the capabilities of
 PortNumber53/deDuplicator-Go (reference at /root/reference, cited as
 file:line throughout) on Ray Data: streaming ``ray.data.Dataset``
-pipelines over zero-copy Arrow batches, actor pools for stateful
-stages, explicit shuffle/skew handling, deterministic coordination-free
+pipelines over zero-copy Arrow batches, task-based map stages with
+per-worker cached state, explicit shuffle/skew handling, deterministic coordination-free
 keeper selection, and checkpointed resumable output.
 
 The reference is an exact-content file deduplicator whose shared state

@@ -146,24 +146,20 @@ class PipelineConfig:
     # only size-duplicate candidates.
     prune_by_size: bool = False
     # signature stage sizing: html/text rows are wide — keep batches
-    # small (SURVEY.md §4 memory row).  concurrency None = adaptive:
-    # (1, cluster CPU count) resolved when the pipeline is built, so the
-    # actor pool can actually occupy an N-cpu cluster (a fixed cap is
-    # the classic N-vs-4N scaling killer).
-    # 128 rows keeps the signature kernel's per-batch working set
-    # (shingle hash arrays, ~6 passes) inside the worker's L3 share:
+    # small (SURVEY.md §4 memory row).  128 rows keeps the signature
+    # kernel's per-batch working set (shingle hash arrays, ~6 passes)
+    # inside the worker's L3 share:
     # measured on this box, 32-way aggregate throughput is 62k docs/s
     # at batch 128 vs 36k at batch 1024, and the 8→32 scaling ratio of
     # the kernel rises from 1.49× to 2.52× (the pure-CPU ceiling) —
     # memory-bandwidth awareness, not task-overhead tuning.
     signature_batch_size: int = 128
-    signature_concurrency: int | tuple[int, int] | None = None
     # text-extraction slot (VERDICT r3 #5 — the multimodal ``decoder=``
     # pattern applied to text): "deterministic" = the public-knowledge
     # kernel (functions/text.py, the SQL-oracle twin, default); or a
     # ``(name, factory)`` tuple where ``factory()`` is called ONCE per
-    # worker process / actor and returns an ``html -> (text,
-    # err|None)`` callable — the hook a production extractor or model
+    # worker process and returns an ``html -> (text, err|None)``
+    # callable — the hook a production extractor or model
     # rides without touching pipeline code.  ``name`` keys the
     # per-worker stage cache, so two configs with different extractors
     # never share a built stage.
@@ -176,16 +172,13 @@ class PipelineConfig:
     # disarms (the batch-supervised watchdog costs one worker thread +
     # a notify per row when it never fires).
     extract_timeout_s: float | None = 60.0
-    # edges below this count resolve with a driver-side DSU; above it
-    # the distributed label-propagation path runs (SURVEY.md §7.4).
-    driver_dsu_max_edges: int = 5_000_000
-    # mid tier between the driver DSU and the shuffle loop: one Ray
-    # task gathers the verified-edge block refs and runs the
-    # vectorized min-label kernel (stages/cluster.py:cc_label_arrays)
-    # — no driver collect, and ~2 orders of magnitude less fixed cost
-    # than the alternating-star exchanges.  200M edges ≈ 3.2 GiB of
-    # endpoint arrays in the worker — the distributed loop only
-    # engages past that.
+    # components tier gate (stages/cluster.py:resolve_components,
+    # SURVEY.md §7.4): at or below this many verified edges one Ray
+    # task gathers the edge block refs and runs the vectorized
+    # min-label kernel — no driver collect, and ~2 orders of magnitude
+    # less fixed cost than the alternating-star exchanges.  200M edges
+    # ≈ 3.2 GiB of endpoint arrays in the worker — the distributed loop
+    # only engages past that.
     onetask_cc_max_edges: int = 200_000_000
     # flood-verify endpoint semi-filter gate: at or below this many
     # candidate edges the partitioned verify first drops payload rows

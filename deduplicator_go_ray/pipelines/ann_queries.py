@@ -472,14 +472,14 @@ register("ann_lsh_exhaustive",
 
 
 def embedding_clusters(sf_dir: str,
-                       max_driver_edges: int = 5_000_000) -> pd.DataFrame:
+                       max_onetask_edges: int = 200_000_000) -> pd.DataFrame:
     """Embedding-cosine near-dup CLUSTERS: the flagship's
     pair→components→keeper shape applied to the vector modality —
     cosine ≥ τ pairs merge into components, keeper = min vec_id.
     Components resolve through the flagship's size-aware switch
-    (stages/cluster.py:resolve_components): driver union-find below
-    ``max_driver_edges``, the distributed large-star/small-star label
-    propagation above it (both paths equality-tested)."""
+    (stages/cluster.py:resolve_components): the one-task kernel at or
+    below ``max_onetask_edges``, the distributed large-star/small-star
+    label propagation above it (both tiers equality-tested)."""
     from ..pipelines.dedup_queries import embedding_dup_pairs
     from ..stages.cluster import resolve_components
 
@@ -492,21 +492,12 @@ def embedding_clusters(sf_dir: str,
         "u": pa.array(pairs["id_a"].to_numpy(np.int64), pa.int64()),
         "v": pa.array(pairs["id_b"].to_numpy(np.int64), pa.int64()),
     }))
-    comp = (resolve_components(edges, max_driver_edges=max_driver_edges,
-                               key_type=pa.int64())
+    # both tiers list every edge endpoint (roots map to themselves)
+    comp = (resolve_components(edges, key_type=pa.int64(),
+                               max_onetask_edges=max_onetask_edges)
             .to_pandas().sort_values("url").reset_index(drop=True))
-    # the distributed path emits only non-root nodes; complete the frame
-    # over every edge endpoint (roots map to themselves)
-    nodes = np.unique(np.concatenate([
-        pairs["id_a"].to_numpy(np.int64), pairs["id_b"].to_numpy(np.int64)]))
-    from ..stages.common import sorted_probe
-
-    cu = comp["url"].to_numpy(np.int64)
-    cr = comp["root"].to_numpy(np.int64)
-    pos, hit = sorted_probe(cu, nodes)
-    roots = nodes.copy()
-    if hit.any():
-        roots[hit] = cr[pos[hit]]
+    nodes = comp["url"].to_numpy(np.int64)
+    roots = comp["root"].to_numpy(np.int64)
     return pd.DataFrame({
         "vec_id": nodes,
         "cluster_root": roots,

@@ -1,17 +1,20 @@
 """The flagship end-to-end dedup pipeline (SURVEY.md §3.4 DAG):
 
     read_parquet(pages)
-      → map_batches(ExtractStage, actor pool)         # M1/ST1
+      → map_batches(_extract_cached)                  # M1/ST1
       → add_content_key (sha256 + n_bytes)            # hash stage
-      → groupby(exact key).map_groups(assign_rep)     # A1/D1  [shuffle 1]
-      → reps → map_batches(SignatureStage, actor pool)# ST1
-      → LSH bands [+salt] → candidate edges           # [shuffle 2,3]
-      → + SimHash chunk edges, + substring anchors    # [shuffle 4,5]
-      → verify (signature Jaccard / containment)      # joins
-      → connected components                          # cluster merge
-      → propagate rep cluster → members               # join
-      → groupby(cluster).map_groups(keeper policy)    # D2-D4 [shuffle 6]
+      → grouped_apply(exact key, assign_rep)          # A1/D1  [exchange 1]
+      → reps → map_batches(_signature_slim)           # ST1
+      → LSH bands [+salt] + SimHash chunks + substring
+        anchors → candidate edges                     # [one fused exchange]
+      → verify (signature Jaccard / containment)      # broadcast or exchanges
+      → connected components (resolve_components)     # cluster merge
+      → propagate rep cluster → members               # broadcast or join
+      → grouped_apply(canonical, keeper policy)       # D2-D4 [keeper exchange]
       → assignments (+ error rows re-unioned)
+
+Per-row stages are task-based ``map_batches`` with a per-worker stage
+cache (``_STAGE_CACHE``).
 
 Every per-group decision is a pure function of group content, so the
 assignment set is identical at any parallelism — the reference's
@@ -22,7 +25,6 @@ validated by the N-vs-4N scaling protocol (BASELINE.md §3).
 from __future__ import annotations
 
 import functools
-import hashlib
 
 import numpy as np
 import pandas as pd
@@ -42,11 +44,9 @@ from ..stages.buckets import (KIND_ANCHOR, bucket_rows,
 from ..stages.joins import broadcast_lookup, left_attach
 from ..stages.signatures import SignatureStage
 
-_EMPTY_EDGES = pa.table({"u": pa.array([], pa.string()), "v": pa.array([], pa.string())})
-
-# per-worker-process stage cache: task-based map stages still build
-# their state once per worker (the actor-pool __init__ guarantee)
-# because Ray reuses worker processes across tasks.
+# per-worker-process stage cache: task-based map stages build their
+# state once per worker because Ray reuses worker processes across
+# tasks.
 _STAGE_CACHE: dict = {}
 
 
@@ -68,6 +68,20 @@ def _extract_cached(batch: pa.Table, extractor="deterministic",
         st = _STAGE_CACHE[key] = ExtractStage(
             extract_factory=factory, timeout_s=timeout_s)
     return st(batch)
+
+
+def extract_pages(pages: "ray.data.Dataset", cfg: PipelineConfig,
+                  batch_size: int | None = None) -> "ray.data.Dataset":
+    """The extract map stage: ``_extract_cached`` over ``pages`` with the
+    config's extractor slot and watchdog budget.  Shared by
+    :func:`run_dedup` and the checkpointed runs (state/checkpoint.py)."""
+    return pages.map_batches(
+        _extract_cached,
+        fn_kwargs={"extractor": cfg.extractor,
+                   "timeout_s": cfg.extract_timeout_s},
+        batch_format="pyarrow",
+        batch_size=batch_size or cfg.signature_batch_size,
+    )
 
 
 def _signature_cached(batch: pa.Table, **kwargs) -> pa.Table:
@@ -95,10 +109,6 @@ _EMPTY_ASSIGN = pa.table({
     "match_kind": pa.array([], pa.string()),
     "n_bytes": pa.array([], pa.int64()),
 })
-
-
-def _cluster_id_of(url: str) -> str:
-    return hashlib.md5(url.encode("utf-8")).hexdigest()[:16]
 
 
 def _sub_uids_task(refs: tuple, uid_bits: int):
@@ -160,13 +170,6 @@ def run_dedup(
     timer = _PhaseTimer()
 
     # ---- extract + hash ----------------------------------------------------
-    # default plan: task-based map stages with per-worker lazy stage
-    # init (_stage_cached) — tasks auto-scale to the whole cluster and
-    # skip actor-pool spin-up (which costs seconds per stage and caps
-    # parallelism at the pool size, the N-vs-4N scaling killer).  An
-    # explicit cfg.signature_concurrency switches to actor pools — the
-    # right plan when stage state is genuinely heavy (model weights,
-    # multimodal decoders).
     in_schema = pages.schema()
     in_cols = list(in_schema.names) if in_schema is not None else []
     if in_cols and "html" not in in_cols:
@@ -174,27 +177,8 @@ def run_dedup(
         # checkpoint): text + error columns already present, skip the
         # extract stage entirely
         extracted = pages
-    elif cfg.signature_concurrency is None:
-        ex_kwargs = {"timeout_s": cfg.extract_timeout_s}
-        if cfg.extractor != "deterministic":
-            ex_kwargs["extractor"] = cfg.extractor
-        extracted = pages.map_batches(
-            _extract_cached,
-            fn_kwargs=ex_kwargs,
-            batch_format="pyarrow",
-            batch_size=cfg.signature_batch_size,
-        )
     else:
-        ctor_kwargs = {"timeout_s": cfg.extract_timeout_s}
-        if cfg.extractor != "deterministic":
-            ctor_kwargs["extract_factory"] = cfg.extractor[1]
-        extracted = pages.map_batches(
-            ExtractStage,
-            fn_constructor_kwargs=ctor_kwargs,
-            batch_format="pyarrow",
-            batch_size=cfg.signature_batch_size,
-            concurrency=cfg.signature_concurrency,
-        )
+        extracted = extract_pages(pages, cfg)
     # materialize ONCE: the ok branch here plus the error/too-small
     # self-cluster passes inside _finish all consume this dataset —
     # left lazy, the whole extract pipeline would re-execute per
@@ -331,13 +315,12 @@ def run_dedup(
         # content keys re-use their stored signatures; only unseen
         # content runs the kernels.  Output is byte-identical to the
         # full compute (equality-tested), so every downstream stage is
-        # untouched.  Takes precedence over the actor-pool option.
-        # The sigs table carries two store-bookkeeping columns the
-        # baseline path doesn't (text_sha256 for the append-only
-        # persist, sig_cached for the compute accounting) — ~65 B/row
-        # of plasma residency; they never enter a shuffle (bucket_rows
-        # emits skinny rows, the verify index gathers url+minhash
-        # only).
+        # untouched.  The sigs table carries two store-bookkeeping
+        # columns the baseline path doesn't (text_sha256 for the
+        # append-only persist, sig_cached for the compute accounting) —
+        # ~65 B/row of plasma residency; they never enter a shuffle
+        # (bucket_rows emits skinny rows, the verify index gathers
+        # url+minhash only).
         from ..state.sigstore import incremental_signatures
 
         sigs, _n_new = incremental_signatures(
@@ -346,22 +329,11 @@ def run_dedup(
             batch_size=cfg.signature_batch_size)
         sigs = sigs.materialize()
         timer.note("sigs_computed", _n_new)
-    elif cfg.signature_concurrency is None:
+    else:
         sigs = reps.map_batches(
             functools.partial(_signature_slim, **sig_kwargs),
             batch_format="pyarrow",
             batch_size=cfg.signature_batch_size,
-        ).materialize()
-    else:
-        sigs = reps.map_batches(
-            SignatureStage,
-            fn_constructor_kwargs=sig_kwargs,
-            batch_format="pyarrow",
-            batch_size=cfg.signature_batch_size,
-            concurrency=cfg.signature_concurrency,
-        ).map_batches(
-            lambda t: t.drop_columns(["text"]) if "text" in t.column_names else t,
-            batch_format="pyarrow",
         ).materialize()
 
     timer.tick("signatures")
@@ -563,68 +535,23 @@ def run_dedup(
     timer.tick("verify+edges")
 
     # ---- components → rep cluster assignment -------------------------------
-    # below driver_dsu_max_edges the verified edge table is pulled to the
-    # driver ONCE and the substring-uid set, the union-find, and the
-    # component map all come out of that single pull — each extra
-    # Dataset execution costs ~1-2 s of scheduler fixed time regardless
-    # of data size, the dominant term of the N-vs-4N efficiency gap.
-    n_edges = all_tagged.count()  # metadata — all_tagged is materialized
-    timer.note("n_edges", n_edges)
-    mapping = None      # (nodes_sorted, roots) numpy pair — driver tier
-    rep_clusters = None
-    if n_edges <= cfg.driver_dsu_max_edges:
-        us, vs, ks = [], [], []
-        for b in all_tagged.iter_batches(batch_size=262144,
-                                         batch_format="pyarrow"):
-            us.append(uid_np(b["u"], cfg.uid_bits))
-            vs.append(uid_np(b["v"], cfg.uid_bits))
-            ks.append(np.asarray(b["kind"], np.int8))
-        if us:
-            u_arr = np.concatenate(us)
-            v_arr = np.concatenate(vs)
-            k_arr = np.concatenate(ks)
-            sub_mask = k_arr == KIND_ANCHOR
-            sub_uid_arr = np.unique(np.concatenate(
-                [u_arr[sub_mask], v_arr[sub_mask]]))
-            # vectorized min-label kernel — identical mapping to the
-            # reference dict DSU (root = component min,
-            # property-tested), no Python call per edge
-            from ..stages.cluster import cc_label_arrays
-            mapping = cc_label_arrays(u_arr, v_arr)
-        else:
-            sub_uid_arr = np.empty(0, np.int64)
-            mapping = (np.empty(0, np.int64), np.empty(0, np.int64))
-        n_comp = mapping[0].size
-        # bounded by the driver-DSU gate; still shipped by REF so the
-        # finalize closure stays skinny
-        sub_ref = ray.put(sub_uid_arr)
-    else:
-        # flood scale: the substring-uid set is built in ONE Ray task
-        # from all_tagged's materialized block refs and stays in the
-        # object store — no unbounded driver array, nothing captured in
-        # a task closure (VERDICT r2 "what's wrong" #2 / next #5; same
-        # pattern as stages/buckets.py:_build_sorted_index)
-        from ..stages.lsh import block_refs_of
-        edge_refs = tuple(block_refs_of(all_tagged))
-        sub_ref = ray.remote(num_cpus=1)(_sub_uids_task).remote(
-            edge_refs, cfg.uid_bits)
-        if n_edges <= cfg.onetask_cc_max_edges:
-            # mid tier: the same vectorized kernel in ONE Ray task over
-            # the edge block refs — nothing on the driver, none of the
-            # shuffle loop's per-round fixed cost
-            from ..stages.cluster import _cc_onetask
-            out = ray.get(ray.remote(num_cpus=1)(_cc_onetask).remote(
-                edge_refs, "u", "v", uid_pa_type(cfg.uid_bits)))
-            if out is None:
-                out = pa.table({
-                    "url": pa.array([], uid_pa_type(cfg.uid_bits)),
-                    "root": pa.array([], uid_pa_type(cfg.uid_bits))})
-            rep_clusters = ray.data.from_arrow(out).materialize()
-        else:
-            from ..stages.cluster import connected_components_distributed
-            rep_clusters = connected_components_distributed(
-                all_tagged.select_columns(["u", "v"])).materialize()
-        n_comp = rep_clusters.count()
+    # the substring-uid set is built in ONE Ray task from all_tagged's
+    # materialized block refs and stays in the object store — no driver
+    # array, nothing captured in a task closure (same pattern as
+    # stages/buckets.py:_build_sorted_index)
+    from ..stages.cluster import resolve_components
+    from ..stages.lsh import block_refs_of
+
+    timer.note("n_edges", all_tagged.count())
+    sub_ref = ray.remote(num_cpus=1)(_sub_uids_task).remote(
+        tuple(block_refs_of(all_tagged)), cfg.uid_bits)
+    # materialize() is a no-op on the already-materialized result; it
+    # marks the components barrier, where dedupbench's traced run counts
+    # the components
+    rep_clusters = resolve_components(
+        all_tagged, key_type=uid_pa_type(cfg.uid_bits),
+        max_onetask_edges=cfg.onetask_cc_max_edges).materialize()
+    n_comp = rep_clusters.count()
 
     def add_rep_uid(t: pa.Table) -> pa.Table:
         from ..stages.buckets import uid_arrow, uid_of_urls
@@ -643,27 +570,14 @@ def run_dedup(
     elif n_comp <= cfg.broadcast_max_reps:
         # the component map is tiny relative to the corpus (near-dup
         # members only) — broadcast it instead of a shuffle join
-        if mapping is None:
-            nodes_l, roots_l = [], []
-            for b in rep_clusters.iter_batches(batch_size=262144,
-                                               batch_format="pyarrow"):
-                nodes_l.append(uid_np(b["url"], cfg.uid_bits))
-                roots_l.append(uid_np(b["root"], cfg.uid_bits))
-            mapping = (np.concatenate(nodes_l), np.concatenate(roots_l))
+        tables = ray.get(block_refs_of(rep_clusters))
+        mapping = tuple(
+            np.concatenate([uid_np(t[col], cfg.uid_bits) for t in tables])
+            for col in ("url", "root"))
         enriched = broadcast_lookup(
             members_u, "rep_uid", mapping,
             "near_root", out_type=uid_pa_type(cfg.uid_bits))
     else:
-        if rep_clusters is None:
-            nodes, roots = mapping      # sorted by construction
-            if nodes.dtype == np.int64:
-                cols = (pa.array(nodes, uid_pa_type(cfg.uid_bits)),
-                        pa.array(roots, uid_pa_type(cfg.uid_bits)))
-            else:
-                cols = (pa.array(nodes.tolist(), uid_pa_type(cfg.uid_bits)),
-                        pa.array(roots.tolist(), uid_pa_type(cfg.uid_bits)))
-            rep_clusters = ray.data.from_arrow(pa.table({
-                "url": cols[0], "root": cols[1]}))
         enriched = left_attach(
             members_u,
             rep_clusters,

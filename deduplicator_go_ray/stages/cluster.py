@@ -1,17 +1,21 @@
 """Cluster merge: connected components over verified candidate edges.
 
-≙ SURVEY.md §7.4 "union-find at 10^12-doc semantics": below
-``max_driver_edges`` a driver-side union-find resolves the components
-(the candidate-edge set after exact-dedup collapse + verification is
-orders of magnitude smaller than the corpus); above it, an iterative
-alternating large-star/small-star label propagation (Kiveris et al.,
-"Connected Components in MapReduce and Beyond", public) runs entirely
-as Ray Data groupbys — every step a pure function of the edge set, so
-results are identical at any parallelism (≙ files/move.go:226-236).
+≙ SURVEY.md §7.4 "union-find at 10^12-doc semantics".
+:func:`resolve_components` is the engine's one components resolver, with
+two tiers by edge count.  At or below ``max_onetask_edges`` one Ray task
+gathers the edge blocks and runs the vectorized min-label kernel
+(:func:`cc_label_arrays`) — the candidate-edge set after exact-dedup
+collapse + verification is orders of magnitude smaller than the corpus.
+Above it, an iterative alternating large-star/small-star label
+propagation (Kiveris et al., "Connected Components in MapReduce and
+Beyond", public) runs as ``grouped_apply`` task exchanges — every step a
+pure function of the edge set, so results are identical at any
+parallelism (≙ files/move.go:226-236).
 
-Node labels are the urls themselves; the component root is the
-lexicographically smallest url, which doubles as the cluster canonical
-member (keeper tiebreak key) — one convention shared by both paths.
+Node labels are urls or uids; the component root is the smallest label,
+which doubles as the cluster canonical member (keeper tiebreak key) —
+one convention shared by both tiers.  :func:`connected_components_driver`
+is the plain dict union-find the kernel is property-tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ def _dsu_find(parent: dict, x: str) -> str:
 
 
 def connected_components_driver(edges: list[tuple[str, str]]) -> dict[str, str]:
-    """Union-find on the driver; root = min(url) per component."""
+    """Reference dict union-find; root = min(url) per component."""
     parent: dict[str, str] = {}
     for u, v in edges:
         parent.setdefault(u, u)
@@ -87,17 +91,17 @@ def cc_label_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _cc_onetask(refs: tuple, u_col: str = "u", v_col: str = "v",
                 key_type: "pa.DataType | None" = None):
     """Gather edge blocks and run :func:`cc_label_arrays` in ONE Ray
-    task — the mid tier of :func:`resolve_components`: above the
-    driver-pull budget but below genuinely-distributed scale, the edge
-    set (orders of magnitude smaller than the corpus) fits one
-    worker's heap, and a single vectorized task beats ~10 alternating
-    label-propagation shuffles by 2 orders of magnitude of fixed cost.
-    Returns an Arrow (url, root) table living in the object store."""
+    task — the one-task tier of :func:`resolve_components`: below
+    genuinely-distributed scale the edge set (orders of magnitude
+    smaller than the corpus) fits one worker's heap, and a single
+    vectorized task beats ~10 alternating label-propagation shuffles by
+    2 orders of magnitude of fixed cost.  Returns an Arrow (url, root)
+    table living in the object store; ``refs`` must hold at least one
+    edge."""
     import ray as _ray
 
     tables = [t for t in _ray.get(list(refs)) if len(t)]
-    if not tables:
-        return None
+
     def _np_of(col):
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         if pa.types.is_integer(col.type):
@@ -250,60 +254,34 @@ def connected_components_distributed(
 
 
 def resolve_components(
-    edges_ds: "ray.data.Dataset", max_driver_edges: int = 5_000_000,
+    edges_ds: "ray.data.Dataset",
     key_type: "pa.DataType | None" = None,
     max_onetask_edges: int = 200_000_000,
 ) -> "ray.data.Dataset":
-    """Three-tier component resolution by edge count; every tier
-    returns a Dataset (url, root) with identical contents (tested —
-    root = component minimum on each path):
+    """Two-tier component resolution by edge count over an edge Dataset
+    (u, v, ...); both tiers return a materialized Dataset (url, root)
+    listing every node with root = component minimum (equality-tested):
 
-    * ≤ ``max_driver_edges``: edge batches stream to the driver as
-      numpy arrays and :func:`cc_label_arrays` resolves vectorized (no
-      per-row Python — the r2 dict DSU spent seconds per 100k edges).
     * ≤ ``max_onetask_edges``: ONE Ray task gathers the materialized
-      edge block refs and runs the same kernel — no driver collect; at
-      16 B/edge the default cap is a ~3 GiB single-worker gather,
-      orders of magnitude cheaper than the shuffle loop's fixed cost.
+      edge block refs and runs :func:`cc_label_arrays` — nothing on the
+      driver; at 16 B/edge the default cap is a ~3 GiB single-worker
+      gather, orders of magnitude cheaper than the shuffle loop's fixed
+      cost.
     * above: alternating large-star/small-star label propagation —
       the only tier whose memory never exceeds a partition.
 
-    Node labels may be strings (urls) or int64 uids — pass
-    ``key_type`` to pin the empty-result schema."""
+    Node labels may be strings (urls), int64 uids or 16-byte uids — pass
+    ``key_type`` to pin the output schema."""
     key_type = key_type or pa.string()
     n = edges_ds.count()
     if n == 0:
         return ray.data.from_arrow(
             pa.table({"url": pa.array([], key_type), "root": pa.array([], key_type)})
         )
-    if n <= max_driver_edges:
-        us, vs = [], []
-        for batch in edges_ds.iter_batches(batch_size=262144,
-                                           batch_format="pyarrow"):
-            for dst, col in ((us, batch["u"]), (vs, batch["v"])):
-                arr = (col.combine_chunks()
-                       if isinstance(col, pa.ChunkedArray) else col)
-                if pa.types.is_integer(arr.type):
-                    dst.append(np.asarray(arr, dtype=np.int64))
-                else:
-                    dst.append(np.array(arr.to_pylist(), dtype=object))
-        nodes, roots = cc_label_arrays(np.concatenate(us), np.concatenate(vs))
-        if nodes.dtype == np.int64:
-            tbl = pa.table({"url": pa.array(nodes, key_type),
-                            "root": pa.array(roots, key_type)})
-        else:
-            tbl = pa.table({"url": pa.array(nodes.tolist(), key_type),
-                            "root": pa.array(roots.tolist(), key_type)})
-        return ray.data.from_arrow(tbl)
     if n <= max_onetask_edges:
         from .lsh import block_refs_of
 
         refs = tuple(block_refs_of(edges_ds.materialize()))
-        out = ray.get(ray.remote(num_cpus=1)(_cc_onetask).remote(
-            refs, "u", "v", key_type))
-        if out is None:
-            return ray.data.from_arrow(pa.table(
-                {"url": pa.array([], key_type),
-                 "root": pa.array([], key_type)}))
-        return ray.data.from_arrow(out)
+        return ray.data.from_arrow(ray.get(
+            ray.remote(num_cpus=1)(_cc_onetask).remote(refs, "u", "v", key_type)))
     return connected_components_distributed(edges_ds)

@@ -1,9 +1,10 @@
-"""HTML→text extraction stage (actor pool).
+"""HTML→text extraction stage.
 
 ≙ M1/ST1 (SURVEY.md §2.2/2.3): the per-record heavy kernel slot.  The
-compiled regex tables live at module import, the class exists so the
-stage runs on an actor pool (`concurrency=(n,m)`) like every stateful
-stage; per-row failures become in-band ``error`` sentinels
+compiled regex tables live at module import; the class holds the
+extractor slot and watchdog, built once per worker process by the
+task-based map stage's cache (``pipelines/dedup.py:_extract_cached``);
+per-row failures become in-band ``error`` sentinels
 (≙ ``files/hash.go:245-264``) instead of failing the batch.
 
 The wide ``html`` binary column is DROPPED on output — the single most

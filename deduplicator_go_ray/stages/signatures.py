@@ -2,10 +2,11 @@
 
 This is the engine's stateful heavy kernel — the slot the reference
 fills with its streaming SHA-256 worker pool (``files/files.go:18-156``,
-pool ``files/process.go:243-307``).  It runs as an **actor pool**
-(`ds.map_batches(SignatureStage, concurrency=(n,m), batch_size=B)`):
-the seeded permutation constants are built once per actor in
-``__init__`` (≙ ST1 in SURVEY.md §2.3), each ``__call__`` processes one
+pool ``files/process.go:243-307``).  It runs as a task-based map stage
+whose instance is cached per worker process
+(``pipelines/dedup.py:_signature_cached``): the seeded permutation
+constants are built once per worker in ``__init__`` (≙ ST1 in
+SURVEY.md §2.3), each ``__call__`` processes one
 Arrow batch fully vectorized (numpy over concatenated shingle arrays,
 ``np.minimum.reduceat`` per document — no Python loop over shingles).
 

@@ -228,9 +228,10 @@ def incremental_hash(
 
     Returns the metrics frame for the partitions (re)written.
     """
+    from ..config import PipelineConfig
+    from ..pipelines.dedup import extract_pages
     from ..stages.buckets import uid_of_urls
     from ..stages.exact import add_content_key
-    from ..stages.extract import ExtractStage
 
     hashed_dir = as_state_path(out_dir).join("hashed")
     if force and hashed_dir.isdir():
@@ -282,8 +283,7 @@ def incremental_hash(
 
         todo = pages.map_batches(drop_done, batch_format="pyarrow")
 
-    extracted = todo.map_batches(
-        lambda b: ExtractStage()(b), batch_format="pyarrow", batch_size=256)
+    extracted = extract_pages(todo, PipelineConfig(), batch_size=256)
 
     def stamp(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -452,9 +452,8 @@ def run_dedup_checkpointed(
     Metrics rows accumulate under ``{out_dir}/metrics``.
     """
     from ..config import PipelineConfig
-    from ..pipelines.dedup import run_dedup
+    from ..pipelines.dedup import extract_pages, run_dedup
     from ..stages.exact import add_content_key
-    from ..stages.extract import ExtractStage
 
     cfg = cfg or PipelineConfig()
     root = as_state_path(out_dir)
@@ -463,10 +462,7 @@ def run_dedup_checkpointed(
     metrics_dir = root.join("metrics")
 
     # ---- stage A: per-row extract+hash, checkpointed ----------------------
-    extracted = pages.map_batches(
-        lambda b: ExtractStage()(b), batch_format="pyarrow",
-        batch_size=cfg.signature_batch_size)
-    hashed = add_content_key(extracted)
+    hashed = add_content_key(extract_pages(pages, cfg))
     m1 = checkpointed_write(hashed, hashed_dir, num_partitions,
                             stage="extract_hash", fail_after=fail_after)
 

@@ -1,6 +1,7 @@
-"""Cluster-merge conformance: the driver union-find and the distributed
-large-star/small-star label propagation must produce identical
-components (SURVEY.md §7.4 — the DSU is the small-scale path, the
+"""Cluster-merge conformance: both tiers of resolve_components (the
+one-task min-label kernel and the distributed large-star/small-star
+label propagation) must reproduce the reference dict union-find
+(SURVEY.md §7.4 — the one-task kernel is the small-scale path, the
 propagation the 10^12-doc plan)."""
 
 from __future__ import annotations
@@ -44,18 +45,12 @@ def test_driver_and_scaled_tiers_agree(random_graph, ray_session, force):
     expected = connected_components_driver(list(random_graph))
 
     ds = ray.data.from_arrow(_edge_table(random_graph)).repartition(7)
-    # max_driver_edges=0 forces past the driver tier; max_onetask_edges
-    # additionally 0 forces the label-propagation loop
+    # max_onetask_edges=0 forces the label-propagation loop
     out = resolve_components(
-        ds, max_driver_edges=0,
-        max_onetask_edges=0 if force == "distributed" else 10**9,
+        ds, max_onetask_edges=0 if force == "distributed" else 10**9,
     ).to_pandas()
-    got = dict(zip(out["url"], out["root"]))
-
-    # scaled output may omit self-rooted isolated nodes that the
-    # DSU lists explicitly; compare on the union with default=self
-    for node, root in expected.items():
-        assert got.get(node, node) == root, node
+    # both tiers list every node, roots included
+    assert dict(zip(out["url"], out["root"])) == expected
 
 
 @pytest.mark.parametrize("force", ["onetask", "distributed"])
@@ -63,12 +58,11 @@ def test_scaled_tiers_int_keys(ray_session, force):
     pairs = [(1, 2), (2, 3), (10, 11), (30, 10)]
     ds = ray.data.from_arrow(_edge_table(pairs, pa.int64()))
     out = resolve_components(
-        ds, max_driver_edges=0, key_type=pa.int64(),
+        ds, key_type=pa.int64(),
         max_onetask_edges=0 if force == "distributed" else 10**9,
     ).to_pandas()
-    got = dict(zip(out["url"], out["root"]))
-    assert got.get(3, 3) == 1 and got.get(2, 2) == 1
-    assert got.get(30, 30) == 10 and got.get(11, 11) == 10
+    assert dict(zip(out["url"], out["root"])) == {
+        1: 1, 2: 1, 3: 1, 10: 10, 11: 10, 30: 10}
 
 
 def test_cc_label_arrays_matches_dict_dsu(random_graph):

@@ -214,28 +214,23 @@ def test_flood_verify_no_endpoint_filter_same_assignments(corpus):
 
 
 def test_cc_tiers_same_assignments(corpus):
-    """The three component-resolution tiers (driver kernel, one-task
-    kernel, distributed star loop) must be assignment-identical through
-    the full pipeline."""
+    """The two component-resolution tiers (one-task kernel by default,
+    distributed star loop at onetask_cc_max_edges=0) must be
+    assignment-identical through the full pipeline."""
     import ray.data as rd
 
     pages_tbl, _ = corpus
     small = pages_tbl.slice(0, 250)
     base = run_dedup(rd.from_arrow(small)).to_pandas()
-    onetask = run_dedup(
-        rd.from_arrow(small),
-        PipelineConfig(driver_dsu_max_edges=0),
-    ).to_pandas()
     dist = run_dedup(
         rd.from_arrow(small),
-        PipelineConfig(driver_dsu_max_edges=0, onetask_cc_max_edges=0),
+        PipelineConfig(onetask_cc_max_edges=0),
     ).to_pandas()
     a = base.sort_values("url").reset_index(drop=True)
-    for other in (onetask, dist):
-        b = other.sort_values("url").reset_index(drop=True)
-        for col in ["url", "cluster_id", "keeper_url", "is_keeper",
-                    "action", "match_kind"]:
-            assert (a[col] == b[col]).all(), col
+    b = dist.sort_values("url").reset_index(drop=True)
+    for col in ["url", "cluster_id", "keeper_url", "is_keeper",
+                "action", "match_kind"]:
+        assert (a[col] == b[col]).all(), col
 
 
 def test_semifilter_verify_same_assignments(corpus):
@@ -424,7 +419,7 @@ def test_empty_and_all_error_corpus(ray_session):
     assert (out2["action"] == "keep").all()
 
 
-def test_pluggable_extractor_slot(corpus):
+def test_pluggable_extractor_slot(corpus, tmp_path):
     """VERDICT r3 #5: a user extractor rides the extract stage via
     cfg.extractor=(name, factory) without touching pipeline code.  A
     factory wrapping the deterministic kernel reproduces the baseline
@@ -435,6 +430,7 @@ def test_pluggable_extractor_slot(corpus):
 
     from deduplicator_go_ray.config import PipelineConfig as PC
     from deduplicator_go_ray.functions.text import extract_text
+    from deduplicator_go_ray.state.checkpoint import run_dedup_checkpointed
 
     pages_tbl, _ = corpus
     small = pages_tbl.slice(0, 120)
@@ -468,14 +464,13 @@ def test_pluggable_extractor_slot(corpus):
     ok = allsame[allsame["match_kind"] != "error"]
     assert ok["cluster_id"].nunique() == 1
 
-    # actor-pool plan takes the same slot via fn_constructor_kwargs
-    pool = run_dedup(
-        rd.from_arrow(small),
-        PC(extractor=("constant", constant_factory),
-           signature_concurrency=2),
+    # the checkpointed run's extract stage takes the same slot
+    ckpt = run_dedup_checkpointed(
+        rd.from_arrow(small), str(tmp_path / "ckpt"),
+        PC(extractor=("constant", constant_factory)), num_partitions=4,
     ).to_pandas()
-    okp = pool[pool["match_kind"] != "error"]
-    assert okp["cluster_id"].nunique() == 1
+    okc = ckpt[ckpt["match_kind"] != "error"]
+    assert len(okc) and okc["cluster_id"].nunique() == 1
 
     # config validation fails loudly on a malformed slot
     import pytest as _pytest

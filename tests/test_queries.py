@@ -239,14 +239,15 @@ def test_import_near_gate_blocks_cross_split_dups(registry):
 
 def test_embedding_clusters_distributed_path_identical(registry, ray_session):
     """The size-aware component switch must be invisible in the output:
-    forcing the distributed large-star/small-star path (max_driver_edges
-    = 0) yields the exact frame the driver union-find produces."""
+    forcing the distributed large-star/small-star tier
+    (max_onetask_edges=0) yields the exact frame the one-task kernel
+    produces."""
     from deduplicator_go_ray.pipelines.ann_queries import embedding_clusters
 
-    driver = embedding_clusters(SF_DIR)
-    dist = embedding_clusters(SF_DIR, max_driver_edges=0)
+    onetask = embedding_clusters(SF_DIR)
+    dist = embedding_clusters(SF_DIR, max_onetask_edges=0)
     pd.testing.assert_frame_equal(
-        driver.reset_index(drop=True), dist.reset_index(drop=True))
+        onetask.reset_index(drop=True), dist.reset_index(drop=True))
 
 
 def test_pair_queries_verify_plans_equal(ray_session):

@@ -196,9 +196,9 @@ class PipelineConfig:
     # adaptively.  5M rep uids = 40 MB per worker — comfortable; beyond
     # that the rep texts ride the exact hash exchange instead.
     broadcast_max_reps: int = 5_000_000
-    # candidate/pair sets at or below this row count verify via the
-    # semi-filter + broadcast plan (verify_edges_smallset / containment
-    # smallset); bigger sets fall back to partitioned joins.
+    # candidate/pair sets at or below this row count verify against a
+    # broadcast index (the small-set plan of stages/verify.py); bigger
+    # sets fall back to partitioned joins.
     smallset_max_edges: int = 2_000_000
     # optional content-keyed signature store (state/sigstore.py):
     # when set, the flagship's signature phase re-uses stored
@@ -212,14 +212,14 @@ class PipelineConfig:
     # FULL signature matrix (n_reps × num_perms × 8 B) fits this
     # budget, verification scores straight against the materialized
     # signature/text tables' block refs (direct-refs plan) — skipping
-    # the semi-filter execution AND the serial driver pull of every
-    # candidate endpoint, two whole pipeline barriers.  Above it, the
+    # the endpoint tasks and the semi-filter execution, a whole
+    # pipeline barrier.  Above it, the
     # semi-filter keeps per-worker memory proportional to the candidate
     # endpoint set instead of the rep set.
     #
     # The budget is a PER-NODE OBJECT-STORE allowance, not a per-worker
     # heap: the index is built by one task and every worker maps it
-    # zero-copy from plasma (stages/buckets.py:_shared_index), so one
+    # zero-copy from plasma (stages/verify.py:_shared), so one
     # node pays one copy.  4 GiB ≈ 4M reps per node before the flood
     # plan engages — measured at 500k pages / 16 cpus, the direct-refs
     # plan is ~3× faster end-to-end than the flood exchanges, which

@@ -7,7 +7,8 @@
       → reps → map_batches(_signature_slim)           # ST1
       → LSH bands [+salt] + SimHash chunks + substring
         anchors → candidate edges                     # [one fused exchange]
-      → verify (signature Jaccard / containment)      # broadcast or exchanges
+      → verify (signature Jaccard / containment)      # stages/verify.py:
+                                                      # index or attach exchanges
       → connected components (resolve_components)     # cluster merge
       → propagate rep cluster → members               # broadcast or join
       → grouped_apply(canonical, keeper policy)       # D2-D4 [keeper exchange]
@@ -38,9 +39,8 @@ from ..stages.common import grouped_apply
 from ..stages.exact import add_content_key, assign_exact_groups
 from ..stages.extract import ExtractStage
 from ..stages.keeper import select_keepers
-from ..stages.buckets import (KIND_ANCHOR, bucket_rows,
-                              candidate_edges_fused, verify_containment_edges,
-                              verify_near_edges)
+from ..stages.buckets import KIND_ANCHOR, bucket_rows, candidate_edges_fused
+from ..stages.verify import verify_containment_edges, verify_near_edges
 from ..stages.joins import broadcast_lookup, left_attach
 from ..stages.signatures import SignatureStage
 
@@ -131,6 +131,36 @@ def _sub_uids_task(refs: tuple, uid_bits: int):
             parts.append(_uid_np(sub["v"], uid_bits))
     return (np.unique(np.concatenate(parts)) if parts
             else np.empty(0, np.int64))
+
+
+def _started(fn, background: bool):
+    """Call ``fn`` now, or on a background thread; returns a getter for
+    its result that joins the thread and re-raises its exception."""
+    if not background:
+        out = fn()
+        return lambda: out
+    import threading
+
+    box: dict = {}
+
+    def run() -> None:
+        try:
+            box["out"] = fn()
+        except Exception as e:  # pragma: no cover
+            # Exception, not BaseException: an interrupt on this thread
+            # must propagate, not be parked
+            box["err"] = e
+
+    th = threading.Thread(target=run, name="containment-verify", daemon=True)
+    th.start()
+
+    def result():
+        th.join()
+        if "err" in box:
+            raise box["err"]
+        return box["out"]
+
+    return result
 
 
 class _PhaseTimer:
@@ -253,14 +283,15 @@ def run_dedup(
     # size-aware physical plan for representative texts (VERDICT r1 #2):
     #   * small corpus (≤ broadcast_max_reps docs): the exact groupby
     #     shuffles ONLY keys + metadata — never the text column — and
-    #     rep texts are re-fetched by a semi-filter whose rep-uid set is
-    #     broadcast as OBJECT STORE BLOCK REFS (nothing is collected on
-    #     the driver);
+    #     rep texts are re-fetched by a semi-filter whose sorted rep-uid
+    #     set one task builds in the object store (nothing is collected
+    #     on the driver);
     #   * large corpus: the text column rides through the ONE exact
     #     hash exchange (bounded per partition, spills with the
     #     exchange) and reps fall out of the group reduce directly — no
     #     O(n_reps) set exists anywhere, on the driver or in any worker.
-    from ..stages.buckets import semi_filter_by_uid_refs, uid_of_urls
+    from ..stages.buckets import uid_of_urls
+    from ..stages.verify import semi_filter_by_uid_ref, uid_set_refs
 
     n_docs = hashed.count()  # metadata read — hashed is materialized
     if n_docs == 0:
@@ -299,8 +330,9 @@ def run_dedup(
         rep_uids = (members_full.select_columns(["url", "is_rep"])
                     .map_batches(rep_uid_batches, batch_format="pyarrow")
                     .materialize())
-        reps = semi_filter_by_uid_refs(
-            ok, rep_uids, rep_cols).materialize()
+        (rep_ref,) = uid_set_refs(rep_uids, [("uid",)])
+        reps = semi_filter_by_uid_ref(
+            ok, rep_ref, columns=rep_cols).materialize()
     timer.tick("rep_texts")
 
     # ---- signatures on representatives only (candidate pruning §7.0) -------
@@ -385,12 +417,11 @@ def run_dedup(
                    and n_reps * cfg.minhash.num_perms * 8 <= budget)
     near_idx_ref = cont_idx_ref = None
     if direct_plan and n_reps:
-        from ..stages.buckets import prebuild_direct_index
+        from ..stages.verify import containment_spec, near_spec, prebuild_index
 
-        near_idx_ref = prebuild_direct_index(
-            sigs, "minhash", cfg.minhash.num_perms)
+        near_idx_ref = prebuild_index(sigs, near_spec(cfg.minhash))
         if cfg.run_substring_pass:
-            cont_idx_ref = prebuild_direct_index(reps, "text")
+            cont_idx_ref = prebuild_index(reps, containment_spec())
 
     hot = None
     if n_reps * cfg.minhash.bands >= cfg.presalt_min_band_rows:
@@ -409,127 +440,59 @@ def run_dedup(
         uid_bits=cfg.uid_bits).materialize()
     timer.tick("candidates")
 
-    from ..stages.buckets import uid_np, uid_pa_type
+    from ..stages.buckets import empty_edges, uid_np, uid_pa_type
 
-    _empty_uid_edges = pa.table({
-        "u": pa.array([], uid_pa_type(cfg.uid_bits)),
-        "v": pa.array([], uid_pa_type(cfg.uid_bits)),
-        "kind": pa.array([], pa.int8()),
-    })
     n_cand = cand.count()
     timer.note("n_cand", n_cand)
     if n_cand == 0:
-        all_tagged = ray.data.from_arrow(_empty_uid_edges).materialize()
+        all_tagged = ray.data.from_arrow(empty_edges(cfg.uid_bits)).materialize()
     else:
-        # size-aware verification plan (VERDICT r1 #1, now wired): at or
-        # below smallset_max_edges candidates the semi-filter+broadcast
-        # index verifies with no shuffle; a candidate FLOOD (low
-        # threshold / boilerplate-heavy corpus) instead attaches
-        # signatures/texts through hash-partitioned joins so no worker
-        # ever holds the full index (equality-tested in
-        # tests/test_dedup_pipeline.py)
+        # size-aware verification plan: at or below smallset_max_edges
+        # candidates the pairs are checked against a broadcast index (the
+        # prebuilt one, else one over the candidate endpoints); a
+        # candidate FLOOD instead prunes through hash-partitioned attach
+        # exchanges so no worker ever holds the full index
+        # (equality-tested in tests/test_dedup_pipeline.py)
         flood = n_cand > cfg.smallset_max_edges
-        near_cand = cand.filter(expr=f"kind != {KIND_ANCHOR}")
+        anchor_flood = False
         if flood:
-            # the speculative direct-index builds lost the bet — stop
-            # them NOW instead of letting a wasted 1-cpu gather+sort
-            # (25% of a 4-cpu node) run under the verify exchanges;
-            # cancel on a finished task is a no-op and plasma reclaims
-            # the object either way
+            # the speculative index builds lost the bet — stop them NOW
+            # instead of letting a wasted 1-cpu gather+sort run under the
+            # verify exchanges; cancel on a finished task is a no-op and
+            # plasma reclaims the object either way
             for _ref in (near_idx_ref, cont_idx_ref):
                 if _ref is not None:
                     ray.cancel(_ref, force=False)
             near_idx_ref = cont_idx_ref = None
-
-            from ..stages.buckets import (verify_containment_edges_partitioned,
-                                          verify_near_edges_partitioned)
-            semifilter = n_cand <= cfg.verify_semifilter_max_edges
-            # PER-KIND routing (r4): the flood gate fires on the TOTAL
-            # candidate count, which band edges dominate — anchor
-            # (containment) pairs are typically orders of magnitude
-            # fewer and their verify can take the broadcast-index
-            # smallset plan even while the near verify floods.  Count
-            # anchors separately and let each verify self-select
-            # (the all-flood twin stays equality-tested via the
-            # smallset_max_edges=0 forced tests).
+            # PER-KIND routing: the flood gate fires on the TOTAL
+            # candidate count, which band edges dominate — anchor pairs
+            # are typically orders of magnitude fewer and keep the
+            # small-set plan while the near verify floods
             n_anchor = (cand.filter(expr=f"kind == {KIND_ANCHOR}").count()
                         if cfg.run_substring_pass else 0)
-            anchor_small = (cfg.uid_bits == 64
-                            and 0 < n_anchor <= cfg.smallset_max_edges)
-            timer.note("n_anchor", n_anchor)
-            timer.note("anchor_plan",
-                       "smallset" if anchor_small else "partitioned")
-            # the containment verify (endpoint tasks + text semi-filter
-            # + blob materialize — ~3.6 GB of text scan at 2M docs,
-            # measured ~20 s at 16 cpus — then its exchanges) runs on a
-            # background thread, so its payload scan shares the cluster
-            # with the near verify instead of running serially after it.
-            cont_box: dict = {}
-            cont_th = None
-            if cfg.run_substring_pass:
-                import threading as _threading
-
-                def _build_cont() -> None:
-                    try:
-                        sub_cand = cand.filter(
-                            expr=f"kind == {KIND_ANCHOR}")
-                        if anchor_small:
-                            cont_box["ds"] = verify_containment_edges(
-                                sub_cand, reps, direct_refs=False,
-                                prebuilt=None)
-                        else:
-                            cont_box["ds"] = \
-                                verify_containment_edges_partitioned(
-                                    sub_cand, reps,
-                                    num_partitions=cfg.bucket_partitions,
-                                    uid_bits=cfg.uid_bits,
-                                    endpoint_filter=semifilter)
-                    except Exception as e:  # pragma: no cover
-                        # Exception, not BaseException: an interrupt on
-                        # this thread must propagate, not be parked
-                        cont_box["err"] = e
-
-                cont_th = _threading.Thread(
-                    target=_build_cont, name="containment-verify-build",
-                    daemon=True)
-                cont_th.start()
-            near_edges = verify_near_edges_partitioned(
-                near_cand, sigs, cfg.minhash,
-                num_partitions=cfg.bucket_partitions,
-                uid_bits=cfg.uid_bits,
-                endpoint_filter=semifilter)
-            if cont_th is not None:
-                cont_th.join()
-                if "err" in cont_box:
-                    raise cont_box["err"]
-            edge_sets = [near_edges.materialize()]
-            timer.tick("verify_near")
-            if "ds" in cont_box:
-                edge_sets.append(cont_box["ds"].materialize())
-                timer.tick("verify_containment")
-        else:
-            # direct-refs sub-plan: with 64-bit uids and a rep-signature
-            # matrix under verify_direct_max_bytes, score against the
-            # already-materialized sigs/reps block refs — two fewer
-            # executions (no semi-filter pass, no serial endpoint pull)
-            direct = direct_plan and n_reps > 0
-            edge_sets = [verify_near_edges(near_cand, sigs, cfg.minhash,
-                                           direct_refs=direct,
-                                           prebuilt=near_idx_ref)]
-            if cfg.run_substring_pass:
-                sub_cand = cand.filter(expr=f"kind == {KIND_ANCHOR}")
-                edge_sets.append(verify_containment_edges(
-                    sub_cand, reps, direct_refs=direct,
-                    prebuilt=cont_idx_ref))
-        if timer.on and not flood and len(edge_sets) > 1:
-            # phase-timing mode (smallset plan — the flood branch ticks
-            # inline at its own materialize points): materialize each
-            # edge set separately so the [phase] trace attributes
-            # near-verify vs containment
-            edge_sets[0] = edge_sets[0].materialize()
-            timer.tick("verify_near")
-            edge_sets[1] = edge_sets[1].materialize()
-            timer.tick("verify_containment")
+            anchor_flood = not (cfg.uid_bits == 64
+                                and 0 < n_anchor <= cfg.smallset_max_edges)
+            timer.note("anchor_plan", "flood" if anchor_flood else "smallset")
+        common = {"endpoint_filter": n_cand <= cfg.verify_semifilter_max_edges,
+                  "uid_bits": cfg.uid_bits,
+                  "num_partitions": cfg.bucket_partitions}
+        cont = None
+        if cfg.run_substring_pass:
+            # on the flood plan the containment verify (endpoint tasks,
+            # text scan, its exchanges) runs on a background thread, so
+            # its payload scan shares the cluster with the near verify
+            # instead of running serially after it
+            cont = _started(
+                functools.partial(
+                    verify_containment_edges,
+                    cand.filter(expr=f"kind == {KIND_ANCHOR}"), reps,
+                    prebuilt=cont_idx_ref, flood=anchor_flood, **common),
+                background=flood)
+        edge_sets = [verify_near_edges(
+            cand.filter(expr=f"kind != {KIND_ANCHOR}"), sigs, cfg.minhash,
+            prebuilt=near_idx_ref, flood=flood, **common)]
+        if cont is not None:
+            edge_sets.append(cont())
         all_tagged = (edge_sets[0].union(*edge_sets[1:])
                       if len(edge_sets) > 1 else edge_sets[0]).materialize()
     timer.tick("verify+edges")
@@ -538,7 +501,7 @@ def run_dedup(
     # the substring-uid set is built in ONE Ray task from all_tagged's
     # materialized block refs and stays in the object store — no driver
     # array, nothing captured in a task closure (same pattern as
-    # stages/buckets.py:_build_sorted_index)
+    # stages/verify.py:_build_index)
     from ..stages.cluster import resolve_components
     from ..stages.lsh import block_refs_of
 

@@ -188,15 +188,14 @@ def ngram_jaccard_pairs(sf_dir: str, plan: str = "auto"):
 
     # smallset plan: semi-filter the gram-set table to the candidate
     # endpoints and broadcast its block refs (per-worker cached index) —
-    # no shuffle joins (same plan as stages.buckets.verify_near_edges)
+    # no shuffle joins (the small-set plan of stages.verify.verify_near_edges)
     import ray as _ray
 
-    from ..stages.buckets import _uid_index
     from ..stages.common import sorted_probe
-    from ..stages.lsh import block_refs_of
+    from ..stages.lsh import _worker_index, block_refs_of
 
     # candidate endpoint set: built in ONE Ray task from cand's block
-    # refs (the semi_filter_by_uid_refs pattern) — the sorted array
+    # refs (the stages.verify.uid_set_refs pattern) — the sorted array
     # lives in plasma and every worker maps it zero-copy; nothing is
     # collected on the driver (VERDICT r3 #2: the old Python-set
     # collect boxed up to 4M ints of driver heap at the gate boundary)
@@ -226,7 +225,7 @@ def ngram_jaccard_pairs(sf_dir: str, plan: str = "auto"):
             return pa.table({"doc_id_a": pa.array([], pa.int64()),
                              "doc_id_b": pa.array([], pa.int64()),
                              "jaccard": pa.array([], pa.float64())})
-        idx, (grams, n_grams) = _uid_index(refs, ("grams", "n_grams"))
+        idx, (grams, n_grams) = _worker_index(refs, ("uid", "grams", "n_grams"))
         ia = idx.get_indexer(np.asarray(t["a"], np.int64))
         ib = idx.get_indexer(np.asarray(t["b"], np.int64))
         ncol = np.asarray(n_grams, dtype=np.int64) if len(idx) else np.empty(0, np.int64)

@@ -205,10 +205,6 @@ def connected_components_distributed(
     edge_empty = pa.table({"u": pa.array([], key_t),
                            "v": pa.array([], key_t)})
 
-    import os
-    import time
-    trace = os.environ.get("GRAFT_PHASE_TIMING") == "1"
-
     # signature-vs-previous convergence sees the POSSIBLY-duplicated
     # small_star output (cross-partition duplicate pairs exist only
     # pre-convergence; the fixed-point star emits each edge exactly
@@ -218,8 +214,7 @@ def connected_components_distributed(
     # signature.
     cur = edges
     prev_sig = None
-    for it in range(max_iters):
-        t0 = time.time()
+    for _ in range(max_iters):
         both = cur.map_batches(undirect, batch_format="pyarrow")
         cur = grouped_apply(both, ["u"], large_star,
                             empty_result=edge_empty)
@@ -227,9 +222,6 @@ def connected_components_distributed(
         cur = grouped_apply(both, ["u"], small_star,
                             empty_result=edge_empty)
         sig = signature(cur)
-        if trace:
-            print(f"[cc] iter {it}: {time.time() - t0:.2f}s "
-                  f"edges={sig[0]}", flush=True)
         if sig == prev_sig:
             break
         prev_sig = sig
@@ -282,6 +274,6 @@ def resolve_components(
         from .lsh import block_refs_of
 
         refs = tuple(block_refs_of(edges_ds.materialize()))
-        return ray.data.from_arrow(ray.get(
-            ray.remote(num_cpus=1)(_cc_onetask).remote(refs, "u", "v", key_type)))
+        return ray.data.from_arrow_refs(
+            [ray.remote(num_cpus=1)(_cc_onetask).remote(refs, "u", "v", key_type)])
     return connected_components_distributed(edges_ds)

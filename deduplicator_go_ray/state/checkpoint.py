@@ -355,7 +355,8 @@ def prune_checkpoint(
     per rewritten partition (rows_in = before, rows_out = surviving).
     """
     from ..stages.buckets import uid_of_urls
-    from ..stages.lsh import block_refs_of
+    from ..stages.common import sorted_probe
+    from ..stages.verify import _shared, uid_set_refs
 
     hashed_dir = as_state_path(out_dir).join("hashed")
     if not hashed_dir.isdir() or not done_partitions(hashed_dir):
@@ -365,31 +366,16 @@ def prune_checkpoint(
         return pa.table({"uid": pa.array(uid_of_urls(t[url_col]), pa.int64())})
 
     live = pages.map_batches(to_uids, batch_format="pyarrow").materialize()
-    refs = tuple(block_refs_of(live))
+    # sorted live-uid set: built by one task, mapped zero-copy per worker
+    (live_ref,) = uid_set_refs(live, [("uid",)])
 
     existing = read_checkpoint(hashed_dir)
 
-    def live_sorted():
-        # per-worker cache keyed by the block refs (shared with the
-        # buckets semi-filter): built once per process, not per batch
-        import ray as _ray
-        from ..stages.buckets import _UID_CACHE
-        key = (refs, "uid_sorted")
-        hit = _UID_CACHE.get(key)
-        if hit is None:
-            tables = _ray.get(list(refs))
-            arrs = [np.asarray(t["uid"], np.int64) for t in tables if len(t)]
-            hit = (np.unique(np.concatenate(arrs)) if arrs
-                   else np.empty(0, np.int64))
-            _UID_CACHE[key] = hit
-        return hit
-
     def flag_dead(t: pa.Table) -> pa.Table:
-        uid = uid_of_urls(t[url_col])
-        dead = ~np.isin(uid, live_sorted())
+        _, alive = sorted_probe(_shared(live_ref), uid_of_urls(t[url_col]))
         return pa.table({
             "partition_id": t["partition_id"],
-            "dead": pa.array(dead, pa.bool_()),
+            "dead": pa.array(~alive, pa.bool_()),
         })
 
     # pass 1: which partitions contain dead rows (small driver pull)
@@ -410,9 +396,8 @@ def prune_checkpoint(
 
     def keep_affected_live(t: pa.Table) -> pa.Table:
         pid = np.asarray(t["partition_id"], np.int64)
-        uid = uid_of_urls(t[url_col])
-        keep = np.isin(pid, affected_arr) & np.isin(uid, live_sorted())
-        return t.filter(pa.array(keep))
+        _, alive = sorted_probe(_shared(live_ref), uid_of_urls(t[url_col]))
+        return t.filter(pa.array(np.isin(pid, affected_arr) & alive))
 
     survivors = existing.map_batches(
         keep_affected_live, batch_format="pyarrow").materialize()

@@ -182,7 +182,7 @@ _WIRE_CACHE: dict = {}
 @ray.remote(num_cpus=1)
 def _combine_wire(refs: list, wire_cols: tuple):
     """ONE task concatenates the store's blocks into a single
-    contiguous table in plasma (the stages/buckets._build_sorted_index
+    contiguous table in plasma (the stages/verify._build_index
     pattern): per-batch ``take`` on a many-chunk binary ChunkedArray
     re-resolves chunks pathologically (measured 0.3 s per 512-row
     gather vs 0.1 ms single-chunk), so one global combine pays the

@@ -3,6 +3,8 @@ partition invariance, uid verification paths."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -12,7 +14,8 @@ import ray.data
 from deduplicator_go_ray.config import LSHConfig, MinHashConfig, SimHashConfig
 from deduplicator_go_ray.stages.buckets import (
     KIND_ANCHOR, KIND_BAND, KIND_SIMHASH, bucket_rows, candidate_edges_fused,
-    uid_of_urls, verify_near_edges)
+    uid_of_urls)
+from deduplicator_go_ray.stages.verify import verify_near_edges
 from deduplicator_go_ray.stages.signatures import SignatureStage
 
 
@@ -116,7 +119,7 @@ def test_slot_matrix_refuses_non_fixed_blobs():
     """Signature blobs are viewed through their fixed-stride data buffer;
     a variable-binary or wrong-width column raises TypeError instead of
     misreading its offsets as slot values."""
-    from deduplicator_go_ray.stages.buckets import _slot_matrix
+    from deduplicator_go_ray.stages.verify import _slot_matrix
 
     sig = np.arange(6, dtype=np.uint64).reshape(2, 3)
     fixed = pa.Array.from_buffers(pa.binary(24), 2,
@@ -129,11 +132,18 @@ def test_slot_matrix_refuses_non_fixed_blobs():
         _slot_matrix(fixed, 2, 2)
 
 
+def _canon_edges(ds) -> pd.DataFrame:
+    df = ds.to_pandas()
+    return (df.assign(a=np.minimum(df.u, df.v), b=np.maximum(df.u, df.v))
+            [["a", "b"]].drop_duplicates()
+            .sort_values(["a", "b"]).reset_index(drop=True))
+
+
 def test_prebuilt_index_verify_equals_inline_plans(small_sigs):
     """The speculative prebuilt verify index (launched early to overlap
-    the candidate shuffle) must yield edge sets identical to both the
-    inline direct-refs build and the semi-filtered plan."""
-    from deduplicator_go_ray.stages.buckets import prebuild_direct_index
+    the candidate shuffle, over every signature row) must yield the
+    edge set of the index built over the candidate endpoints only."""
+    from deduplicator_go_ray.stages.verify import near_spec, prebuild_index
 
     rows = bucket_rows(small_sigs, MinHashConfig(), SimHashConfig(),
                        with_anchors=True)
@@ -141,20 +151,85 @@ def test_prebuilt_index_verify_equals_inline_plans(small_sigs):
              .filter(expr=f"kind != {KIND_ANCHOR}").materialize())
     cfg = MinHashConfig()
 
-    def canon(ds):
-        df = ds.to_pandas()
-        return (df.assign(a=np.minimum(df.u, df.v), b=np.maximum(df.u, df.v))
-                [["a", "b"]].drop_duplicates()
-                .sort_values(["a", "b"]).reset_index(drop=True))
+    pre = prebuild_index(small_sigs, near_spec(cfg))
+    via_prebuilt = _canon_edges(verify_near_edges(
+        edges, small_sigs, cfg, prebuilt=pre))
+    via_endpoints = _canon_edges(verify_near_edges(edges, small_sigs, cfg))
+    assert len(via_prebuilt) >= 2
+    pd.testing.assert_frame_equal(via_prebuilt, via_endpoints)
 
-    pre = prebuild_direct_index(small_sigs, "minhash", cfg.num_perms)
-    via_prebuilt = canon(verify_near_edges(
-        edges, small_sigs, cfg, direct_refs=True, prebuilt=pre))
-    via_direct = canon(verify_near_edges(
-        edges, small_sigs, cfg, direct_refs=True))
-    via_semi = canon(verify_near_edges(edges, small_sigs, cfg))
-    pd.testing.assert_frame_equal(via_prebuilt, via_direct)
-    pd.testing.assert_frame_equal(via_prebuilt, via_semi)
+
+@pytest.mark.parametrize("kind,threshold", [("near", 0.8), ("near", 0.5),
+                                            ("containment", None)])
+def test_keyed_round2_equals_index_plans(kind, threshold, ray_session,
+                                         monkeypatch):
+    """Flood verify: with the kind's round-2 cap at 0 every round-1
+    survivor is checked through the two keyed attach exchanges instead
+    of an endpoint index.  Its edges, the flood plan's with the index
+    round 2 (with and without the endpoint semi-filter) and the
+    small-set plan's must all equal a brute-force reference.  The
+    payloads plant borderline pairs that survive round 1 and fail the
+    exact check; at threshold 0.5 the fingerprint bound cannot prune
+    and the flood plan skips round 1."""
+    from deduplicator_go_ray.stages import verify
+
+    rng = np.random.default_rng(5)
+    if kind == "near":
+        base = rng.integers(0, 2**63, 128, dtype=np.int64).astype(np.uint64)
+
+        def mutate(keep: slice) -> np.ndarray:
+            sig = rng.integers(0, 2**63, 128, dtype=np.int64).astype(np.uint64)
+            sig[keep] = base[keep]
+            return sig
+
+        c = base.copy()
+        c[64:74] += np.uint64(1)                   # 118 of 128 slots match
+        sigs = {"a": base, "b": base.copy(), "c": c,
+                "d": mutate(slice(0, 64)),         # first half only: 64
+                "e": mutate(slice(0, 40)),         # 40: survives round 1
+                "f": mutate(slice(0, 0))}
+        source = ray.data.from_arrow(pa.table({
+            "url": list(sigs),
+            "minhash": pa.array([x.tolist() for x in sigs.values()],
+                                pa.list_(pa.uint64()))})).materialize()
+        cap = "NEAR_ROUND2_MAX_BYTES"
+        run = functools.partial(verify.verify_near_edges,
+                                cfg=MinHashConfig(verify_threshold=threshold))
+
+        def passes(x, y):
+            return (sigs[x] == sigs[y]).mean() >= threshold
+    else:
+        long = "the quick brown fox jumps over the lazy dog " * 6
+        texts = {"short": long[45:130], "long": long, "other": long[:200],
+                 "miss": "a completely unrelated passage of some length",
+                 "empty": ""}
+        source = ray.data.from_arrow(pa.table({
+            "url": list(texts), "text": list(texts.values())})).materialize()
+        cap = "CONTAINMENT_ROUND2_MAX_PAIRS"
+        run = verify.verify_containment_edges
+
+        def passes(x, y):
+            return bool(texts[x]) and bool(texts[y]) and texts[x] in texts[y]
+    urls = source.to_pandas()["url"].tolist()
+    names = urls + ["absent"]
+    uid = dict(zip(names, uid_of_urls(names)))
+    ordered = [(x, y) for x in names for y in names if x != y]
+    pairs = ray.data.from_arrow(pa.table({
+        "u": pa.array([uid[x] for x, _ in ordered], pa.int64()),
+        "v": pa.array([uid[y] for _, y in ordered], pa.int64()),
+        "kind": pa.array(np.full(len(ordered), KIND_ANCHOR if kind != "near"
+                                 else KIND_BAND, np.int8))}))
+    expect = sorted({tuple(sorted((uid[x], uid[y]))) for x, y in ordered
+                     if "absent" not in (x, y) and passes(x, y)})
+    assert len(expect) >= 3
+
+    plans = [run(pairs, source), run(pairs, source, flood=True),
+             run(pairs, source, flood=True, endpoint_filter=False)]
+    monkeypatch.setattr(verify, cap, 0)
+    plans += [run(pairs, source, flood=True),
+              run(pairs, source, flood=True, endpoint_filter=False)]
+    for ds in plans:
+        assert list(_canon_edges(ds).itertuples(index=False, name=None)) == expect
 
 
 def test_simhash_pair_emission_equals_naive(ray_session):
@@ -207,7 +282,7 @@ def test_attach_payload_partitioned_arrow_join(ray_session):
     """The int64 Arrow fast-path of the flood-verify payload join must
     equal a plain pandas inner merge: missing endpoints drop, each edge
     row gets its endpoint's payload, edge columns ride unchanged."""
-    from deduplicator_go_ray.stages.buckets import _attach_payload_partitioned
+    from deduplicator_go_ray.stages.verify import _attach_payload_partitioned
 
     rng = np.random.default_rng(7)
     n_pay, n_edge = 200, 500
@@ -246,7 +321,7 @@ def test_attach_payload_partitioned_edge_only_partitions(ray_session):
     absent from the payload table) must contribute zero rows, not
     crash: 2 payload uids + 64 partitions leaves most partitions
     edge-only."""
-    from deduplicator_go_ray.stages.buckets import _attach_payload_partitioned
+    from deduplicator_go_ray.stages.verify import _attach_payload_partitioned
 
     rng = np.random.default_rng(11)
     uids = np.array([5, 9], dtype=np.int64)

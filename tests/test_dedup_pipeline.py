@@ -213,6 +213,31 @@ def test_flood_verify_no_endpoint_filter_same_assignments(corpus):
         assert (a[col] == b[col]).all(), col
 
 
+def test_flood_verify_low_threshold_same_assignments(corpus):
+    """At verify_threshold=0.5 the first-half fingerprint bound cannot
+    prune (a pair with no first-half match can still reach 64 of 128
+    slots), so the flood plan skips round 1 and checks every candidate
+    exactly in round 2.  Assignments must equal the small-set plan's."""
+    import ray.data as rd
+
+    from deduplicator_go_ray.config import MinHashConfig
+
+    pages_tbl, _ = corpus
+    small = pages_tbl.slice(0, 250)
+    mh = MinHashConfig(verify_threshold=0.5)
+    base = run_dedup(rd.from_arrow(small), PipelineConfig(minhash=mh)).to_pandas()
+    flood = run_dedup(
+        rd.from_arrow(small),
+        PipelineConfig(minhash=mh, smallset_max_edges=0),
+    ).to_pandas()
+    a = base.sort_values("url").reset_index(drop=True)
+    b = flood.sort_values("url").reset_index(drop=True)
+    assert (a["match_kind"] == "near").sum() > 0
+    for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
+                "match_kind"]:
+        assert (a[col] == b[col]).all(), col
+
+
 def test_cc_tiers_same_assignments(corpus):
     """The two component-resolution tiers (one-task kernel by default,
     distributed star loop at onetask_cc_max_edges=0) must be

@@ -180,14 +180,6 @@ class PipelineConfig:
     # ≈ 3.2 GiB of endpoint arrays in the worker — the distributed loop
     # only engages past that.
     onetask_cc_max_edges: int = 200_000_000
-    # flood-verify endpoint semi-filter gate: at or below this many
-    # candidate edges the partitioned verify first drops payload rows
-    # (sigs / texts) whose uid matches no edge endpoint — they would be
-    # dropped by the inner join anyway, after riding both attach
-    # exchanges.  Above it the endpoint array (16 B/edge, broadcast as
-    # block refs + one sorted plasma array) stops being worth holding
-    # per node and everything ships.
-    verify_semifilter_max_edges: int = 16_000_000
     # size-aware physical plans: below these thresholds the small side
     # of a verification/enrichment join is broadcast (object-store
     # block refs shipped once, per-worker cached index — no shuffle, no
@@ -197,8 +189,12 @@ class PipelineConfig:
     # that the rep texts ride the exact hash exchange instead.
     broadcast_max_reps: int = 5_000_000
     # candidate/pair sets at or below this row count verify against a
-    # broadcast index (the small-set plan of stages/verify.py); bigger
-    # sets fall back to partitioned joins.
+    # broadcast index (the small-set plan of stages/verify.py, prebuilt
+    # over every rep when it fits verify_direct_max_bytes).  Bigger sets
+    # take the flood plan: the pairs, already pruned in the candidate
+    # reducer (stages/buckets.py), are checked exactly against an index
+    # over their endpoints only, and above the kind's round-2 cap
+    # (stages/verify.py) through two keyed attach exchanges.
     smallset_max_edges: int = 2_000_000
     # optional content-keyed signature store (state/sigstore.py):
     # when set, the flagship's signature phase re-uses stored

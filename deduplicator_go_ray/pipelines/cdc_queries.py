@@ -35,8 +35,9 @@ from .registry import register
 
 def _chunk_partials(t: pa.Table) -> pa.Table:
     """documents batch → map-side-combined (ck, n_copies, chunk_bytes,
-    sum_bytes) partials; the wide text column dies here."""
-    bufs = [s.encode("utf-8") for s in t["text"].to_pylist()]
+    sum_bytes) partials; the wide text column dies here.  A null text
+    chunks as "" (no chunks), as in the signature stage."""
+    bufs = [(s or "").encode("utf-8") for s in t["text"].to_pylist()]
     _, ck, clen = cdc_chunk_arrays(bufs)
     df = pd.DataFrame({"ck": ck.view(np.int64), "clen": clen})
     g = df.groupby("ck", sort=False).agg(

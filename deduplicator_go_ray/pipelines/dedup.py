@@ -437,7 +437,7 @@ def run_dedup(
     cand = candidate_edges_fused(
         buckets, cfg.lsh, cfg.simhash.hamming_threshold,
         num_partitions=cfg.bucket_partitions,
-        uid_bits=cfg.uid_bits).materialize()
+        uid_bits=cfg.uid_bits, minhash=cfg.minhash).materialize()
     timer.tick("candidates")
 
     from ..stages.buckets import empty_edges, uid_np, uid_pa_type
@@ -450,8 +450,10 @@ def run_dedup(
         # size-aware verification plan: at or below smallset_max_edges
         # candidates the pairs are checked against a broadcast index (the
         # prebuilt one, else one over the candidate endpoints); a
-        # candidate FLOOD instead prunes through hash-partitioned attach
-        # exchanges so no worker ever holds the full index
+        # candidate FLOOD never holds the full index: its pairs (already
+        # pruned in the candidate reducer) are checked against an index
+        # over their endpoints, or above the kind's round-2 cap through
+        # two hash-partitioned attach exchanges
         # (equality-tested in tests/test_dedup_pipeline.py)
         flood = n_cand > cfg.smallset_max_edges
         anchor_flood = False
@@ -473,8 +475,7 @@ def run_dedup(
             anchor_flood = not (cfg.uid_bits == 64
                                 and 0 < n_anchor <= cfg.smallset_max_edges)
             timer.note("anchor_plan", "flood" if anchor_flood else "smallset")
-        common = {"endpoint_filter": n_cand <= cfg.verify_semifilter_max_edges,
-                  "uid_bits": cfg.uid_bits,
+        common = {"uid_bits": cfg.uid_bits,
                   "num_partitions": cfg.bucket_partitions}
         cont = None
         if cfg.run_substring_pass:

@@ -26,7 +26,12 @@ parquet, independently of every Ray/numpy kernel:
     * anchors: shorts (rows carrying the doc's minimum anchor) × longs
       (buckets ≤ 4096) with strictly smaller byte length.
     Hot-band pre-salting never engages at oracle scale
-    (``presalt_min_band_rows`` = 2M band rows).
+    (``presalt_min_band_rows`` = 2M band rows).  The oracle emits the
+    UNPRUNED candidates: the engine's reducer also drops pairs by its
+    slot-fingerprint and anchor-bloom bounds, which only over-count
+    (equal slots give equal low bits; a contained text's anchors are a
+    subset of its container's), so it never drops a pair that step 5
+    keeps and the verified edge sets agree.
 5.  **verification** — near edges (band+simhash) by signature
     slot-equality ≥ 103/128 (integer-exact 0.80); anchor edges by
     exact substring containment of the shorter text.

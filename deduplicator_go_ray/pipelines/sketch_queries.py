@@ -120,7 +120,7 @@ def cms_heavy_hitters(sf_dir: str) -> "ray.data.Dataset":
     never materializes the long tail)."""
     grid = _cms_grid(sf_dir)
     total = int(grid[0].sum())
-    thr = (total + 999) // 1000 if HH_PERMILLE == 1 else 0
+    thr = (total * HH_PERMILLE + 999) // 1000
     grid_ref = ray.put(grid)
 
     def probe(t: pa.Table) -> pa.Table:

@@ -14,7 +14,8 @@ per bucket into candidate edges.  Fusing them:
   at the end of the pipeline (collision probability n²/2⁶⁴; the
   tradeoff is documented in the uid helper).
 
-Row layout: (key: i64, kind: i8, uid: i64, payload: i64, flag: bool)
+Row layout: (key: i64, kind: i8, uid: i64, payload: i64, flag: bool,
+d0: i64, d1: i64)
   kind 0 = LSH band   — payload unused; emission: sorted chain + star
                          (star only under the group cap; hot buckets
                          chain-only — same policy as stages.lsh)
@@ -22,12 +23,32 @@ Row layout: (key: i64, kind: i8, uid: i64, payload: i64, flag: bool)
                          Hamming-verified pairs
   kind 2 = anchor     — payload = n_bytes, flag = is-min-anchor;
                          emission: shorts × longs containment candidates
+  d0, d1 — the document's 128-bit digest: on band and simhash rows the
+  low bit of each MinHash slot (b-bit minwise fingerprint, b = 1); on
+  anchor rows a bloom of the anchor set, bit ``mix64(anchor) % 128``
+  (anchors are ≡ 0 mod 64, so the raw value would set two bits).
 
-Output: (u: i64, v: i64, kind: i8) candidate edges, deduplicated within
-partition.  Every reducer decision is a pure function of its bucket —
-the partition-count-invariance contract (files/move.go:226-236).
-Candidates are verified by ``stages/verify.py``; this module also holds
-the uid helpers both share.
+The reducer holds both endpoints of every pair it emits, so it prunes
+there (≙ files/hash.go:37-48) before any payload moves:
+
+* near pairs (kinds 0/1) are deduplicated per partition on (u, v),
+  keeping the minimum kind, and dropped when more fingerprint bits
+  differ than the threshold allows (``P - min_slot_matches``);
+* anchor pairs are dropped unless the short side's bloom is a
+  bit-subset of the long side's.
+
+Both bounds only over-count: equal slots give equal bits, and a
+contained text's anchors are a subset of its container's — no true
+edge is lost.  Anchor pairs are never deduplicated against near pairs
+(their kind carries the "substring" match kind).
+
+Output: (u: i64, v: i64, kind: i8) candidate edges.  Which pairs are
+emitted and kept is a pure function of each bucket and its members'
+digests — the partition-count-invariance contract
+(files/move.go:226-236); only how many duplicate near rows survive
+depends on which buckets share a partition.
+Candidates are verified exactly by ``stages/verify.py``; this module
+also holds the uid helpers both share.
 """
 
 from __future__ import annotations
@@ -48,6 +69,48 @@ KIND_ANCHOR = 2
 # byte-wise popcount lookup — Hamming distance of uint64 xors in one
 # gather+sum instead of a 64-pass shift/mask/add loop
 _POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+DIGEST_BITS = 128             # d0, d1: two int64 words per bucket row
+
+
+def min_slot_matches(cfg: MinHashConfig) -> int:
+    """Smallest slot-match count m with m / P >= ``verify_threshold``:
+    the float-mean cutoff of the SQL oracle, in integers (P + 1 when no
+    count reaches it).  The exact verify and the reducer prune share it."""
+    P = cfg.num_perms
+    return next((m for m in range(P + 1) if m / P >= cfg.verify_threshold),
+                P + 1)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of an (n, w) uint64 matrix."""
+    # C order for the uint8 view (xor of fancy-indexed inputs may be F)
+    w = np.ascontiguousarray(words)
+    return _POPCNT8[w.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
+def slot_fingerprints(sig: np.ndarray) -> np.ndarray:
+    """(n, 2) uint64: bit i = low bit of slot i, for the first
+    ``DIGEST_BITS`` slots (unused bits zero)."""
+    bits = np.zeros((len(sig), DIGEST_BITS), dtype=np.uint8)
+    c = min(sig.shape[1], DIGEST_BITS)
+    bits[:, :c] = sig[:, :c] & np.uint64(1)
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
+def anchor_blooms(flat: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """(n, 2) uint64 bloom per document of its anchors (``flat``, the
+    concatenated per-document lists of lengths ``lens``)."""
+    out = np.zeros((len(lens), 2), dtype=np.uint64)
+    nz = lens > 0
+    if flat.size:
+        bit = mix64(flat.view(np.uint64)) % np.uint64(DIGEST_BITS)
+        one = np.uint64(1) << (bit & np.uint64(63))
+        hi = bit >= np.uint64(64)
+        starts = (np.cumsum(lens) - lens)[nz]
+        for w, sel in ((0, ~hi), (1, hi)):
+            out[nz, w] = np.bitwise_or.reduceat(
+                np.where(sel, one, np.uint64(0)), starts)
+    return out
 
 
 def uid_of_urls(urls, bits: int = 64) -> np.ndarray:
@@ -197,6 +260,8 @@ def bucket_rows(
             "uid": pa.array([], uid_pa_type(uid_bits)),
             "payload": pa.array([], pa.int64()),
             "flag": pa.array([], pa.bool_()),
+            "d0": pa.array([], pa.int64()),
+            "d1": pa.array([], pa.int64()),
         })
         if n == 0:
             return empty
@@ -208,11 +273,13 @@ def bucket_rows(
         uid_out: list[np.ndarray] = []
         pay_out: list[np.ndarray] = []
         flag_out: list[np.ndarray] = []
+        dig_out: list[np.ndarray] = []
 
         kn = int(keep.sum())
         if kn:
             sig = np.asarray(batch["minhash"].combine_chunks().flatten()
                              ).reshape(n, b, r)[keep]
+            fp = slot_fingerprints(sig.reshape(kn, b * r))       # (kn, 2)
             bkeys = combine64(sig, axis=2)                       # (kn, b)
             bkeys = mix64(bkeys + (np.arange(b, dtype=np.uint64) << np.uint64(1))[None, :])
             flat_keys = bkeys.reshape(-1).view(np.int64)
@@ -235,6 +302,7 @@ def bucket_rows(
             uid_out.append(band_uid)
             pay_out.append(np.zeros(kn * b, dtype=np.int64))
             flag_out.append(flags)
+            dig_out.append(np.repeat(fp, b, axis=0))
 
             if simhash is not None:
                 sh = np.asarray(batch["simhash"], dtype=np.uint64)[keep]
@@ -246,6 +314,7 @@ def bucket_rows(
                     uid_out.append(uid[keep])
                     pay_out.append(sh.view(np.int64))
                     flag_out.append(np.zeros(kn, dtype=bool))
+                    dig_out.append(fp)
 
         if with_anchors and "anchors" in batch.column_names:
             # vectorized list-column explode: flatten + reduceat over the
@@ -264,15 +333,20 @@ def bucket_rows(
                 uid_out.append(np.repeat(uid, lens))
                 pay_out.append(np.repeat(nb, lens))
                 flag_out.append(flat == np.repeat(mins, lens[nz]))
+                dig_out.append(np.repeat(anchor_blooms(flat, lens), lens,
+                                         axis=0))
 
         if not keys_out:
             return empty
+        dig = np.concatenate(dig_out).view(np.int64)
         return pa.table({
             "key": pa.array(np.concatenate(keys_out), pa.int64()),
             "kind": pa.array(np.concatenate(kind_out), pa.int8()),
             "uid": uid_arrow(np.concatenate(uid_out)),
             "payload": pa.array(np.concatenate(pay_out), pa.int64()),
             "flag": pa.array(np.concatenate(flag_out), pa.bool_()),
+            "d0": pa.array(dig[:, 0], pa.int64()),
+            "d1": pa.array(dig[:, 1], pa.int64()),
         })
 
     return sigs.map_batches(explode, batch_format="pyarrow")
@@ -289,20 +363,17 @@ def empty_edges(uid_bits: int = 64) -> pa.Table:
                      "kind": pa.array([], pa.int8())})
 
 
-def _chain_star_pairs(uids: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
-                      clique_cap: int, group_cap: int,
+def _chain_star_pairs(sizes: np.ndarray, starts: np.ndarray, group_cap: int,
                       star_allowed: np.ndarray | None = None):
     """Vectorized bounded pair emission for sorted band buckets laid out
     consecutively: chain edges for every bucket, plus star-to-min for
     buckets ≤ group_cap (hot/salted buckets stay chain-only via
-    ``star_allowed``, a per-bucket bool mask)."""
-    total = uids.size
+    ``star_allowed``, a per-bucket bool mask).  Returns the pairs' row
+    positions."""
+    idx = np.arange(int(sizes.sum()))
     # chain: consecutive members within a bucket
-    idx = np.arange(total)
     bucket_id = np.repeat(np.arange(sizes.size), sizes)
     chain_mask = np.r_[bucket_id[1:] == bucket_id[:-1], False]
-    u_chain = uids[chain_mask]
-    v_chain = uids[np.r_[False, chain_mask[:-1]]]
     # star: member -> bucket minimum (first element, sorted) for members
     # at local position ≥ 2, only in buckets ≤ group_cap
     local = idx - np.repeat(starts, sizes)
@@ -310,10 +381,9 @@ def _chain_star_pairs(uids: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
     if star_allowed is not None:
         allowed = allowed & star_allowed
     star_ok = np.repeat(allowed, sizes) & (local >= 2)
-    first = np.repeat(uids[starts], sizes)
-    u_star = first[star_ok]
-    v_star = uids[star_ok]
-    return np.concatenate([u_chain, u_star]), np.concatenate([v_chain, v_star])
+    first = np.repeat(starts, sizes)
+    return (np.concatenate([idx[chain_mask], first[star_ok]]),
+            np.concatenate([idx[np.r_[False, chain_mask[:-1]]], idx[star_ok]]))
 
 
 def candidate_edges_fused(
@@ -324,16 +394,33 @@ def candidate_edges_fused(
     sim_group_cap: int = 512,
     num_partitions: int = 128,
     uid_bits: int = 64,
+    minhash: MinHashConfig | None = None,
 ) -> "ray.data.Dataset":
     """One hash shuffle on ``key``; per partition, vectorized per-kind
-    emission.  Returns (u, v, kind) int64 candidate edges."""
+    emission and the digest prune (module docstring).  ``minhash``
+    (default ``MinHashConfig()``) sets the near threshold.  Returns
+    (u, v, kind) candidate edges."""
+    mh = minhash or MinHashConfig()
+    # most fingerprint bits that may differ: with m_min equal slots at
+    # most P - m_min bits differ, over any P (unused bits are equal)
+    max_diff = mh.num_perms - min_slot_matches(mh)
 
     def emit(df: pd.DataFrame) -> pd.DataFrame:
-        outs: list[pd.DataFrame] = []
         uid_dtype = df["uid"].dtype if len(df) else "int64"
         empty = pd.DataFrame({"u": pd.Series(dtype=uid_dtype),
                               "v": pd.Series(dtype=uid_dtype),
                               "kind": pd.Series(dtype="int8")})
+        near: list[pd.DataFrame] = []
+
+        def add_near(rows: pd.DataFrame, pu: np.ndarray, pv: np.ndarray,
+                     kind: int) -> None:
+            uids = rows["uid"].to_numpy()
+            dig = rows[["d0", "d1"]].to_numpy(np.int64)
+            x = dig[pu] ^ dig[pv]
+            near.append(pd.DataFrame({
+                "u": uids[pu], "v": uids[pv],
+                "kind": np.full(pu.size, kind, dtype=np.int8),
+                "x0": x[:, 0], "x1": x[:, 1]}))
 
         # ---- kind 0: LSH bands — chain + star ----------------------------
         band = df[df["kind"] == KIND_BAND]
@@ -341,18 +428,13 @@ def candidate_edges_fused(
             band = band.drop_duplicates(["key", "uid"]).sort_values(
                 ["key", "uid"], kind="mergesort")
             k = band["key"].to_numpy()
-            uids = band["uid"].to_numpy()
             flags = band["flag"].to_numpy()
             starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
             sizes = np.diff(np.r_[starts, k.size])
-            multi = sizes > 1
-            if multi.any():
-                u, v = _chain_star_pairs(uids, sizes, starts,
-                                         lsh.clique_cap, lsh.group_cap,
-                                         star_allowed=~flags[starts])
-                outs.append(pd.DataFrame({
-                    "u": u, "v": v,
-                    "kind": np.full(u.size, KIND_BAND, dtype=np.int8)}))
+            if (sizes > 1).any():
+                pu, pv = _chain_star_pairs(sizes, starts, lsh.group_cap,
+                                           star_allowed=~flags[starts])
+                add_near(band, pu, pv, KIND_BAND)
 
         # ---- kind 1: simhash chunks — Hamming-verified pairs -------------
         # vectorized across buckets by size class (the same per-size
@@ -367,27 +449,29 @@ def candidate_edges_fused(
             sim = sim[(cnt > 1) & (cnt <= sim_group_cap)]
             sim = sim.sort_values(["key", "uid"], kind="mergesort")
             k = sim["key"].to_numpy()
-            uids_all = sim["uid"].to_numpy()
             sh_all = sim["payload"].to_numpy().view(np.uint64)
             gstarts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
             gsizes = np.diff(np.r_[gstarts, k.size])
             for s in np.unique(gsizes):
                 sel = gstarts[gsizes == s]
                 idx = sel[:, None] + np.arange(s)[None, :]      # (m, s)
-                uids = uids_all[idx]
                 sh = sh_all[idx]
                 iu, jv = np.triu_indices(int(s), 1)
-                # ascontiguousarray: the xor ufunc may emit F-order
-                # from fancy-indexed inputs; the uint8 view needs C
-                xor = np.ascontiguousarray(sh[:, iu] ^ sh[:, jv])
-                hd = _POPCNT8[xor.view(np.uint8)].reshape(
-                    xor.shape + (8,)).sum(axis=-1, dtype=np.int64)
+                xor = sh[:, iu] ^ sh[:, jv]
+                hd = _popcount(xor.reshape(-1, 1)).reshape(xor.shape)
                 keep = hd <= simhash_hamming
                 if keep.any():
-                    outs.append(pd.DataFrame({
-                        "u": uids[:, iu][keep], "v": uids[:, jv][keep],
-                        "kind": np.full(int(keep.sum()), KIND_SIMHASH,
-                                        dtype=np.int8)}))
+                    add_near(sim, idx[:, iu][keep], idx[:, jv][keep],
+                             KIND_SIMHASH)
+
+        outs: list[pd.DataFrame] = []
+        if near:
+            # one row per (u, v) — min kind — then the fingerprint bound
+            nr = (pd.concat(near, ignore_index=True)
+                  .sort_values("kind", kind="mergesort")
+                  .drop_duplicates(["u", "v"]))
+            x = nr[["x0", "x1"]].to_numpy(np.int64).view(np.uint64)
+            outs.append(nr.loc[_popcount(x) <= max_diff, ["u", "v", "kind"]])
 
         # ---- kind 2: anchors — shorts × longs ----------------------------
         anc = df[df["kind"] == KIND_ANCHOR]
@@ -396,9 +480,12 @@ def candidate_edges_fused(
             shorts = anc[anc["flag"]]
             bucket_sz = anc.groupby("key")["uid"].transform("size")
             longs = anc[bucket_sz <= anchor_bucket_cap]
-            m = shorts.merge(longs[["key", "uid", "payload"]],
+            m = shorts.merge(longs[["key", "uid", "payload", "d0", "d1"]],
                              on="key", suffixes=("_u", "_v"))
-            m = m[m["payload_u"] < m["payload_v"]]
+            # the short side's bloom must be a bit-subset of the long's
+            m = m[(m["payload_u"] < m["payload_v"])
+                  & ((m["d0_u"] & ~m["d0_v"]) == 0)
+                  & ((m["d1_u"] & ~m["d1_v"]) == 0)]
             if len(m):
                 outs.append(pd.DataFrame({
                     "u": m["uid_u"].to_numpy(),

@@ -1,8 +1,10 @@
 """Candidate verification for both match kinds: near duplicates
 (signature Jaccard) and containment (exact substring).
 
-Both kinds prune cheaply before exact work (≙ files/hash.go:37-48) with
-the same three parts:
+The cheap prune runs earlier, inside the candidate reducer
+(``stages/buckets.py``: slot fingerprints and anchor blooms), so every
+candidate that reaches this module goes straight to the exact check,
+built from two shared parts:
 
 * **one index check** — ONE Ray task builds a uid-sorted index of the
   kind's payload, over all payload rows (the speculative prebuilt
@@ -11,20 +13,19 @@ the same three parts:
   zero-copy from the object store and apply the exact predicate per
   pair batch — no exchange;
 * **one two-attach check** — two keyed ``_attach_payload_partitioned``
-  exchanges (payload of u, then of v) with a predicate applied inside
-  the second reduce, so the wide (pair + payload) rows never reach the
-  object store;
-* **a per-kind spec** (:class:`VerifySpec`) — payload column, round-1
-  digest, sound prune predicate, exact predicate, round-2 cap.
+  exchanges (payload of u, then of v) with the exact predicate applied
+  inside the second reduce, so the wide (pair + payload) rows never
+  reach the object store.
 
-Plans, picked by flags ``run_dedup`` computes from its size gates:
+A per-kind spec (:class:`VerifySpec`) names the payload column, the
+exact predicate and the round-2 cap.  Plans, picked by flags
+``run_dedup`` computes from its size gates:
 
-* small set (``flood=False``): the index check over all pairs;
-* flood: round 1 is the two-attach check on the DIGEST with the prune
-  predicate (skipped when the kind's bound cannot prune); round 2
-  checks the survivors exactly — the index check over their endpoints
-  up to the round-2 cap, above it the two-attach check on the full
-  payload.
+* small set (``flood=False``): the index check over all pairs, against
+  the prebuilt index when one is given;
+* flood: the index check over the pairs' endpoints up to the kind's
+  round-2 cap; above it the two-attach check on the full payload (the
+  only plan whose per-worker memory does not grow with the pair set).
 
 Every plan yields the same edge set (equality-tested).
 """
@@ -42,22 +43,16 @@ import ray
 import ray.data
 
 from ..config import MinHashConfig
-from ..functions.hashing import rolling_hashes_many
-from .buckets import (_uid_bits_of, empty_edges, uid_arrow, uid_np,
-                      uid_of_urls, uid_pa_type)
+from .buckets import (_uid_bits_of, empty_edges, min_slot_matches, uid_arrow,
+                      uid_np, uid_of_urls, uid_pa_type)
 from .common import bounded_cache_put, grouped_apply, sorted_probe
 from .lsh import block_refs_of
 
-# round-2 caps: up to this many survivors the exact check runs against
-# an endpoint index built by one task; above it the survivors' full
-# payloads ride the two keyed attach exchanges instead
+# round-2 caps: up to this many pairs the exact check runs against an
+# endpoint index built by one task; above it the pairs' full payloads
+# ride the two keyed attach exchanges instead
 NEAR_ROUND2_MAX_BYTES = 4 << 30        # both endpoints' full signatures
 CONTAINMENT_ROUND2_MAX_PAIRS = 500_000
-
-CONT_BLOOM_BITS = 1024        # per-text gram bloom (128 bytes)
-CONT_BLOOM_BYTES = CONT_BLOOM_BITS // 8
-_CONT_GRAM = 16               # bloom gram width (bytes)
-_CONT_PAY_BYTES = CONT_BLOOM_BYTES + 8   # bloom ++ little-endian u64 length
 
 U, V, UV = ("u",), ("v",), ("u", "v")
 
@@ -66,31 +61,27 @@ U, V, UV = ("u",), ("v",), ("u", "v")
 class VerifySpec:
     """What one match kind verifies.  ``payload`` maps a source batch
     (url + ``column``) to its value array (``value_type``); ``exact``
-    and ``prune`` map two aligned value / digest arrays to a keep mask.
-    ``prune`` is None when round 1 cannot prune anything."""
+    maps two aligned value arrays to a keep mask."""
     column: str
     value_type: pa.DataType
     payload: Callable[[pa.Table], pa.Array]
     exact: Callable[[pa.Array, pa.Array], np.ndarray]
-    digest_type: pa.DataType | None
-    digest: Callable[[pa.Array], pa.Array] | None
-    prune: Callable[[pa.Array, pa.Array], np.ndarray] | None
     round2_max: int
 
 
-def _slot_matrix(col, n: int, P: int, dtype=np.uint64) -> np.ndarray:
-    """(n, P) view of a ``fixed_size_binary(P * itemsize)`` column — one
+def _slot_matrix(col, n: int, P: int) -> np.ndarray:
+    """(n, P) uint64 view of a ``fixed_size_binary(P * 8)`` column — one
     buffer view, no per-row Python.  Any other type has no fixed-stride
     data buffer to view, so it is refused."""
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    width = P * np.dtype(dtype).itemsize
+    width = P * 8
     if not (pa.types.is_fixed_size_binary(arr.type)
             and arr.type.byte_width == width):
         raise TypeError(f"payload blobs must be fixed_size_binary({width}),"
                         f" got {arr.type}")
     if n == 0:
-        return np.empty((0, P), dtype)
-    flat = np.frombuffer(arr.buffers()[1], dtype=dtype,
+        return np.empty((0, P), np.uint64)
+    flat = np.frombuffer(arr.buffers()[1], dtype=np.uint64,
                          count=(arr.offset + n) * P)[arr.offset * P:]
     return flat.reshape(n, P)
 
@@ -104,18 +95,9 @@ def _blob(mat: np.ndarray) -> pa.Array:
 
 def near_spec(cfg: MinHashConfig) -> VerifySpec:
     """Signature Jaccard: value = the P-slot signature blob; a pair
-    passes when at least ``m_min`` slots match.  Round 1 ships ONE-BYTE
-    fingerprints (each slot's low byte) of the first half: equal slots
-    always fingerprint equal, so the fingerprint match count can only
-    over-count, and a count below ``prune_min`` proves the pair misses
-    ``m_min`` even if every second-half slot matched."""
+    passes when at least ``min_slot_matches(cfg)`` slots match."""
     P = cfg.num_perms
-    # smallest match count m with m / P >= threshold: the float-mean
-    # cutoff of the SQL oracle, in integers
-    m_min = next((m for m in range(P + 1) if m / P >= cfg.verify_threshold),
-                 P + 1)
-    half = P // 2
-    prune_min = m_min - (P - half)
+    m_min = min_slot_matches(cfg)
 
     def payload(t: pa.Table) -> pa.Array:
         sig = np.asarray(t["minhash"].combine_chunks().flatten())
@@ -125,31 +107,13 @@ def near_spec(cfg: MinHashConfig) -> VerifySpec:
         n = len(a)
         return (_slot_matrix(a, n, P) == _slot_matrix(b, n, P)).sum(axis=1) >= m_min
 
-    def digest(v: pa.Array) -> pa.Array:
-        return _blob((_slot_matrix(v, len(v), P)[:, :half]
-                      & np.uint64(0xFF)).astype(np.uint8))
-
-    def prune(a: pa.Array, b: pa.Array) -> np.ndarray:
-        n = len(a)
-        return ((_slot_matrix(a, n, half, np.uint8)
-                 == _slot_matrix(b, n, half, np.uint8)).sum(axis=1) >= prune_min)
-
-    rounds = prune_min > 0
     return VerifySpec("minhash", pa.binary(P * 8), payload, exact,
-                      pa.binary(half) if rounds else None,
-                      digest if rounds else None, prune if rounds else None,
                       NEAR_ROUND2_MAX_BYTES // (2 * P * 8))
 
 
 def containment_spec() -> VerifySpec:
     """Exact substring: value = the text; a (short, long) pair passes
-    when both are non-empty and short occurs in long.  Round 1 ships a
-    136-byte digest: a 1024-bit bloom of every ``_CONT_GRAM``-byte
-    window hash of the utf-8 text, then its utf-8 byte length.  Sound:
-    if utf8(a) occurs in utf8(b), every window hash of a is one of b,
-    so bloom(a) is a bit-subset of bloom(b) and len(a) <= len(b).
-    Texts shorter than the gram width get an empty bloom (prunes
-    nothing)."""
+    when both are non-empty and short occurs in long."""
 
     def payload(t: pa.Table) -> pa.Array:
         return t["text"].combine_chunks()
@@ -159,40 +123,7 @@ def containment_spec() -> VerifySpec:
                             for x, y in zip(a.to_pylist(), b.to_pylist())),
                            bool, len(a))
 
-    def digest(v: pa.Array) -> pa.Array:
-        n = len(v)
-        bufs = [(s or "").encode("utf-8") for s in v.to_pylist()]
-        out = np.zeros((n, _CONT_PAY_BYTES), dtype=np.uint8)
-        hs = rolling_hashes_many(bufs, _CONT_GRAM)
-        wlens = np.fromiter((h.size for h in hs), np.int64, n)
-        if int(wlens.sum()):
-            hcat = np.concatenate([h for h in hs if h.size])
-            doc = np.repeat(np.arange(n, dtype=np.int64), wlens)
-            bit = (hcat % np.uint64(CONT_BLOOM_BITS)).astype(np.int64)
-            # exact OR via bincount: dedupe (doc, bit) first so each
-            # bit contributes once — byte sums then never carry
-            uk = np.unique(doc * CONT_BLOOM_BITS + bit)
-            d2, b2 = uk // CONT_BLOOM_BITS, uk % CONT_BLOOM_BITS
-            flat = np.bincount(
-                d2 * CONT_BLOOM_BYTES + (b2 >> 3),
-                weights=(1 << (b2 & 7)).astype(np.float64),
-                minlength=n * CONT_BLOOM_BYTES).astype(np.uint8)
-            out[:, :CONT_BLOOM_BYTES] = flat.reshape(n, CONT_BLOOM_BYTES)
-        lens = np.fromiter((len(b) for b in bufs), np.uint64, n)
-        out[:, CONT_BLOOM_BYTES:] = lens[:, None].view(np.uint8).reshape(n, 8)
-        return _blob(out)
-
-    def prune(a: pa.Array, b: pa.Array) -> np.ndarray:
-        n = len(a)
-        ma = _slot_matrix(a, n, _CONT_PAY_BYTES, np.uint8)
-        mb = _slot_matrix(b, n, _CONT_PAY_BYTES, np.uint8)
-        la, lb = (np.ascontiguousarray(m[:, CONT_BLOOM_BYTES:]).view(np.uint64).ravel()
-                  for m in (ma, mb))
-        bloom = slice(0, CONT_BLOOM_BYTES)
-        return (la <= lb) & ~np.any(ma[:, bloom] & ~mb[:, bloom], axis=1)
-
     return VerifySpec("text", pa.string(), payload, exact,
-                      pa.binary(_CONT_PAY_BYTES), digest, prune,
                       CONTAINMENT_ROUND2_MAX_PAIRS)
 
 
@@ -518,47 +449,19 @@ def _two_attach_check(pairs, pay_u, pay_v, value_type: pa.DataType, keep_fn,
 
 # ---- the plans ---------------------------------------------------------------
 def _verify(pairs, source, spec: VerifySpec, prebuilt, flood: bool,
-            endpoint_filter: bool, uid_bits: int, num_partitions: int):
+            uid_bits: int, num_partitions: int):
     payload = _payload_table(source, spec, uid_bits)
-    if not flood:
-        index = prebuilt if prebuilt is not None else _endpoint_index(
-            pairs, payload, uid_bits)
-        return _index_check(pairs, index, spec.exact, uid_bits)
-
-    def side(p, ref, digest=False):
-        """One attach input: role-filtered, digested in round 1."""
-        if ref is not None:
-            p = semi_filter_by_uid_ref(p, ref, key="uid")
-        if digest:
-            p = p.map_batches(lambda t: pa.table(
-                {"uid": t["uid"], "value": spec.digest(t["value"])}),
-                batch_format="pyarrow")
-        return p
-
-    if spec.prune is None:
-        survivors = pairs.materialize()
-    else:
-        u_ref = v_ref = None
-        if endpoint_filter:
-            # drop payload rows no pair references before they ride both
-            # exchanges; the u and v attaches then each read a lazy
-            # role-scoped probe over the materialized rows
-            u_ref, v_ref, uv_ref = uid_set_refs(pairs, (U, V, UV), uid_bits)
-            payload = semi_filter_by_uid_ref(payload, uv_ref,
-                                             key="uid").materialize()
-        survivors = _two_attach_check(
-            pairs, side(payload, u_ref, True), side(payload, v_ref, True),
-            spec.digest_type, spec.prune, uid_bits, num_partitions)
-    n_surv = survivors.count()
-    if n_surv == 0:
-        return ray.data.from_arrow(empty_edges(uid_bits))
-    if n_surv <= spec.round2_max:
-        return _index_check(survivors, _endpoint_index(survivors, payload, uid_bits),
-                            spec.exact, uid_bits)
-    u_ref, v_ref = uid_set_refs(survivors, (U, V), uid_bits)
-    return _two_attach_check(
-        survivors, side(payload, u_ref), side(payload, v_ref),
-        spec.value_type, spec.exact, uid_bits, num_partitions)
+    if flood:
+        pairs = pairs.materialize()
+        if pairs.count() > spec.round2_max:
+            u_ref, v_ref = uid_set_refs(pairs, (U, V), uid_bits)
+            return _two_attach_check(
+                pairs, semi_filter_by_uid_ref(payload, u_ref, key="uid"),
+                semi_filter_by_uid_ref(payload, v_ref, key="uid"),
+                spec.value_type, spec.exact, uid_bits, num_partitions)
+    index = prebuilt if prebuilt is not None else _endpoint_index(
+        pairs, payload, uid_bits)
+    return _index_check(pairs, index, spec.exact, uid_bits)
 
 
 def verify_near_edges(
@@ -567,18 +470,16 @@ def verify_near_edges(
     cfg: MinHashConfig,
     prebuilt=None,
     flood: bool = False,
-    endpoint_filter: bool = True,
     uid_bits: int = 64,
     num_partitions: int = 128,
 ) -> "ray.data.Dataset":
     """Keep the uid edges whose signature Jaccard estimate reaches
     ``cfg.verify_threshold``.  ``prebuilt`` (an index ObjectRef from
     :func:`prebuild_index`) serves the small-set plan; without it the
-    index covers only the edges' endpoints.  ``flood`` picks the
-    two-round plan; ``endpoint_filter`` semi-filters its payload to the
-    edge endpoints first."""
-    return _verify(edges, sigs, near_spec(cfg), prebuilt, flood,
-                   endpoint_filter, uid_bits, num_partitions)
+    index covers only the edges' endpoints.  ``flood`` switches to the
+    two keyed attach exchanges above the kind's round-2 cap."""
+    return _verify(edges, sigs, near_spec(cfg), prebuilt, flood, uid_bits,
+                   num_partitions)
 
 
 def verify_containment_edges(
@@ -586,11 +487,10 @@ def verify_containment_edges(
     texts: "ray.data.Dataset",
     prebuilt=None,
     flood: bool = False,
-    endpoint_filter: bool = True,
     uid_bits: int = 64,
     num_partitions: int = 128,
 ) -> "ray.data.Dataset":
     """Keep the uid (short, long) pairs where the short text occurs in
     the long one; plans and flags as in :func:`verify_near_edges`."""
     return _verify(pairs, texts, containment_spec(), prebuilt, flood,
-                   endpoint_filter, uid_bits, num_partitions)
+                   uid_bits, num_partitions)

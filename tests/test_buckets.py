@@ -44,6 +44,11 @@ def small_sigs(ray_session):
     return _sigs(texts, ray_session)
 
 
+def _zero_digests(n: int) -> dict:
+    """The d0/d1 digest columns of hand-built bucket rows, all zero."""
+    return {c: pa.array(np.zeros(n, np.int64), pa.int64()) for c in ("d0", "d1")}
+
+
 def test_bucket_rows_kinds(small_sigs):
     rows = bucket_rows(small_sigs, MinHashConfig(), SimHashConfig(),
                        with_anchors=True).to_pandas()
@@ -94,6 +99,7 @@ def test_hot_bucket_bounded_emission(ray_session):
         "uid": pa.array(np.arange(n), pa.int64()),
         "payload": pa.array(np.zeros(n), pa.int64()),
         "flag": pa.array([False] * n, pa.bool_()),
+        **_zero_digests(n),
     })
     lsh = LSHConfig(group_cap=512)
     edges = candidate_edges_fused(ray.data.from_arrow(tbl), lsh, 3).to_pandas()
@@ -163,14 +169,12 @@ def test_prebuilt_index_verify_equals_inline_plans(small_sigs):
                                             ("containment", None)])
 def test_keyed_round2_equals_index_plans(kind, threshold, ray_session,
                                          monkeypatch):
-    """Flood verify: with the kind's round-2 cap at 0 every round-1
-    survivor is checked through the two keyed attach exchanges instead
-    of an endpoint index.  Its edges, the flood plan's with the index
-    round 2 (with and without the endpoint semi-filter) and the
-    small-set plan's must all equal a brute-force reference.  The
-    payloads plant borderline pairs that survive round 1 and fail the
-    exact check; at threshold 0.5 the fingerprint bound cannot prune
-    and the flood plan skips round 1."""
+    """Flood verify: with the kind's round-2 cap at 0 every pair is
+    checked through the two keyed attach exchanges instead of an
+    endpoint index.  Its edges, the flood plan's with the endpoint
+    index and the small-set plan's must all equal a brute-force
+    reference.  The payloads plant borderline pairs that fail the
+    exact check by a few slots."""
     from deduplicator_go_ray.stages import verify
 
     rng = np.random.default_rng(5)
@@ -223,11 +227,9 @@ def test_keyed_round2_equals_index_plans(kind, threshold, ray_session,
                      if "absent" not in (x, y) and passes(x, y)})
     assert len(expect) >= 3
 
-    plans = [run(pairs, source), run(pairs, source, flood=True),
-             run(pairs, source, flood=True, endpoint_filter=False)]
+    plans = [run(pairs, source), run(pairs, source, flood=True)]
     monkeypatch.setattr(verify, cap, 0)
-    plans += [run(pairs, source, flood=True),
-              run(pairs, source, flood=True, endpoint_filter=False)]
+    plans += [run(pairs, source, flood=True)]
     for ds in plans:
         assert list(_canon_edges(ds).itertuples(index=False, name=None)) == expect
 
@@ -254,6 +256,7 @@ def test_simhash_pair_emission_equals_naive(ray_session):
         "payload": pa.array((pay ^ flips.astype(np.uint64)).view(np.int64),
                             pa.int64()),
         "flag": pa.array(np.zeros(n, bool), pa.bool_()),
+        **_zero_digests(n),              # equal digests prune nothing
     })
     got = candidate_edges_fused(ray.data.from_arrow(tbl), LSHConfig(),
                                 thr).to_pandas()
@@ -344,3 +347,147 @@ def test_attach_payload_partitioned_edge_only_partitions(ray_session):
     assert len(got) == n_hits
     assert set(got.loc[got["u"] == 5, "sig_u"]) == {b"A" * 16}
     assert set(got.loc[got["u"] == 9, "sig_u"]) == {b"B" * 16}
+
+
+# ---- the candidate reducer's prune -------------------------------------------
+def _sig_source(sigs: dict) -> "ray.data.Dataset":
+    """A signature table (url, minhash, n_shingles) of hand-made slots."""
+    return ray.data.from_arrow(pa.table({
+        "url": list(sigs),
+        "minhash": pa.FixedSizeListArray.from_arrays(
+            pa.array(np.concatenate(list(sigs.values())), pa.uint64()), 128),
+        "n_shingles": pa.array(np.full(len(sigs), 50), pa.int64()),
+    }))
+
+
+def _pairs(edges: pd.DataFrame, kind: int) -> set:
+    sub = edges[edges["kind"] == kind]
+    return set(zip(sub["u"].tolist(), sub["v"].tolist()))
+
+
+def _forged_pairs(rows: pd.DataFrame, key: int) -> tuple:
+    """Candidate edges of bucket ``rows`` moved into one bucket ``key``:
+    with their own digests, and with the digests zeroed (no prune)."""
+    forged = pa.Table.from_pandas(rows.assign(key=key), preserve_index=False)
+    zeroed = forged.drop_columns(["d0", "d1"])
+    for c, arr in _zero_digests(len(rows)).items():
+        zeroed = zeroed.append_column(c, arr)
+    return tuple(candidate_edges_fused(ray.data.from_arrow(t), LSHConfig(), 3)
+                 .to_pandas() for t in (forged, zeroed))
+
+
+@pytest.mark.parametrize("threshold,m_min", [(0.8, 103), (0.5, 64)])
+def test_reducer_prune_keeps_pairs_at_the_bound(threshold, m_min, ray_session):
+    """Soundness of the fingerprint bound: pairs with exactly m_min equal
+    slots are kept, both when every unequal slot also differs in its
+    low bit (P - m_min differing bits: the bound is tight) and when
+    some unequal slots collide in their low bit."""
+    from deduplicator_go_ray.stages.buckets import min_slot_matches
+
+    cfg = MinHashConfig(verify_threshold=threshold)
+    assert min_slot_matches(cfg) == m_min
+    rng = np.random.default_rng(17)
+    sigs, planted = {}, []
+    for name, collide in (("tight", 0), ("collide", (128 - m_min) // 2)):
+        a = rng.integers(0, 2**62, 128, dtype=np.int64).astype(np.uint64)
+        b = a.copy()
+        b[m_min:] ^= np.uint64(1)                    # low bit differs
+        b[m_min:m_min + collide] ^= np.uint64(3)     # unequal, low bit equal
+        assert (a == b).sum() == m_min               # bands 0-7 shared
+        sigs[name + "_a"], sigs[name + "_b"] = a, b
+        planted.append(tuple(sorted(uid_of_urls([name + "_a", name + "_b"]))))
+    edges = candidate_edges_fused(
+        bucket_rows(_sig_source(sigs), cfg, None, with_anchors=False),
+        LSHConfig(), 3, minhash=cfg).to_pandas()
+    assert set(planted) <= _pairs(edges, KIND_BAND)
+
+
+def test_reducer_prune_drops_unrelated_signatures(ray_session):
+    """Bite of the fingerprint bound: unrelated random signatures forced
+    into one band bucket are all dropped; with the digests zeroed the
+    same bucket emits its chain and star pairs."""
+    rng = np.random.default_rng(23)
+    sigs = {f"r{i}": rng.integers(0, 2**62, 128, dtype=np.int64).astype(np.uint64)
+            for i in range(20)}
+    rows = bucket_rows(_sig_source(sigs), MinHashConfig(), None,
+                       with_anchors=False).to_pandas()
+    got, ctl = _forged_pairs(rows, 99)
+    assert len(ctl) >= 19
+    assert len(got) == 0
+
+
+def _anchor_text(rng, n_words: int, vocab=None) -> str:
+    vocab = vocab or ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot",
+                      "golf", "hotel", "india", "juliet", "kilo", "lima"]
+    return " ".join(rng.choice(vocab, n_words).tolist())
+
+
+def test_reducer_prune_keeps_contained_texts(ray_session):
+    """Soundness of the anchor bloom: a contained text is kept at exactly
+    min_len (200 bytes), at an offset inside its container, and with
+    multi-byte UTF-8."""
+    from deduplicator_go_ray.config import SubstringConfig
+
+    rng = np.random.default_rng(29)
+    st = SignatureStage()
+    long = _anchor_text(rng, 400)
+    raw = long.encode()
+    # the first 200-byte window with an anchor (a short needs a min anchor
+    # to be a candidate at all)
+    exact200 = next(raw[o:o + 200].decode() for o in range(0, len(raw) - 200)
+                    if st._anchors(raw[o:o + 200].decode()).size)
+    assert len(exact200.encode()) == SubstringConfig().min_len
+    mb_long = _anchor_text(rng, 300, ["größe", "日本語", "naïve", "café",
+                                      "ẞtraße", "über", "東京", "żółw"])
+    texts = {"long": long, "exact200": exact200,
+             "offset": long[900:1500], "mb_long": mb_long,
+             "mb_short": mb_long[300:700]}
+    assert len(texts["mb_short"].encode()) > len(texts["mb_short"])
+    sigs = _sigs(texts, ray_session)
+    edges = candidate_edges_fused(
+        bucket_rows(sigs, MinHashConfig(), None, with_anchors=True),
+        LSHConfig(), 3).to_pandas()
+    uid = dict(zip(texts, uid_of_urls(list(texts))))
+    got = _pairs(edges, KIND_ANCHOR)
+    for short, container in (("exact200", "long"), ("offset", "long"),
+                             ("mb_short", "mb_long")):
+        assert (uid[short], uid[container]) in got, short
+
+
+def test_reducer_prune_drops_unrelated_texts(ray_session):
+    """Bite of the anchor bloom: unrelated texts of 1 KB or more forced
+    to share an anchor bucket are all dropped; with the digests zeroed
+    every shorter one pairs with every longer one.  A bloom bit taken
+    from the raw anchor value would keep them (anchors are ≡ 0 mod 64,
+    so each bloom would be a subset of {0, 64})."""
+    rng = np.random.default_rng(31)
+    texts = {f"t{i}": _anchor_text(rng, 180 + 15 * i) for i in range(10)}
+    assert min(len(t.encode()) for t in texts.values()) >= 1024
+    rows = bucket_rows(_sigs(texts, ray_session), MinHashConfig(), None,
+                       with_anchors=True).to_pandas()
+    rows = rows[(rows["kind"] == KIND_ANCHOR) & rows["flag"]]
+    assert len(rows) == len(texts)
+    got, ctl = _forged_pairs(rows, 7)
+    assert len(ctl) == 45
+    assert len(got) == 0
+
+
+def test_reducer_dedupes_near_pairs_but_keeps_anchor_rows(ray_session):
+    """One partition: a pair sharing two band buckets and a SimHash chunk
+    comes out once, as kind 0 (the minimum near kind); the same pair's
+    anchor candidate keeps its own row, which carries the substring
+    match kind."""
+    key = [10, 11, 10, 11, 20, 20, 30, 30]
+    kind = [KIND_BAND] * 4 + [KIND_SIMHASH] * 2 + [KIND_ANCHOR] * 2
+    tbl = pa.table({
+        "key": pa.array(key, pa.int64()),
+        "kind": pa.array(kind, pa.int8()),
+        "uid": pa.array([1, 1, 2, 2, 1, 2, 1, 2], pa.int64()),
+        "payload": pa.array([0, 0, 0, 0, 5, 5, 300, 500], pa.int64()),
+        "flag": pa.array([False] * 6 + [True, False], pa.bool_()),
+        **_zero_digests(8),
+    })
+    got = candidate_edges_fused(ray.data.from_arrow(tbl), LSHConfig(), 3,
+                                num_partitions=1).to_pandas()
+    assert sorted(zip(got["u"], got["v"], got["kind"])) == [
+        (1, 2, KIND_BAND), (1, 2, KIND_ANCHOR)]

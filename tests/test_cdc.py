@@ -101,3 +101,17 @@ def test_divisor_sets_mean_chunk_size(divisor):
     _, _, clen = cdc_chunk_arrays([buf], divisor=divisor)
     mean = clen.mean()
     assert divisor / 2 < mean < divisor * 2
+
+
+def test_null_text_chunks_as_empty():
+    """A null document text yields no chunks instead of crashing the
+    chunk stage, like an empty one."""
+    import pyarrow as pa
+
+    from deduplicator_go_ray.pipelines.cdc_queries import _chunk_partials
+
+    texts = ["some text " * 40, None, "", "more text " * 30]
+    got = _chunk_partials(pa.table({"text": pa.array(texts, pa.string())}))
+    exp = _chunk_partials(pa.table({"text": [t for t in texts if t]}))
+    assert len(got) > 0
+    assert got.sort_by("ck").equals(exp.sort_by("ck"))

@@ -172,9 +172,10 @@ def test_presalted_hot_band_path_same_assignments(corpus):
 
 def test_flood_verify_partitioned_same_assignments(corpus):
     """VERDICT r1 #1: the size-aware verification fallback.  Forcing
-    smallset_max_edges=0 routes EVERY candidate through the
-    hash-partitioned attach-verify (no broadcast signature/text index);
-    assignments must be byte-identical to the broadcast plan."""
+    smallset_max_edges=0 routes EVERY candidate through the flood plan
+    (no prebuilt signature/text index: an index over the candidate
+    endpoints only); assignments must be byte-identical to the
+    broadcast plan."""
     import ray.data as rd
 
     pages_tbl, _ = corpus
@@ -191,33 +192,12 @@ def test_flood_verify_partitioned_same_assignments(corpus):
         assert (a[col] == b[col]).all(), col
 
 
-def test_flood_verify_no_endpoint_filter_same_assignments(corpus):
-    """The TRUE-flood twin: above verify_semifilter_max_edges the
-    partitioned verify ships the whole payload tables (no endpoint
-    semi-filter).  Forcing both gates to 0 must still produce
-    byte-identical assignments."""
-    import ray.data as rd
-
-    pages_tbl, _ = corpus
-    small = pages_tbl.slice(0, 250)
-    base = run_dedup(rd.from_arrow(small)).to_pandas()
-    flood = run_dedup(
-        rd.from_arrow(small),
-        PipelineConfig(smallset_max_edges=0,
-                       verify_semifilter_max_edges=0),
-    ).to_pandas()
-    a = base.sort_values("url").reset_index(drop=True)
-    b = flood.sort_values("url").reset_index(drop=True)
-    for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
-                "match_kind"]:
-        assert (a[col] == b[col]).all(), col
-
-
 def test_flood_verify_low_threshold_same_assignments(corpus):
-    """At verify_threshold=0.5 the first-half fingerprint bound cannot
-    prune (a pair with no first-half match can still reach 64 of 128
-    slots), so the flood plan skips round 1 and checks every candidate
-    exactly in round 2.  Assignments must equal the small-set plan's."""
+    """At verify_threshold=0.5 the candidate reducer's all-slot
+    fingerprint bound still prunes (a pair with more than 64 differing
+    fingerprint bits cannot reach 64 of 128 equal slots), but far less
+    than at 0.8, so most candidates reach the flood plan's exact check.
+    Assignments must equal the small-set plan's."""
     import ray.data as rd
 
     from deduplicator_go_ray.config import MinHashConfig
@@ -526,8 +506,9 @@ def test_flood_verify_with_uid128_same_assignments(corpus):
 
 def test_mixed_verify_routing_same_assignments(corpus):
     """r4 per-kind verify routing: with smallset_max_edges between the
-    anchor count (9 on this fixture) and the total candidate count
-    (65), the near verify floods while the containment verify
+    anchor count (2 on this fixture) and the total candidate count
+    (at least 16 after the candidate reducer's prune), the near verify
+    floods while the containment verify
     self-selects its broadcast smallset plan — assignments must match
     the baseline byte-for-byte (and the all-flood twin at gate 0
     stays covered by test_flood_verify_partitioned_same_assignments)."""
@@ -538,7 +519,7 @@ def test_mixed_verify_routing_same_assignments(corpus):
     base = run_dedup(rd.from_arrow(small)).to_pandas()
     mixed = run_dedup(
         rd.from_arrow(small),
-        PipelineConfig(smallset_max_edges=30),
+        PipelineConfig(smallset_max_edges=8),
     ).to_pandas()
     a = base.sort_values("url").reset_index(drop=True)
     b = mixed.sort_values("url").reset_index(drop=True)

@@ -62,6 +62,23 @@ def test_heavy_hitters_cover_all_true_hitters(ray_session):
     assert key == sorted(key)
 
 
+def test_heavy_hitter_threshold_scales_with_permille(ray_session,
+                                                     monkeypatch):
+    """HH_PERMILLE = 2 sets the threshold to ceil(2 * total / 1000): the
+    report is exactly the permille-1 report's words whose estimate
+    clears the doubled bar (not every word, as a zero bar would give)."""
+    from deduplicator_go_ray.pipelines import sketch_queries
+
+    total = int(_cms_grid(SF)[0].sum())
+    one = cms_heavy_hitters(SF).to_pandas()
+    monkeypatch.setattr(sketch_queries, "HH_PERMILLE", 2)
+    two = cms_heavy_hitters(SF).to_pandas()
+    thr = (2 * total + 999) // 1000
+    assert thr > (total + 999) // 1000
+    assert 0 < len(two) < len(one)
+    assert set(two["word"]) == set(one.loc[one["est_count"] >= thr, "word"])
+
+
 def test_hll_estimates_within_error_bound(ray_session):
     """Raw-regime accuracy: the HLL estimate per lang lands within the
     ~1.04/sqrt(m) relative-error envelope (3 sigma) of the exact

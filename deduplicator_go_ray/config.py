@@ -80,7 +80,6 @@ class LSHConfig:
     hot-band skew is the web-scale risk; the north rule names explicit
     salting/repartitioning).
 
-    * groups ≤ ``clique_cap``: emit all pairs (complete subgraph).
     * groups ≤ ``group_cap``: emit sorted-consecutive chain edges plus
       a star to the group minimum — connectivity-preserving, O(g).
     * groups > ``group_cap`` (hot bands, e.g. shared boilerplate): the
@@ -91,7 +90,6 @@ class LSHConfig:
       stage metrics.
     """
 
-    clique_cap: int = 16
     group_cap: int = 512
     num_salts: int = 16
 

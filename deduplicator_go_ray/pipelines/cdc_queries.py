@@ -87,21 +87,27 @@ def cdc_chunk_dup_groups(sf_dir: str) -> "ray.data.Dataset":
 def cdc_savings(sf_dir: str) -> pd.DataFrame:
     """One-row storage-dedup summary: corpus bytes vs a chunk store
     keeping one copy per distinct chunk (the chunk-level analogue of
-    the reference's whole-file savings accumulator)."""
+    the reference's whole-file savings accumulator).  An empty corpus
+    gives the SQL answer: NULL sums and ratio, zero unique chunks."""
     agg = _chunk_table(sf_dir)
     tot = agg.aggregate(Sum("sum_bytes", alias_name="total_bytes"),
                         Sum("chunk_bytes", alias_name="stored_bytes"),
                         Sum("n_copies", alias_name="n_chunks"),
                         Count(alias_name="n_unique_chunks"))
-    total = int(tot["total_bytes"])
-    stored = int(tot["stored_bytes"])
+
+    def cell(name: str) -> pd.Series:
+        v = tot[name]
+        return pd.Series([v], dtype="Int64" if v is None else "int64")
+
+    total, stored = tot["total_bytes"], tot["stored_bytes"]
     return pd.DataFrame({
-        "total_bytes": pd.Series([total], dtype="int64"),
-        "stored_bytes": pd.Series([stored], dtype="int64"),
-        "n_chunks": pd.Series([int(tot["n_chunks"])], dtype="int64"),
-        "n_unique_chunks": pd.Series([int(tot["n_unique_chunks"])],
+        "total_bytes": cell("total_bytes"),
+        "stored_bytes": cell("stored_bytes"),
+        "n_chunks": cell("n_chunks"),
+        "n_unique_chunks": pd.Series([int(tot["n_unique_chunks"] or 0)],
                                      dtype="int64"),
-        "dedup_ratio": pd.Series([total / stored], dtype="float64"),
+        "dedup_ratio": pd.Series([total / stored if stored else None],
+                                 dtype="float64"),
     })
 
 

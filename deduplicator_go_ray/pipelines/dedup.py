@@ -41,7 +41,7 @@ from ..stages.extract import ExtractStage
 from ..stages.keeper import select_keepers
 from ..stages.buckets import KIND_ANCHOR, bucket_rows, candidate_edges_fused
 from ..stages.verify import verify_containment_edges, verify_near_edges
-from ..stages.joins import broadcast_lookup, left_attach
+from ..stages.joins import broadcast_lookup, hash_join
 from ..stages.signatures import SignatureStage
 
 # per-worker-process stage cache: task-based map stages build their
@@ -542,15 +542,13 @@ def run_dedup(
             members_u, "rep_uid", mapping,
             "near_root", out_type=uid_pa_type(cfg.uid_bits))
     else:
-        enriched = left_attach(
+        enriched = hash_join(
             members_u,
-            rep_clusters,
-            left_key="rep_uid",
-            right_key="url",
-            value_col="root",
-            out_col="near_root",
-            num_partitions=num_partitions,
-        )
+            rep_clusters.map_batches(
+                lambda t: pa.table({"rep_uid": t["url"],
+                                    "near_root": t["root"]}),
+                batch_format="pyarrow"),
+            "rep_uid", "left outer", num_partitions=num_partitions)
 
     def finalize(batch: pa.Table) -> pa.Table:
         # fully vectorized (VERDICT r1 #3): no per-row Python in this

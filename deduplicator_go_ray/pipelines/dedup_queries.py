@@ -74,7 +74,7 @@ def _verify_gram_pairs_keyed(cand: "ray.data.Dataset",
     so no worker ever holds the full gram index (VERDICT r2 #4 — the
     standalone pair queries now share the flagship's size-aware
     switch).  Output schema matches the smallset verify exactly."""
-    from ..stages.joins import join_on
+    from ..stages.joins import hash_join
 
     def prep(side: str):
         def f(t: pa.Table) -> pa.Table:
@@ -84,13 +84,6 @@ def _verify_gram_pairs_keyed(cand: "ray.data.Dataset",
                 f"ng_{side}": t["n_grams"],
             })
         return f
-
-    # materialize between the two hash joins — one streaming DAG holding
-    # both shuffles can deadlock the executor (flagship flood ruling)
-    left = join_on(cand, sets.map_batches(prep("a"), batch_format="pyarrow"),
-                   "a", num_partitions=num_partitions).materialize()
-    both = join_on(left, sets.map_batches(prep("b"), batch_format="pyarrow"),
-                   "b", num_partitions=num_partitions)
 
     def score(t: pa.Table) -> pa.Table:
         n = len(t)
@@ -117,7 +110,10 @@ def _verify_gram_pairs_keyed(cand: "ray.data.Dataset",
             "jaccard": pa.array(jac[keep], pa.float64()),
         })
 
-    return both.map_batches(score, batch_format="pyarrow")
+    left = hash_join(cand, sets.map_batches(prep("a"), batch_format="pyarrow"),
+                     "a", num_partitions=num_partitions)
+    return hash_join(left, sets.map_batches(prep("b"), batch_format="pyarrow"),
+                     "b", post_fn=score, num_partitions=num_partitions)
 
 
 def _finish_jaccard(out: pd.DataFrame) -> pd.DataFrame:

@@ -171,13 +171,12 @@ register(
 # prune: dead-row detection (the liveness half of files/prune.go:
 # 122,175-204 — rows whose backing file is gone from the current
 # listing).  src1 plays the state table, src0 the live listing; a src1
-# row is dead when no src0 row carries its content hash.  The keyed-
-# shuffle membership filter is the same scale plan the checkpoint prune
-# op uses (state/checkpoint.py:prune_checkpoint).
+# row is dead when no src0 row carries its content hash: one keyed
+# anti-join (``hash_join``), so the listing never reaches the driver.
 # --------------------------------------------------------------------------
 
 def prune_dead(sf_dir: str) -> "ray.data.Dataset":
-    from ..stages.joins import keyed_membership_filter
+    from ..stages.joins import hash_join
 
     docs = _read_docs(sf_dir, ["doc_id", "text", "source"])
 
@@ -192,8 +191,7 @@ def prune_dead(sf_dir: str) -> "ray.data.Dataset":
 
     state = docs.map_batches(keyed("src1"), batch_format="pyarrow")
     listing = docs.map_batches(keyed("src0"), batch_format="pyarrow")
-    dead = keyed_membership_filter(state, "h", listing, keys_col="h",
-                                   anti=True)
+    dead = hash_join(state, listing, "h", "left anti")
     return dead.select_columns(["doc_id"])
 
 

@@ -350,9 +350,8 @@ def import_anti_join(sf_dir: str) -> "ray.data.Dataset":
     else:
         # large target: keyed-shuffle anti-join — nothing broadcast,
         # nothing on the driver (the scale twin; equality-tested)
-        from ..stages.joins import keyed_membership_filter
-        new = keyed_membership_filter(
-            candidates, "n_chars", target_keys, anti=True)
+        from ..stages.joins import hash_join
+        new = hash_join(candidates, target_keys, "n_chars", "left anti")
     return new.select_columns(["doc_id"])
 
 

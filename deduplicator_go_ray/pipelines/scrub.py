@@ -631,7 +631,7 @@ def curation_pipeline(sf_dir: str) -> "ray.data.Dataset":
     """
     from ..functions.hashing import md5_hex
     from ..stages.common import grouped_apply
-    from ..stages.joins import broadcast_semi_filter, keyed_membership_filter
+    from ..stages.joins import broadcast_semi_filter, hash_join
     from .curation import url_dedup_latest
 
     docs = _read_docs(sf_dir, ["doc_id", "text"])
@@ -647,8 +647,8 @@ def curation_pipeline(sf_dir: str) -> "ray.data.Dataset":
             or [np.array([], dtype=np.int64)]))
         base = broadcast_semi_filter(docs, "doc_id", ids.tolist())
     else:
-        base = keyed_membership_filter(
-            docs, "doc_id", keepers, keys_col="keeper_id")
+        base = hash_join(docs, keepers.rename_columns({"keeper_id": "doc_id"}),
+                         "doc_id", "left semi")
 
     # 2. boilerplate-line removal, threshold relative to the SURVIVOR
     #    count (== the url-family count, known from the tiny aggregate)

@@ -60,7 +60,7 @@ import ray.data
 
 from ..config import LSHConfig, MinHashConfig, SimHashConfig
 from ..functions.hashing import combine64, hash64_str, mix64
-from .common import grouped_apply
+from .common import grouped_apply, keys_over
 
 KIND_BAND = 0
 KIND_SIMHASH = 1
@@ -206,20 +206,8 @@ def sampled_hot_band_keys(
         return pa.table({"key": pa.array(bkeys.reshape(-1).view(np.int64),
                                          pa.int64())})
 
-    counts = sigs.map_batches(explode, batch_format="pyarrow").groupby("key").count()
-    from .common import schema_names
-    names = [c for c in schema_names(counts) if c != "key"]
-    if not names:
-        return np.empty(0, dtype=np.int64)
-    cap = max(1, lsh.group_cap // sample_mod)
-    import pyarrow.compute as pc
-    hot = counts.map_batches(
-        lambda t: t.select(["key"]).filter(pc.greater(t[names[0]], cap)),
-        batch_format="pyarrow")
-    parts = [np.asarray(bt["key"], np.int64) for bt in
-             hot.iter_batches(batch_size=65536, batch_format="pyarrow")]
-    return (np.sort(np.concatenate(parts)) if parts
-            else np.empty(0, dtype=np.int64))
+    return keys_over(sigs.map_batches(explode, batch_format="pyarrow"), "key",
+                     max(1, lsh.group_cap // sample_mod))
 
 
 def bucket_rows(

@@ -22,6 +22,7 @@ from collections.abc import Callable
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -67,16 +68,25 @@ def _split_block(block, keys: list[str], n_parts: int, pre_fn):
 
 
 @ray.remote(num_returns=2)
-def _reduce_partition(partition_fn, arrow_fn: bool, *slices):
+def _reduce_partition(partition_fn, arrow_fn: bool, fill: bool, *slices):
     """Reduce side: concatenate one partition's slices and run
     ``partition_fn`` on them.  Returns ``(table, rows)``; ``rows`` is
     -1 when the partition received no rows (``partition_fn`` is never
-    called on an empty partition)."""
+    called on an empty partition).
+
+    ``fill`` (a list of inputs): a column that only the partition's
+    zero-row slices carry — an input that sent it no rows — is added
+    as typed nulls."""
     tables = [t for t in slices if t.num_rows]
     if not tables:
         return pa.table({}), -1
     # unioned inputs may disagree on column ORDER: unify by name
     full = pa.concat_tables(tables, promote_options="default")
+    if fill:
+        for t in slices:
+            for f in t.schema:
+                if f.name not in full.column_names:
+                    full = full.append_column(f, pa.nulls(len(full), f.type))
     out = partition_fn(full if arrow_fn else full.to_pandas())
     if isinstance(out, pd.DataFrame):
         out = pa.Table.from_pandas(out, preserve_index=False)
@@ -131,10 +141,13 @@ def grouped_apply(
     per cell and dominates wall time when rows carry wide binary
     payloads (the flood-verify signature blobs).
 
-    ``ds`` may be a LIST of datasets (a union exchange — e.g. edges +
-    payload sides of a partitioned join); their columns are unified by
-    name inside each partition."""
-    inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
+    ``ds`` may be a LIST of datasets (a union exchange — e.g. the two
+    sides of :func:`~.joins.hash_join`); their columns are unified by
+    name inside each partition, and a partition that received no rows
+    of an input still carries that input's columns, as typed nulls
+    (an input with no rows at all carries none)."""
+    multi = isinstance(ds, (list, tuple))
+    inputs = list(ds) if multi else [ds]
     blocks, input_bytes = [], 0
     for d in inputs:
         for bundle in d.iter_internal_ref_bundles():
@@ -152,7 +165,7 @@ def grouped_apply(
     if n_parts == 1:
         slices = [[s] for s in slices]
     fn_ref = ray.put(partition_fn)
-    outs = [_reduce_partition.remote(fn_ref, arrow_fn,
+    outs = [_reduce_partition.remote(fn_ref, arrow_fn, multi,
                                      *[s[p] for s in slices])
             for p in range(n_parts if blocks else 0)]
     rows = ray.get([r for _, r in outs])
@@ -252,15 +265,29 @@ def per_node_object_store_bytes() -> int:
     return min(caps) if caps else 0
 
 
-def schema_names(ds: "ray.data.Dataset") -> list[str]:
-    """Column names, or [] when the dataset is empty with no schema
-    (Ray returns None for a fully-empty aggregate result)."""
-    schema = ds.schema(fetch_if_missing=False)
-    return list(schema.names) if schema is not None else []
-
-
 def dedupe_rows(ds: "ray.data.Dataset", keys: list[str], num_partitions: int = 64):
     """Distinct rows by `keys` (one hash shuffle, vectorized dedupe)."""
     return grouped_apply(
         ds, keys, lambda df: df.drop_duplicates(keys), num_partitions
     )
+
+
+def keys_over(ds: "ray.data.Dataset", col: str, cap: int) -> np.ndarray:
+    """Sorted int64 keys of ``col`` that occur more than ``cap`` times:
+    one exchange whose split tasks ship per-block (key, count)
+    partials (``value_counts`` — the map-side combine) and whose
+    partitions sum them.  Only the (few) hot keys reach the driver."""
+
+    def partial(t: pa.Table) -> pa.Table:
+        vc = pc.value_counts(t[col])
+        return pa.table({col: vc.field("values"), "n": vc.field("counts")})
+
+    def over(t: pa.Table) -> pa.Table:
+        s = t.group_by(col, use_threads=False).aggregate([("n", "sum")])
+        return s.filter(pc.greater(s["n_sum"], cap)).select([col])
+
+    hot = grouped_apply(ds, [col], over, arrow_fn=True, pre_fn=partial,
+                        empty_result=pa.table({col: pa.array([], pa.int64())}))
+    parts = [np.asarray(t[col], np.int64) for t in ray.get(
+        [r for b in hot.iter_internal_ref_bundles() for r in b.block_refs])]
+    return np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)

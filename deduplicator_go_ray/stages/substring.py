@@ -11,8 +11,7 @@ computed in the signature actor pass (no extra scan of the text).  A
 contained document shares *all* its anchors with its container, so
 bucketing by anchor hash surfaces (short, long) candidate pairs; pairs
 sharing ≥ ``min_shared_anchors`` buckets are verified by an actual
-substring containment check against the two texts (a partitioned join
-pulls the texts to the pair).
+substring containment check against the two texts.
 
 Shuffle keys: anchor hash (skew-capped like the LSH bands), then the
 pair key for the shared-anchor count.
@@ -20,14 +19,12 @@ pair key for the shared-anchor count.
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
 
 from ..config import SubstringConfig
 from .common import grouped_apply
-from .joins import join_on
 
 
 def anchor_rows(sigs: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -117,8 +114,7 @@ def verify_containment_broadcast(
     """Join-free containment check: the (url, text) table's block refs
     are broadcast; each worker builds its lookup index once (zero-copy
     Arrow from the object store — no driver-side dict pull).  Exact
-    substring semantics; the partitioned-join path below is the scale
-    plan."""
+    substring semantics."""
     from .lsh import _worker_index, block_refs_of
 
     skinny = texts.select_columns(["url", "text"]).materialize()
@@ -141,31 +137,3 @@ def verify_containment_broadcast(
 
     return pairs.map_batches(check, batch_format="pyarrow")
 
-
-def verify_containment(
-    pairs: "ray.data.Dataset", texts: "ray.data.Dataset", num_partitions: int = 8
-) -> "ray.data.Dataset":
-    """Join each pair to both texts; keep pairs where u's text occurs
-    verbatim inside v's text (u is the shorter side by construction)."""
-
-    def prep(side: str):
-        def f(batch: pa.Table) -> pa.Table:
-            return pa.table({side: batch["url"], f"text_{side}": batch["text"]})
-        return f
-
-    t = texts.select_columns(["url", "text"])
-    j1 = join_on(pairs, t.map_batches(prep("u"), batch_format="pyarrow"), "u",
-                 num_partitions=num_partitions)
-    j2 = join_on(j1, t.map_batches(prep("v"), batch_format="pyarrow"), "v",
-                 num_partitions=num_partitions)
-
-    def check(batch: pa.Table) -> pa.Table:
-        us = batch["u"].to_pylist()
-        vs = batch["v"].to_pylist()
-        tu = batch["text_u"].to_pylist()
-        tv = batch["text_v"].to_pylist()
-        keep = [bool(a) and bool(b) and (a in b) for a, b in zip(tu, tv)]
-        m = pa.array(keep)
-        return pa.table({"u": batch["u"].filter(m), "v": batch["v"].filter(m)})
-
-    return j2.map_batches(check, batch_format="pyarrow")

@@ -12,7 +12,7 @@ built from two shared parts:
   (:func:`uid_set_refs` tasks + a semi-filter).  Workers map it
   zero-copy from the object store and apply the exact predicate per
   pair batch — no exchange;
-* **one two-attach check** — two keyed ``_attach_payload_partitioned``
+* **one two-attach check** — two keyed :func:`~.joins.hash_join`
   exchanges (payload of u, then of v) with the exact predicate applied
   inside the second reduce, so the wide (pair + payload) rows never
   reach the object store.
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -45,7 +44,8 @@ import ray.data
 from ..config import MinHashConfig
 from .buckets import (_uid_bits_of, empty_edges, min_slot_matches, uid_arrow,
                       uid_np, uid_of_urls, uid_pa_type)
-from .common import bounded_cache_put, grouped_apply, sorted_probe
+from .common import bounded_cache_put, sorted_probe
+from .joins import hash_join
 from .lsh import block_refs_of
 
 # round-2 caps: up to this many pairs the exact check runs against an
@@ -60,10 +60,9 @@ U, V, UV = ("u",), ("v",), ("u", "v")
 @dataclass(frozen=True)
 class VerifySpec:
     """What one match kind verifies.  ``payload`` maps a source batch
-    (url + ``column``) to its value array (``value_type``); ``exact``
-    maps two aligned value arrays to a keep mask."""
+    (url + ``column``) to its value array; ``exact`` maps two aligned
+    value arrays to a keep mask."""
     column: str
-    value_type: pa.DataType
     payload: Callable[[pa.Table], pa.Array]
     exact: Callable[[pa.Array, pa.Array], np.ndarray]
     round2_max: int
@@ -107,7 +106,7 @@ def near_spec(cfg: MinHashConfig) -> VerifySpec:
         n = len(a)
         return (_slot_matrix(a, n, P) == _slot_matrix(b, n, P)).sum(axis=1) >= m_min
 
-    return VerifySpec("minhash", pa.binary(P * 8), payload, exact,
+    return VerifySpec("minhash", payload, exact,
                       NEAR_ROUND2_MAX_BYTES // (2 * P * 8))
 
 
@@ -123,7 +122,7 @@ def containment_spec() -> VerifySpec:
                             for x, y in zip(a.to_pylist(), b.to_pylist())),
                            bool, len(a))
 
-    return VerifySpec("text", pa.string(), payload, exact,
+    return VerifySpec("text", payload, exact,
                       CONTAINMENT_ROUND2_MAX_PAIRS)
 
 
@@ -275,176 +274,49 @@ def _index_check(pairs: "ray.data.Dataset", index_ref, exact,
 
 
 # ---- the two-attach check ----------------------------------------------------
-def _attach_payload_partitioned(
-    edges: "ray.data.Dataset",
-    payload: "ray.data.Dataset",
-    endpoint: str,
-    out_col: str,
-    *,
-    int_cols: "dict[str, pa.DataType]",
-    num_partitions: int = 128,
-    out_type: "pa.DataType | None" = None,
-    dedupe_on: "tuple[str, ...] | None" = None,
-    post_fn=None,
-) -> "ray.data.Dataset":
-    """Inner-join ``payload`` (uid, value) onto edge rows keyed by the
-    ``endpoint`` column — one hash-partitioned exchange, pandas
-    merge per partition.  Building block of the two-attach check.
-    ``int_cols``: the edge-side integer columns (the edges dataset is
-    lazy, so its schema is unknown without executing).  ``out_type`` types the ``out_col`` of partitions that received no
-    payload rows at all (edges whose endpoint is absent from the
-    payload table — the concat then carries no ``out_col`` to
-    null-pad).
+def _distinct_pairs(t: pa.Table) -> pa.Table:
+    """One row per (u, v) pair: the min-``kind`` copy.  The fused
+    candidate emitter surfaces a pair once per shared band/chunk, and a
+    uid with two payload rows would attach twice; equal pairs
+    co-locate on either endpoint, so this is global."""
+    if not len(t):
+        return t
+    t = t.sort_by([("u", "ascending"), ("v", "ascending"),
+                   ("kind", "ascending")])
+    n = len(t)
+    words = np.column_stack([_uid_words(t[c], n) for c in ("u", "v")])
+    first = np.ones(n, bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return t.filter(pa.array(first))
 
-    ``dedupe_on``: drop duplicate edge rows by these columns inside
-    the exchange, keeping the (deterministic) min-``kind`` copy.  The
-    fused candidate emitter surfaces the same (u, v) pair once per
-    shared band/chunk — ~2-3× duplication on a near-dup-heavy corpus
-    (measured 547k rows → 187k distinct at 500k docs) — and every
-    duplicate would otherwise ride BOTH attach exchanges with a 1 KiB
-    signature glued on.  Dedup here is global when ``dedupe_on``
-    includes the partition key (equal pairs co-locate), and costs no
-    extra exchange.
 
-    ``post_fn`` (arrow path only): applied to each partition's joined
-    table INSIDE the reduce — a verify/score step fused here never
-    writes the wide (edges + payload) rows to the object store; the
-    reduce emits ``post_fn``'s (skinny) output directly.  Must accept
-    and return a pyarrow Table and handle zero-row input."""
-    def tag_e(t: pa.Table) -> pa.Table:
-        out = t.append_column("__k", t[endpoint])
-        return out.append_column(
-            "__m", pa.array(np.zeros(len(t), np.int8), pa.int8()))
+def _uid_words(col, n: int) -> np.ndarray:
+    """(n, k) uint64 view of a uid column: int64 (k=1) or 16 bytes (k=2)."""
+    if pa.types.is_integer(col.type):
+        return np.asarray(col.combine_chunks(), np.int64).view(np.uint64)[:, None]
+    return _slot_matrix(col.cast(pa.binary(16)), n, 2)
 
-    def tag_p(t: pa.Table) -> pa.Table:
-        n = len(t)
-        # sentinel zeros for every edge int column so no int64 column is
-        # ever null-padded (pandas would promote it to lossy float64)
-        return pa.table({
-            "__k": t["uid"],
-            **{c: pa.array(np.zeros(n, np.int64), typ)
-               for c, typ in int_cols.items()},
-            out_col: t["value"],
-            "__m": pa.array(np.ones(n, np.int8), pa.int8()),
-        })
 
-    e = edges.map_batches(tag_e, batch_format="pyarrow")
-    p = payload.map_batches(tag_p, batch_format="pyarrow")
-
-    if endpoint in int_cols:  # int64 uid keys (the 64-bit mode)
-        # int64-keyed fast path: the whole inner join is numpy index
-        # arithmetic + two Arrow takes — no pandas frame, no Python
-        # object per payload blob (to_pandas on fixed-width binary
-        # cells dominated the flood verify at web scale)
-        def merge_arrow(full: pa.Table) -> pa.Table:
-            m = np.asarray(full["__m"], dtype=np.int8)
-            k = np.asarray(full["__k"], dtype=np.int64)
-            pay_rows = np.flatnonzero(m == 1)
-            edge_rows = np.flatnonzero(m == 0)
-            if dedupe_on is not None and edge_rows.size:
-                dcols = [np.asarray(full[c].combine_chunks()
-                                    if isinstance(full[c], pa.ChunkedArray)
-                                    else full[c], dtype=np.int64)[edge_rows]
-                         for c in dedupe_on]
-                tie = ([np.asarray(full["kind"].combine_chunks()
-                                   if isinstance(full["kind"], pa.ChunkedArray)
-                                   else full["kind"],
-                                   dtype=np.int64)[edge_rows]]
-                       if "kind" in full.column_names else [])
-                # lexsort: last key is primary — order so dedupe_on
-                # sorts first, the kind tiebreak last (min kind kept)
-                order_e = np.lexsort(tuple(reversed(dcols + tie)))
-                srt = [c[order_e] for c in dcols]
-                first_e = np.ones(edge_rows.size, bool)
-                neq = np.zeros(max(edge_rows.size - 1, 0), bool)
-                for c in srt:
-                    neq |= c[1:] != c[:-1]
-                first_e[1:] = neq
-                edge_rows = edge_rows[order_e][first_e]
-            drop = [c for c in (out_col, "__m", "__k")
-                    if c in full.column_names]
-            base = full.drop_columns(drop)
-            if pay_rows.size == 0 or edge_rows.size == 0:
-                empty = pa.array(np.empty(0, np.int64))
-                typ = (full[out_col].type if out_col in full.column_names
-                       else (out_type or pa.null()))
-                out = base.take(empty).append_column(
-                    out_col, pa.array([], typ))
-                return post_fn(out) if post_fn is not None else out
-            pk = k[pay_rows]
-            order = np.argsort(pk, kind="stable")
-            pk_sorted = pk[order]
-            first = np.r_[True, pk_sorted[1:] != pk_sorted[:-1]]
-            pk_u = pk_sorted[first]                 # unique keys (first wins)
-            prow = pay_rows[order][first]           # full-row idx per key
-            pos, hit = sorted_probe(pk_u, k[edge_rows])
-            keep_e = edge_rows[hit]                 # inner join
-            take_p = prow[pos[hit]]
-            # combine before the random-index takes: `full` arrives as
-            # one chunk per split slice (hundreds), and chunked take
-            # over the 1 KiB payload column is the pathological case
-            base = base.combine_chunks()
-            pay = full[out_col]
-            if isinstance(pay, pa.ChunkedArray):
-                pay = pay.combine_chunks()
-            out = base.take(pa.array(keep_e))
-            out = out.append_column(out_col, pay.take(pa.array(take_p)))
-            return post_fn(out) if post_fn is not None else out
-
-        return grouped_apply([e, p], ["__k"], merge_arrow,
-                             num_partitions=num_partitions, arrow_fn=True)
-
-    def merge(df: pd.DataFrame):
-        is_p = df["__m"] == 1
-        eg = df.loc[~is_p].drop(
-            columns=[c for c in (out_col, "__m") if c in df.columns])
-        if dedupe_on is not None and len(eg):
-            sort_cols = list(dedupe_on) + (
-                ["kind"] if "kind" in eg.columns else [])
-            eg = (eg.sort_values(sort_cols, kind="mergesort")
-                  .drop_duplicates(list(dedupe_on)))
-        if out_col not in df.columns:     # edge-only partition
-            out = eg.head(0).copy()
-            # type the empty column like the arrow path does — a plain
-            # object Series converts to Arrow null and breaks schema
-            # unification with sibling partitions' typed blocks
-            out[out_col] = (pd.array([], dtype=pd.ArrowDtype(out_type))
-                            if out_type is not None
-                            else pd.Series(dtype=object))
-            out = out.drop(columns="__k")
-        else:
-            pay = df.loc[is_p, ["__k", out_col]].drop_duplicates("__k")
-            out = eg.merge(pay, on="__k", how="inner").drop(columns="__k")
-        if post_fn is not None:
-            return post_fn(pa.Table.from_pandas(out, preserve_index=False))
-        return out
-
-    return grouped_apply([e, p], ["__k"], merge,
+def _two_attach_check(pairs, pay_u, pay_v, exact, uid_bits: int,
+                      num_partitions: int) -> "ray.data.Dataset":
+    """Attach ``pay_u`` on u, then ``pay_v`` on v with ``exact``
+    applied inside the second reduce; both reduces keep one row per
+    pair (:func:`_distinct_pairs`)."""
+    def attach(edges, payload, end: str, post_fn):
+        renamed = payload.map_batches(
+            lambda t: pa.table({end: t["uid"], f"p_{end}": t["value"]}),
+            batch_format="pyarrow")
+        return hash_join(edges, renamed, end, post_fn=post_fn,
                          num_partitions=num_partitions)
 
-
-def _two_attach_check(pairs, pay_u, pay_v, value_type: pa.DataType, keep_fn,
-                      uid_bits: int, num_partitions: int) -> "ray.data.Dataset":
-    """Attach ``pay_u`` on u (dropping duplicate pairs), then ``pay_v``
-    on v with ``keep_fn`` applied inside the second reduce."""
-    edge_ints = ({"u": pa.int64(), "v": pa.int64(), "kind": pa.int8()}
-                 if uid_bits == 64 else {"kind": pa.int8()})
-
-    def check(batch: pa.Table) -> pa.Table:
-        if not len(batch):
+    def check(t: pa.Table) -> pa.Table:
+        t = _distinct_pairs(t)
+        if not len(t):
             return empty_edges(uid_bits)
-        # the pandas merge (128-bit uids) hands fixed-width blobs back
-        # as variable binary
-        a, b = (batch[c].combine_chunks().cast(value_type) for c in ("p_u", "p_v"))
-        return _kept(batch, keep_fn(a, b), uid_bits)
+        return _kept(t, exact(t["p_u"].combine_chunks(),
+                              t["p_v"].combine_chunks()), uid_bits)
 
-    att_u = _attach_payload_partitioned(
-        pairs, pay_u, "u", "p_u", int_cols=edge_ints,
-        num_partitions=num_partitions, out_type=value_type,
-        dedupe_on=("u", "v"))
-    return _attach_payload_partitioned(
-        att_u, pay_v, "v", "p_v", int_cols=edge_ints,
-        num_partitions=num_partitions, out_type=value_type, post_fn=check)
+    return attach(attach(pairs, pay_u, "u", _distinct_pairs), pay_v, "v", check)
 
 
 # ---- the plans ---------------------------------------------------------------
@@ -458,7 +330,7 @@ def _verify(pairs, source, spec: VerifySpec, prebuilt, flood: bool,
             return _two_attach_check(
                 pairs, semi_filter_by_uid_ref(payload, u_ref, key="uid"),
                 semi_filter_by_uid_ref(payload, v_ref, key="uid"),
-                spec.value_type, spec.exact, uid_bits, num_partitions)
+                spec.exact, uid_bits, num_partitions)
     index = prebuilt if prebuilt is not None else _endpoint_index(
         pairs, payload, uid_bits)
     return _index_check(pairs, index, spec.exact, uid_bits)

@@ -348,7 +348,7 @@ def _incremental_signatures_impl(
     import functools
 
     from ..pipelines.dedup import _signature_cached
-    from ..stages.joins import join_on, keyed_membership_filter
+    from ..stages.joins import hash_join
 
     sig_kwargs = dict(sig_kwargs or {})
     sig_kwargs.setdefault("compute_anchors", compute_anchors)
@@ -496,23 +496,19 @@ def _incremental_signatures_impl(
 
     hits = None
     miss = reps
-    if store is not None:
-        # scale twin (store exceeds the plasma budget): keyed-shuffle
-        # anti-join + hash join — nothing broadcast, nothing on the
-        # driver (equality-tested against the fused plan).  Materialize
-        # the (possibly union-of-versioned-and-legacy) store FIRST: it
-        # feeds both the key set and join_on, and would otherwise be
-        # read twice
-        store = store.materialize()
+    # scale twin (store exceeds the plasma budget): a keyed inner join
+    # for the hits and a keyed anti-join for the misses — nothing
+    # broadcast, nothing on the driver (equality-tested against the
+    # fused plan).  Materialize the (possibly union-of-versioned-and-
+    # legacy) store FIRST: both joins read it, and it would otherwise
+    # be read twice.  An empty store leaves every rep a miss
+    store = store.materialize() if store is not None else None
+    if store is not None and store.count():
         slim = reps.select_columns(["url", *passthrough, "text_sha256"])
-        keys = store.select_columns(["text_sha256"]).materialize()
-        hits_in = keyed_membership_filter(
-            slim, "text_sha256", keys, num_partitions=num_partitions)
-        miss = keyed_membership_filter(
-            reps, "text_sha256", keys, anti=True,
-            num_partitions=num_partitions)
-        hits = (join_on(hits_in, store, "text_sha256",
-                        num_partitions=num_partitions)
+        miss = hash_join(reps, store, "text_sha256", "left anti",
+                         num_partitions=num_partitions)
+        hits = (hash_join(slim, store, "text_sha256",
+                          num_partitions=num_partitions)
                 .map_batches(
                     functools.partial(decode_sig_columns,
                                       num_perms=num_perms),

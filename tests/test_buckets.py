@@ -234,6 +234,40 @@ def test_keyed_round2_equals_index_plans(kind, threshold, ray_session,
         assert list(_canon_edges(ds).itertuples(index=False, name=None)) == expect
 
 
+def test_keyed_round2_uid128_drops_duplicate_pairs(ray_session, monkeypatch):
+    """The two keyed attach exchanges on 16-byte uids, with every pair
+    listed twice under two kinds: one row per (u, v) pair comes out,
+    the min-kind copy, and the edges equal the index plan's."""
+    from deduplicator_go_ray.stages import verify
+    from deduplicator_go_ray.stages.buckets import uid_arrow
+
+    rng = np.random.default_rng(9)
+    base = rng.integers(0, 2**63, 128, dtype=np.int64).astype(np.uint64)
+    sigs = {"a": base, "b": base.copy(),
+            "c": rng.integers(0, 2**63, 128, dtype=np.int64).astype(np.uint64)}
+    source = ray.data.from_arrow(pa.table({
+        "url": list(sigs),
+        "minhash": pa.array([x.tolist() for x in sigs.values()],
+                            pa.list_(pa.uint64()))})).materialize()
+    uid = dict(zip(sigs, uid_of_urls(list(sigs), 128)))
+    ordered = [(x, y) for x in sigs for y in sigs if x != y] * 2
+    kinds = [KIND_SIMHASH] * 6 + [KIND_BAND] * 6
+    pairs = ray.data.from_arrow(pa.table({
+        "u": uid_arrow(np.array([uid[x] for x, _ in ordered], object)),
+        "v": uid_arrow(np.array([uid[y] for _, y in ordered], object)),
+        "kind": pa.array(kinds, pa.int8())}))
+    cfg = MinHashConfig()
+    index = verify.verify_near_edges(pairs, source, cfg, uid_bits=128)
+    monkeypatch.setattr(verify, "NEAR_ROUND2_MAX_BYTES", 0)
+    keyed = verify.verify_near_edges(pairs, source, cfg, flood=True,
+                                     uid_bits=128).to_pandas()
+    assert sorted(zip(keyed["u"], keyed["v"])) == sorted(
+        [(uid["a"], uid["b"]), (uid["b"], uid["a"])])
+    assert (keyed["kind"] == KIND_BAND).all()
+    assert _canon_edges(index).equals(
+        _canon_edges(ray.data.from_pandas(keyed)))
+
+
 def test_simhash_pair_emission_equals_naive(ray_session):
     """The size-class-vectorized SimHash pair emission (LUT popcount,
     no per-key loop) must produce the exact edge set of the naive
@@ -279,74 +313,6 @@ def test_simhash_pair_emission_equals_naive(ray_session):
         exp |= set(zip(uids[iu].tolist(), uids[jv].tolist()))
     assert len(exp) > 500          # dense enough to be a real check
     assert got_set == exp
-
-
-def test_attach_payload_partitioned_arrow_join(ray_session):
-    """The int64 Arrow fast-path of the flood-verify payload join must
-    equal a plain pandas inner merge: missing endpoints drop, each edge
-    row gets its endpoint's payload, edge columns ride unchanged."""
-    from deduplicator_go_ray.stages.verify import _attach_payload_partitioned
-
-    rng = np.random.default_rng(7)
-    n_pay, n_edge = 200, 500
-    uids = rng.choice(10_000, size=n_pay, replace=False).astype(np.int64)
-    vals = [bytes(rng.integers(0, 256, 16, dtype=np.uint8).tobytes())
-            for _ in range(n_pay)]
-    payload = ray.data.from_arrow(pa.table({
-        "uid": pa.array(uids, pa.int64()),
-        "value": pa.array(vals, pa.binary(16)),
-    }))
-    u = rng.choice(12_000, n_edge).astype(np.int64)   # ~1/6 miss
-    v = rng.choice(12_000, n_edge).astype(np.int64)
-    kind = rng.integers(0, 3, n_edge).astype(np.int8)
-    edges = ray.data.from_arrow(pa.table({
-        "u": pa.array(u, pa.int64()), "v": pa.array(v, pa.int64()),
-        "kind": pa.array(kind, pa.int8()),
-    }))
-    int_cols = {"u": pa.int64(), "v": pa.int64(), "kind": pa.int8()}
-    got = _attach_payload_partitioned(
-        edges, payload, "u", "sig_u", num_partitions=8,
-        int_cols=int_cols, out_type=pa.binary(16)).to_pandas()
-
-    exp = (pd.DataFrame({"u": u, "v": v, "kind": kind})
-           .merge(pd.DataFrame({"u": uids, "sig_u": vals}),
-                  on="u", how="inner"))
-    key = ["u", "v", "kind", "sig_u"]
-    got_s = got[key].sort_values(key).reset_index(drop=True)
-    exp_s = exp[key].sort_values(key).reset_index(drop=True)
-    assert len(got_s) == len(exp_s) > 0
-    pd.testing.assert_frame_equal(
-        got_s, exp_s, check_dtype=False)
-
-
-def test_attach_payload_partitioned_edge_only_partitions(ray_session):
-    """Partitions that receive edges but NO payload rows (endpoint
-    absent from the payload table) must contribute zero rows, not
-    crash: 2 payload uids + 64 partitions leaves most partitions
-    edge-only."""
-    from deduplicator_go_ray.stages.verify import _attach_payload_partitioned
-
-    rng = np.random.default_rng(11)
-    uids = np.array([5, 9], dtype=np.int64)
-    payload = ray.data.from_arrow(pa.table({
-        "uid": pa.array(uids, pa.int64()),
-        "value": pa.array([b"A" * 16, b"B" * 16], pa.binary(16)),
-    }))
-    u = rng.choice(12_000, 300).astype(np.int64)
-    u[:3] = [5, 9, 5]                       # a few real hits
-    edges = ray.data.from_arrow(pa.table({
-        "u": pa.array(u, pa.int64()),
-        "v": pa.array(rng.choice(12_000, 300).astype(np.int64), pa.int64()),
-        "kind": pa.array(np.zeros(300, np.int8), pa.int8()),
-    }))
-    int_cols = {"u": pa.int64(), "v": pa.int64(), "kind": pa.int8()}
-    got = _attach_payload_partitioned(
-        edges, payload, "u", "sig_u", num_partitions=64,
-        int_cols=int_cols, out_type=pa.binary(16)).to_pandas()
-    n_hits = int((u == 5).sum() + (u == 9).sum())
-    assert len(got) == n_hits
-    assert set(got.loc[got["u"] == 5, "sig_u"]) == {b"A" * 16}
-    assert set(got.loc[got["u"] == 9, "sig_u"]) == {b"B" * 16}
 
 
 # ---- the candidate reducer's prune -------------------------------------------

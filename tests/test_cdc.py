@@ -115,3 +115,27 @@ def test_null_text_chunks_as_empty():
     exp = _chunk_partials(pa.table({"text": [t for t in texts if t]}))
     assert len(got) > 0
     assert got.sort_by("ck").equals(exp.sort_by("ck"))
+
+
+def test_savings_on_empty_corpus(ray_session, tmp_path):
+    """A zero-row documents table gives the SQL oracle's one row: NULL
+    byte sums and ratio, zero unique chunks — not a crash."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from deduplicator_go_ray.pipelines.cdc_queries import cdc_savings
+    from deduplicator_go_ray.pipelines.registry import oracle_sql
+
+    path = tmp_path / "documents.parquet"
+    pq.write_table(pa.table({"doc_id": pa.array([], pa.int64()),
+                             "text": pa.array([], pa.string())}), path)
+    got = cdc_savings(str(tmp_path))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM '{path}'")
+    exp = con.execute(oracle_sql()["cdc_savings"]).fetch_df()
+    assert len(got) == len(exp) == 1
+    assert sorted(got.columns) == sorted(exp.columns)
+    for c in exp.columns:
+        assert got[c].isna().tolist() == exp[c].isna().tolist(), c
+    assert int(got["n_unique_chunks"][0]) == int(exp["n_unique_chunks"][0]) == 0

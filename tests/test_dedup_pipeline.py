@@ -259,10 +259,13 @@ def test_semifilter_verify_same_assignments(corpus):
         assert (a[col] == b[col]).all(), col
 
 
-def test_texts_through_shuffle_same_assignments(corpus):
+@pytest.mark.parametrize("uid_bits", [64, 128])
+def test_texts_through_shuffle_same_assignments(corpus, uid_bits):
     """VERDICT r1 #2: above broadcast_max_reps the rep texts ride the
-    exact packed shuffle instead of a broadcast uid semi-filter —
-    no O(n_reps) structure anywhere.  Same assignments either way."""
+    exact packed shuffle instead of a broadcast uid semi-filter, and the
+    component roots attach through the keyed left outer join — no
+    O(n_reps) structure anywhere.  Same assignments either way, at
+    both uid widths."""
     import ray.data as rd
 
     pages_tbl, _ = corpus
@@ -270,13 +273,62 @@ def test_texts_through_shuffle_same_assignments(corpus):
     base = run_dedup(rd.from_arrow(small)).to_pandas()
     big = run_dedup(
         rd.from_arrow(small),
-        PipelineConfig(broadcast_max_reps=0),      # force the shuffle path
+        # force the shuffle path
+        PipelineConfig(broadcast_max_reps=0, uid_bits=uid_bits),
     ).to_pandas()
     a = base.sort_values("url").reset_index(drop=True)
     b = big.sort_values("url").reset_index(drop=True)
     for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
                 "match_kind"]:
         assert (a[col] == b[col]).all(), col
+
+
+def test_keyed_enrichment_completes_on_one_cpu():
+    """The keyed root enrichment (``broadcast_max_reps=0``) once ran on
+    Ray's ``Dataset.join``, whose shuffle actors starved the map tasks
+    of a one-CPU session: the job never finished.  In a fresh
+    ``num_cpus=1`` subprocess it must finish well inside the timeout
+    and equal the default plan's assignments.  A hung job is stopped
+    by an alarm inside the subprocess, so its Ray session still shuts
+    down."""
+    import os
+    import subprocess
+    import sys
+
+    script = r"""
+import signal, sys
+sys.path.insert(0, %r)
+import ray, ray.data as rd
+
+def stop(*_):
+    raise TimeoutError("the keyed enrichment did not finish")
+
+signal.signal(signal.SIGALRM, stop)
+signal.alarm(150)
+ray.init(address="local", num_cpus=1, include_dashboard=False)
+try:
+    from deduplicator_go_ray.config import PipelineConfig
+    from deduplicator_go_ray.pipelines.dedup import run_dedup
+    from deduplicator_go_ray.sources.corpus import generate_pages
+
+    pages, _ = generate_pages(1000, seed=7)
+    cols = ["url", "cluster_id", "keeper_url", "is_keeper", "action",
+            "match_kind"]
+    base = run_dedup(rd.from_arrow(pages)).to_pandas()
+    keyed = run_dedup(rd.from_arrow(pages),
+                      PipelineConfig(broadcast_max_reps=0)).to_pandas()
+    a = base[cols].sort_values("url").reset_index(drop=True)
+    b = keyed[cols].sort_values("url").reset_index(drop=True)
+    print("RESULT", len(a) == 1000 and a.equals(b))
+finally:
+    ray.shutdown()
+""" % (os.path.dirname(os.path.dirname(os.path.abspath(__file__))),)
+    env = dict(os.environ, RAY_ADDRESS="local")
+    p = subprocess.run([sys.executable, "-c", script], env=env,
+                       capture_output=True, text=True, timeout=180)
+    assert p.returncode == 0, p.stderr[-2000:]
+    lines = [ln for ln in p.stdout.splitlines() if ln.startswith("RESULT")]
+    assert lines and lines[0].split()[1] == "True", p.stdout[-2000:]
 
 
 def test_uid128_same_assignments(corpus):

@@ -260,6 +260,28 @@ def test_grouped_apply_keeps_fixed_size_binary(ray_session):
     assert sorted(got["value"].to_pylist()) == sorted(blob.to_pylist())
 
 
+def test_keys_over_equals_value_counts(ray_session):
+    """The combined count exchange flags exactly the keys a global
+    value count puts above the cap, across many input blocks."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    from deduplicator_go_ray.stages.common import keys_over
+
+    rng = np.random.default_rng(3)
+    keys = rng.zipf(1.3, 20_000).astype(np.int64) - 2**40
+    ds = ray.data.from_arrow(pa.table({"key": keys})).repartition(7)
+    counts = pd.Series(keys).value_counts()
+    for cap in (1, 40):
+        exp = np.sort(counts[counts > cap].index.to_numpy())
+        assert len(exp) > 0
+        assert keys_over(ds, "key", cap).tolist() == exp.tolist()
+    empty = ds.filter(expr="key > 0")
+    assert keys_over(empty, "key", 1).size == 0
+
+
 def test_md5_hex16_matches_hashlib():
     # lane-parallel MD5 (the cluster-id kernel) is bit-identical to
     # hashlib across length boundaries (block splits at 55/56/63/64,

@@ -1,0 +1,234 @@
+"""Forced-join timings: the keyed paths the dedupbench workloads never
+reach, each timed in a fresh Ray session under a timeout.
+
+Cases (``--cases``, default all):
+
+* ``attach``: the flagship's keyed root enrichment alone — a left
+  outer join of ``--rows`` member rows onto a component map of a tenth
+  as many keys (full-range int64 values), at each ``--cpus``;
+* ``flagship``: ``run_dedup(PipelineConfig(broadcast_max_reps=0))`` on
+  ``generate_pages(1000, seed=7)`` at one CPU;
+* ``sigstore``: ``incremental_signatures(broadcast_max_bytes=0)`` on the
+  same 1,000 pages against a store that already holds 900 of them;
+* ``verify``: ``run_dedup(PipelineConfig(smallset_max_edges=0))`` with
+  both round-2 caps at 0, so every pair takes the two keyed attach
+  exchanges; ``verify_s`` is the time spent inside them.
+
+Usage: python tools/join_bench.py [--repo DIR] [--cases attach,flagship]
+                                  [--rows 10000,200000] [--cpus 1,4]
+                                  [--timeout 120] [--repeat 3]
+
+``--repo`` names the source tree to import (default: this checkout),
+so two trees run the same script.  Prints one JSON line per run:
+``{"case", "cpus", "rows", "s", "digest"}``, or ``"timeout": true``
+when the run did not finish in ``--timeout`` seconds.  ``digest``
+hashes the output, so equal digests mean equal results.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _assign_digest(df) -> str:
+    import hashlib
+
+    cols = ["url", "cluster_id", "keeper_url", "is_keeper", "action",
+            "match_kind"]
+    df = df[cols].sort_values("url").reset_index(drop=True)
+    return hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()[:16]
+
+
+def _attach(rows: int) -> dict:
+    import hashlib
+
+    import numpy as np
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    rng = np.random.default_rng(7)
+    space = rng.integers(-2**63, 2**63 - 1, max(rows // 2, 1), dtype=np.int64)
+    keys = rng.choice(space, rows)
+    left = pa.table({"i": np.arange(rows, dtype=np.int64), "rep_uid": keys,
+                     "url": [f"u{i}" for i in range(rows)],
+                     "n_bytes": rng.integers(0, 1 << 20, rows)})
+    rk = rng.choice(space, max(rows // 10, 1), replace=False)
+    right = pa.table({"url": rk, "root": rng.integers(-2**63, 2**63 - 1,
+                                                      len(rk), dtype=np.int64)})
+    step = -(-rows // 8)
+    ld = ray.data.from_arrow([left.slice(o, step)
+                              for o in range(0, rows, step)]).materialize()
+    rd = ray.data.from_arrow(right).materialize()
+
+    t0 = time.perf_counter()
+    try:
+        from deduplicator_go_ray.stages.joins import hash_join
+
+        out = hash_join(ld, rd.map_batches(
+            lambda t: pa.table({"rep_uid": t["url"], "near_root": t["root"]}),
+            batch_format="pyarrow"), "rep_uid", "left outer")
+    except ImportError:          # trees from before hash_join
+        from deduplicator_go_ray.stages.joins import left_attach
+
+        out = left_attach(ld, rd, left_key="rep_uid", right_key="url",
+                          value_col="root", out_col="near_root")
+    tbl = pa.concat_tables(ray.get(out.materialize().to_arrow_refs()))
+    s = time.perf_counter() - t0
+    tbl = tbl.sort_by("i")
+    root = tbl["near_root"].combine_chunks()
+    h = hashlib.sha256(np.asarray(tbl["i"]).tobytes())
+    h.update(np.asarray(root.fill_null(0), np.int64).tobytes())
+    h.update(np.asarray(root.is_valid()).tobytes())
+    return {"s": s, "digest": h.hexdigest()[:16], "out_rows": tbl.num_rows}
+
+
+def _flagship() -> dict:
+    import ray.data as rd
+
+    from deduplicator_go_ray.config import PipelineConfig
+    from deduplicator_go_ray.pipelines.dedup import run_dedup
+    from deduplicator_go_ray.sources.corpus import generate_pages
+
+    pages, _ = generate_pages(1000, seed=7)
+    t0 = time.perf_counter()
+    df = run_dedup(rd.from_arrow(pages),
+                   PipelineConfig(broadcast_max_reps=0)).to_pandas()
+    return {"s": time.perf_counter() - t0, "digest": _assign_digest(df)}
+
+
+def _sigstore() -> dict:
+    import hashlib
+    import tempfile
+
+    import ray.data
+
+    from deduplicator_go_ray.sources.corpus import generate_pages
+    from deduplicator_go_ray.stages.exact import add_content_key
+    from deduplicator_go_ray.state.sigstore import incremental_signatures
+
+    pages, _ = generate_pages(1000, seed=7)
+    reps = add_content_key(ray.data.from_arrow(
+        pages.select(["url", "text"]))).materialize()
+    with tempfile.TemporaryDirectory() as d:
+        store = os.path.join(d, "sigstore")
+        incremental_signatures(reps.limit(900).materialize(), store)
+        t0 = time.perf_counter()
+        sigs, n = incremental_signatures(reps, store, broadcast_max_bytes=0)
+        df = sigs.to_pandas()
+        s = time.perf_counter() - t0
+    df = df.sort_values("url").reset_index(drop=True)
+    blob = df[["url", "text_sha256", "n_shingles", "simhash"]].to_csv(index=False)
+    blob += "".join(str(list(m)) for m in df["minhash"])
+    return {"s": s, "computed": int(n),
+            "digest": hashlib.sha256(blob.encode()).hexdigest()[:16]}
+
+
+def _verify() -> dict:
+    import ray
+    import ray.data as rd
+
+    from deduplicator_go_ray.config import PipelineConfig
+    from deduplicator_go_ray.pipelines.dedup import run_dedup
+    from deduplicator_go_ray.sources.corpus import generate_pages
+    from deduplicator_go_ray.stages import verify
+
+    verify.NEAR_ROUND2_MAX_BYTES = 0
+    verify.CONTAINMENT_ROUND2_MAX_PAIRS = 0
+    inner = verify._two_attach_check
+    spent = [0.0]
+
+    def timed(*args, **kwargs):
+        t = time.perf_counter()
+        out = inner(*args, **kwargs).materialize()
+        ray.get(out.to_arrow_refs())
+        spent[0] += time.perf_counter() - t
+        return out
+
+    verify._two_attach_check = timed
+    pages, _ = generate_pages(1000, seed=7)
+    t0 = time.perf_counter()
+    df = run_dedup(rd.from_arrow(pages),
+                   PipelineConfig(smallset_max_edges=0)).to_pandas()
+    return {"s": time.perf_counter() - t0, "verify_s": spent[0],
+            "digest": _assign_digest(df)}
+
+
+def child(args) -> None:
+    import signal
+
+    sys.path.insert(0, args.repo)
+    import ray
+    import ray.data
+
+    def stop(*_):
+        raise TimeoutError
+
+    signal.signal(signal.SIGALRM, stop)
+    signal.alarm(args.timeout)
+    ray.init(address="local", num_cpus=args.cpus[0], include_dashboard=False,
+             logging_level="ERROR")
+    ray.data.DataContext.get_current().enable_progress_bars = False
+    rec = {"case": args.cases[0], "cpus": args.cpus[0]}
+    try:
+        if rec["case"] == "attach":
+            rec["rows"] = args.rows[0]
+            rec.update(_attach(args.rows[0]))
+        else:
+            rec.update({"flagship": _flagship, "sigstore": _sigstore,
+                        "verify": _verify}[rec["case"]]())
+    except TimeoutError:
+        rec["timeout"] = True
+    finally:
+        signal.alarm(0)
+        ray.shutdown()
+    print("RESULT " + json.dumps(rec), flush=True)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--repo", default=HERE)
+    ap.add_argument("--cases", default="attach,flagship,sigstore,verify")
+    ap.add_argument("--rows", default="10000,200000")
+    ap.add_argument("--cpus", default="1,4")
+    ap.add_argument("--timeout", type=int, default=120)
+    ap.add_argument("--repeat", type=int, default=1)
+    ap.add_argument("--child", action="store_true")
+    args = ap.parse_args()
+    args.repo = os.path.abspath(args.repo)
+    args.cases = args.cases.split(",")
+    args.rows = [int(x) for x in args.rows.split(",")]
+    args.cpus = [int(x) for x in args.cpus.split(",")]
+    if args.child:
+        child(args)
+        return
+    for case in args.cases:
+        # the flagship-scale cases run at one CPU only
+        cpus = args.cpus if case in ("attach", "sigstore") else [1]
+        rows = args.rows if case == "attach" else [0]
+        for c in cpus:
+            for r in rows:
+                for _ in range(args.repeat):
+                    cmd = [sys.executable, os.path.abspath(__file__), "--child",
+                           "--repo", args.repo, "--cases", case,
+                           "--rows", str(r), "--cpus", str(c),
+                           "--timeout", str(args.timeout)]
+                    p = subprocess.run(cmd, capture_output=True, text=True,
+                                       timeout=args.timeout + 120,
+                                       env=dict(os.environ, RAY_ADDRESS="local"))
+                    line = [ln for ln in p.stdout.splitlines()
+                            if ln.startswith("RESULT ")]
+                    print(line[0][7:] if line else json.dumps(
+                        {"case": case, "cpus": c, "rows": r,
+                         "error": p.stderr[-500:]}), flush=True)
+
+
+if __name__ == "__main__":
+    main()

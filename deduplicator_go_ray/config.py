@@ -138,11 +138,6 @@ class PipelineConfig:
     # reference min-size predicate (files/utils.go:77-81): groups whose
     # content is smaller than this never count as duplicates.
     min_size: int = 0
-    # candidate pruning à la `hash only duplicate sizes`
-    # (files/hash.go:37-48): compute near-dup signatures only for
-    # exact-class representatives (always on) — and optionally hash
-    # only size-duplicate candidates.
-    prune_by_size: bool = False
     # signature stage sizing: html/text rows are wide — keep batches
     # small (SURVEY.md §4 memory row).  128 rows keeps the signature
     # kernel's per-batch working set (shingle hash arrays, ~6 passes)

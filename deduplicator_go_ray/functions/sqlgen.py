@@ -275,7 +275,7 @@ def band_key_ctes(id_col: str, bands: int = 16, rows: int = 8) -> str:
     """CTE block folding the ``sig`` slot table into per-band keys
     (CTE ``bandkeys``: ``{id_col}``, band ``b``, ``band_key`` HUGEINT)
     — the SQL twin of ``combine64`` + the band-index mix of
-    ``band_rows``/``bucket_rows``: ``acc = mix64(acc·GOLDEN + slot +
+    ``bucket_rows``: ``acc = mix64(acc·GOLDEN + slot +
     pos)`` unrolled, then ``mix64(acc + 2·band_idx)``.
 
     Emits CTE names bandp/f{{r}}_*/bk* — callers must not reuse them.

@@ -504,7 +504,7 @@ def run_dedup(
     # array, nothing captured in a task closure (same pattern as
     # stages/verify.py:_build_index)
     from ..stages.cluster import resolve_components
-    from ..stages.lsh import block_refs_of
+    from ..stages.common import block_refs_of
 
     timer.note("n_edges", all_tagged.count())
     sub_ref = ray.remote(num_cpus=1)(_sub_uids_task).remote(

@@ -20,11 +20,12 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..config import MinHashConfig
+from ..config import LSHConfig, MinHashConfig, PipelineConfig, SimHashConfig
 from ..functions.hashing import hash64_str
+from ..stages.buckets import (KIND_ANCHOR, KIND_SIMHASH, bucket_rows,
+                              candidate_edges_fused, sampled_hot_band_keys)
 from ..stages.common import dedupe_rows, grouped_apply, list_matrix
-from ..stages.lsh import (band_rows, candidate_edges, hot_band_keys, salt_bands,
-                          simhash_edges, verify_edges_smallset)
+from ..stages.verify import verify_near_edges
 from .registry import register
 
 NGRAM_N = 3                 # word trigrams
@@ -44,32 +45,54 @@ def _read_docs(sf_dir: str, columns: list[str]) -> "ray.data.Dataset":
 # --------------------------------------------------------------------------
 
 def _gram_sets(sf_dir: str) -> "ray.data.Dataset":
-    """Per doc: sorted distinct trigram u64 hashes as a binary blob + count."""
+    """Per doc (``uid`` = doc_id): its sorted distinct trigram u64
+    hashes as a binary blob."""
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
     def f(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        texts = t["text"].to_pylist()
-        blobs, counts = [], []
-        for s in texts:
+        blobs = []
+        for s in t["text"].to_pylist():
             w = [x for x in s.split(" ") if x]
             grams = {" ".join(w[i:i + NGRAM_N]) for i in range(len(w) - NGRAM_N + 1)}
             hs = np.sort(hash64_str(sorted(grams))) if grams else np.empty(0, np.uint64)
             blobs.append(hs.tobytes())
-            counts.append(len(grams))
-        return pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "grams": pa.array(blobs, pa.binary()),
-            "n_grams": pa.array(counts, pa.int64()),
-        })
+        return pa.table({"uid": t["doc_id"], "grams": pa.array(blobs, pa.binary())})
 
     return docs.map_batches(f, batch_format="pyarrow")
+
+
+def _grams_value(t: pa.Table) -> pa.Array:
+    """Index payload of a gram-set batch: the gram blobs."""
+    return t["grams"].combine_chunks()
+
+
+def _scored_pairs(t: pa.Table, blobs_u: list, blobs_v: list) -> pa.Table:
+    """The (u, v) pairs of ``t`` whose gram blobs (aligned lists)
+    reach ``NGRAM_THRESHOLD`` exact Jaccard.  Per-PAIR set intersection
+    — verified candidates only, a tiny fraction of the corpus."""
+    jac = np.zeros(len(t))
+    for i, (x, y) in enumerate(zip(blobs_u, blobs_v)):
+        ga = np.frombuffer(x, np.uint64)
+        gb = np.frombuffer(y, np.uint64)
+        inter = np.intersect1d(ga, gb).size
+        jac[i] = inter / max(ga.size + gb.size - inter, 1)
+    keep = jac >= NGRAM_THRESHOLD
+    return pa.table({
+        "doc_id_a": pa.array(np.asarray(t["u"], np.int64)[keep], pa.int64()),
+        "doc_id_b": pa.array(np.asarray(t["v"], np.int64)[keep], pa.int64()),
+        "jaccard": pa.array(jac[keep], pa.float64()),
+    })
+
+
+_EMPTY_JACCARD = pa.table({"doc_id_a": pa.array([], pa.int64()),
+                           "doc_id_b": pa.array([], pa.int64()),
+                           "jaccard": pa.array([], pa.float64())})
 
 
 def _verify_gram_pairs_keyed(cand: "ray.data.Dataset",
                              sets: "ray.data.Dataset",
                              num_partitions: int = 16) -> "ray.data.Dataset":
-    """Candidate-FLOOD twin of the broadcast gram-set verify: both
+    """Candidate-FLOOD twin of the shared-index gram-set verify: both
     endpoints' gram blobs are attached through hash-partitioned joins,
     so no worker ever holds the full gram index (VERDICT r2 #4 — the
     standalone pair queries now share the flagship's size-aware
@@ -78,51 +101,26 @@ def _verify_gram_pairs_keyed(cand: "ray.data.Dataset",
 
     def prep(side: str):
         def f(t: pa.Table) -> pa.Table:
-            return pa.table({
-                side: t["doc_id"],
-                f"grams_{side}": t["grams"],
-                f"ng_{side}": t["n_grams"],
-            })
+            return pa.table({side: t["uid"], f"grams_{side}": t["grams"]})
         return f
 
     def score(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if n == 0:
-            return pa.table({"doc_id_a": pa.array([], pa.int64()),
-                             "doc_id_b": pa.array([], pa.int64()),
-                             "jaccard": pa.array([], pa.float64())})
-        ga_l = t["grams_a"].to_pylist()
-        gb_l = t["grams_b"].to_pylist()
-        na = np.asarray(t["ng_a"], np.int64)
-        nb = np.asarray(t["ng_b"], np.int64)
-        jac = np.zeros(n)
-        # per-PAIR set intersection (verified candidates only — a tiny
-        # fraction of the corpus; same bound as the smallset verify)
-        for i in range(n):
-            ga = np.frombuffer(ga_l[i], np.uint64)
-            gb = np.frombuffer(gb_l[i], np.uint64)
-            inter = np.intersect1d(ga, gb).size
-            jac[i] = inter / max(int(na[i] + nb[i]) - inter, 1)
-        keep = jac >= NGRAM_THRESHOLD
-        return pa.table({
-            "doc_id_a": pa.array(np.asarray(t["a"], np.int64)[keep], pa.int64()),
-            "doc_id_b": pa.array(np.asarray(t["b"], np.int64)[keep], pa.int64()),
-            "jaccard": pa.array(jac[keep], pa.float64()),
-        })
+        if not len(t):
+            return _EMPTY_JACCARD
+        return _scored_pairs(t, t["grams_u"].to_pylist(),
+                             t["grams_v"].to_pylist())
 
-    left = hash_join(cand, sets.map_batches(prep("a"), batch_format="pyarrow"),
-                     "a", num_partitions=num_partitions)
-    return hash_join(left, sets.map_batches(prep("b"), batch_format="pyarrow"),
-                     "b", post_fn=score, num_partitions=num_partitions)
+    left = hash_join(cand, sets.map_batches(prep("u"), batch_format="pyarrow"),
+                     "u", num_partitions=num_partitions)
+    return hash_join(left, sets.map_batches(prep("v"), batch_format="pyarrow"),
+                     "v", post_fn=score, num_partitions=num_partitions)
 
 
 def _finish_jaccard(out: pd.DataFrame) -> pd.DataFrame:
     """Shared output contract of every ngram_jaccard_pairs plan: typed
     empty frame, pair-deduped, deterministically ordered."""
     if out.empty:
-        out = pd.DataFrame({"doc_id_a": pd.Series(dtype="int64"),
-                            "doc_id_b": pd.Series(dtype="int64"),
-                            "jaccard": pd.Series(dtype="float64")})
+        out = _EMPTY_JACCARD.to_pandas()
     return (out.drop_duplicates(["doc_id_a", "doc_id_b"])
             .sort_values(["doc_id_a", "doc_id_b"]).reset_index(drop=True))
 
@@ -131,7 +129,7 @@ def ngram_jaccard_pairs(sf_dir: str, plan: str = "auto"):
     sets = _gram_sets(sf_dir).materialize()
 
     def explode(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t["doc_id"], dtype=np.int64)
+        ids = np.asarray(t["uid"], dtype=np.int64)
         blobs = t["grams"].to_pylist()
         lens = np.array([len(b) // 8 for b in blobs], dtype=np.int64)
         flat = np.frombuffer(b"".join(blobs), dtype=np.uint64)
@@ -157,11 +155,11 @@ def ngram_jaccard_pairs(sf_dir: str, plan: str = "auto"):
             idx = starts[keep][sizes[keep] == s]
             mat = d[idx[:, None] + np.arange(s)[None, :]]   # (groups, s)
             iu, jv = np.triu_indices(s, k=1)
-            frames.append(pd.DataFrame({"a": mat[:, iu].ravel(),
-                                        "b": mat[:, jv].ravel()}))
+            frames.append(pd.DataFrame({"u": mat[:, iu].ravel(),
+                                        "v": mat[:, jv].ravel()}))
         if not frames:
-            return pd.DataFrame({"a": pd.Series(dtype="int64"),
-                                 "b": pd.Series(dtype="int64")})
+            return pd.DataFrame({"u": pd.Series(dtype="int64"),
+                                 "v": pd.Series(dtype="int64")})
         return pd.concat(frames).drop_duplicates()
 
     # duplicate candidate pairs (one per shared gram bucket) cost one
@@ -174,71 +172,28 @@ def ngram_jaccard_pairs(sf_dir: str, plan: str = "auto"):
 
     # size-aware verify (the flagship's smallset_max_edges gate): a
     # candidate flood routes through the hash-partitioned join twin
-    # instead of the broadcast index (both plans equality-tested)
-    from ..config import PipelineConfig
+    # instead of the shared index (both plans equality-tested)
     if plan == "auto":
         plan = ("keyed" if n_cand > PipelineConfig().smallset_max_edges
                 else "smallset")
     if plan == "keyed":
         return _finish_jaccard(_verify_gram_pairs_keyed(cand, sets).to_pandas())
 
-    # smallset plan: semi-filter the gram-set table to the candidate
-    # endpoints and broadcast its block refs (per-worker cached index) —
-    # no shuffle joins (the small-set plan of stages.verify.verify_near_edges)
-    import ray as _ray
+    # smallset plan: the verify stage's shared index over the gram blobs
+    # of the candidate endpoints — one task builds it, workers map it
+    # zero-copy, nothing is collected on the driver
+    from ..stages.verify import endpoint_index, index_rows
 
-    from ..stages.common import sorted_probe
-    from ..stages.lsh import _worker_index, block_refs_of
-
-    # candidate endpoint set: built in ONE Ray task from cand's block
-    # refs (the stages.verify.uid_set_refs pattern) — the sorted array
-    # lives in plasma and every worker maps it zero-copy; nothing is
-    # collected on the driver (VERDICT r3 #2: the old Python-set
-    # collect boxed up to 4M ints of driver heap at the gate boundary)
-    def _endpoint_ids(refs: tuple) -> np.ndarray:
-        tables = _ray.get(list(refs))
-        parts = [np.asarray(t[c], np.int64)
-                 for t in tables if len(t) for c in ("a", "b")]
-        return (np.unique(np.concatenate(parts)) if parts
-                else np.empty(0, np.int64))
-
-    ref = _ray.remote(num_cpus=1)(_endpoint_ids).remote(
-        tuple(block_refs_of(cand)))
-
-    def slim(t: pa.Table) -> pa.Table:
-        wanted = _ray.get(ref)          # zero-copy plasma read
-        d = np.asarray(t["doc_id"], dtype=np.int64)
-        _, keep = sorted_probe(wanted, d)
-        out = t.filter(pa.array(keep))
-        return pa.table({"uid": out["doc_id"], "grams": out["grams"],
-                         "n_grams": out["n_grams"]})
-
-    skinny = sets.map_batches(slim, batch_format="pyarrow").materialize()
-    refs = tuple(block_refs_of(skinny))
+    index = endpoint_index(cand, sets, _grams_value)
 
     def verify(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({"doc_id_a": pa.array([], pa.int64()),
-                             "doc_id_b": pa.array([], pa.int64()),
-                             "jaccard": pa.array([], pa.float64())})
-        idx, (grams, n_grams) = _worker_index(refs, ("uid", "grams", "n_grams"))
-        ia = idx.get_indexer(np.asarray(t["a"], np.int64))
-        ib = idx.get_indexer(np.asarray(t["b"], np.int64))
-        ncol = np.asarray(n_grams, dtype=np.int64) if len(idx) else np.empty(0, np.int64)
-        ok = (ia >= 0) & (ib >= 0)
-        jac = np.zeros(len(t))
-        for i in np.nonzero(ok)[0]:
-            ga = np.frombuffer(grams[int(ia[i])].as_py(), np.uint64)
-            gb = np.frombuffer(grams[int(ib[i])].as_py(), np.uint64)
-            inter = np.intersect1d(ga, gb).size
-            denom = ncol[ia[i]] + ncol[ib[i]] - inter
-            jac[i] = inter / max(denom, 1)
-        keep = jac >= NGRAM_THRESHOLD
-        return pa.table({
-            "doc_id_a": pa.array(np.asarray(t["a"], np.int64)[keep], pa.int64()),
-            "doc_id_b": pa.array(np.asarray(t["b"], np.int64)[keep], pa.int64()),
-            "jaccard": pa.array(jac[keep], pa.float64()),
-        })
+        ru, rv, grams = index_rows(t, index)
+        ok = np.flatnonzero((ru >= 0) & (rv >= 0))
+        if not ok.size:
+            return _EMPTY_JACCARD
+        return _scored_pairs(t.take(pa.array(ok)),
+                             grams.take(pa.array(ru[ok])).to_pylist(),
+                             grams.take(pa.array(rv[ok])).to_pylist())
 
     return _finish_jaccard(
         cand.map_batches(verify, batch_format="pyarrow").to_pandas())
@@ -286,8 +241,10 @@ def _doc_sigs(sf_dir: str, compute_anchors: bool = False,
     def to_pages(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_pylist()
         texts = t["text"].to_pylist()
-        # zero-padded so lexicographic url order == numeric doc order
+        # doc_id is the uid of the candidate and verify stages
+        # (buckets.batch_uids), so bucket order is ``ORDER BY doc_id``
         return pa.table({
+            "uid": t["doc_id"],
             "url": pa.array([f"{i:012d}" for i in ids], pa.string()),
             "text": t["text"],
             "n_bytes": pa.array([len(x.encode()) for x in texts], pa.int64()),
@@ -322,31 +279,26 @@ def _pairs_to_ids(edges: "ray.data.Dataset") -> pd.DataFrame:
 
 
 def minhash_lsh_pairs(sf_dir: str, plan: str = "auto") -> pd.DataFrame:
-    cfg = MinHashConfig()
-    from ..config import LSHConfig, PipelineConfig
-    lsh = LSHConfig()
+    cfg, lsh, pcfg = MinHashConfig(), LSHConfig(), PipelineConfig()
     sigs = _doc_sigs(sf_dir)
-    bands = band_rows(sigs, cfg)
-    hot = hot_band_keys(bands, lsh)
-    cand = dedupe_rows(candidate_edges(salt_bands(bands, hot, lsh), lsh),
-                       ["u", "v"]).materialize()
+    # the flagship's candidate stage: hot bands are salted only past
+    # the presalt gate, found by the sampled pre-count
+    hot = (sampled_hot_band_keys(sigs, cfg, lsh)
+           if sigs.count() * cfg.bands >= pcfg.presalt_min_band_rows else None)
+    rows = bucket_rows(sigs, cfg, None, with_anchors=False,
+                       hot_band_keys=hot, num_salts=lsh.num_salts)
+    cand = candidate_edges_fused(rows, lsh, 0, minhash=cfg).materialize()
     n_cand = cand.count()
     if n_cand == 0:
         return _pairs_to_ids(cand)
     # size-aware verify (VERDICT r2 #4): the flagship's
-    # smallset_max_edges gate — a candidate flood attaches signatures
-    # through the hash-partitioned join twin (stages/lsh.py:verify_edges)
-    # instead of the broadcast index; both plans equality-tested
+    # smallset_max_edges gate — a candidate flood takes the verify
+    # stage's flood plan; both plans equality-tested
     if plan == "auto":
-        plan = ("keyed" if n_cand > PipelineConfig().smallset_max_edges
+        plan = ("keyed" if n_cand > pcfg.smallset_max_edges
                 else "smallset")
-    if plan == "keyed":
-        from ..stages.lsh import verify_edges
-        verified = verify_edges(cand, sigs, cfg).select_columns(["u", "v"])
-    else:
-        verified = verify_edges_smallset(cand, sigs, cfg) \
-            .select_columns(["u", "v"])
-    return _pairs_to_ids(verified)
+    return _pairs_to_ids(verify_near_edges(cand, sigs, cfg,
+                                           flood=plan == "keyed"))
 
 
 def _minhash_oracle_sql() -> str:
@@ -366,9 +318,11 @@ def _minhash_oracle_sql() -> str:
        mix64 CTE blocks), then ``mix64(acc + 2·band_idx)``.
     4. candidate edges: per band bucket ordered by doc id, consecutive
        *chain* edges plus a *star* from the bucket minimum to members
-       at index ≥ 2 — the same bounded emission ``candidate_edges``
-       (stages/lsh.py) produces.  Hot-band salting never engages at
-       oracle scale (bucket size ≤ corpus size 500 < group_cap 512).
+       at index ≥ 2 — the same bounded emission the fused candidate
+       reducer (``stages/buckets.py:candidate_edges_fused``, kind 0)
+       produces.  Neither the star cap nor hot-band salting engages at
+       oracle scale (bucket size ≤ corpus size 500 < group_cap 512,
+       and band rows stay under ``presalt_min_band_rows``).
     5. verification: estimated Jaccard = equal-slot fraction of the two
        128-slot signatures; ``k/128 ≥ 0.80`` is integer-exact as
        ``k ≥ 103``.
@@ -428,8 +382,16 @@ def simhash_pairs(sf_dir: str) -> pd.DataFrame:
     # through hamming 7) with threshold 8.  The flagship pipeline keeps
     # the stricter default (there simhash only *adds* candidates that
     # MinHash verification re-checks).
+    #
+    # The fused candidate reducer's kind-1 emission IS the exact check
+    # (in-bucket Hamming); a zero near threshold lets every slot
+    # fingerprint differ, so its digest prune keeps every such pair.
     sigs = _doc_sigs(sf_dir)
-    edges = simhash_edges(sigs, hamming_threshold=8, chunk_bits=8)
+    rows = bucket_rows(sigs, MinHashConfig(), SimHashConfig(),
+                       with_anchors=False, chunk_bits=8)
+    edges = candidate_edges_fused(
+        rows.filter(expr=f"kind == {KIND_SIMHASH}"), LSHConfig(), 8,
+        minhash=MinHashConfig(verify_threshold=0.0))
     return _pairs_to_ids(edges)
 
 
@@ -440,7 +402,8 @@ def _simhash_oracle_sql() -> str:
     bit positions into a signature, then emit pairs with Hamming ≤ 8
     that share an aligned 8-bit chunk whose bucket holds 2..group_cap
     documents — the same pigeonhole bucket condition AND the same
-    hot-bucket skip ``simhash_edges`` (stages/lsh.py:333) applies, so
+    hot-bucket skip the fused candidate reducer's kind-1 emission
+    (``stages/buckets.py:candidate_edges_fused``) applies, so
     the two paths agree exactly at ANY corpus size (at sf0.1 the
     all-zero chunk buckets exceed the cap and both sides skip them;
     verified by the full-sweep hash match at sf0.001/sf0.01/sf0.1).
@@ -453,9 +416,8 @@ def _simhash_oracle_sql() -> str:
     filter — it is referenced by both sides of the pair self-join, and
     inlining would re-derive the whole token pipeline per side.
     """
-    from ..config import SimHashConfig
     from ..functions.sqlgen import simhash_sig_ctes
-    from ..stages.lsh import SIMHASH_GROUP_CAP
+    from ..stages.buckets import SIMHASH_GROUP_CAP
 
     seed = SimHashConfig().seed
 
@@ -474,9 +436,9 @@ def _simhash_oracle_sql() -> str:
         FROM sigs, (SELECT unnest(generate_series(0, 7)) AS c) _
     ),
     ok_chunks AS (
-        -- ≙ simhash_edges' per-bucket emission gate: buckets with a
+        -- ≙ the fused reducer's kind-1 emission gate: buckets with a
         -- single member pair nothing, buckets over group_cap are
-        -- skipped as hot (stages/lsh.py:333)
+        -- skipped as hot (stages/buckets.py:candidate_edges_fused)
         SELECT c, v FROM chunk_rows GROUP BY c, v
         HAVING count(*) BETWEEN 2 AND {SIMHASH_GROUP_CAP}
     ),
@@ -544,7 +506,7 @@ def embedding_dup_pairs(
     be manual) delegates to the bucketed scale twin
     ``embedding_dup_pairs_lsh`` below — equality-tested against this
     plan at fixture scale."""
-    from ..stages.lsh import block_refs_of
+    from ..stages.common import block_refs_of
 
     path = os.path.join(sf_dir, "embeddings.parquet")
     if exact_max_rows is not None:
@@ -703,23 +665,12 @@ register("dedup_pipeline", dedup_pipeline, _flagship_oracle_sql())
 # --------------------------------------------------------------------------
 
 def long_substring_pairs(sf_dir: str) -> pd.DataFrame:
-    from ..stages.substring import anchor_rows
     from ..stages.suffix import long_substring_pairs as _lsp
 
     sigs = _doc_sigs(sf_dir, compute_anchors=True)
-    anchors = anchor_rows(sigs)
-
-    docs = _read_docs(sf_dir, ["doc_id", "text"])
-
-    def to_texts(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        return pa.table({
-            "url": pa.array([f"{i:012d}" for i in ids], pa.string()),
-            "text": t["text"],
-        })
-
-    texts = docs.map_batches(to_texts, batch_format="pyarrow")
-    out = _lsp(texts, anchors, min_len=200).to_pandas()
+    anchors = bucket_rows(sigs, MinHashConfig(), None, with_anchors=True)
+    out = _lsp(sigs, anchors.filter(expr=f"kind == {KIND_ANCHOR}"),
+               min_len=200).to_pandas()
     if out.empty:
         return pd.DataFrame({"doc_id_a": pd.Series(dtype="int64"),
                              "doc_id_b": pd.Series(dtype="int64"),

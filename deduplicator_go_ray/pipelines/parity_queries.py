@@ -22,8 +22,9 @@ and "next round" #6):
   the (strictly shorter) doc's text occurs verbatim inside another's.
   Ray plan: denser winnowing anchors (modulus 16 → P(no anchor) for a
   200-byte doc ≈ 5e-5) bucket short-by-min-anchor × long-by-every-
-  anchor, then an exact substring verify — the flagship's substring
-  pass (stages/substring.py) run standalone at full recall.
+  anchor, then an exact substring verify — the flagship's containment
+  kind (stages/buckets.py kind 2 + stages/verify.py) run standalone at
+  full recall.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from ..config import MinHashConfig, SubstringConfig
+from ..config import LSHConfig, MinHashConfig, SubstringConfig
 from ..stages.common import grouped_apply
 from .registry import register
 
@@ -212,18 +213,17 @@ register(
 # --------------------------------------------------------------------------
 
 def containment_pairs(sf_dir: str) -> pd.DataFrame:
-    from ..stages.substring import (anchor_rows, candidate_pairs,
-                                    verify_containment_smallset)
+    from ..stages.buckets import KIND_ANCHOR, bucket_rows, candidate_edges_fused
+    from ..stages.verify import verify_containment_edges
     from .dedup import _signature_cached
 
     sub_cfg = SubstringConfig(modulus=16, min_len=CONTAIN_MIN_BYTES)
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
     def to_pages(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
         texts = t["text"].to_pylist()
         return pa.table({
-            "url": pa.array([f"{i:012d}" for i in ids], pa.string()),
+            "uid": t["doc_id"],              # the candidate/verify uid
             "text": t["text"],
             "n_bytes": pa.array([len(x.encode()) for x in texts], pa.int64()),
         })
@@ -237,9 +237,10 @@ def containment_pairs(sf_dir: str) -> pd.DataFrame:
         fn_kwargs={"substring": sub_cfg, "compute_anchors": True},
         batch_format="pyarrow", batch_size=512,
     ).materialize()
-    anchors = anchor_rows(sigs)
-    cand = candidate_pairs(anchors, sub_cfg)
-    verified = verify_containment_smallset(cand, pages).to_pandas()
+    rows = bucket_rows(sigs, MinHashConfig(), None, with_anchors=True)
+    cand = candidate_edges_fused(rows.filter(expr=f"kind == {KIND_ANCHOR}"),
+                                 LSHConfig(), 0)
+    verified = verify_containment_edges(cand, sigs).to_pandas()
     if verified.empty:
         return pd.DataFrame({"doc_id_a": pd.Series(dtype="int64"),
                              "doc_id_b": pd.Series(dtype="int64")})
@@ -435,46 +436,24 @@ def import_near_gate(sf_dir: str) -> pd.DataFrame:
     existing doc as evidence (``match_id``; -1 when admitted).
 
     Scale shape: both sides stream through the signature stage
-    independently; candidates come from ONE hash shuffle on band_key
-    where each bucket contributes (incoming x first GATE_EX_CAP
-    existing by doc id) pairs — per-incoming emission is bounded by
-    bands x GATE_EX_CAP regardless of bucket skew, and the cap is part
-    of the operator's definition (replicated exactly in the SQL
-    oracle), not a silent truncation."""
-    from ..stages.common import dedupe_rows
-    from ..stages.lsh import band_rows, verify_edges_smallset
+    independently (doc id as the uid); candidates come from ONE hash
+    shuffle on the band key where each bucket contributes (incoming x
+    first GATE_EX_CAP existing by doc id) pairs
+    (``stages/buckets.py:gate_candidates``) — per-incoming emission is
+    bounded by bands x GATE_EX_CAP regardless of bucket skew, and the
+    cap is part of the operator's definition (replicated exactly in
+    the SQL oracle), not a silent truncation."""
+    from ..stages.buckets import gate_candidates
+    from ..stages.verify import verify_near_edges
 
     cfg = MinHashConfig()
     sigs_in = _side_sigs(sf_dir, incoming=True)
     sigs_ex = _side_sigs(sf_dir, incoming=False)
-
-    def tag(ds, flag: int):
-        def f(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "is_ex", pa.array(np.full(len(t), flag, np.int8)))
-        return ds.map_batches(f, batch_format="pyarrow")
-
-    bands = tag(band_rows(sigs_in, cfg), 0).union(
-        tag(band_rows(sigs_ex, cfg), 1))
-
-    def emit(df: pd.DataFrame) -> pd.DataFrame:
-        # one row per (band_key, doc) per side — a doc whose bands fold
-        # to the same key twice must not shift the existing-side rank
-        # (the oracle ranks over DISTINCT (band_key, doc_id))
-        df = df.drop_duplicates(["band_key", "url", "is_ex"])
-        ex = df[df["is_ex"] == 1].sort_values(["band_key", "url"])
-        ex = ex[ex.groupby("band_key").cumcount() < GATE_EX_CAP]
-        inc = df.loc[df["is_ex"] == 0, ["band_key", "url"]]
-        pairs = inc.merge(ex[["band_key", "url"]], on="band_key",
-                          suffixes=("_u", "_v"))
-        return pd.DataFrame({"u": pairs["url_u"], "v": pairs["url_v"]})
-
-    cand = dedupe_rows(
-        grouped_apply(bands, ["band_key"], emit), ["u", "v"]).materialize()
-    hits = pd.DataFrame({"u": pd.Series(dtype=object),
-                         "v": pd.Series(dtype=object)})
+    cand = gate_candidates(sigs_in, sigs_ex, cfg, GATE_EX_CAP)
+    hits = pd.DataFrame({"u": pd.Series(dtype="int64"),
+                         "v": pd.Series(dtype="int64")})
     if cand.count() > 0:
-        ver = verify_edges_smallset(cand, sigs_in.union(sigs_ex), cfg)
+        ver = verify_near_edges(cand, sigs_in.union(sigs_ex), cfg)
         hits = ver.select_columns(["u", "v"]).to_pandas()
 
     def inc_only(t: pa.Table) -> pa.Table:
@@ -487,9 +466,7 @@ def import_near_gate(sf_dir: str) -> pd.DataFrame:
     if len(hits):
         # searchsorted probe keeps ids int64 end-to-end (Series.map +
         # fillna would round-trip through float64, lossy above 2^53)
-        m = (pd.DataFrame({"u": hits["u"].astype(np.int64),
-                           "v": hits["v"].astype(np.int64)})
-             .groupby("u")["v"].min())
+        m = hits.groupby("u")["v"].min()
         from ..stages.common import sorted_probe
 
         keys = m.index.to_numpy(np.int64)

@@ -257,6 +257,9 @@ def generate_pages(n_rows: int, seed: int = 42,
         docs.append(base_doc("unique", new_group(),
                              langs[int(rng.integers(0, len(langs)))]))
     docs = docs[:n_rows]
+    # a small n_rows cuts planted groups short: keep only the truth
+    # pairs whose members both survive the cut
+    truth = [t for t in truth if max(t[0], t[1]) < len(docs)]
 
     # ---- materialise rows (deterministic shuffle of row order) -------------
     order = rng.permutation(len(docs))

@@ -12,15 +12,19 @@ per bucket into candidate edges.  Fusing them:
   of the url) instead of the url string — ~5× less shuffle volume and
   numpy-sortable inside the reducers.  uid→url resolution happens once
   at the end of the pipeline (collision probability n²/2⁶⁴; the
-  tradeoff is documented in the uid helper).
+  tradeoff is documented in the uid helper).  An input that carries
+  its own ``uid`` column (the registry queries' ``doc_id``) is keyed
+  by it instead (:func:`batch_uids`), so chain and star order is the
+  oracles' ``ORDER BY doc_id``.
 
 Row layout: (key: i64, kind: i8, uid: i64, payload: i64, flag: bool,
 d0: i64, d1: i64)
   kind 0 = LSH band   — payload unused; emission: sorted chain + star
-                         (star only under the group cap; hot buckets
-                         chain-only — same policy as stages.lsh)
+                         (star only under the group cap; hot buckets,
+                         salted in flight, chain-only)
   kind 1 = simhash    — payload = simhash bits; emission: in-bucket
-                         Hamming-verified pairs
+                         Hamming-verified pairs (buckets over
+                         ``SIMHASH_GROUP_CAP`` skipped as hot)
   kind 2 = anchor     — payload = n_bytes, flag = is-min-anchor;
                          emission: shorts × longs containment candidates
   d0, d1 — the document's 128-bit digest: on band and simhash rows the
@@ -70,6 +74,9 @@ KIND_ANCHOR = 2
 # gather+sum instead of a 64-pass shift/mask/add loop
 _POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 DIGEST_BITS = 128             # d0, d1: two int64 words per bucket row
+# hot-bucket cap for simhash chunk buckets — the simhash_pairs SQL
+# oracle interpolates THIS constant so the two paths stay cap-consistent
+SIMHASH_GROUP_CAP = 512
 
 
 def min_slot_matches(cfg: MinHashConfig) -> int:
@@ -145,6 +152,15 @@ def uid_of_urls(urls, bits: int = 64) -> np.ndarray:
     return out
 
 
+def batch_uids(t: pa.Table, bits: int = 64) -> np.ndarray:
+    """Doc uids of a batch: its ``uid`` column when it has one (a
+    caller-assigned id — the registry passes ``doc_id``), else
+    :func:`uid_of_urls` of its ``url`` column at ``bits``."""
+    if "uid" in t.column_names:
+        return uid_np(t["uid"], _uid_bits_of(t["uid"]))
+    return uid_of_urls(t["url"], bits)
+
+
 def uid_arrow(arr: np.ndarray) -> pa.Array:
     """Arrow array for a uid ndarray of either width (int64 or bytes)."""
     if arr.dtype == np.int64:
@@ -193,7 +209,7 @@ def sampled_hot_band_keys(
         n = len(batch)
         if n == 0:
             return pa.table({"key": pa.array([], pa.int64())})
-        uid = uid_of_urls(batch["url"]).view(np.uint64)
+        uid = batch_uids(batch).view(np.uint64)
         ns = np.asarray(batch["n_shingles"], dtype=np.int64)
         keep = (uid % mod == 0) & (ns > 0)
         kn = int(keep.sum())
@@ -224,7 +240,8 @@ def bucket_rows(
     # ~2^16 values per chunk slot, so buckets stay small even at 10^6+
     # docs (8-bit chunks collapse into a few hundred giant buckets that
     # the group cap then drops — zero recall AND wasted shuffle)
-    """Explode one signature row into all of its bucket rows.
+    """Explode one signature row into all of its bucket rows, keyed by
+    :func:`batch_uids` (the input's ``uid`` column when it has one).
 
     ``hot_band_keys`` (sorted int64, from :func:`sampled_hot_band_keys`)
     activates in-flight salting: a band row whose key is hot gets
@@ -253,7 +270,7 @@ def bucket_rows(
         })
         if n == 0:
             return empty
-        uid = uid_of_urls(batch["url"], uid_bits)
+        uid = batch_uids(batch, uid_bits)
         ns = np.asarray(batch["n_shingles"], dtype=np.int64)
         keep = ns > 0
         keys_out: list[np.ndarray] = []
@@ -379,7 +396,7 @@ def candidate_edges_fused(
     lsh: LSHConfig,
     simhash_hamming: int,
     anchor_bucket_cap: int = 4096,
-    sim_group_cap: int = 512,
+    sim_group_cap: int = SIMHASH_GROUP_CAP,
     num_partitions: int = 128,
     uid_bits: int = 64,
     minhash: MinHashConfig | None = None,
@@ -487,3 +504,42 @@ def candidate_edges_fused(
 
     return grouped_apply(buckets, ["key"], emit, num_partitions=num_partitions,
                          empty_result=empty_edges(uid_bits))
+
+
+def gate_candidates(
+    incoming: "ray.data.Dataset",
+    existing: "ray.data.Dataset",
+    minhash: MinHashConfig,
+    existing_cap: int,
+    num_partitions: int = 64,
+) -> "ray.data.Dataset":
+    """(u, v, kind) band candidates of the near-dup import gates, u
+    incoming and v existing: per band bucket, every incoming doc × the
+    first ``existing_cap`` existing docs by uid.  Per-incoming emission
+    is bounded by bands × existing_cap whatever the bucket skew, and
+    the cap is part of the gates' definition (their SQL oracle ranks
+    the same way), not a silent truncation."""
+
+    def side(sigs: "ray.data.Dataset", is_ex: bool) -> "ray.data.Dataset":
+        return bucket_rows(sigs, minhash, None, with_anchors=False).map_batches(
+            lambda t: pa.table({
+                "key": t["key"], "uid": t["uid"],
+                "is_ex": pa.array(np.full(len(t), is_ex), pa.bool_())}),
+            batch_format="pyarrow")
+
+    def emit(df: pd.DataFrame) -> pd.DataFrame:
+        # one row per (key, doc) per side — a doc whose bands fold to
+        # the same key twice must not shift the existing-side rank
+        df = df.drop_duplicates(["key", "uid", "is_ex"])
+        ex = df[df["is_ex"]].sort_values(["key", "uid"], kind="mergesort")
+        ex = ex[ex.groupby("key").cumcount() < existing_cap]
+        pairs = df.loc[~df["is_ex"], ["key", "uid"]].merge(
+            ex[["key", "uid"]], on="key", suffixes=("_u", "_v"))
+        return pd.DataFrame({
+            "u": pairs["uid_u"].to_numpy(), "v": pairs["uid_v"].to_numpy(),
+            "kind": np.full(len(pairs), KIND_BAND, np.int8),
+        }).drop_duplicates(["u", "v"])
+
+    return grouped_apply([side(incoming, False), side(existing, True)],
+                         ["key"], emit, num_partitions=num_partitions,
+                         empty_result=empty_edges())

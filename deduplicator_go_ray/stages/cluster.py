@@ -271,7 +271,7 @@ def resolve_components(
             pa.table({"url": pa.array([], key_type), "root": pa.array([], key_type)})
         )
     if n <= max_onetask_edges:
-        from .lsh import block_refs_of
+        from .common import block_refs_of
 
         refs = tuple(block_refs_of(edges_ds.materialize()))
         return ray.data.from_arrow_refs(

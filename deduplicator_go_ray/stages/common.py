@@ -168,7 +168,15 @@ def grouped_apply(
     outs = [_reduce_partition.remote(fn_ref, arrow_fn, multi,
                                      *[s[p] for s in slices])
             for p in range(n_parts if blocks else 0)]
-    rows = ray.get([r for _, r in outs])
+    row_refs = [r for _, r in outs]
+    try:
+        rows = ray.get(row_refs)
+    except Exception:
+        # ray.get raises at the first failed partition while the others
+        # still run; wait them out so a failed exchange leaves no task
+        # behind that could still write (e.g. a checkpoint partition)
+        ray.wait(row_refs, num_returns=len(row_refs))
+        raise
     kept = [t for (t, _), n in zip(outs, rows) if n > 0]
     if kept:
         return ray.data.from_arrow_refs(kept)
@@ -200,6 +208,14 @@ def compact_materialized(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     if not kept_any:
         return ds
     return ray.data.from_arrow_refs(refs)
+
+
+def block_refs_of(ds: "ray.data.Dataset") -> list:
+    """Object refs of a materialized Dataset's blocks — the broadcast
+    handle: shipping refs costs nothing, workers fetch the Arrow blocks
+    zero-copy from the object store (no driver-side pull, no pickled
+    dict serialized on the driver and re-deserialized per worker)."""
+    return [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
 
 
 def bounded_cache_put(cache: dict, key, val, max_entries: int = 8):
@@ -288,6 +304,5 @@ def keys_over(ds: "ray.data.Dataset", col: str, cap: int) -> np.ndarray:
 
     hot = grouped_apply(ds, [col], over, arrow_fn=True, pre_fn=partial,
                         empty_result=pa.table({col: pa.array([], pa.int64())}))
-    parts = [np.asarray(t[col], np.int64) for t in ray.get(
-        [r for b in hot.iter_internal_ref_bundles() for r in b.block_refs])]
+    parts = [np.asarray(t[col], np.int64) for t in ray.get(block_refs_of(hot))]
     return np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)

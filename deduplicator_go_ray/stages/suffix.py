@@ -1,7 +1,8 @@
 """Long exact-substring pair detection (partial overlap).
 
-The containment pass (stages/substring.py) finds full-document
-embeddings; this stage finds pairs of documents that merely SHARE one
+The containment kind of the candidate stage (stages/buckets.py kind 2,
+verified by stages/verify.py) finds full-document embeddings; this
+stage finds pairs of documents that merely SHARE one
 long exact run (≥ ``min_len`` bytes) — plagiarized paragraphs, quoted
 blocks, syndicated fragments.  North-rule component ("suffix-array pass
 for long exact substrings").
@@ -11,13 +12,14 @@ Design:
 * candidates — two docs sharing an exact run of length L share
   ~(L - window)/modulus winnowing anchors in expectation, so pairs with
   ≥ ``min_shared_anchors`` common anchor buckets are candidates (the
-  anchor rows already exist from the signature stage — no extra text
-  scan);
+  anchor rows are the candidate stage's kind-2 bucket rows — no extra
+  text scan);
 * verification — the exact longest-common-substring of each candidate
   pair, computed with a suffix automaton of the shorter text (O(n+m),
   the suffix-structure role; a generalized suffix array would batch
   many docs per partition — the automaton is the per-pair equivalent
-  with the same output).
+  with the same output), against the verify stage's shared endpoint
+  index of the texts.
 
 Pure per-pair decisions → partition-count invariant like every other
 stage.
@@ -92,7 +94,8 @@ def shared_anchor_pairs(
     min_shared_anchors: int = 2,
     bucket_cap: int = 1024,
 ) -> "ray.data.Dataset":
-    """(u, v, shared) candidate pairs from common anchor buckets.
+    """(u, v, shared) candidate uid pairs from common anchor buckets
+    (``anchors``: kind-2 ``bucket_rows``, u < v).
 
     Unlike the containment pass there is no min-anchor shortcut (either
     doc may hold the run anywhere), so buckets emit cliques bounded by
@@ -100,10 +103,10 @@ def shared_anchor_pairs(
     the evidence of a long shared run."""
 
     def emit(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["anchor", "url"]).sort_values(
-            ["anchor", "url"], kind="mergesort")
-        a = df["anchor"].to_numpy()
-        u = df["url"].to_numpy()
+        df = df.drop_duplicates(["key", "uid"]).sort_values(
+            ["key", "uid"], kind="mergesort")
+        a = df["key"].to_numpy()
+        u = df["uid"].to_numpy()
         starts = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
         sizes = np.diff(np.r_[starts, a.size])
         keep = (sizes > 1) & (sizes <= bucket_cap)
@@ -115,15 +118,15 @@ def shared_anchor_pairs(
             frames.append(pd.DataFrame({"u": mat[:, iu].ravel(),
                                         "v": mat[:, jv].ravel()}))
         if not frames:
-            return pd.DataFrame({"u": pd.Series(dtype=object),
-                                 "v": pd.Series(dtype=object)})
+            return pd.DataFrame({"u": pd.Series(dtype="int64"),
+                                 "v": pd.Series(dtype="int64")})
         out = pd.concat(frames)
         g = out.groupby(["u", "v"], sort=False).size().reset_index(name="shared")
         return g  # per-partition counts; buckets of one anchor value
                   # are never split, so counts are complete per pair
                   # only after the cross-partition sum below
 
-    per_part = grouped_apply(anchors, ["anchor"], emit)
+    per_part = grouped_apply(anchors, ["key"], emit)
 
     def total(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["u", "v"], sort=False)["shared"].sum().reset_index()
@@ -138,58 +141,32 @@ def long_substring_pairs(
     min_len: int = 256,
     min_shared_anchors: int = 2,
 ) -> "ray.data.Dataset":
-    """(u, v, lcs_len) pairs whose exact longest common substring is at
-    least ``min_len`` bytes.  ``texts``: (url, text); ``anchors``:
-    (anchor, url, ...) rows from the signature stage."""
-    from .lsh import block_refs_of
+    """(u, v, lcs_len) uid pairs whose exact longest common substring
+    is at least ``min_len`` bytes.  ``texts``: rows with ``text`` and
+    a ``uid`` (or ``url``) column; ``anchors``: kind-2 bucket rows of
+    the same documents."""
+    from .verify import containment_spec, endpoint_index, index_rows
 
     cand = shared_anchor_pairs(anchors, min_shared_anchors).materialize()
     if cand.count() == 0:
         return ray.data.from_arrow(pa.table({
-            "u": pa.array([], pa.string()), "v": pa.array([], pa.string()),
+            "u": pa.array([], pa.int64()), "v": pa.array([], pa.int64()),
             "lcs_len": pa.array([], pa.int64())}))
 
-    # broadcast the candidate endpoints' texts (semi-filter, no shuffle)
-    import ray as _ray
-
-    urls: set[str] = set()
-    for b in cand.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        urls.update(b["u"].to_pylist())
-        urls.update(b["v"].to_pylist())
-    uref = _ray.put(pa.array(sorted(urls), pa.string()))
-
-    def slim(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-        wanted = _ray.get(uref)
-        keep = _pc.is_in(t["url"], value_set=wanted)  # vectorized probe
-        return t.filter(keep).select(["url", "text"])
-
-    skinny = texts.map_batches(slim, batch_format="pyarrow").materialize()
-    refs = tuple(block_refs_of(skinny))
+    index = endpoint_index(cand, texts, containment_spec().payload)
 
     def verify(t: pa.Table) -> pa.Table:
-        from .lsh import _worker_index
-
-        idx, (txt,) = _worker_index(refs, ("url", "text"))
-        us = t["u"].to_pandas()
-        vs = t["v"].to_pandas()
-        iu = idx.get_indexer(us)
-        iv = idx.get_indexer(vs)
-        out_u, out_v, out_l = [], [], []
-        for k in range(len(t)):
-            if iu[k] < 0 or iv[k] < 0:
-                continue
-            a = txt[int(iu[k])].as_py() or ""
-            b = txt[int(iv[k])].as_py() or ""
-            l = lcs_length(a, b)
-            if l >= min_len:
-                out_u.append(us.iloc[k])
-                out_v.append(vs.iloc[k])
-                out_l.append(l)
-        return pa.table({
-            "u": pa.array(out_u, pa.string()),
-            "v": pa.array(out_v, pa.string()),
-            "lcs_len": pa.array(out_l, pa.int64()),
-        })
+        ru, rv, txt = index_rows(t, index)
+        u = np.asarray(t["u"], np.int64)
+        v = np.asarray(t["v"], np.int64)
+        ok = (ru >= 0) & (rv >= 0)
+        lcs = np.zeros(len(t), np.int64)
+        for k in np.flatnonzero(ok):
+            lcs[k] = lcs_length(txt[int(ru[k])].as_py() or "",
+                                txt[int(rv[k])].as_py() or "")
+        keep = ok & (lcs >= min_len)
+        return pa.table({"u": pa.array(u[keep], pa.int64()),
+                         "v": pa.array(v[keep], pa.int64()),
+                         "lcs_len": pa.array(lcs[keep], pa.int64())})
 
     return cand.map_batches(verify, batch_format="pyarrow")

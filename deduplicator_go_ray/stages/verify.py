@@ -9,16 +9,21 @@ built from two shared parts:
 * **one index check** — ONE Ray task builds a uid-sorted index of the
   kind's payload, over all payload rows (the speculative prebuilt
   index, :func:`prebuild_index`) or only over the pairs' endpoints
-  (:func:`uid_set_refs` tasks + a semi-filter).  Workers map it
-  zero-copy from the object store and apply the exact predicate per
-  pair batch — no exchange;
+  (:func:`endpoint_index`: :func:`uid_set_refs` tasks + a
+  semi-filter).  Workers map it zero-copy from the object store
+  (:func:`index_rows`) and apply the exact predicate per pair batch —
+  no exchange.  Registry queries whose per-pair result is more than a
+  keep mask (n-gram Jaccard, longest common substring) probe the same
+  index;
 * **one two-attach check** — two keyed :func:`~.joins.hash_join`
   exchanges (payload of u, then of v) with the exact predicate applied
   inside the second reduce, so the wide (pair + payload) rows never
   reach the object store.
 
-A per-kind spec (:class:`VerifySpec`) names the payload column, the
-exact predicate and the round-2 cap.  Plans, picked by flags
+A per-kind spec (:class:`VerifySpec`) names the payload, the exact
+predicate and the round-2 cap.  Sources are keyed like the candidate
+rows (``buckets.batch_uids``): by their ``uid`` column when they carry
+one, else by the url hash.  Plans, picked by flags
 ``run_dedup`` computes from its size gates:
 
 * small set (``flood=False``): the index check over all pairs, against
@@ -42,11 +47,10 @@ import ray
 import ray.data
 
 from ..config import MinHashConfig
-from .buckets import (_uid_bits_of, empty_edges, min_slot_matches, uid_arrow,
-                      uid_np, uid_of_urls, uid_pa_type)
-from .common import bounded_cache_put, sorted_probe
+from .buckets import (_uid_bits_of, batch_uids, empty_edges, min_slot_matches,
+                      uid_arrow, uid_np, uid_pa_type)
+from .common import block_refs_of, bounded_cache_put, sorted_probe
 from .joins import hash_join
-from .lsh import block_refs_of
 
 # round-2 caps: up to this many pairs the exact check runs against an
 # endpoint index built by one task; above it the pairs' full payloads
@@ -60,9 +64,8 @@ U, V, UV = ("u",), ("v",), ("u", "v")
 @dataclass(frozen=True)
 class VerifySpec:
     """What one match kind verifies.  ``payload`` maps a source batch
-    (url + ``column``) to its value array; ``exact`` maps two aligned
-    value arrays to a keep mask."""
-    column: str
+    to its value array; ``exact`` maps two aligned value arrays to a
+    keep mask."""
     payload: Callable[[pa.Table], pa.Array]
     exact: Callable[[pa.Array, pa.Array], np.ndarray]
     round2_max: int
@@ -106,8 +109,7 @@ def near_spec(cfg: MinHashConfig) -> VerifySpec:
         n = len(a)
         return (_slot_matrix(a, n, P) == _slot_matrix(b, n, P)).sum(axis=1) >= m_min
 
-    return VerifySpec("minhash", payload, exact,
-                      NEAR_ROUND2_MAX_BYTES // (2 * P * 8))
+    return VerifySpec(payload, exact, NEAR_ROUND2_MAX_BYTES // (2 * P * 8))
 
 
 def containment_spec() -> VerifySpec:
@@ -122,8 +124,7 @@ def containment_spec() -> VerifySpec:
                             for x, y in zip(a.to_pylist(), b.to_pylist())),
                            bool, len(a))
 
-    return VerifySpec("text", payload, exact,
-                      CONTAINMENT_ROUND2_MAX_PAIRS)
+    return VerifySpec(payload, exact, CONTAINMENT_ROUND2_MAX_PAIRS)
 
 
 # ---- uid sets and the per-worker plasma cache --------------------------------
@@ -165,20 +166,17 @@ def uid_set_refs(ds: "ray.data.Dataset", roles, uid_bits: int = 64) -> list:
     return [task.remote(refs, tuple(cols), uid_bits) for cols in roles]
 
 
-def semi_filter_by_uid_ref(ds: "ray.data.Dataset", uid_ref, key: str = "url",
+def semi_filter_by_uid_ref(ds: "ray.data.Dataset", uid_ref,
                            columns: list[str] | None = None) -> "ray.data.Dataset":
-    """Keep the rows of ``ds`` whose uid is in the sorted-unique array
-    behind ``uid_ref`` (from :func:`uid_set_refs`) — a searchsorted
-    probe per batch, no shuffle.  ``key="url"`` hashes the url at the
-    array's uid width; ``key="uid"`` reads a uid column.  ``columns``
-    selects the output columns (default: all)."""
+    """Keep the rows of ``ds`` whose uid (``batch_uids``: the uid
+    column, else the url hashed at the array's width) is in the
+    sorted-unique array behind ``uid_ref`` (from :func:`uid_set_refs`)
+    — a searchsorted probe per batch, no shuffle.  ``columns`` selects
+    the output columns (default: all)."""
 
     def f(batch: pa.Table) -> pa.Table:
         wanted = _shared(uid_ref)
-        if key == "url":
-            uid = uid_of_urls(batch["url"], 64 if wanted.dtype == np.int64 else 128)
-        else:
-            uid = uid_np(batch["uid"], _uid_bits_of(batch["uid"]))
+        uid = batch_uids(batch, 64 if wanted.dtype == np.int64 else 128)
         _, keep = sorted_probe(wanted, uid)
         out = batch if columns is None else batch.select(columns)
         return out.filter(pa.array(keep))
@@ -187,32 +185,33 @@ def semi_filter_by_uid_ref(ds: "ray.data.Dataset", uid_ref, key: str = "url",
 
 
 # ---- the index check ---------------------------------------------------------
-def _payload_table(source: "ray.data.Dataset", spec: VerifySpec,
+def _payload_table(source: "ray.data.Dataset", payload,
                    uid_bits: int) -> "ray.data.Dataset":
     """Lazy (uid, value) payload rows of a source table (sigs / reps)."""
-    return source.select_columns(["url", spec.column]).map_batches(
-        _to_payload, fn_kwargs={"spec": spec, "uid_bits": uid_bits},
+    return source.map_batches(
+        _to_payload, fn_kwargs={"payload": payload, "uid_bits": uid_bits},
         batch_format="pyarrow")
 
 
-def _to_payload(t: pa.Table, spec: VerifySpec, uid_bits: int) -> pa.Table:
-    return pa.table({"uid": uid_arrow(uid_of_urls(t["url"], uid_bits)),
-                     "value": spec.payload(t)})
+def _to_payload(t: pa.Table, payload, uid_bits: int) -> pa.Table:
+    return pa.table({"uid": uid_arrow(batch_uids(t, uid_bits)),
+                     "value": payload(t)})
 
 
-def _build_index(refs: tuple, spec: VerifySpec | None = None):
+def _build_index(refs: tuple, payload=None):
     """Build a uid-sorted index ONCE, in one Ray task: (sorted uids,
     argsort permutation, value array in block order).  The blocks are
-    (uid, value) payload rows, or source rows converted here when
-    ``spec`` is given.  Workers map the result zero-copy from plasma —
-    per-node memory is one copy, not one per worker process.  Text is
+    (uid, value) payload rows, or source rows converted here by
+    ``payload`` when it is given.  Workers map the result zero-copy
+    from plasma — per-node memory is one copy, not one per worker
+    process.  Text is
     cast to large_string BEFORE combining, since combining int32-offset
     strings raises past 2 GiB; the values stay in block order (probes
     map sorted positions through the permutation), so the build pays
     ONE contiguous copy."""
     tables = [t for t in ray.get(list(refs)) if len(t)]
-    if spec is not None:
-        tables = [_to_payload(t, spec, 64) for t in tables]
+    if payload is not None:
+        tables = [_to_payload(t, payload, 64) for t in tables]
     if not tables:
         return np.empty(0, np.int64), np.empty(0, np.int64), None
     tbl = pa.concat_tables(tables)
@@ -230,15 +229,30 @@ def prebuild_index(source: "ray.data.Dataset", spec: VerifySpec):
     it as soon as sigs / reps materialize, so the 1-cpu build overlaps
     the candidate shuffle; a flood plan cancels it."""
     return ray.remote(num_cpus=1)(_build_index).remote(
-        tuple(block_refs_of(source)), spec)
+        tuple(block_refs_of(source)), spec.payload)
 
 
-def _endpoint_index(pairs: "ray.data.Dataset", payload: "ray.data.Dataset",
-                    uid_bits: int):
-    """Index build over only the payload rows of the pairs' endpoints."""
+def endpoint_index(pairs: "ray.data.Dataset", source: "ray.data.Dataset",
+                   payload, uid_bits: int = 64):
+    """Launch the index build over only the ``payload`` values of the
+    (u, v) ``pairs``' endpoint rows of ``source``; returns its
+    ObjectRef.  The endpoint set is built by one task, so nothing is
+    collected on the driver."""
     (uv_ref,) = uid_set_refs(pairs, (UV,), uid_bits)
-    rows = semi_filter_by_uid_ref(payload, uv_ref, key="uid").materialize()
+    rows = semi_filter_by_uid_ref(_payload_table(source, payload, uid_bits),
+                                  uv_ref).materialize()
     return ray.remote(num_cpus=1)(_build_index).remote(tuple(block_refs_of(rows)))
+
+
+def index_rows(batch: pa.Table, index_ref, uid_bits: int = 64):
+    """(u rows, v rows, values): each pair endpoint's position in the
+    shared index's value array, -1 where the endpoint is absent."""
+    uid_s, order, value = _shared(index_ref)
+    rows = []
+    for col in ("u", "v"):
+        pos, hit = sorted_probe(uid_s, uid_np(batch[col], uid_bits))
+        rows.append(np.where(hit, order[pos] if len(order) else 0, -1))
+    return rows[0], rows[1], value
 
 
 def _kept(batch: pa.Table, keep: np.ndarray, uid_bits: int) -> pa.Table:
@@ -258,16 +272,12 @@ def _index_check(pairs: "ray.data.Dataset", index_ref, exact,
     def check(batch: pa.Table) -> pa.Table:
         if not len(batch):
             return empty_edges(uid_bits)
-        uid_s, order, value = _shared(index_ref)
-        rows = []
-        for col in ("u", "v"):
-            pos, hit = sorted_probe(uid_s, uid_np(batch[col], uid_bits))
-            rows.append(np.where(hit, order[pos] if len(order) else 0, -1))
-        ok = (rows[0] >= 0) & (rows[1] >= 0)
+        ru, rv, value = index_rows(batch, index_ref, uid_bits)
+        ok = (ru >= 0) & (rv >= 0)
         keep = np.zeros(len(batch), bool)
         if ok.any():
-            keep[ok] = exact(value.take(pa.array(rows[0][ok])),
-                             value.take(pa.array(rows[1][ok])))
+            keep[ok] = exact(value.take(pa.array(ru[ok])),
+                             value.take(pa.array(rv[ok])))
         return _kept(batch, keep, uid_bits)
 
     return pairs.map_batches(check, batch_format="pyarrow")
@@ -322,17 +332,17 @@ def _two_attach_check(pairs, pay_u, pay_v, exact, uid_bits: int,
 # ---- the plans ---------------------------------------------------------------
 def _verify(pairs, source, spec: VerifySpec, prebuilt, flood: bool,
             uid_bits: int, num_partitions: int):
-    payload = _payload_table(source, spec, uid_bits)
     if flood:
         pairs = pairs.materialize()
         if pairs.count() > spec.round2_max:
+            payload = _payload_table(source, spec.payload, uid_bits)
             u_ref, v_ref = uid_set_refs(pairs, (U, V), uid_bits)
             return _two_attach_check(
-                pairs, semi_filter_by_uid_ref(payload, u_ref, key="uid"),
-                semi_filter_by_uid_ref(payload, v_ref, key="uid"),
+                pairs, semi_filter_by_uid_ref(payload, u_ref),
+                semi_filter_by_uid_ref(payload, v_ref),
                 spec.exact, uid_bits, num_partitions)
-    index = prebuilt if prebuilt is not None else _endpoint_index(
-        pairs, payload, uid_bits)
+    index = prebuilt if prebuilt is not None else endpoint_index(
+        pairs, source, spec.payload, uid_bits)
     return _index_check(pairs, index, spec.exact, uid_bits)
 
 

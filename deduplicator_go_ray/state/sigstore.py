@@ -441,7 +441,7 @@ def _incremental_signatures_impl(
         # keeps the exact block structure of the fresh-compute path
         # (the earlier hits/miss split + union measured SLOWER than
         # recomputing end-to-end at 500k docs: BENCH/sigstore_ab.json).
-        from ..stages.lsh import block_refs_of
+        from ..stages.common import block_refs_of
 
         wire_cols = tuple(c for c in
                           ("mh_blob", "simhash_i64", "n_shingles",
@@ -667,29 +667,31 @@ def near_gate_against_store(
     costs one store scan (no text, no kernels), and only the incoming
     batch runs the signature stage.
 
-    Existing-side rows are identified by their content key (the store
-    carries no urls); blocked rows report the smallest matching
-    ``text_sha256`` as evidence (None when admitted).  Candidates come
-    from one band_key hash shuffle with the same deterministic
-    ``existing_cap`` per-bucket rank as the fresh gate.
+    Existing-side rows are identified by the uid of their content key
+    (the store carries no urls); blocked rows report the smallest
+    matching ``text_sha256`` as evidence (None when admitted).
+    Candidates come from the fresh gate's band reducer
+    (``stages/buckets.py:gate_candidates``): one band-key hash shuffle
+    with a deterministic ``existing_cap`` per-bucket rank by uid.
     """
     import pandas as pd
 
     from ..pipelines.dedup import _signature_cached
-    from ..stages.common import dedupe_rows, grouped_apply
-    from ..stages.lsh import band_rows, verify_edges_smallset
+    from ..stages.buckets import gate_candidates, uid_of_urls
+    from ..stages.verify import (semi_filter_by_uid_ref, uid_set_refs,
+                                 verify_near_edges)
 
     cfg = cfg or MinHashConfig()
     in_sigs = pages.map_batches(
         _signature_cached, fn_kwargs={"compute_anchors": False},
         batch_format="pyarrow", batch_size=512).materialize()
+    out = (pages.select_columns(["url"]).to_pandas()
+           .sort_values("url").reset_index(drop=True))
+    out["match_key"] = pd.Series([None] * len(out), dtype=object)
 
     files = _store_files(store_dir)
     if not files:
-        out = (pages.select_columns(["url"]).to_pandas()
-               .sort_values("url").reset_index(drop=True))
         out["admitted"] = True
-        out["match_key"] = pd.Series([None] * len(out), dtype=object)
         return out[["url", "admitted", "match_key"]]
 
     _sp = as_state_path(store_dir)
@@ -705,44 +707,22 @@ def near_gate_against_store(
         })
 
     ex_sigs = store.map_batches(to_sig_rows, batch_format="pyarrow")
-
-    def tag(ds, flag: int):
-        def f(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "is_ex", pa.array(np.full(len(t), flag, np.int8)))
-        return ds.map_batches(f, batch_format="pyarrow")
-
-    bands = tag(band_rows(in_sigs, cfg), 0).union(
-        tag(band_rows(ex_sigs, cfg), 1))
-
-    def emit(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.drop_duplicates(["band_key", "url", "is_ex"])
-        ex = df[df["is_ex"] == 1].sort_values(["band_key", "url"])
-        ex = ex[ex.groupby("band_key").cumcount() < existing_cap]
-        inc = df.loc[df["is_ex"] == 0, ["band_key", "url"]]
-        pairs = inc.merge(ex[["band_key", "url"]], on="band_key",
-                          suffixes=("_u", "_v"))
-        return pd.DataFrame({"u": pairs["url_u"], "v": pairs["url_v"]})
-
-    cand = dedupe_rows(grouped_apply(bands, ["band_key"], emit), ["u", "v"],
-                       num_partitions=num_partitions).materialize()
-    hits = pd.DataFrame({"u": pd.Series(dtype=object),
-                         "v": pd.Series(dtype=object)})
-    if cand.count() > 0:
-        both = in_sigs.select_columns(["url", "minhash"]).union(
-            ex_sigs.select_columns(["url", "minhash"]))
-        hits = (verify_edges_smallset(cand, both, cfg)
-                .select_columns(["u", "v"]).to_pandas())
-
-    out = (pages.select_columns(["url"]).to_pandas()
-           .sort_values("url").reset_index(drop=True))
-    if len(hits):
-        m = hits.groupby("u")["v"].min()
-        out["match_key"] = out["url"].map(m).astype(object)
-        out["match_key"] = out["match_key"].where(out["match_key"].notna(),
-                                                  None)
-    else:
-        out["match_key"] = pd.Series([None] * len(out), dtype=object)
+    cand = gate_candidates(in_sigs, ex_sigs, cfg, existing_cap,
+                           num_partitions)
+    hits = cand if cand.count() == 0 else verify_near_edges(
+        cand, in_sigs.select_columns(["url", "minhash"]).union(
+            ex_sigs.select_columns(["url", "minhash"])), cfg).materialize()
+    if hits.count() > 0:
+        # content keys of the matched store rows: one task builds their
+        # uid set, a semi-filter scan of the store fetches them
+        (v_ref,) = uid_set_refs(hits, [("v",)])
+        keys = (semi_filter_by_uid_ref(ex_sigs, v_ref, columns=["url"])
+                .to_pandas()["url"].drop_duplicates())
+        sha = pd.Series(keys.to_numpy(), index=uid_of_urls(keys.tolist()))
+        h = hits.select_columns(["u", "v"]).to_pandas()
+        smallest = sha.reindex(h["v"]).groupby(h["u"].to_numpy()).min()
+        match = pd.Series(uid_of_urls(out["url"].tolist())).map(smallest)
+        out["match_key"] = match.astype(object).where(match.notna(), None)
     out["admitted"] = out["match_key"].isna()
     return out[["url", "admitted", "match_key"]]
 
@@ -836,7 +816,7 @@ def _prune_store_fenced(store_dir: str,
     n_before = store.count()
     live = live_keys.select_columns([key_col]).materialize()
 
-    from ..stages.lsh import block_refs_of
+    from ..stages.common import block_refs_of
     refs = tuple(block_refs_of(live))
 
     def keep_live(t: pa.Table) -> pa.Table:

@@ -457,3 +457,66 @@ def test_reducer_dedupes_near_pairs_but_keeps_anchor_rows(ray_session):
                                 num_partitions=1).to_pandas()
     assert sorted(zip(got["u"], got["v"], got["kind"])) == [
         (1, 2, KIND_BAND), (1, 2, KIND_ANCHOR)]
+
+
+def _identical_sigs_with_uids(ray_on) -> "ray.data.Dataset":
+    """Three identical documents whose ``uid`` column orders them
+    unlike their urls (url a < b < c, uid 30 > 10 < 20)."""
+    text = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
+            "lambda mu nu xi omicron pi rho sigma tau upsilon " * 6)
+    uid = {"a": 30, "b": 10, "c": 20}
+    return _sigs({u: text for u in uid}, ray_on).map_batches(
+        lambda t: t.append_column("uid", pa.array(
+            [uid[u] for u in t["url"].to_pylist()], pa.int64())),
+        batch_format="pyarrow").materialize()
+
+
+def test_bucket_rows_key_on_uid_column(ray_session):
+    """An input with a ``uid`` column is keyed by it: every band bucket
+    of the three identical docs emits its chain and star over the uids
+    in uid order (10-20, 20-30, then the star 10-30), not over url
+    hashes or in url order."""
+    rows = bucket_rows(_identical_sigs_with_uids(ray_session), MinHashConfig(),
+                       None, with_anchors=False)
+    assert sorted(set(rows.to_pandas()["uid"])) == [10, 20, 30]
+    got = candidate_edges_fused(rows, LSHConfig(), 3).to_pandas()
+    assert set(zip(got["u"], got["v"])) == {(10, 20), (20, 30), (10, 30)}
+
+
+@pytest.mark.parametrize("flood", [False, True])
+def test_index_check_probes_source_uid_column(ray_session, flood):
+    """The verify index over a ``uid``-carrying source is keyed by that
+    column: pairs named by those uids verify, a pair naming an absent
+    uid is dropped."""
+    sigs = _identical_sigs_with_uids(ray_session)
+    pairs = ray.data.from_arrow(pa.table({
+        "u": pa.array([10, 20, 10], pa.int64()),
+        "v": pa.array([20, 30, 99], pa.int64()),
+        "kind": pa.array([KIND_BAND] * 3, pa.int8())}))
+    got = verify_near_edges(pairs, sigs, MinHashConfig(),
+                            flood=flood).to_pandas()
+    assert sorted(zip(got["u"], got["v"])) == [(10, 20), (20, 30)]
+
+
+def test_simhash_pairs_survive_digest_prune_at_zero_threshold(ray_session):
+    """Two kind-1 rows with equal SimHash bits but slot digests that
+    differ in all 128 bits: at ``verify_threshold=0.0`` every bit may
+    differ, so the Hamming pair is kept; at the default threshold the
+    fingerprint prune drops it."""
+    tbl = pa.table({
+        "key": pa.array([7, 7], pa.int64()),
+        "kind": pa.array([KIND_SIMHASH] * 2, pa.int8()),
+        "uid": pa.array([1, 2], pa.int64()),
+        "payload": pa.array([5, 5], pa.int64()),
+        "flag": pa.array([False, False], pa.bool_()),
+        "d0": pa.array([0, -1], pa.int64()),
+        "d1": pa.array([0, -1], pa.int64()),
+    })
+
+    def edges(cfg):
+        return candidate_edges_fused(ray.data.from_arrow(tbl), LSHConfig(), 8,
+                                     minhash=cfg).to_pandas()
+
+    kept = edges(MinHashConfig(verify_threshold=0.0))
+    assert list(zip(kept["u"], kept["v"], kept["kind"])) == [(1, 2, KIND_SIMHASH)]
+    assert len(edges(MinHashConfig())) == 0

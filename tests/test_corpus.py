@@ -1,6 +1,7 @@
 """Fixture-corpus contract tests (FIXTURES.md §1/§4)."""
 
 import numpy as np
+import pytest
 
 from deduplicator_go_ray.sources.corpus import BOILERPLATE, generate_pages
 
@@ -59,3 +60,16 @@ def test_extraction_golden_identity():
     for html, text in zip(pages["html"].to_pylist(), pages["text"].to_pylist()):
         got, err = extract_text(html)
         assert got == text
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_corpus_small_sizes_keep_only_whole_truth_pairs(seed):
+    """Every size builds: a cut that drops a member of a planted pair
+    drops that truth pair (seed 7 used to raise IndexError at 5 and
+    10-14 rows), and every surviving pair names two existing pages."""
+    for n in range(1, 31):
+        pages, truth = generate_pages(n, seed=seed)
+        assert len(pages) == n
+        urls = set(pages["url"].to_pylist())
+        assert set(truth["url_a"].to_pylist()) <= urls
+        assert set(truth["url_b"].to_pylist()) <= urls

@@ -203,34 +203,44 @@ def test_hash_shuffle_three_exchange_dag_completes(tmp_path):
     """Three chained grouped_applys whose middle output also feeds a
     union once deadlocked Ray's streaming executor on a small cluster.
     The same shape must complete in a fresh 4-cpu subprocess, with every
-    key present once and the union's rows counted twice."""
+    key present once and the union's rows counted twice.  A hung job is
+    stopped by an alarm inside the subprocess, so its Ray session still
+    shuts down."""
     import os
     import subprocess
     import sys
 
     script = r"""
-import os, sys
+import signal, sys
 sys.path.insert(0, %r)
 import ray, ray.data
 import pyarrow as pa
 import pandas as pd
+
+def stop(*_):
+    raise TimeoutError("the three-exchange DAG did not finish")
+
+signal.signal(signal.SIGALRM, stop)
+signal.alarm(200)
 ray.init(address="local", num_cpus=4, include_dashboard=False)
-from deduplicator_go_ray.stages.common import grouped_apply
+try:
+    from deduplicator_go_ray.stages.common import grouped_apply
 
-t = pa.table({"k": list(range(100)) * 5,
-              "v": [float(i) for i in range(500)]})
-ds = ray.data.from_arrow(t)
+    t = pa.table({"k": list(range(100)) * 5,
+                  "v": [float(i) for i in range(500)]})
+    ds = ray.data.from_arrow(t)
 
-def f(df: pd.DataFrame) -> pd.DataFrame:
-    return df.groupby("k", as_index=False)["v"].sum()
+    def f(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("k", as_index=False)["v"].sum()
 
-a = grouped_apply(ds, ["k"], f)
-b = grouped_apply(a, ["k"], f)
-c = grouped_apply(b.union(a), ["k"], f)
-df = c.to_pandas().sort_values("k").reset_index(drop=True)
-print("RESULT", df["k"].tolist() == list(range(100)),
-      float(df["v"].sum()))
-ray.shutdown()
+    a = grouped_apply(ds, ["k"], f)
+    b = grouped_apply(a, ["k"], f)
+    c = grouped_apply(b.union(a), ["k"], f)
+    df = c.to_pandas().sort_values("k").reset_index(drop=True)
+    print("RESULT", df["k"].tolist() == list(range(100)),
+          float(df["v"].sum()))
+finally:
+    ray.shutdown()
 """ % (os.path.dirname(os.path.dirname(os.path.abspath(__file__))),)
     env = dict(os.environ, RAY_ADDRESS="local")
     p = subprocess.run([sys.executable, "-c", script], env=env,

@@ -39,7 +39,8 @@ from ..stages.common import grouped_apply
 from ..stages.exact import add_content_key, assign_exact_groups
 from ..stages.extract import ExtractStage
 from ..stages.keeper import select_keepers
-from ..stages.buckets import KIND_ANCHOR, bucket_rows, candidate_edges_fused
+from ..stages.buckets import (KIND_ANCHOR, bucket_rows, candidate_edges_fused,
+                              refuse_doc_uid)
 from ..stages.verify import verify_containment_edges, verify_near_edges
 from ..stages.joins import broadcast_lookup, hash_join
 from ..stages.signatures import SignatureStage
@@ -202,6 +203,7 @@ def run_dedup(
     # ---- extract + hash ----------------------------------------------------
     in_schema = pages.schema()
     in_cols = list(in_schema.names) if in_schema is not None else []
+    refuse_doc_uid(in_cols, "run_dedup")
     if in_cols and "html" not in in_cols:
         # pre-extracted input (e.g. resuming from the extract+hash
         # checkpoint): text + error columns already present, skip the
@@ -423,9 +425,7 @@ def run_dedup(
         if cfg.run_substring_pass:
             cont_idx_ref = prebuild_index(reps, containment_spec())
 
-    hot = None
-    if n_reps * cfg.minhash.bands >= cfg.presalt_min_band_rows:
-        hot = sampled_hot_band_keys(sigs, cfg.minhash, cfg.lsh)
+    hot = sampled_hot_band_keys(sigs, cfg, n_reps)
     if timer.on:
         timer.tick("hot_precount")
     buckets = bucket_rows(sigs, cfg.minhash,

@@ -22,7 +22,7 @@ import ray.data
 
 from ..config import LSHConfig, MinHashConfig, PipelineConfig, SimHashConfig
 from ..functions.hashing import hash64_str
-from ..stages.buckets import (KIND_ANCHOR, KIND_SIMHASH, bucket_rows,
+from ..stages.buckets import (DOC_UID, KIND_ANCHOR, KIND_SIMHASH, bucket_rows,
                               candidate_edges_fused, sampled_hot_band_keys)
 from ..stages.common import dedupe_rows, grouped_apply, list_matrix
 from ..stages.verify import verify_near_edges
@@ -45,7 +45,7 @@ def _read_docs(sf_dir: str, columns: list[str]) -> "ray.data.Dataset":
 # --------------------------------------------------------------------------
 
 def _gram_sets(sf_dir: str) -> "ray.data.Dataset":
-    """Per doc (``uid`` = doc_id): its sorted distinct trigram u64
+    """Per doc (``DOC_UID`` = doc_id): its sorted distinct trigram u64
     hashes as a binary blob."""
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
@@ -56,7 +56,8 @@ def _gram_sets(sf_dir: str) -> "ray.data.Dataset":
             grams = {" ".join(w[i:i + NGRAM_N]) for i in range(len(w) - NGRAM_N + 1)}
             hs = np.sort(hash64_str(sorted(grams))) if grams else np.empty(0, np.uint64)
             blobs.append(hs.tobytes())
-        return pa.table({"uid": t["doc_id"], "grams": pa.array(blobs, pa.binary())})
+        return pa.table({DOC_UID: t["doc_id"],
+                         "grams": pa.array(blobs, pa.binary())})
 
     return docs.map_batches(f, batch_format="pyarrow")
 
@@ -101,7 +102,7 @@ def _verify_gram_pairs_keyed(cand: "ray.data.Dataset",
 
     def prep(side: str):
         def f(t: pa.Table) -> pa.Table:
-            return pa.table({side: t["uid"], f"grams_{side}": t["grams"]})
+            return pa.table({side: t[DOC_UID], f"grams_{side}": t["grams"]})
         return f
 
     def score(t: pa.Table) -> pa.Table:
@@ -129,7 +130,7 @@ def ngram_jaccard_pairs(sf_dir: str, plan: str = "auto"):
     sets = _gram_sets(sf_dir).materialize()
 
     def explode(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t["uid"], dtype=np.int64)
+        ids = np.asarray(t[DOC_UID], dtype=np.int64)
         blobs = t["grams"].to_pylist()
         lens = np.array([len(b) // 8 for b in blobs], dtype=np.int64)
         flat = np.frombuffer(b"".join(blobs), dtype=np.uint64)
@@ -244,7 +245,7 @@ def _doc_sigs(sf_dir: str, compute_anchors: bool = False,
         # doc_id is the uid of the candidate and verify stages
         # (buckets.batch_uids), so bucket order is ``ORDER BY doc_id``
         return pa.table({
-            "uid": t["doc_id"],
+            DOC_UID: t["doc_id"],
             "url": pa.array([f"{i:012d}" for i in ids], pa.string()),
             "text": t["text"],
             "n_bytes": pa.array([len(x.encode()) for x in texts], pa.int64()),
@@ -279,26 +280,21 @@ def _pairs_to_ids(edges: "ray.data.Dataset") -> pd.DataFrame:
 
 
 def minhash_lsh_pairs(sf_dir: str, plan: str = "auto") -> pd.DataFrame:
-    cfg, lsh, pcfg = MinHashConfig(), LSHConfig(), PipelineConfig()
+    pcfg = PipelineConfig()
+    cfg, lsh = pcfg.minhash, pcfg.lsh
     sigs = _doc_sigs(sf_dir)
-    # the flagship's candidate stage: hot bands are salted only past
-    # the presalt gate, found by the sampled pre-count
-    hot = (sampled_hot_band_keys(sigs, cfg, lsh)
-           if sigs.count() * cfg.bands >= pcfg.presalt_min_band_rows else None)
+    # the flagship's candidate stage and hot-band policy
     rows = bucket_rows(sigs, cfg, None, with_anchors=False,
-                       hot_band_keys=hot, num_salts=lsh.num_salts)
+                       hot_band_keys=sampled_hot_band_keys(sigs, pcfg,
+                                                           sigs.count()),
+                       num_salts=lsh.num_salts)
     cand = candidate_edges_fused(rows, lsh, 0, minhash=cfg).materialize()
-    n_cand = cand.count()
-    if n_cand == 0:
+    if cand.count() == 0:
         return _pairs_to_ids(cand)
-    # size-aware verify (VERDICT r2 #4): the flagship's
-    # smallset_max_edges gate — a candidate flood takes the verify
-    # stage's flood plan; both plans equality-tested
-    if plan == "auto":
-        plan = ("keyed" if n_cand > pcfg.smallset_max_edges
-                else "smallset")
+    # the verify stage's flood plan picks the two-attach check or the
+    # endpoint index from the pair count; "smallset" forces the index
     return _pairs_to_ids(verify_near_edges(cand, sigs, cfg,
-                                           flood=plan == "keyed"))
+                                           flood=plan != "smallset"))
 
 
 def _minhash_oracle_sql() -> str:

@@ -213,7 +213,8 @@ register(
 # --------------------------------------------------------------------------
 
 def containment_pairs(sf_dir: str) -> pd.DataFrame:
-    from ..stages.buckets import KIND_ANCHOR, bucket_rows, candidate_edges_fused
+    from ..stages.buckets import (DOC_UID, KIND_ANCHOR, bucket_rows,
+                                  candidate_edges_fused)
     from ..stages.verify import verify_containment_edges
     from .dedup import _signature_cached
 
@@ -223,7 +224,7 @@ def containment_pairs(sf_dir: str) -> pd.DataFrame:
     def to_pages(t: pa.Table) -> pa.Table:
         texts = t["text"].to_pylist()
         return pa.table({
-            "uid": t["doc_id"],              # the candidate/verify uid
+            DOC_UID: t["doc_id"],            # the candidate/verify uid
             "text": t["text"],
             "n_bytes": pa.array([len(x.encode()) for x in texts], pa.int64()),
         })

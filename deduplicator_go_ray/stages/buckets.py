@@ -13,9 +13,10 @@ per bucket into candidate edges.  Fusing them:
   numpy-sortable inside the reducers.  uid→url resolution happens once
   at the end of the pipeline (collision probability n²/2⁶⁴; the
   tradeoff is documented in the uid helper).  An input that carries
-  its own ``uid`` column (the registry queries' ``doc_id``) is keyed
-  by it instead (:func:`batch_uids`), so chain and star order is the
-  oracles' ``ORDER BY doc_id``.
+  the reserved ``DOC_UID`` column (the registry queries' ``doc_id``)
+  is keyed by it instead (:func:`batch_uids`), so chain and star
+  order is the oracles' ``ORDER BY doc_id``; page inputs may not carry
+  it (:func:`refuse_doc_uid`).
 
 Row layout: (key: i64, kind: i8, uid: i64, payload: i64, flag: bool,
 d0: i64, d1: i64)
@@ -62,7 +63,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from ..config import LSHConfig, MinHashConfig, SimHashConfig
+from ..config import LSHConfig, MinHashConfig, PipelineConfig, SimHashConfig
 from ..functions.hashing import combine64, hash64_str, mix64
 from .common import grouped_apply, keys_over
 
@@ -74,6 +75,9 @@ KIND_ANCHOR = 2
 # gather+sum instead of a 64-pass shift/mask/add loop
 _POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 DIGEST_BITS = 128             # d0, d1: two int64 words per bucket row
+# the caller-assigned doc-id column (:func:`batch_uids`); a name page
+# inputs may not carry, so their own columns never re-key a document
+DOC_UID = "__doc_uid"
 # hot-bucket cap for simhash chunk buckets — the simhash_pairs SQL
 # oracle interpolates THIS constant so the two paths stay cap-consistent
 SIMHASH_GROUP_CAP = 512
@@ -153,12 +157,22 @@ def uid_of_urls(urls, bits: int = 64) -> np.ndarray:
 
 
 def batch_uids(t: pa.Table, bits: int = 64) -> np.ndarray:
-    """Doc uids of a batch: its ``uid`` column when it has one (a
-    caller-assigned id — the registry passes ``doc_id``), else
-    :func:`uid_of_urls` of its ``url`` column at ``bits``."""
-    if "uid" in t.column_names:
-        return uid_np(t["uid"], _uid_bits_of(t["uid"]))
+    """Doc uids of a batch: its ``DOC_UID`` column when it has one (a
+    caller-assigned id — the registry passes ``doc_id``; the verify
+    payload rows carry it), else :func:`uid_of_urls` of its ``url``
+    column at ``bits``."""
+    if DOC_UID in t.column_names:
+        return uid_np(t[DOC_UID], _uid_bits_of(t[DOC_UID]))
     return uid_of_urls(t["url"], bits)
+
+
+def refuse_doc_uid(columns, where: str) -> None:
+    """Raise if page input ``columns`` include the reserved ``DOC_UID``:
+    a batch that carries it is keyed by it, not by its url hash.  Any
+    other extra column (a page's own ``uid`` too) is just carried."""
+    if DOC_UID in columns:
+        raise ValueError(f"{where}: column {DOC_UID!r} is reserved for "
+                         f"internal doc ids")
 
 
 def uid_arrow(arr: np.ndarray) -> pa.Array:
@@ -190,18 +204,24 @@ def uid_np(col, bits: int = 64) -> np.ndarray:
 
 def sampled_hot_band_keys(
     sigs: "ray.data.Dataset",
-    minhash: MinHashConfig,
-    lsh: LSHConfig,
+    cfg: PipelineConfig,
+    n_docs: int,
     sample_mod: int = 8,
-) -> np.ndarray:
-    """Hot-band detection on a deterministic 1/sample_mod document
-    sample (uid % sample_mod == 0 — a pure content-hash predicate, so
-    the hot set is identical at any parallelism).  A bucket of true
-    size S appears with ~S/sample_mod sampled members; keys whose
-    sampled count exceeds group_cap/sample_mod are flagged hot.  This
-    replaces the full band-rows pre-count groupby (r1 presalt path) —
-    same determinism, 1/sample_mod the shuffle volume, and it feeds the
-    ONE fused shuffle instead of a separate string-keyed band path."""
+) -> np.ndarray | None:
+    """The hot-band policy: None (no salting) while the ``n_docs``
+    signatures explode to fewer than ``cfg.presalt_min_band_rows`` band
+    rows, else the sorted hot band keys.  Detection runs on a
+    deterministic 1/sample_mod document sample (uid % sample_mod == 0 —
+    a pure content-hash predicate, so the hot set is identical at any
+    parallelism).  A bucket of true size S appears with ~S/sample_mod
+    sampled members; keys whose sampled count exceeds
+    group_cap/sample_mod are flagged hot.  This replaces the full
+    band-rows pre-count groupby (r1 presalt path) — same determinism,
+    1/sample_mod the shuffle volume, and it feeds the ONE fused shuffle
+    instead of a separate string-keyed band path."""
+    minhash, lsh = cfg.minhash, cfg.lsh
+    if n_docs * minhash.bands < cfg.presalt_min_band_rows:
+        return None
     b, r = minhash.bands, minhash.rows
     mod = np.uint64(sample_mod)
 
@@ -241,7 +261,7 @@ def bucket_rows(
     # docs (8-bit chunks collapse into a few hundred giant buckets that
     # the group cap then drops — zero recall AND wasted shuffle)
     """Explode one signature row into all of its bucket rows, keyed by
-    :func:`batch_uids` (the input's ``uid`` column when it has one).
+    :func:`batch_uids` (the input's ``DOC_UID`` column when it has one).
 
     ``hot_band_keys`` (sorted int64, from :func:`sampled_hot_band_keys`)
     activates in-flight salting: a band row whose key is hot gets

@@ -168,15 +168,7 @@ def grouped_apply(
     outs = [_reduce_partition.remote(fn_ref, arrow_fn, multi,
                                      *[s[p] for s in slices])
             for p in range(n_parts if blocks else 0)]
-    row_refs = [r for _, r in outs]
-    try:
-        rows = ray.get(row_refs)
-    except Exception:
-        # ray.get raises at the first failed partition while the others
-        # still run; wait them out so a failed exchange leaves no task
-        # behind that could still write (e.g. a checkpoint partition)
-        ray.wait(row_refs, num_returns=len(row_refs))
-        raise
+    rows = ray.get([r for _, r in outs])
     kept = [t for (t, _), n in zip(outs, rows) if n > 0]
     if kept:
         return ray.data.from_arrow_refs(kept)

@@ -143,7 +143,7 @@ def long_substring_pairs(
 ) -> "ray.data.Dataset":
     """(u, v, lcs_len) uid pairs whose exact longest common substring
     is at least ``min_len`` bytes.  ``texts``: rows with ``text`` and
-    a ``uid`` (or ``url``) column; ``anchors``: kind-2 bucket rows of
+    a ``DOC_UID`` (or ``url``) column; ``anchors``: kind-2 bucket rows of
     the same documents."""
     from .verify import containment_spec, endpoint_index, index_rows
 

@@ -22,8 +22,8 @@ built from two shared parts:
 
 A per-kind spec (:class:`VerifySpec`) names the payload, the exact
 predicate and the round-2 cap.  Sources are keyed like the candidate
-rows (``buckets.batch_uids``): by their ``uid`` column when they carry
-one, else by the url hash.  Plans, picked by flags
+rows (``buckets.batch_uids``): by their ``DOC_UID`` column when they
+carry one, else by the url hash.  Plans, picked by flags
 ``run_dedup`` computes from its size gates:
 
 * small set (``flood=False``): the index check over all pairs, against
@@ -47,8 +47,8 @@ import ray
 import ray.data
 
 from ..config import MinHashConfig
-from .buckets import (_uid_bits_of, batch_uids, empty_edges, min_slot_matches,
-                      uid_arrow, uid_np, uid_pa_type)
+from .buckets import (DOC_UID, _uid_bits_of, batch_uids, empty_edges,
+                      min_slot_matches, uid_arrow, uid_np, uid_pa_type)
 from .common import block_refs_of, bounded_cache_put, sorted_probe
 from .joins import hash_join
 
@@ -168,8 +168,8 @@ def uid_set_refs(ds: "ray.data.Dataset", roles, uid_bits: int = 64) -> list:
 
 def semi_filter_by_uid_ref(ds: "ray.data.Dataset", uid_ref,
                            columns: list[str] | None = None) -> "ray.data.Dataset":
-    """Keep the rows of ``ds`` whose uid (``batch_uids``: the uid
-    column, else the url hashed at the array's width) is in the
+    """Keep the rows of ``ds`` whose uid (``batch_uids``: the
+    ``DOC_UID`` column, else the url hashed at the array's width) is in the
     sorted-unique array behind ``uid_ref`` (from :func:`uid_set_refs`)
     — a searchsorted probe per batch, no shuffle.  ``columns`` selects
     the output columns (default: all)."""
@@ -187,14 +187,15 @@ def semi_filter_by_uid_ref(ds: "ray.data.Dataset", uid_ref,
 # ---- the index check ---------------------------------------------------------
 def _payload_table(source: "ray.data.Dataset", payload,
                    uid_bits: int) -> "ray.data.Dataset":
-    """Lazy (uid, value) payload rows of a source table (sigs / reps)."""
+    """Lazy (``DOC_UID``, value) payload rows of a source table (sigs /
+    reps)."""
     return source.map_batches(
         _to_payload, fn_kwargs={"payload": payload, "uid_bits": uid_bits},
         batch_format="pyarrow")
 
 
 def _to_payload(t: pa.Table, payload, uid_bits: int) -> pa.Table:
-    return pa.table({"uid": uid_arrow(batch_uids(t, uid_bits)),
+    return pa.table({DOC_UID: uid_arrow(batch_uids(t, uid_bits)),
                      "value": payload(t)})
 
 
@@ -215,7 +216,7 @@ def _build_index(refs: tuple, payload=None):
     if not tables:
         return np.empty(0, np.int64), np.empty(0, np.int64), None
     tbl = pa.concat_tables(tables)
-    uid = uid_np(tbl["uid"], _uid_bits_of(tbl["uid"]))
+    uid = uid_np(tbl[DOC_UID], _uid_bits_of(tbl[DOC_UID]))
     value = tbl["value"]
     if pa.types.is_string(value.type):
         value = value.cast(pa.large_string())
@@ -314,7 +315,7 @@ def _two_attach_check(pairs, pay_u, pay_v, exact, uid_bits: int,
     pair (:func:`_distinct_pairs`)."""
     def attach(edges, payload, end: str, post_fn):
         renamed = payload.map_batches(
-            lambda t: pa.table({end: t["uid"], f"p_{end}": t["value"]}),
+            lambda t: pa.table({end: t[DOC_UID], f"p_{end}": t["value"]}),
             batch_format="pyarrow")
         return hash_join(edges, renamed, end, post_fn=post_fn,
                          num_partitions=num_partitions)

@@ -677,7 +677,7 @@ def near_gate_against_store(
     import pandas as pd
 
     from ..pipelines.dedup import _signature_cached
-    from ..stages.buckets import gate_candidates, uid_of_urls
+    from ..stages.buckets import gate_candidates, refuse_doc_uid, uid_of_urls
     from ..stages.verify import (semi_filter_by_uid_ref, uid_set_refs,
                                  verify_near_edges)
 
@@ -685,6 +685,8 @@ def near_gate_against_store(
     in_sigs = pages.map_batches(
         _signature_cached, fn_kwargs={"compute_anchors": False},
         batch_format="pyarrow", batch_size=512).materialize()
+    refuse_doc_uid(getattr(in_sigs.schema(), "names", ()),
+                   "near_gate_against_store")
     out = (pages.select_columns(["url"]).to_pandas()
            .sort_values("url").reset_index(drop=True))
     out["match_key"] = pd.Series([None] * len(out), dtype=object)

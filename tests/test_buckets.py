@@ -13,8 +13,8 @@ import ray.data
 
 from deduplicator_go_ray.config import LSHConfig, MinHashConfig, SimHashConfig
 from deduplicator_go_ray.stages.buckets import (
-    KIND_ANCHOR, KIND_BAND, KIND_SIMHASH, bucket_rows, candidate_edges_fused,
-    uid_of_urls)
+    DOC_UID, KIND_ANCHOR, KIND_BAND, KIND_SIMHASH, bucket_rows,
+    candidate_edges_fused, uid_of_urls)
 from deduplicator_go_ray.stages.verify import verify_near_edges
 from deduplicator_go_ray.stages.signatures import SignatureStage
 
@@ -460,19 +460,19 @@ def test_reducer_dedupes_near_pairs_but_keeps_anchor_rows(ray_session):
 
 
 def _identical_sigs_with_uids(ray_on) -> "ray.data.Dataset":
-    """Three identical documents whose ``uid`` column orders them
+    """Three identical documents whose ``DOC_UID`` column orders them
     unlike their urls (url a < b < c, uid 30 > 10 < 20)."""
     text = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
             "lambda mu nu xi omicron pi rho sigma tau upsilon " * 6)
     uid = {"a": 30, "b": 10, "c": 20}
     return _sigs({u: text for u in uid}, ray_on).map_batches(
-        lambda t: t.append_column("uid", pa.array(
+        lambda t: t.append_column(DOC_UID, pa.array(
             [uid[u] for u in t["url"].to_pylist()], pa.int64())),
         batch_format="pyarrow").materialize()
 
 
-def test_bucket_rows_key_on_uid_column(ray_session):
-    """An input with a ``uid`` column is keyed by it: every band bucket
+def test_bucket_rows_key_on_doc_uid_column(ray_session):
+    """An input with a ``DOC_UID`` column is keyed by it: every band bucket
     of the three identical docs emits its chain and star over the uids
     in uid order (10-20, 20-30, then the star 10-30), not over url
     hashes or in url order."""
@@ -484,8 +484,8 @@ def test_bucket_rows_key_on_uid_column(ray_session):
 
 
 @pytest.mark.parametrize("flood", [False, True])
-def test_index_check_probes_source_uid_column(ray_session, flood):
-    """The verify index over a ``uid``-carrying source is keyed by that
+def test_index_check_probes_source_doc_uid_column(ray_session, flood):
+    """The verify index over a ``DOC_UID``-carrying source is keyed by that
     column: pairs named by those uids verify, a pair naming an absent
     uid is dropped."""
     sigs = _identical_sigs_with_uids(ray_session)

@@ -331,6 +331,33 @@ finally:
     assert lines and lines[0].split()[1] == "True", p.stdout[-2000:]
 
 
+def test_page_uid_column_same_assignments(corpus):
+    """Pages may carry extra columns, a ``uid`` (a common name for a
+    document id) among them: the pipeline keys documents by their url
+    hash whatever the input calls its own columns, so the assignments
+    equal those of the same pages without it, near duplicates
+    included.  The internal doc-id column name is refused on input."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from deduplicator_go_ray.stages.buckets import DOC_UID
+
+    pages_tbl, _ = corpus
+    small = pages_tbl.slice(0, 250)
+    base = run_dedup(rd.from_arrow(small)).to_pandas()
+    ids = pa.array(np.arange(len(small), dtype=np.int64)[::-1])
+    tagged = run_dedup(
+        rd.from_arrow(small.append_column("uid", ids))).to_pandas()
+    a = base.sort_values("url").reset_index(drop=True)
+    b = tagged.sort_values("url").reset_index(drop=True)
+    assert (a["match_kind"] == "near").any()
+    for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
+                "match_kind"]:
+        assert (a[col] == b[col]).all(), col
+    with pytest.raises(ValueError, match=DOC_UID):
+        run_dedup(rd.from_arrow(small.append_column(DOC_UID, ids)))
+
+
 def test_uid128_same_assignments(corpus):
     """VERDICT r1 #10: the widened 16-byte uid mode must produce the
     same clusters/keepers as the default int64 mode (cluster ids are

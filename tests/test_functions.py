@@ -309,34 +309,3 @@ def test_md5_hex16_matches_hashlib():
     # sliced + chunked inputs (non-zero offsets) hash identically
     ch = pa.chunked_array([arr.slice(3, 40), arr.slice(100, 7)])
     assert md5_hex16(ch).to_pylist() == want[3:43] + want[100:107]
-
-
-def test_grouped_apply_failure_waits_for_running_partitions(ray_session,
-                                                           tmp_path):
-    """A partition function that raises fails the exchange only after
-    every other partition task has ended, so no task can still write
-    after the caller has seen the error (a checkpoint resume counts
-    the partitions committed before the failure)."""
-    import json
-    import time
-
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
-    from deduplicator_go_ray.stages.common import grouped_apply
-
-    def f(df: pd.DataFrame) -> pd.DataFrame:
-        keys = sorted(int(k) for k in df["k"].unique())
-        if 0 in keys:
-            (tmp_path / "failed").write_text(json.dumps(keys))
-            raise RuntimeError("injected partition failure")
-        time.sleep(1.0)
-        (tmp_path / f"done-{keys[0]}").write_text(json.dumps(keys))
-        return df
-
-    ds = ray.data.from_arrow(pa.table({"k": list(range(16))}))
-    with pytest.raises(Exception, match="injected partition failure"):
-        grouped_apply(ds, ["k"], f, num_partitions=4)
-    seen = {k for p in tmp_path.iterdir() for k in json.loads(p.read_text())}
-    assert seen == set(range(16))

@@ -199,6 +199,35 @@ def test_near_gate_against_store(ray_session, tmp_path, corpus):
     pd.testing.assert_frame_equal(out, out2)
 
 
+def test_near_gate_against_store_ignores_page_uid_column(ray_session,
+                                                       tmp_path, corpus):
+    """Incoming pages that carry their own ``uid`` column are gated by
+    content like any other page: the gate keys them by url hash, so the
+    frame equals the one for the same pages without the column.  The
+    internal doc-id column name is refused on input."""
+    from deduplicator_go_ray.stages.buckets import DOC_UID
+    from deduplicator_go_ray.state.sigstore import near_gate_against_store
+
+    store = str(tmp_path / "gate_store")
+    ex = dict(list(corpus.items())[:25])
+    incremental_signatures(_pages(ex), store)
+    inc = {f"newsite{i:02d}/p": ex[k] for i, k in enumerate(list(ex)[:5])}
+    inc.update({f"fresh{i:02d}/p": f"other subject {i} " + (f"zz{i}yy " * 40)
+                for i in range(5)})
+    pages = _pages(inc)
+    base = near_gate_against_store(pages, store)
+    assert (~base["admitted"]).sum() == 5
+    tagged = pages.map_batches(
+        lambda t: t.append_column("uid", pa.array(
+            range(len(t), 0, -1), pa.int64())), batch_format="pyarrow")
+    pd.testing.assert_frame_equal(near_gate_against_store(tagged, store), base)
+    reserved = pages.map_batches(
+        lambda t: t.append_column(DOC_UID, pa.array(
+            range(len(t)), pa.int64())), batch_format="pyarrow")
+    with pytest.raises(ValueError, match=DOC_UID):
+        near_gate_against_store(reserved, store)
+
+
 def test_compact_and_prune_store(ray_session, tmp_path, corpus):
     """Operational maintenance: compaction shrinks the append-only
     file count without changing warm behavior; liveness pruning drops

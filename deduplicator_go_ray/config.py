@@ -222,20 +222,6 @@ class PipelineConfig:
     # partitions = smaller reducers and better overlap (tuned on the
     # 200k bench corpus; scale with cluster size at real scale).
     bucket_partitions: int = 128
-    # target rows per block for the coalesced post-dedup tail
-    # (final_members and everything after it).  The corpus-wide map
-    # chain inherits the read's block count — hundreds of ~200 KB
-    # blocks once the text column is gone — and the keeper exchange +
-    # sink cost scales with BLOCK COUNT, not bytes (measured: the
-    # keeper Sort alone was 12.7 s over 256 tiny blocks at 500k
-    # docs/16 cpus).  The skinny assignments table coalesces to
-    # max(2 × cluster CPUs, n_docs / tail_rows_per_block) blocks at the
-    # finalize barrier: small corpora get enough blocks to occupy the
-    # cluster, huge corpora get ~64 MB blocks (at ~100 B/row) instead
-    # of a fixed count that would concat gigabytes per block.  Block
-    # LAYOUT varies with cluster size; row content never does (the
-    # N-vs-4N equality check covers this).
-    tail_rows_per_block: int = 640_000
     # skip the hot-band pre-count (an extra groupby + driver collect)
     # when the band-row volume is too small for any bucket to threaten
     # a reducer; the in-partition cap still bounds pair emission.

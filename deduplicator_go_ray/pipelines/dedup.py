@@ -1,21 +1,35 @@
 """The flagship end-to-end dedup pipeline (SURVEY.md §3.4 DAG):
 
-    read_parquet(pages)
+    read_parquet(pages)                               # Ray Data execution 1
       → map_batches(_extract_cached)                  # M1/ST1
       → add_content_key (sha256 + n_bytes)            # hash stage
+    ── plain Ray tasks over block refs from here ──
       → grouped_apply(exact key, assign_rep)          # A1/D1  [exchange 1]
-      → reps → map_batches(_signature_slim)           # ST1
-      → LSH bands [+salt] + SimHash chunks + substring
-        anchors → candidate edges                     # [one fused exchange]
-      → verify (signature Jaccard / containment)      # stages/verify.py:
-                                                      # index or attach exchanges
-      → connected components (resolve_components)     # cluster merge
-      → propagate rep cluster → members               # broadcast or join
+        (sentinel / too-small filter + projection in its split tasks)
+      → rep texts: one task per extracted block       # rep-uid set task
+      → reps → map_batches(_signature_slim)           # Ray Data execution 2
+      → bucket_batch (bands [+salt] + SimHash chunks  # split pre_fn of
+        + substring anchors) → candidate edges        # [one fused exchange]
+      → verify: per-kind endpoint/prebuilt index task # stages/verify.py
+        + one check task per candidate block (or the
+        attach exchanges above a kind's round-2 cap)
+      → _cc_onetask: components + anchor endpoints    # one task
+      → _finalize: one task per members block →       # canonical, match_kind
+        (dup rows, finished unique rows)
       → grouped_apply(canonical, keeper policy)       # D2-D4 [keeper exchange]
-      → assignments (+ error rows re-unioned)
+      → assignments: keeper partitions + unique rows + self-clusters
+        (error / too-small rows, one task per extracted block), each
+        block finished with its partition_id — the caller's
+        write_parquet is execution 3
 
-Per-row stages are task-based ``map_batches`` with a per-worker stage
-cache (``_STAGE_CACHE``).
+Ray Data runs only the edges: the read → extract → content-key map and
+the signature map (task-based ``map_batches`` with a per-worker stage
+cache, ``_STAGE_CACHE``), plus, with a signature store, the store read,
+its probe map and its append write.  Every stage between them is plain
+Ray tasks whose inputs are block refs passed as top-level task
+arguments, and whose outputs are wrapped by ``from_arrow_refs``, which
+starts no execution.  A Ray Data execution costs ~55 ms of fixed time
+on one CPU against ~4 ms for a plain task.
 
 Every per-group decision is a pure function of group content, so the
 assignment set is identical at any parallelism — the reference's
@@ -31,19 +45,26 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 
 from ..config import PipelineConfig
 from ..functions.hashing import hash64_str, md5_hex16
-from ..stages.common import grouped_apply
-from ..stages.exact import add_content_key, assign_exact_groups
+from ..schema import ASSIGNMENTS_SCHEMA
+from ..stages.buckets import (KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
+                              bucket_batch, candidate_edges_fused,
+                              refuse_doc_uid, sampled_hot_band_keys, uid_arrow,
+                              uid_np, uid_of_urls, uid_pa_type)
+from ..stages.cluster import _cc_onetask, anchor_endpoints, resolve_components
+from ..stages.common import (block_refs_of, grouped_apply, map_blocks,
+                             per_node_object_store_bytes, sorted_probe)
+from ..stages.exact import add_content_key, assign_exact_groups, dup_candidates
 from ..stages.extract import ExtractStage
+from ..stages.joins import hash_join
 from ..stages.keeper import select_keepers
-from ..stages.buckets import (KIND_ANCHOR, bucket_rows, candidate_edges_fused,
-                              refuse_doc_uid)
-from ..stages.verify import verify_containment_edges, verify_near_edges
-from ..stages.joins import broadcast_lookup, hash_join
 from ..stages.signatures import SignatureStage
+from ..stages.verify import (containment_spec, near_spec, prebuild_index,
+                             verify_containment_edges, verify_near_edges)
 
 # per-worker-process stage cache: task-based map stages build their
 # state once per worker because Ray reuses worker processes across
@@ -101,67 +122,124 @@ def _signature_slim(batch: pa.Table, **kwargs) -> pa.Table:
     out = _signature_cached(batch, **kwargs)
     return out.drop_columns(["text"]) if "text" in out.column_names else out
 
-_EMPTY_ASSIGN = pa.table({
-    "url": pa.array([], pa.string()),
-    "cluster_id": pa.array([], pa.string()),
-    "keeper_url": pa.array([], pa.string()),
-    "is_keeper": pa.array([], pa.bool_()),
-    "action": pa.array([], pa.string()),
-    "match_kind": pa.array([], pa.string()),
-    "n_bytes": pa.array([], pa.int64()),
-})
+_EMPTY_ASSIGN = ASSIGNMENTS_SCHEMA.empty_table()
 
 
-def _sub_uids_task(refs: tuple, uid_bits: int):
-    """Sorted unique substring-anchor edge endpoints, built in a single
-    Ray task from the verified-edge table's block refs — the result
-    lives in the object store and finalize maps it zero-copy.  Runs
-    remotely via ``ray.remote(_sub_uids_task).remote(...)``."""
-    import ray as _ray
-
-    from ..stages.buckets import uid_np as _uid_np
-
-    tables = _ray.get(list(refs))
-    parts = []
-    for t in tables:
-        if not len(t):
-            continue
-        sub = t.filter(pc.equal(t["kind"], KIND_ANCHOR))
-        if len(sub):
-            parts.append(_uid_np(sub["u"], uid_bits))
-            parts.append(_uid_np(sub["v"], uid_bits))
-    return (np.unique(np.concatenate(parts)) if parts
-            else np.empty(0, np.int64))
+def _finished(t: pa.Table, num_partitions: int) -> pa.Table:
+    """An assignment block as the sink writes it: the lineage partition
+    id from the url (stable across runs) appended, cast to
+    ``ASSIGNMENTS_SCHEMA``."""
+    pid = (hash64_str(t["url"], seed=7) % np.uint64(num_partitions)
+           ).astype(np.int64) if len(t) else np.empty(0, np.int64)
+    t = t.append_column("partition_id", pa.array(pid, pa.int64()))
+    return t.select(ASSIGNMENTS_SCHEMA.names).cast(ASSIGNMENTS_SCHEMA)
 
 
-def _started(fn, background: bool):
-    """Call ``fn`` now, or on a background thread; returns a getter for
-    its result that joins the thread and re-raises its exception."""
-    if not background:
-        out = fn()
-        return lambda: out
-    import threading
+def _self_clustered(t: pa.Table, kind: str) -> pa.Table:
+    """Assignment rows of documents (``url``, ``n_bytes``) that are
+    their own cluster — no per-row Python (VERDICT r2 #3)."""
+    n = len(t)
+    return pa.table({
+        "url": t["url"],
+        "cluster_id": md5_hex16(t["url"]),
+        "keeper_url": t["url"],
+        "is_keeper": pa.array(np.ones(n, bool), pa.bool_()),
+        "action": pa.array(np.full(n, "keep"), pa.string()),
+        "match_kind": pa.array(np.full(n, kind), pa.string()),
+        "n_bytes": pc.cast(t["n_bytes"], pa.int64()),
+    })
 
-    box: dict = {}
 
-    def run() -> None:
-        try:
-            box["out"] = fn()
-        except Exception as e:  # pragma: no cover
-            # Exception, not BaseException: an interrupt on this thread
-            # must propagate, not be parked
-            box["err"] = e
+def _self_clusters(t: pa.Table, min_size: int, num_partitions: int) -> pa.Table:
+    """The pass-through rows of one extracted block as a sink block:
+    error rows, and with ``min_size`` the too-small rows, each its own
+    cluster."""
+    parts = [_self_clustered(t.filter(pc.is_valid(t["error"])), "error")]
+    if min_size:
+        small = pc.and_kleene(pc.is_null(t["error"]),
+                              pc.less(t["n_bytes"], int(min_size)))
+        parts.append(_self_clustered(t.filter(small), "too_small"))
+    return _finished(pa.concat_tables(parts), num_partitions)
 
-    th = threading.Thread(target=run, name="containment-verify", daemon=True)
-    th.start()
 
-    def result():
-        th.join()
-        if "err" in box:
-            raise box["err"]
-        return box["out"]
+@ray.remote
+def _rep_uids(*blocks) -> np.ndarray:
+    """Sorted uids of the representative rows of the exact groups."""
+    return np.unique(np.concatenate(
+        [uid_of_urls(t.filter(t["is_rep"])["url"]) for t in blocks]))
 
-    return result
+
+def _rep_rows(t: pa.Table, cols: list, rep_uids=None,
+              min_size: int = 0) -> pa.Table:
+    """The representative rows of a members block or, given the sorted
+    ``rep_uids``, of an extracted block; ``cols`` only."""
+    if rep_uids is None:
+        return t.filter(t["is_rep"]).select(cols)
+    t = dup_candidates(t, min_size)
+    _, hit = sorted_probe(rep_uids, uid_of_urls(t["url"]))
+    return t.filter(pa.array(hit)).select(cols)
+
+
+# the distributed components tier's anchor-endpoint set (the one-task
+# tier returns it with its component map)
+_anchor_uids = ray.remote(lambda bits, *blocks: anchor_endpoints(blocks, bits))
+
+
+def _with_rep_uid(t: pa.Table, uid_bits: int) -> pa.Table:
+    if "text" in t.column_names:
+        t = t.drop_columns(["text"])
+    return t.append_column(
+        "rep_uid", uid_arrow(uid_of_urls(t["rep_url"], uid_bits)))
+
+
+def _as_near_root(t: pa.Table) -> pa.Table:
+    return pa.table({"rep_uid": t["url"], "near_root": t["root"]})
+
+
+def _finalize(t: pa.Table, cc, sub, uid_bits: int,
+              num_partitions: int):
+    """One members block → (its duplicate rows, with ``canonical`` and
+    ``match_kind``, for the keeper exchange; its unique rows as
+    finished assignment rows).  A member's canonical is its exact
+    representative's component root (the ``near_root`` column after a
+    keyed join, else a probe of the one-task tier's sorted component
+    map ``cc``) or the representative itself; ``sub`` holds the sorted
+    anchor-edge endpoints.  Fully vectorized (VERDICT r1 #3)."""
+    if "text" in t.column_names:
+        t = t.drop_columns(["text"])
+    rep_uid = (uid_np(t["rep_uid"], uid_bits) if "rep_uid" in t.column_names
+               else uid_of_urls(t["rep_url"], uid_bits))
+    if "near_root" in t.column_names:
+        near = pc.is_valid(t["near_root"]).to_numpy(zero_copy_only=False)
+        zero = 0 if uid_bits == 64 else b"\x00" * 16
+        roots = uid_np(pc.fill_null(t["near_root"], zero), uid_bits)
+    elif cc is not None:
+        pos, near = sorted_probe(uid_np(cc["url"], uid_bits), rep_uid)
+        roots = uid_np(cc["root"], uid_bits)[pos] if len(cc) else rep_uid
+    else:
+        near, roots = np.zeros(len(t), bool), rep_uid
+    canonical = np.where(near, roots, rep_uid)
+    _, is_sub = sorted_probe(sub if sub is not None else np.empty(0, np.int64),
+                             rep_uid)
+    exact_sz = np.asarray(t["exact_size"], dtype=np.int64)
+    kinds = np.select([near & is_sub, near, exact_sz > 1],
+                      ["substring", "near", "exact"], default="unique")
+    dup = kinds != "unique"
+    uniq = t.filter(pa.array(~dup))
+    dups = (t.append_column("canonical", uid_arrow(canonical))
+            .append_column("match_kind", pa.array(kinds, pa.string()))
+            .filter(pa.array(dup)))
+    return dups, _finished(_self_clustered(uniq, "unique"), num_partitions)
+
+
+def _nonempty(refs: list) -> "ray.data.Dataset":
+    """The blocks behind ``refs`` as one dataset, zero-row blocks
+    dropped unless all are: Ray forwards them untouched through a
+    caller's later map, still in the pre-map schema (VERDICT r2 #9)."""
+    out = ray.data.from_arrow_refs(refs)
+    kept = block_refs_of(out)
+    return (ray.data.from_arrow_refs(kept)
+            if 0 < len(kept) < out.num_blocks() else out)
 
 
 class _PhaseTimer:
@@ -193,10 +271,10 @@ def run_dedup(
     cfg: PipelineConfig | None = None,
     num_partitions: int = 8,
 ) -> "ray.data.Dataset":
-    """pages (url, warc_ts, html, text?, lang) → assignments Dataset
-    (ASSIGNMENTS_SCHEMA).  Streaming end-to-end except the small edge /
-    cluster intermediates, which are materialized (they are orders of
-    magnitude smaller than the corpus after exact collapse)."""
+    """pages (url, warc_ts, html, text?, lang) → materialized
+    assignments Dataset (ASSIGNMENTS_SCHEMA): the keeper partitions, the
+    unique rows and the self-clusters, each block finished with its
+    lineage ``partition_id``, so the caller's write runs alone."""
     cfg = cfg or PipelineConfig()
     timer = _PhaseTimer()
 
@@ -211,130 +289,47 @@ def run_dedup(
         extracted = pages
     else:
         extracted = extract_pages(pages, cfg)
-    # materialize ONCE: the ok branch here plus the error/too-small
-    # self-cluster passes inside _finish all consume this dataset —
-    # left lazy, the whole extract pipeline would re-execute per
-    # consumer (3× the heaviest map stage)
+    # materialize ONCE: the exact exchange, the rep texts and the
+    # self-cluster task all read its blocks
     hashed = add_content_key(extracted).materialize()
     timer.tick("extract+hash")
-    # ≙ every reference dup query excluding sentinel rows (files/utils.go:72)
-    # (the error and too-small branches live inside _finish's
-    # selfcluster — see below)
-    ok = hashed.map_batches(
-        lambda t: t.filter(pc.is_null(t["error"])), batch_format="pyarrow")
-
-    if cfg.min_size:
-        # ≙ --min-size predicate (files/utils.go:77-81): tiny docs are
-        # never dup candidates but still flow through as uniques (the
-        # too-small self-cluster pass in _finish).
-        ok = ok.filter(expr=f"n_bytes >= {int(cfg.min_size)}")
-
-    # ---- shared tail: self-cluster pass-throughs + lineage ------------------
-    # (also the early-exit path for an empty / all-error corpus)
-    def selfcluster(kind: str, predicate):
-        # the branch filter is folded INTO this UDF: a separate fused
-        # filter stage yielding zero rows would make Ray skip this fn
-        # and emit a schema-less empty block that rides every downstream
-        # operator untouched (VERDICT r2 #9)
-        def f(batch: pa.Table) -> pa.Table:
-            batch = batch.filter(predicate(batch))
-            n = batch.num_rows
-            nb = (np.asarray(batch["n_bytes"], dtype=np.int64)
-                  if "n_bytes" in batch.column_names
-                  else np.zeros(n, np.int64))
-            return pa.table({
-                "url": batch["url"],
-                "cluster_id": md5_hex16(batch["url"]),
-                "keeper_url": batch["url"],
-                "is_keeper": pa.array(np.ones(n, bool), pa.bool_()),
-                "action": pa.array(np.full(n, "keep"), pa.string()),
-                "match_kind": pa.array(np.full(n, kind), pa.string()),
-                "n_bytes": pa.array(nb, pa.int64()),
-            })
-        return f
-
-    def _finish(assignments: "ray.data.Dataset",
-                num_partitions: int = num_partitions) -> "ray.data.Dataset":
-        # error rows + too-small rows pass through as self-clusters;
-        # both branch filters run inside selfcluster on the materialized
-        # `hashed` (no fused zero-row stage, see above)
-        parts = [assignments, hashed.map_batches(
-            selfcluster("error", lambda t: pc.is_valid(t["error"])),
-            batch_format="pyarrow")]
-        if cfg.min_size:
-            parts.append(hashed.map_batches(
-                selfcluster(
-                    "too_small",
-                    lambda t: pc.and_kleene(
-                        pc.is_null(t["error"]),
-                        pc.less(t["n_bytes"], pa.scalar(int(cfg.min_size),
-                                                        pa.int64())))),
-                batch_format="pyarrow"))
-        out = parts[0].union(*parts[1:])
-
-        # lineage: partition id from the url (stable across runs)
-        def lineage(batch: pa.Table) -> pa.Table:
-            pid = (hash64_str(batch["url"], seed=7)
-                   % np.uint64(num_partitions)).astype(np.int64)
-            return batch.append_column("partition_id",
-                                       pa.array(pid, pa.int64()))
-
-        return out.map_batches(lineage, batch_format="pyarrow")
+    n_docs = hashed.count()  # metadata read — hashed is materialized
+    if n_docs == 0:
+        return ray.data.from_arrow(_EMPTY_ASSIGN)
+    hashed_refs = block_refs_of(hashed)
+    # error rows + too-small rows pass through as self-clusters: one
+    # task per extracted block, submitted now (zero-row results are
+    # dropped at the end)
+    tail = map_blocks(hashed_refs, _self_clusters, cfg.min_size, num_partitions)
 
     # ---- exact dedup (shuffle on content key) ------------------------------
     # size-aware physical plan for representative texts (VERDICT r1 #2):
     #   * small corpus (≤ broadcast_max_reps docs): the exact groupby
     #     shuffles ONLY keys + metadata — never the text column — and
-    #     rep texts are re-fetched by a semi-filter whose sorted rep-uid
-    #     set one task builds in the object store (nothing is collected
-    #     on the driver);
+    #     rep texts are re-fetched per extracted block against a
+    #     sorted rep-uid set one task builds in the object store
+    #     (nothing is collected on the driver);
     #   * large corpus: the text column rides through the ONE exact
     #     hash exchange (bounded per partition, spills with the
     #     exchange) and reps fall out of the group reduce directly — no
     #     O(n_reps) set exists anywhere, on the driver or in any worker.
-    from ..stages.buckets import uid_of_urls
-    from ..stages.verify import semi_filter_by_uid_ref, uid_set_refs
-
-    n_docs = hashed.count()  # metadata read — hashed is materialized
-    if n_docs == 0:
-        # fully-empty corpus: short-circuit with the assignment schema
-        # (the union tail would otherwise lose it through empty blocks)
-        return ray.data.from_arrow(
-            _EMPTY_ASSIGN.append_column(
-                "partition_id", pa.array([], pa.int64())))
     texts_through_shuffle = n_docs > cfg.broadcast_max_reps
     keep = (("url", "warc_ts", "lang", "text") if texts_through_shuffle
             else ("url", "warc_ts", "lang"))
-    members_full = assign_exact_groups(ok, keep_cols=keep).materialize()
+    members = assign_exact_groups(hashed, keep_cols=keep,
+                                  min_size=cfg.min_size).materialize()
     timer.tick("exact_groups")
-    if members_full.count() == 0:
-        # empty / all-error corpus: only sentinel rows flow through
-        assignments = ray.data.from_arrow(_EMPTY_ASSIGN)
-        return _finish(assignments)
+    member_refs = block_refs_of(members)
+    if not member_refs:
+        # empty / all-error corpus: only the self-clusters flow through
+        return _nonempty(tail)
 
     rep_cols = ["url", "text", "n_bytes"] + (
         ["text_sha256"] if cfg.sig_store_dir else [])
-    if texts_through_shuffle:
-        reps = members_full.map_batches(
-            lambda t: t.filter(t["is_rep"]).select(rep_cols),
-            batch_format="pyarrow").materialize()
-        members = members_full.map_batches(
-            lambda t: t.drop_columns(["text"]) if "text" in t.column_names else t,
-            batch_format="pyarrow")
-    else:
-        members = members_full
-
-        def rep_uid_batches(t: pa.Table) -> pa.Table:
-            kept = t.filter(t["is_rep"])
-            return pa.table({"uid": pa.array(uid_of_urls(kept["url"]),
-                                             pa.int64())})
-
-        rep_uids = (members_full.select_columns(["url", "is_rep"])
-                    .map_batches(rep_uid_batches, batch_format="pyarrow")
-                    .materialize())
-        (rep_ref,) = uid_set_refs(rep_uids, [("uid",)])
-        reps = semi_filter_by_uid_ref(
-            ok, rep_ref, columns=rep_cols).materialize()
+    reps = ray.data.from_arrow_refs(
+        map_blocks(member_refs, _rep_rows, rep_cols) if texts_through_shuffle
+        else map_blocks(hashed_refs, _rep_rows, rep_cols,
+                        _rep_uids.remote(*member_refs), cfg.min_size))
     timer.tick("rep_texts")
 
     # ---- signatures on representatives only (candidate pruning §7.0) -------
@@ -353,7 +348,7 @@ def run_dedup(
         # columns the baseline path doesn't (text_sha256 for the
         # append-only persist, sig_cached for the compute accounting) —
         # ~65 B/row of plasma residency; they never enter a shuffle
-        # (bucket_rows emits skinny rows, the verify index gathers
+        # (the bucket rows are skinny, the verify index gathers
         # url+minhash only).
         from ..state.sigstore import incremental_signatures
 
@@ -371,17 +366,14 @@ def run_dedup(
         ).materialize()
 
     timer.tick("signatures")
-    # ---- candidate edges: ONE fused bucket shuffle -------------------------
-    # LSH bands + SimHash chunks + substring anchors share one groupby
-    # over skinny int64 rows (uid keys, not url strings) — see
-    # stages/buckets.py.  Hot-band skew (north rule): above
-    # presalt_min_band_rows a deterministic 1/8 content-hash sample
-    # pre-counts band keys (8× less pre-count shuffle volume than the r1
-    # full count, and no separate string-keyed band path), and hot keys
-    # are salted IN-FLIGHT inside the same fused shuffle — salted
-    # sub-buckets emit chain-only edges.
-    from ..stages.buckets import sampled_hot_band_keys
-
+    # ---- candidate edges: ONE fused bucket exchange ------------------------
+    # LSH bands + SimHash chunks + substring anchors share one exchange
+    # over skinny int64 rows (uid keys, not url strings), built by
+    # bucket_batch inside its split tasks — see stages/buckets.py.
+    # Hot-band skew (north rule): above presalt_min_band_rows a
+    # deterministic 1/8 content-hash sample pre-counts band keys, and
+    # hot keys are salted IN-FLIGHT inside the same fused exchange —
+    # salted sub-buckets emit chain-only edges.
     n_reps = sigs.count()
     timer.note("n_reps", n_reps)
 
@@ -396,244 +388,129 @@ def run_dedup(
         cfg = _dc.replace(cfg, uid_bits=cfg.resolved_uid_bits(n_reps))
         timer.note("uid_bits", cfg.uid_bits)
 
-    # Speculatively launch the shared verify-index builds NOW (sigs and
-    # reps are materialized) so the single 1-cpu gather+sort tasks
-    # overlap the candidate shuffle instead of serializing after it —
-    # they were the worst-scaling phases of the N-vs-4N profile (near
-    # flat 1.5×/1.4× at 4→16 cpus vs 2.6-3.4× elsewhere).  Only the
-    # direct-refs plan can use a url-keyed prebuilt index; the flood
-    # path drops the refs and plasma reclaims the objects.
-    # the configured budget is a per-node plasma allowance — clamp it
-    # to what the SMALLEST node's object store can actually hold (the
-    # index is one monolithic plasma object; cluster_resources() sums
-    # across nodes and would overstate it on a multi-node cluster;
-    # letting the index dominate a node's store forces
-    # spill/ObjectStoreFullError where the flood plan streams fine)
-    from ..stages.common import per_node_object_store_bytes
-
+    # Speculatively launch the full verify-index builds NOW so the
+    # 1-cpu gather+sort tasks overlap the candidate exchange; the flood
+    # path cancels them.  The configured budget is a per-node plasma
+    # allowance, clamped to what the SMALLEST node's object store can
+    # hold (the index is one plasma object; letting it dominate a
+    # node's store forces spill where the flood plan streams fine)
     store_bytes = per_node_object_store_bytes()
     budget = cfg.verify_direct_max_bytes
     if store_bytes:
         budget = min(budget, int(store_bytes * 0.25))
     direct_plan = (cfg.uid_bits == 64
                    and n_reps * cfg.minhash.num_perms * 8 <= budget)
-    near_idx_ref = cont_idx_ref = None
+    near, cont = near_spec(cfg.minhash), containment_spec()
+    near_idx = cont_idx = None
     if direct_plan and n_reps:
-        from ..stages.verify import containment_spec, near_spec, prebuild_index
-
-        near_idx_ref = prebuild_index(sigs, near_spec(cfg.minhash))
+        near_idx = prebuild_index(sigs, near)
         if cfg.run_substring_pass:
-            cont_idx_ref = prebuild_index(reps, containment_spec())
+            cont_idx = prebuild_index(reps, cont)
 
     hot = sampled_hot_band_keys(sigs, cfg, n_reps)
     if timer.on:
         timer.tick("hot_precount")
-    buckets = bucket_rows(sigs, cfg.minhash,
-                          cfg.simhash if cfg.run_simhash else None,
-                          with_anchors=cfg.run_substring_pass,
-                          hot_band_keys=hot,
-                          num_salts=cfg.lsh.num_salts,
-                          uid_bits=cfg.uid_bits)
+    kinds = ((KIND_BAND,) + ((KIND_SIMHASH,) if cfg.run_simhash else ())
+             + ((KIND_ANCHOR,) if cfg.run_substring_pass else ()))
     cand = candidate_edges_fused(
-        buckets, cfg.lsh, cfg.simhash.hamming_threshold,
+        sigs, cfg.lsh, cfg.simhash.hamming_threshold,
         num_partitions=cfg.bucket_partitions,
-        uid_bits=cfg.uid_bits, minhash=cfg.minhash).materialize()
+        uid_bits=cfg.uid_bits, minhash=cfg.minhash,
+        pre_fn=functools.partial(
+            bucket_batch, minhash=cfg.minhash, kinds=kinds,
+            hot_band_keys=hot, num_salts=cfg.lsh.num_salts,
+            uid_bits=cfg.uid_bits)).materialize()
     timer.tick("candidates")
 
-    from ..stages.buckets import empty_edges, uid_np, uid_pa_type
-
+    # ---- verify: both kinds read the one candidate table -------------------
+    # size-aware verification plan: at or below smallset_max_edges
+    # candidates the pairs are checked against a broadcast index (the
+    # prebuilt one, else one over the candidate endpoints); a
+    # candidate FLOOD never holds the full index: each kind's pairs
+    # (already pruned in the candidate reducer) are checked against an
+    # index over their endpoints, or above the kind's round-2 cap
+    # through two hash-partitioned attach exchanges
+    # (equality-tested in tests/test_dedup_pipeline.py)
     n_cand = cand.count()
     timer.note("n_cand", n_cand)
-    if n_cand == 0:
-        all_tagged = ray.data.from_arrow(empty_edges(cfg.uid_bits)).materialize()
-    else:
-        # size-aware verification plan: at or below smallset_max_edges
-        # candidates the pairs are checked against a broadcast index (the
-        # prebuilt one, else one over the candidate endpoints); a
-        # candidate FLOOD never holds the full index: its pairs (already
-        # pruned in the candidate reducer) are checked against an index
-        # over their endpoints, or above the kind's round-2 cap through
-        # two hash-partitioned attach exchanges
-        # (equality-tested in tests/test_dedup_pipeline.py)
-        flood = n_cand > cfg.smallset_max_edges
-        anchor_flood = False
-        if flood:
-            # the speculative index builds lost the bet — stop them NOW
-            # instead of letting a wasted 1-cpu gather+sort run under the
-            # verify exchanges; cancel on a finished task is a no-op and
-            # plasma reclaims the object either way
-            for _ref in (near_idx_ref, cont_idx_ref):
-                if _ref is not None:
-                    ray.cancel(_ref, force=False)
-            near_idx_ref = cont_idx_ref = None
-            # PER-KIND routing: the flood gate fires on the TOTAL
-            # candidate count, which band edges dominate — anchor pairs
-            # are typically orders of magnitude fewer and keep the
-            # small-set plan while the near verify floods
-            n_anchor = (cand.filter(expr=f"kind == {KIND_ANCHOR}").count()
-                        if cfg.run_substring_pass else 0)
-            anchor_flood = not (cfg.uid_bits == 64
-                                and 0 < n_anchor <= cfg.smallset_max_edges)
-            timer.note("anchor_plan", "flood" if anchor_flood else "smallset")
-        common = {"uid_bits": cfg.uid_bits,
-                  "num_partitions": cfg.bucket_partitions}
-        cont = None
-        if cfg.run_substring_pass:
-            # on the flood plan the containment verify (endpoint tasks,
-            # text scan, its exchanges) runs on a background thread, so
-            # its payload scan shares the cluster with the near verify
-            # instead of running serially after it
-            cont = _started(
-                functools.partial(
-                    verify_containment_edges,
-                    cand.filter(expr=f"kind == {KIND_ANCHOR}"), reps,
-                    prebuilt=cont_idx_ref, flood=anchor_flood, **common),
-                background=flood)
-        edge_sets = [verify_near_edges(
-            cand.filter(expr=f"kind != {KIND_ANCHOR}"), sigs, cfg.minhash,
-            prebuilt=near_idx_ref, flood=flood, **common)]
-        if cont is not None:
-            edge_sets.append(cont())
-        all_tagged = (edge_sets[0].union(*edge_sets[1:])
-                      if len(edge_sets) > 1 else edge_sets[0]).materialize()
+    flood = n_cand > cfg.smallset_max_edges
+    if flood:
+        # the speculative full index builds lost the bet — stop them
+        # NOW; cancel on a finished task is a no-op and plasma reclaims
+        # the object either way
+        for ref in (near_idx, cont_idx):
+            if ref is not None:
+                ray.cancel(ref, force=False)
+        # the flood gate reads the TOTAL candidate count; the verify
+        # stage picks each kind's plan from its own count (anchor pairs
+        # keep their endpoint index while near pairs may need the
+        # attach exchanges).  Both kinds' endpoint indexes are
+        # launched before either check is awaited
+        near_idx = prebuild_index(sigs, near, cand, cfg.uid_bits)
+        cont_idx = (prebuild_index(reps, cont, cand, cfg.uid_bits)
+                    if cfg.run_substring_pass else None)
+    common = {"flood": flood, "uid_bits": cfg.uid_bits,
+              "num_partitions": cfg.bucket_partitions}
+    edge_sets = []
+    if n_cand:
+        edge_sets.append(verify_near_edges(cand, sigs, cfg.minhash,
+                                           prebuilt=near_idx, **common))
+    if n_cand and cfg.run_substring_pass:
+        edge_sets.append(verify_containment_edges(cand, reps,
+                                                  prebuilt=cont_idx, **common))
+    edge_refs = [r for e in edge_sets for r in block_refs_of(e)]
+    n_edges = sum(e.count() for e in edge_sets)
     timer.tick("verify+edges")
+    timer.note("n_edges", n_edges)
 
     # ---- components → rep cluster assignment -------------------------------
-    # the substring-uid set is built in ONE Ray task from all_tagged's
-    # materialized block refs and stays in the object store — no driver
-    # array, nothing captured in a task closure (same pattern as
-    # stages/verify.py:_build_index)
-    from ..stages.cluster import resolve_components
-    from ..stages.common import block_refs_of
-
-    timer.note("n_edges", all_tagged.count())
-    sub_ref = ray.remote(num_cpus=1)(_sub_uids_task).remote(
-        tuple(block_refs_of(all_tagged)), cfg.uid_bits)
-    # materialize() is a no-op on the already-materialized result; it
-    # marks the components barrier, where dedupbench's traced run counts
-    # the components
-    rep_clusters = resolve_components(
-        all_tagged, key_type=uid_pa_type(cfg.uid_bits),
-        max_onetask_edges=cfg.onetask_cc_max_edges).materialize()
-    n_comp = rep_clusters.count()
-
-    def add_rep_uid(t: pa.Table) -> pa.Table:
-        from ..stages.buckets import uid_arrow, uid_of_urls
-        return t.append_column(
-            "rep_uid", uid_arrow(uid_of_urls(t["rep_url"], cfg.uid_bits)))
-
+    # the one-task tier returns the (url, root) map and the sorted
+    # anchor-edge endpoints together; both stay in the object store and
+    # reach the finalize tasks as top-level arguments — no driver pull
+    key_type = uid_pa_type(cfg.uid_bits)
+    cc_ref = sub_ref = None
+    n_comp = 0
+    if n_edges and n_edges <= cfg.onetask_cc_max_edges:
+        cc_ref, sub_ref = _cc_onetask.remote(key_type, *edge_refs)
+        # from_arrow_refs starts no execution; materialize() marks the
+        # components barrier, where dedupbench's traced run counts them
+        n_comp = ray.data.from_arrow_refs([cc_ref]).materialize().count()
+    elif n_edges:
+        rep_clusters = resolve_components(
+            ray.data.from_arrow_refs(edge_refs), key_type=key_type,
+            max_onetask_edges=cfg.onetask_cc_max_edges)
+        sub_ref = _anchor_uids.remote(cfg.uid_bits, *edge_refs)
+        n_comp = rep_clusters.count()
     timer.tick("components")
-    members_u = members.map_batches(add_rep_uid, batch_format="pyarrow")
 
-    if n_comp == 0:
-        enriched = members_u.map_batches(
-            lambda t: t.append_column(
-                "near_root",
-                pa.array([None] * len(t), uid_pa_type(cfg.uid_bits))),
-            batch_format="pyarrow")
-    elif n_comp <= cfg.broadcast_max_reps:
-        # the component map is tiny relative to the corpus (near-dup
-        # members only) — broadcast it instead of a shuffle join
-        tables = ray.get(block_refs_of(rep_clusters))
-        mapping = tuple(
-            np.concatenate([uid_np(t[col], cfg.uid_bits) for t in tables])
-            for col in ("url", "root"))
-        enriched = broadcast_lookup(
-            members_u, "rep_uid", mapping,
-            "near_root", out_type=uid_pa_type(cfg.uid_bits))
-    else:
+    if n_comp > cfg.broadcast_max_reps or (n_comp and cc_ref is None):
+        # the component map is too large to broadcast (or spread over
+        # the distributed tier's partitions): one keyed join attaches
+        # each member's near_root
+        if cc_ref is not None:
+            rep_clusters = ray.data.from_arrow_refs([cc_ref])
         enriched = hash_join(
-            members_u,
-            rep_clusters.map_batches(
-                lambda t: pa.table({"rep_uid": t["url"],
-                                    "near_root": t["root"]}),
-                batch_format="pyarrow"),
+            ray.data.from_arrow_refs(
+                map_blocks(member_refs, _with_rep_uid, cfg.uid_bits)),
+            ray.data.from_arrow_refs(
+                map_blocks(block_refs_of(rep_clusters), _as_near_root)),
             "rep_uid", "left outer", num_partitions=num_partitions)
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        # fully vectorized (VERDICT r1 #3): no per-row Python in this
-        # corpus-wide stage.  The substring-uid set arrives by object
-        # ref (zero-copy numpy over plasma), never in the closure.
-        from ..stages.buckets import uid_arrow
-        near = pc.is_valid(batch["near_root"]).to_numpy(zero_copy_only=False)
-        zero = 0 if cfg.uid_bits == 64 else b"\x00" * 16
-        roots = uid_np(pc.fill_null(batch["near_root"], zero), cfg.uid_bits)
-        rep_uid = uid_np(batch["rep_uid"], cfg.uid_bits)
-        exact_sz = np.asarray(batch["exact_size"], dtype=np.int64)
-        canonical = np.where(near, roots, rep_uid)
-        sub_sorted = ray.get(sub_ref)
-        if len(sub_sorted) == 0:
-            is_sub = np.zeros(len(rep_uid), bool)
-        elif sub_sorted.dtype == np.int64:
-            # sorted-unique by construction → membership by searchsorted
-            pos = np.searchsorted(sub_sorted, rep_uid)
-            pos = np.minimum(pos, len(sub_sorted) - 1)
-            is_sub = sub_sorted[pos] == rep_uid
-        else:
-            is_sub = np.isin(rep_uid, sub_sorted)
-        kinds = np.select(
-            [near & is_sub, near, exact_sz > 1],
-            ["substring", "near", "exact"],
-            default="unique")
-        out = batch.append_column("canonical", uid_arrow(canonical))
-        return out.append_column("match_kind",
-                                 pa.array(kinds.tolist(), pa.string()))
-
-    # materialize ONCE: the dup/uniq branches below both consume this
-    # dataset — left lazy, the whole members→enrich→finalize map chain
-    # re-executes per branch (2× the corpus-wide maps; the r1 profile's
-    # post-components tail scaled at 0.36 mostly because of this).  The
-    # table is skinny (no text column on either rep-text plan).
-    # repartition(shuffle=False) coalesces the read-inherited block
-    # fragmentation — every downstream stage's task count and the
-    # keeper exchange's input-block count drop with it (see
-    # cfg.tail_rows_per_block)
-    try:
-        _cpus = int(ray.cluster_resources().get("CPU", 32))
-    except Exception:
-        _cpus = 32
-    tail_blocks = int(max(2 * _cpus, n_docs // cfg.tail_rows_per_block))
-    from ..stages.common import compact_materialized
-    final_members = compact_materialized(
-        enriched.map_batches(finalize, batch_format="pyarrow")
-        .repartition(tail_blocks)
-        .materialize())
+        member_refs, cc_ref = block_refs_of(enriched), None
+    finals = map_blocks(member_refs, _finalize, cc_ref, sub_ref,
+                        cfg.uid_bits, num_partitions, num_returns=2)
+    tail += [u for _, u in finals]
     timer.tick("finalize")
 
     # ---- keeper resolution per cluster (shuffle on canonical uid) ----------
     # Singleton clusters (match_kind == "unique": exact_size == 1 and no
     # near/substring membership) have a policy-independent resolution —
-    # keeper = self, action = keep — so they NEVER enter the keeper
-    # shuffle.  Only the dup fraction of the corpus (typically a small
-    # minority at web scale) pays the canonical-uid exchange; the
-    # majority streams map-only from extract to sink.
+    # keeper = self, action = keep — so finalize emits them finished and
+    # they NEVER enter the keeper exchange.  Only the dup fraction of
+    # the corpus (typically a small minority at web scale) pays the
+    # canonical-uid exchange.
     policy = cfg.keeper
 
-    # the dup/uniq splits are folded INTO the consuming UDFs (pre_fn /
-    # in-function filter) rather than standing as separate fused map
-    # stages: a fused stage yielding zero rows makes Ray skip the rest
-    # of the chain and emit a schema-less empty block that then rides
-    # through every downstream operator (VERDICT r2 #9)
-    def _dup_filter(t: pa.Table) -> pa.Table:
-        return t.filter(pc.not_equal(t["match_kind"], "unique"))
-
-    def resolve_unique(batch: pa.Table) -> pa.Table:
-        # corpus-MAJORITY branch: fully vectorized (VERDICT r2 #3) —
-        # cluster_id = md5(url)[:16] via the lane-parallel kernel, no
-        # to_pylist / per-row Python anywhere
-        batch = batch.filter(pc.equal(batch["match_kind"], "unique"))
-        n = batch.num_rows
-        return pa.table({
-            "url": batch["url"],
-            "cluster_id": md5_hex16(batch["url"]),
-            "keeper_url": batch["url"],
-            "is_keeper": pa.array(np.ones(n, bool), pa.bool_()),
-            "action": pa.array(np.full(n, "keep"), pa.string()),
-            "match_kind": batch["match_kind"],
-            "n_bytes": batch["n_bytes"].cast(pa.int64()),
-        })
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
+    def resolve(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["canonical", "url"], kind="mergesort")
         if policy.policy == "deterministic":
             grp = df.groupby("canonical", sort=False)
@@ -654,7 +531,7 @@ def run_dedup(
         min_url = df.groupby("canonical", sort=False)["url"].transform("min")
         uniq_min = min_url.unique()
         cids = dict(zip(uniq_min, md5_hex16(list(uniq_min)).to_pylist()))
-        return pd.DataFrame({
+        return _finished(pa.Table.from_pandas(pd.DataFrame({
             "url": df["url"],
             "cluster_id": min_url.map(cids),
             "keeper_url": df["keeper_url"],
@@ -662,12 +539,10 @@ def run_dedup(
             "action": df["action"],
             "match_kind": df["match_kind"],
             "n_bytes": df["n_bytes"].astype("int64"),
-        })
+        }), preserve_index=False), num_partitions)
 
-    assignments = grouped_apply(final_members, ["canonical"], resolve,
-                                num_partitions=cfg.bucket_partitions,
-                                empty_result=_EMPTY_ASSIGN,
-                                pre_fn=_dup_filter).union(
-        final_members.map_batches(resolve_unique, batch_format="pyarrow"))
-
-    return _finish(assignments)
+    keepers = grouped_apply(
+        ray.data.from_arrow_refs([d for d, _ in finals]), ["canonical"],
+        resolve, num_partitions=cfg.bucket_partitions,
+        empty_result=_EMPTY_ASSIGN)
+    return _nonempty(block_refs_of(keepers) + tail)

@@ -22,8 +22,9 @@ import ray.data
 
 from ..config import LSHConfig, MinHashConfig, PipelineConfig, SimHashConfig
 from ..functions.hashing import hash64_str
-from ..stages.buckets import (DOC_UID, KIND_ANCHOR, KIND_SIMHASH, bucket_rows,
-                              candidate_edges_fused, sampled_hot_band_keys)
+from ..stages.buckets import (DOC_UID, KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
+                              bucket_rows, candidate_edges_fused,
+                              sampled_hot_band_keys)
 from ..stages.common import dedupe_rows, grouped_apply, list_matrix
 from ..stages.verify import verify_near_edges
 from .registry import register
@@ -284,7 +285,7 @@ def minhash_lsh_pairs(sf_dir: str, plan: str = "auto") -> pd.DataFrame:
     cfg, lsh = pcfg.minhash, pcfg.lsh
     sigs = _doc_sigs(sf_dir)
     # the flagship's candidate stage and hot-band policy
-    rows = bucket_rows(sigs, cfg, None, with_anchors=False,
+    rows = bucket_rows(sigs, cfg, (KIND_BAND,),
                        hot_band_keys=sampled_hot_band_keys(sigs, pcfg,
                                                            sigs.count()),
                        num_salts=lsh.num_salts)
@@ -383,10 +384,9 @@ def simhash_pairs(sf_dir: str) -> pd.DataFrame:
     # (in-bucket Hamming); a zero near threshold lets every slot
     # fingerprint differ, so its digest prune keeps every such pair.
     sigs = _doc_sigs(sf_dir)
-    rows = bucket_rows(sigs, MinHashConfig(), SimHashConfig(),
-                       with_anchors=False, chunk_bits=8)
+    rows = bucket_rows(sigs, MinHashConfig(), (KIND_SIMHASH,), chunk_bits=8)
     edges = candidate_edges_fused(
-        rows.filter(expr=f"kind == {KIND_SIMHASH}"), LSHConfig(), 8,
+        rows, LSHConfig(), 8,
         minhash=MinHashConfig(verify_threshold=0.0))
     return _pairs_to_ids(edges)
 
@@ -664,9 +664,8 @@ def long_substring_pairs(sf_dir: str) -> pd.DataFrame:
     from ..stages.suffix import long_substring_pairs as _lsp
 
     sigs = _doc_sigs(sf_dir, compute_anchors=True)
-    anchors = bucket_rows(sigs, MinHashConfig(), None, with_anchors=True)
-    out = _lsp(sigs, anchors.filter(expr=f"kind == {KIND_ANCHOR}"),
-               min_len=200).to_pandas()
+    anchors = bucket_rows(sigs, MinHashConfig(), (KIND_ANCHOR,))
+    out = _lsp(sigs, anchors, min_len=200).to_pandas()
     if out.empty:
         return pd.DataFrame({"doc_id_a": pd.Series(dtype="int64"),
                              "doc_id_b": pd.Series(dtype="int64"),

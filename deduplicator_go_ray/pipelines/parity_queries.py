@@ -238,9 +238,8 @@ def containment_pairs(sf_dir: str) -> pd.DataFrame:
         fn_kwargs={"substring": sub_cfg, "compute_anchors": True},
         batch_format="pyarrow", batch_size=512,
     ).materialize()
-    rows = bucket_rows(sigs, MinHashConfig(), None, with_anchors=True)
-    cand = candidate_edges_fused(rows.filter(expr=f"kind == {KIND_ANCHOR}"),
-                                 LSHConfig(), 0)
+    rows = bucket_rows(sigs, MinHashConfig(), (KIND_ANCHOR,))
+    cand = candidate_edges_fused(rows, LSHConfig(), 0)
     verified = verify_containment_edges(cand, sigs).to_pandas()
     if verified.empty:
         return pd.DataFrame({"doc_id_a": pd.Series(dtype="int64"),

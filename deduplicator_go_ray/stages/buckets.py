@@ -63,13 +63,14 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from ..config import LSHConfig, MinHashConfig, PipelineConfig, SimHashConfig
+from ..config import LSHConfig, MinHashConfig, PipelineConfig
 from ..functions.hashing import combine64, hash64_str, mix64
 from .common import grouped_apply, keys_over
 
 KIND_BAND = 0
 KIND_SIMHASH = 1
 KIND_ANCHOR = 2
+ALL_KINDS = (KIND_BAND, KIND_SIMHASH, KIND_ANCHOR)
 
 # byte-wise popcount lookup — Hamming distance of uint64 xors in one
 # gather+sum instead of a 64-pass shift/mask/add loop
@@ -242,26 +243,28 @@ def sampled_hot_band_keys(
         return pa.table({"key": pa.array(bkeys.reshape(-1).view(np.int64),
                                          pa.int64())})
 
-    return keys_over(sigs.map_batches(explode, batch_format="pyarrow"), "key",
-                     max(1, lsh.group_cap // sample_mod))
+    return keys_over(sigs, "key", max(1, lsh.group_cap // sample_mod),
+                     pre_fn=explode)
 
 
-def bucket_rows(
-    sigs: "ray.data.Dataset",
+def bucket_batch(
+    batch: pa.Table,
     minhash: MinHashConfig,
-    simhash: SimHashConfig | None,
-    with_anchors: bool,
+    kinds: tuple = ALL_KINDS,
     chunk_bits: int = 16,
     hot_band_keys: np.ndarray | None = None,
     num_salts: int = 16,
     uid_bits: int = 64,
-) -> "ray.data.Dataset":
+) -> pa.Table:
     # chunk_bits=16 → 4 chunks: pigeonhole guarantee for hamming ≤ 3 and
     # ~2^16 values per chunk slot, so buckets stay small even at 10^6+
     # docs (8-bit chunks collapse into a few hundred giant buckets that
     # the group cap then drops — zero recall AND wasted shuffle)
-    """Explode one signature row into all of its bucket rows, keyed by
-    :func:`batch_uids` (the input's ``DOC_UID`` column when it has one).
+    """Explode a batch of signature rows into their bucket rows of
+    ``kinds`` only (``KIND_BAND``, ``KIND_SIMHASH``, ``KIND_ANCHOR``),
+    keyed by :func:`batch_uids` (the input's ``DOC_UID`` column when it
+    has one).  The batch kernel of :func:`bucket_rows`; ``run_dedup``
+    runs it as the candidate exchange's split ``pre_fn``.
 
     ``hot_band_keys`` (sorted int64, from :func:`sampled_hot_band_keys`)
     activates in-flight salting: a band row whose key is hot gets
@@ -269,112 +272,121 @@ def bucket_rows(
     bucket splits across num_salts reducers, and the reducer emits
     chain-only edges for flagged rows (north-rule skew handling fused
     into the single shuffle)."""
-    import ray as _ray
-
     b, r = minhash.bands, minhash.rows
-    n_chunks = 64 // chunk_bits
-    mask = np.uint64((1 << chunk_bits) - 1)
-    hot_ref = (_ray.put(np.asarray(hot_band_keys, dtype=np.int64))
-               if hot_band_keys is not None and len(hot_band_keys) else None)
+    n = len(batch)
+    empty = pa.table({
+        "key": pa.array([], pa.int64()),
+        "kind": pa.array([], pa.int8()),
+        "uid": pa.array([], uid_pa_type(uid_bits)),
+        "payload": pa.array([], pa.int64()),
+        "flag": pa.array([], pa.bool_()),
+        "d0": pa.array([], pa.int64()),
+        "d1": pa.array([], pa.int64()),
+    })
+    if n == 0:
+        return empty
+    uid = batch_uids(batch, uid_bits)
+    ns = np.asarray(batch["n_shingles"], dtype=np.int64)
+    keep = ns > 0
+    keys_out: list[np.ndarray] = []
+    kind_out: list[np.ndarray] = []
+    uid_out: list[np.ndarray] = []
+    pay_out: list[np.ndarray] = []
+    flag_out: list[np.ndarray] = []
+    dig_out: list[np.ndarray] = []
 
-    def explode(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        empty = pa.table({
-            "key": pa.array([], pa.int64()),
-            "kind": pa.array([], pa.int8()),
-            "uid": pa.array([], uid_pa_type(uid_bits)),
-            "payload": pa.array([], pa.int64()),
-            "flag": pa.array([], pa.bool_()),
-            "d0": pa.array([], pa.int64()),
-            "d1": pa.array([], pa.int64()),
-        })
-        if n == 0:
-            return empty
-        uid = batch_uids(batch, uid_bits)
-        ns = np.asarray(batch["n_shingles"], dtype=np.int64)
-        keep = ns > 0
-        keys_out: list[np.ndarray] = []
-        kind_out: list[np.ndarray] = []
-        uid_out: list[np.ndarray] = []
-        pay_out: list[np.ndarray] = []
-        flag_out: list[np.ndarray] = []
-        dig_out: list[np.ndarray] = []
+    kn = int(keep.sum())
+    if kn and (KIND_BAND in kinds or KIND_SIMHASH in kinds):
+        sig = np.asarray(batch["minhash"].combine_chunks().flatten()
+                         ).reshape(n, b, r)[keep]
+        fp = slot_fingerprints(sig.reshape(kn, b * r))       # (kn, 2)
+    if kn and KIND_BAND in kinds:
+        bkeys = combine64(sig, axis=2)                       # (kn, b)
+        bkeys = mix64(bkeys + (np.arange(b, dtype=np.uint64) << np.uint64(1))[None, :])
+        flat_keys = bkeys.reshape(-1).view(np.int64)
+        flags = np.zeros(kn * b, dtype=bool)
+        if hot_band_keys is not None and len(hot_band_keys):
+            is_hot = np.isin(flat_keys, hot_band_keys)
+            if is_hot.any():
+                # salt source is a dedicated url hash (uid-width
+                # independent, so 64/128-bit modes salt identically)
+                s64 = np.repeat(hash64_str(batch["url"], seed=5)[keep], b)
+                salt = (s64[is_hot] % np.uint64(num_salts)) + np.uint64(1)
+                flat_keys = flat_keys.copy()
+                flat_keys[is_hot] = mix64(
+                    flat_keys[is_hot].view(np.uint64) + salt).view(np.int64)
+                flags[is_hot] = True
+        keys_out.append(flat_keys)
+        kind_out.append(np.zeros(kn * b, dtype=np.int8))
+        uid_out.append(np.repeat(uid[keep], b))
+        pay_out.append(np.zeros(kn * b, dtype=np.int64))
+        flag_out.append(flags)
+        dig_out.append(np.repeat(fp, b, axis=0))
 
-        kn = int(keep.sum())
-        if kn:
-            sig = np.asarray(batch["minhash"].combine_chunks().flatten()
-                             ).reshape(n, b, r)[keep]
-            fp = slot_fingerprints(sig.reshape(kn, b * r))       # (kn, 2)
-            bkeys = combine64(sig, axis=2)                       # (kn, b)
-            bkeys = mix64(bkeys + (np.arange(b, dtype=np.uint64) << np.uint64(1))[None, :])
-            flat_keys = bkeys.reshape(-1).view(np.int64)
-            band_uid = np.repeat(uid[keep], b)
-            flags = np.zeros(kn * b, dtype=bool)
-            if hot_ref is not None:
-                hot_sorted = _ray.get(hot_ref)
-                is_hot = np.isin(flat_keys, hot_sorted)
-                if is_hot.any():
-                    # salt source is a dedicated url hash (uid-width
-                    # independent, so 64/128-bit modes salt identically)
-                    s64 = np.repeat(hash64_str(batch["url"], seed=5)[keep], b)
-                    salt = (s64[is_hot] % np.uint64(num_salts)) + np.uint64(1)
-                    flat_keys = flat_keys.copy()
-                    flat_keys[is_hot] = mix64(
-                        flat_keys[is_hot].view(np.uint64) + salt).view(np.int64)
-                    flags[is_hot] = True
-            keys_out.append(flat_keys)
-            kind_out.append(np.zeros(kn * b, dtype=np.int8))
-            uid_out.append(band_uid)
-            pay_out.append(np.zeros(kn * b, dtype=np.int64))
-            flag_out.append(flags)
-            dig_out.append(np.repeat(fp, b, axis=0))
+    if kn and KIND_SIMHASH in kinds:
+        n_chunks = 64 // chunk_bits
+        mask = np.uint64((1 << chunk_bits) - 1)
+        sh = np.asarray(batch["simhash"], dtype=np.uint64)[keep]
+        for c in range(n_chunks):
+            cv = (sh >> np.uint64(c * chunk_bits)) & mask
+            key = ((cv << np.uint64(3)) | np.uint64(c)).astype(np.int64)
+            keys_out.append(key)
+            kind_out.append(np.full(kn, KIND_SIMHASH, dtype=np.int8))
+            uid_out.append(uid[keep])
+            pay_out.append(sh.view(np.int64))
+            flag_out.append(np.zeros(kn, dtype=bool))
+            dig_out.append(fp)
 
-            if simhash is not None:
-                sh = np.asarray(batch["simhash"], dtype=np.uint64)[keep]
-                for c in range(n_chunks):
-                    cv = (sh >> np.uint64(c * chunk_bits)) & mask
-                    key = ((cv << np.uint64(3)) | np.uint64(c)).astype(np.int64)
-                    keys_out.append(key)
-                    kind_out.append(np.full(kn, KIND_SIMHASH, dtype=np.int8))
-                    uid_out.append(uid[keep])
-                    pay_out.append(sh.view(np.int64))
-                    flag_out.append(np.zeros(kn, dtype=bool))
-                    dig_out.append(fp)
+    if KIND_ANCHOR in kinds and "anchors" in batch.column_names:
+        # vectorized list-column explode: flatten + reduceat over the
+        # list offsets — no Python loop over documents
+        la = batch["anchors"].combine_chunks()
+        flat = np.asarray(la.flatten(), dtype=np.int64)
+        offs = np.asarray(la.offsets, dtype=np.int64)
+        lens = np.diff(offs)
+        nz = lens > 0
+        if flat.size:
+            starts = offs[:-1][nz]
+            mins = np.minimum.reduceat(flat, starts)
+            nb = np.asarray(batch["n_bytes"], dtype=np.int64)
+            keys_out.append(flat)
+            kind_out.append(np.full(flat.size, KIND_ANCHOR, dtype=np.int8))
+            uid_out.append(np.repeat(uid, lens))
+            pay_out.append(np.repeat(nb, lens))
+            flag_out.append(flat == np.repeat(mins, lens[nz]))
+            dig_out.append(np.repeat(anchor_blooms(flat, lens), lens,
+                                     axis=0))
 
-        if with_anchors and "anchors" in batch.column_names:
-            # vectorized list-column explode: flatten + reduceat over the
-            # list offsets — no Python loop over documents
-            la = batch["anchors"].combine_chunks()
-            flat = np.asarray(la.flatten(), dtype=np.int64)
-            offs = np.asarray(la.offsets, dtype=np.int64)
-            lens = np.diff(offs)
-            nz = lens > 0
-            if flat.size:
-                starts = offs[:-1][nz]
-                mins = np.minimum.reduceat(flat, starts)
-                nb = np.asarray(batch["n_bytes"], dtype=np.int64)
-                keys_out.append(flat)
-                kind_out.append(np.full(flat.size, KIND_ANCHOR, dtype=np.int8))
-                uid_out.append(np.repeat(uid, lens))
-                pay_out.append(np.repeat(nb, lens))
-                flag_out.append(flat == np.repeat(mins, lens[nz]))
-                dig_out.append(np.repeat(anchor_blooms(flat, lens), lens,
-                                         axis=0))
+    if not keys_out:
+        return empty
+    dig = np.concatenate(dig_out).view(np.int64)
+    return pa.table({
+        "key": pa.array(np.concatenate(keys_out), pa.int64()),
+        "kind": pa.array(np.concatenate(kind_out), pa.int8()),
+        "uid": uid_arrow(np.concatenate(uid_out)),
+        "payload": pa.array(np.concatenate(pay_out), pa.int64()),
+        "flag": pa.array(np.concatenate(flag_out), pa.bool_()),
+        "d0": pa.array(dig[:, 0], pa.int64()),
+        "d1": pa.array(dig[:, 1], pa.int64()),
+    })
 
-        if not keys_out:
-            return empty
-        dig = np.concatenate(dig_out).view(np.int64)
-        return pa.table({
-            "key": pa.array(np.concatenate(keys_out), pa.int64()),
-            "kind": pa.array(np.concatenate(kind_out), pa.int8()),
-            "uid": uid_arrow(np.concatenate(uid_out)),
-            "payload": pa.array(np.concatenate(pay_out), pa.int64()),
-            "flag": pa.array(np.concatenate(flag_out), pa.bool_()),
-            "d0": pa.array(dig[:, 0], pa.int64()),
-            "d1": pa.array(dig[:, 1], pa.int64()),
-        })
 
-    return sigs.map_batches(explode, batch_format="pyarrow")
+def bucket_rows(
+    sigs: "ray.data.Dataset",
+    minhash: MinHashConfig,
+    kinds: tuple = ALL_KINDS,
+    chunk_bits: int = 16,
+    hot_band_keys: np.ndarray | None = None,
+    num_salts: int = 16,
+    uid_bits: int = 64,
+) -> "ray.data.Dataset":
+    """The bucket rows of ``kinds`` of every signature row of ``sigs``
+    (:func:`bucket_batch` as a lazy map)."""
+    return sigs.map_batches(
+        bucket_batch, batch_format="pyarrow",
+        fn_kwargs={"minhash": minhash, "kinds": tuple(kinds),
+                   "chunk_bits": chunk_bits, "hot_band_keys": hot_band_keys,
+                   "num_salts": num_salts, "uid_bits": uid_bits})
 
 
 def _uid_bits_of(col) -> int:
@@ -420,11 +432,15 @@ def candidate_edges_fused(
     num_partitions: int = 128,
     uid_bits: int = 64,
     minhash: MinHashConfig | None = None,
+    pre_fn=None,
 ) -> "ray.data.Dataset":
     """One hash shuffle on ``key``; per partition, vectorized per-kind
     emission and the digest prune (module docstring).  ``minhash``
-    (default ``MinHashConfig()``) sets the near threshold.  Returns
-    (u, v, kind) candidate edges."""
+    (default ``MinHashConfig()``) sets the near threshold.  ``pre_fn``
+    builds the bucket rows inside the exchange's split tasks —
+    ``run_dedup`` passes :func:`bucket_batch` and its signature table,
+    so the rows are never stored unsplit.  Returns (u, v, kind)
+    candidate edges."""
     mh = minhash or MinHashConfig()
     # most fingerprint bits that may differ: with m_min equal slots at
     # most P - m_min bits differ, over any P (unused bits are equal)
@@ -523,7 +539,7 @@ def candidate_edges_fused(
         return pd.concat(outs, ignore_index=True)
 
     return grouped_apply(buckets, ["key"], emit, num_partitions=num_partitions,
-                         empty_result=empty_edges(uid_bits))
+                         empty_result=empty_edges(uid_bits), pre_fn=pre_fn)
 
 
 def gate_candidates(
@@ -541,7 +557,7 @@ def gate_candidates(
     the same way), not a silent truncation."""
 
     def side(sigs: "ray.data.Dataset", is_ex: bool) -> "ray.data.Dataset":
-        return bucket_rows(sigs, minhash, None, with_anchors=False).map_batches(
+        return bucket_rows(sigs, minhash, (KIND_BAND,)).map_batches(
             lambda t: pa.table({
                 "key": t["key"], "uid": t["uid"],
                 "is_ex": pa.array(np.full(len(t), is_ex), pa.bool_())}),

@@ -23,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data
 
 
@@ -88,33 +90,48 @@ def cc_label_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return nodes, nodes[lbl]
 
 
-def _cc_onetask(refs: tuple, u_col: str = "u", v_col: str = "v",
-                key_type: "pa.DataType | None" = None):
-    """Gather edge blocks and run :func:`cc_label_arrays` in ONE Ray
-    task — the one-task tier of :func:`resolve_components`: below
-    genuinely-distributed scale the edge set (orders of magnitude
-    smaller than the corpus) fits one worker's heap, and a single
-    vectorized task beats ~10 alternating label-propagation shuffles by
-    2 orders of magnitude of fixed cost.  Returns an Arrow (url, root)
-    table living in the object store; ``refs`` must hold at least one
-    edge."""
-    import ray as _ray
+def anchor_endpoints(tables, uid_bits: int) -> np.ndarray:
+    """Sorted-unique endpoints of the substring-anchor edges (``kind``
+    ``KIND_ANCHOR``) among edge tables; empty when none carries a
+    ``kind`` column."""
+    from .buckets import KIND_ANCHOR
+    from .verify import UV, uid_set
 
-    tables = [t for t in _ray.get(list(refs)) if len(t)]
+    return uid_set([t.filter(pc.equal(t["kind"], KIND_ANCHOR)) for t in tables
+                    if "kind" in t.column_names], UV, uid_bits)
+
+
+@ray.remote(num_cpus=1, num_returns=2)
+def _cc_onetask(key_type, *blocks):
+    """Run :func:`cc_label_arrays` over the edge blocks (top-level
+    arguments) in ONE Ray task — the one-task tier of
+    :func:`resolve_components`: below genuinely-distributed scale the
+    edge set (orders of magnitude smaller than the corpus) fits one
+    worker's heap, and a single vectorized task beats ~10 alternating
+    label-propagation shuffles by 2 orders of magnitude of fixed cost.
+    Returns the Arrow (url, root) table and the sorted anchor-edge
+    endpoints (:func:`anchor_endpoints`), both living in the object
+    store; ``blocks`` must hold at least one edge."""
+    from ray.data.block import BlockAccessor
+
+    tables = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
+              if len(t)]
 
     def _np_of(col):
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         if pa.types.is_integer(col.type):
             return np.asarray(col, dtype=np.int64)
         return np.array(col.to_pylist(), dtype=object)
-    u = np.concatenate([_np_of(t[u_col]) for t in tables])
-    v = np.concatenate([_np_of(t[v_col]) for t in tables])
+    u = np.concatenate([_np_of(t["u"]) for t in tables])
+    v = np.concatenate([_np_of(t["v"]) for t in tables])
     nodes, roots = cc_label_arrays(u, v)
     if nodes.dtype == np.int64:
-        return pa.table({"url": pa.array(nodes, key_type or pa.int64()),
-                         "root": pa.array(roots, key_type or pa.int64())})
-    return pa.table({"url": pa.array(nodes.tolist(), key_type),
-                     "root": pa.array(roots.tolist(), key_type)})
+        cc = pa.table({"url": pa.array(nodes, key_type or pa.int64()),
+                       "root": pa.array(roots, key_type or pa.int64())})
+    else:
+        cc = pa.table({"url": pa.array(nodes.tolist(), key_type),
+                       "root": pa.array(roots.tolist(), key_type)})
+    return cc, anchor_endpoints(tables, 64 if nodes.dtype == np.int64 else 128)
 
 
 def connected_components_distributed(
@@ -273,7 +290,7 @@ def resolve_components(
     if n <= max_onetask_edges:
         from .common import block_refs_of
 
-        refs = tuple(block_refs_of(edges_ds.materialize()))
-        return ray.data.from_arrow_refs(
-            [ray.remote(num_cpus=1)(_cc_onetask).remote(refs, "u", "v", key_type)])
+        cc, _ = _cc_onetask.remote(key_type,
+                                   *block_refs_of(edges_ds.materialize()))
+        return ray.data.from_arrow_refs([cc])
     return connected_components_distributed(edges_ds)

@@ -65,13 +65,30 @@ def size_duplicate_candidates(ds: "ray.data.Dataset", size_col: str = "n_bytes")
     return agg.filter(lambda row: row[cnt_col] > 1)
 
 
+def dup_candidates(t: pa.Table, min_size: int = 0) -> pa.Table:
+    """The rows of an extracted batch that take part in dedup: no
+    ``error`` sentinel (≙ every reference dup query excluding sentinel
+    rows, files/utils.go:72) and at least ``min_size`` bytes (≙ the
+    ``--min-size`` predicate, files/utils.go:77-81)."""
+    if "error" in t.column_names:
+        t = t.filter(pc.is_null(t["error"]))
+    if min_size:
+        t = t.filter(pc.greater_equal(t["n_bytes"], int(min_size)))
+    return t
+
+
 def assign_exact_groups(
     ds: "ray.data.Dataset",
     keep_cols: tuple[str, ...] = ("url", "warc_ts", "lang", "text"),
+    min_size: int = 0,
 ) -> "ray.data.Dataset":
     """groupby (text_sha256, n_bytes) → per-member rows with
     ``rep_url`` (= min url, the deterministic group representative),
     ``exact_size`` (member count) and ``is_rep``.
+
+    Only :func:`dup_candidates` rows group; they are picked, and
+    ``keep_cols`` selected, inside the exchange's split tasks — over a
+    materialized ``ds`` the stage starts no Dataset execution.
 
     ``text`` is blanked for non-representatives right inside the group
     reduce so the wide column leaves the shuffle exactly once —
@@ -102,8 +119,9 @@ def assign_exact_groups(
     if schema is not None and "key64" in schema.names:
         cols.append("key64")
         part_key = "key64"
-    return grouped_apply(ds.select_columns(cols), [part_key], resolve,
-                         num_partitions=128)
+    return grouped_apply(
+        ds, [part_key], resolve, num_partitions=128,
+        pre_fn=lambda t: dup_candidates(t, min_size).select(cols))
 
 
 def duplicate_groups_report(

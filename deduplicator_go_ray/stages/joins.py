@@ -71,13 +71,14 @@ def hash_join(
 
     if how not in JOIN_TYPES:
         raise ValueError(f"unknown join type {how!r}; one of {JOIN_TYPES}")
-    if how in ("left semi", "left anti"):
-        right = right.select_columns([key])
+    semi = how in ("left semi", "left anti")
 
     def tag_left(t: pa.Table) -> pa.Table:
         return t.append_column(_SIDE, pa.array(np.zeros(len(t), np.int8)))
 
     def tag_right(t: pa.Table) -> pa.Table:
+        if semi:
+            t = t.select([key])
         t = t.rename_columns([c if c == key else _RIGHT + c
                               for c in t.column_names])
         return t.append_column(_SIDE, pa.array(np.ones(len(t), np.int8)))
@@ -93,10 +94,11 @@ def hash_join(
             key, how)
         return post_fn(out) if post_fn is not None else out
 
-    return grouped_apply(
-        [left.map_batches(tag_left, batch_format="pyarrow"),
-         right.map_batches(tag_right, batch_format="pyarrow")],
-        [key], join, num_partitions=num_partitions, arrow_fn=True)
+    # the side tags are the split tasks' pre_fns: over materialized
+    # sides the join starts no Dataset execution
+    return grouped_apply([left, right], [key], join,
+                         num_partitions=num_partitions, arrow_fn=True,
+                         pre_fn=[tag_left, tag_right])
 
 
 def _join_partition(left: pa.Table, right: pa.Table, key: str,

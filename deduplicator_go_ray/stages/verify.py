@@ -7,30 +7,32 @@ candidate that reaches this module goes straight to the exact check,
 built from two shared parts:
 
 * **one index check** — ONE Ray task builds a uid-sorted index of the
-  kind's payload, over all payload rows (the speculative prebuilt
-  index, :func:`prebuild_index`) or only over the pairs' endpoints
-  (:func:`endpoint_index`: :func:`uid_set_refs` tasks + a
-  semi-filter).  Workers map it zero-copy from the object store
-  (:func:`index_rows`) and apply the exact predicate per pair batch —
-  no exchange.  Registry queries whose per-pair result is more than a
-  keep mask (n-gram Jaccard, longest common substring) probe the same
-  index;
+  kind's payload, over all source rows or only over the pairs'
+  endpoints, which one task per source block filters out first
+  (:func:`prebuild_index`, :func:`endpoint_index`); then one plain
+  task per pair block, the index a top-level argument mapped
+  zero-copy from the object store, applies the exact predicate — no
+  exchange and no Dataset execution.  Registry queries whose per-pair
+  result is more than a keep mask (n-gram Jaccard, longest common
+  substring) probe the same index (:func:`index_rows`);
 * **one two-attach check** — two keyed :func:`~.joins.hash_join`
   exchanges (payload of u, then of v) with the exact predicate applied
   inside the second reduce, so the wide (pair + payload) rows never
   reach the object store.
 
 A per-kind spec (:class:`VerifySpec`) names the payload, the exact
-predicate and the round-2 cap.  Sources are keyed like the candidate
-rows (``buckets.batch_uids``): by their ``DOC_UID`` column when they
-carry one, else by the url hash.  Plans, picked by flags
-``run_dedup`` computes from its size gates:
+predicate, the round-2 cap and the candidate kinds it reads, so both
+checks take the same candidate table and each picks its own kind
+inside its tasks.  Sources are keyed like the candidate rows
+(``buckets.batch_uids``): by their ``DOC_UID`` column when they carry
+one, else by the url hash.  Plans:
 
-* small set (``flood=False``): the index check over all pairs, against
-  the prebuilt index when one is given;
-* flood: the index check over the pairs' endpoints up to the kind's
-  round-2 cap; above it the two-attach check on the full payload (the
-  only plan whose per-worker memory does not grow with the pair set).
+* a prebuilt index given: the index check against it;
+* small set (``flood=False``): the index check over the endpoints;
+* flood: the same up to the round-2 cap on the kind's own pair count
+  (:func:`_endpoint_plan`, the only place the cap is read); above it
+  the two-attach check on the full payload (the only plan whose
+  per-worker memory does not grow with the pair set).
 
 Every plan yields the same edge set (equality-tested).
 """
@@ -47,9 +49,10 @@ import ray
 import ray.data
 
 from ..config import MinHashConfig
-from .buckets import (DOC_UID, _uid_bits_of, batch_uids, empty_edges,
-                      min_slot_matches, uid_arrow, uid_np, uid_pa_type)
-from .common import block_refs_of, bounded_cache_put, sorted_probe
+from .buckets import (DOC_UID, KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
+                      _uid_bits_of, batch_uids, empty_edges, min_slot_matches,
+                      uid_arrow, uid_np, uid_pa_type)
+from .common import block_refs_of, bounded_cache_put, map_blocks, sorted_probe
 from .joins import hash_join
 
 # round-2 caps: up to this many pairs the exact check runs against an
@@ -65,10 +68,21 @@ U, V, UV = ("u",), ("v",), ("u", "v")
 class VerifySpec:
     """What one match kind verifies.  ``payload`` maps a source batch
     to its value array; ``exact`` maps two aligned value arrays to a
-    keep mask."""
+    keep mask; ``kinds`` are the candidate kinds the check reads from
+    a pair table that carries a ``kind`` column (:func:`_pick`)."""
     payload: Callable[[pa.Table], pa.Array]
     exact: Callable[[pa.Array, pa.Array], np.ndarray]
     round2_max: int
+    kinds: tuple = ()
+
+
+def _pick(t: pa.Table, kinds: tuple) -> pa.Table:
+    """The pair rows of ``kinds`` — every row when ``kinds`` is empty or
+    the table has no ``kind`` column.  So one candidate table feeds
+    both checks and each reads its own kind inside its tasks."""
+    if not kinds or "kind" not in t.column_names:
+        return t
+    return t.filter(pc.is_in(t["kind"], pa.array(kinds, pa.int8())))
 
 
 def _slot_matrix(col, n: int, P: int) -> np.ndarray:
@@ -109,7 +123,8 @@ def near_spec(cfg: MinHashConfig) -> VerifySpec:
         n = len(a)
         return (_slot_matrix(a, n, P) == _slot_matrix(b, n, P)).sum(axis=1) >= m_min
 
-    return VerifySpec(payload, exact, NEAR_ROUND2_MAX_BYTES // (2 * P * 8))
+    return VerifySpec(payload, exact, NEAR_ROUND2_MAX_BYTES // (2 * P * 8),
+                      (KIND_BAND, KIND_SIMHASH))
 
 
 def containment_spec() -> VerifySpec:
@@ -124,7 +139,8 @@ def containment_spec() -> VerifySpec:
                             for x, y in zip(a.to_pylist(), b.to_pylist())),
                            bool, len(a))
 
-    return VerifySpec(payload, exact, CONTAINMENT_ROUND2_MAX_PAIRS)
+    return VerifySpec(payload, exact, CONTAINMENT_ROUND2_MAX_PAIRS,
+                      (KIND_ANCHOR,))
 
 
 # ---- uid sets and the per-worker plasma cache --------------------------------
@@ -142,14 +158,17 @@ def _shared(ref):
     return hit
 
 
-def _uid_set_task(refs: tuple, cols: tuple, uid_bits: int) -> np.ndarray:
-    """Sorted-unique uids of ``cols``, gathered zero-copy from a
-    materialized table's block refs.  Runs remotely."""
-    parts = [uid_np(t[c], uid_bits) for t in ray.get(list(refs)) if len(t)
-             for c in cols]
+def uid_set(tables, cols: tuple, uid_bits: int) -> np.ndarray:
+    """Sorted-unique uids of ``cols`` over tables."""
+    parts = [uid_np(t[c], uid_bits) for t in tables if len(t) for c in cols]
     if not parts:
         return np.empty(0, np.int64 if uid_bits == 64 else object)
     return np.unique(np.concatenate(parts))
+
+
+@ray.remote(num_cpus=1)
+def _uid_set_task(cols: tuple, uid_bits: int, kinds: tuple, *blocks):
+    return uid_set([_pick(t, kinds) for t in blocks], cols, uid_bits)
 
 
 def uid_set_refs(ds: "ray.data.Dataset", roles, uid_bits: int = 64) -> list:
@@ -161,9 +180,9 @@ def uid_set_refs(ds: "ray.data.Dataset", roles, uid_bits: int = 64) -> list:
     sets barely overlap on a web corpus (500k docs: 92k u / 92k v /
     149k union near endpoints), so a role-scoped payload ships ~40%
     fewer bytes per exchange than the union-filtered one."""
-    refs = tuple(block_refs_of(ds))
-    task = ray.remote(num_cpus=1)(_uid_set_task)
-    return [task.remote(refs, tuple(cols), uid_bits) for cols in roles]
+    refs = block_refs_of(ds)
+    return [_uid_set_task.remote(tuple(cols), uid_bits, (), *refs)
+            for cols in roles]
 
 
 def semi_filter_by_uid_ref(ds: "ray.data.Dataset", uid_ref,
@@ -185,34 +204,35 @@ def semi_filter_by_uid_ref(ds: "ray.data.Dataset", uid_ref,
 
 
 # ---- the index check ---------------------------------------------------------
-def _payload_table(source: "ray.data.Dataset", payload,
-                   uid_bits: int) -> "ray.data.Dataset":
-    """Lazy (``DOC_UID``, value) payload rows of a source table (sigs /
-    reps)."""
-    return source.map_batches(
-        _to_payload, fn_kwargs={"payload": payload, "uid_bits": uid_bits},
-        batch_format="pyarrow")
-
-
 def _to_payload(t: pa.Table, payload, uid_bits: int) -> pa.Table:
+    """The (``DOC_UID``, value) payload rows of a source block."""
     return pa.table({DOC_UID: uid_arrow(batch_uids(t, uid_bits)),
                      "value": payload(t)})
 
 
-def _build_index(refs: tuple, payload=None):
+def _endpoint_payload(t: pa.Table, wanted: np.ndarray, payload,
+                      uid_bits: int) -> pa.Table:
+    """The payload rows of a source block whose uid is in ``wanted``."""
+    _, hit = sorted_probe(wanted, batch_uids(t, uid_bits))
+    return _to_payload(t.filter(pa.array(hit)), payload, uid_bits)
+
+
+@ray.remote(num_cpus=1)
+def _build_index(payload, *blocks):
     """Build a uid-sorted index ONCE, in one Ray task: (sorted uids,
     argsort permutation, value array in block order).  The blocks are
     (uid, value) payload rows, or source rows converted here by
     ``payload`` when it is given.  Workers map the result zero-copy
     from plasma — per-node memory is one copy, not one per worker
-    process.  Text is
-    cast to large_string BEFORE combining, since combining int32-offset
-    strings raises past 2 GiB; the values stay in block order (probes
-    map sorted positions through the permutation), so the build pays
-    ONE contiguous copy."""
-    tables = [t for t in ray.get(list(refs)) if len(t)]
-    if payload is not None:
-        tables = [_to_payload(t, payload, 64) for t in tables]
+    process.  Text is cast to large_string BEFORE combining, since
+    combining int32-offset strings raises past 2 GiB; the values stay
+    in block order (probes map sorted positions through the
+    permutation), so the build pays ONE contiguous copy."""
+    from ray.data.block import BlockAccessor
+
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    tables = [t if payload is None else _to_payload(t, payload, 64)
+              for t in tables if len(t)]
     if not tables:
         return np.empty(0, np.int64), np.empty(0, np.int64), None
     tbl = pa.concat_tables(tables)
@@ -224,36 +244,69 @@ def _build_index(refs: tuple, payload=None):
     return uid[order], order, value.combine_chunks()
 
 
-def prebuild_index(source: "ray.data.Dataset", spec: VerifySpec):
-    """Launch the index build over ALL rows of a materialized source
-    table (64-bit uids) and return its ObjectRef.  ``run_dedup`` starts
-    it as soon as sigs / reps materialize, so the 1-cpu build overlaps
-    the candidate shuffle; a flood plan cancels it."""
-    return ray.remote(num_cpus=1)(_build_index).remote(
-        tuple(block_refs_of(source)), spec.payload)
+@ray.remote
+def _kind_rows(kinds: tuple, *blocks) -> int:
+    return sum(len(_pick(t, kinds)) for t in blocks)
+
+
+def _endpoint_build(source, spec: VerifySpec, pairs, uid_bits: int):
+    """The index over the endpoint rows of ``pairs``' rows of the spec's
+    kinds: one task builds the endpoint set, one task per source block
+    filters it to those rows' payloads, and only they reach the one
+    build task — no Dataset execution and no driver pull."""
+    wanted = _uid_set_task.remote(UV, uid_bits, spec.kinds,
+                                  *block_refs_of(pairs))
+    rows = map_blocks(block_refs_of(source), _endpoint_payload, wanted,
+                      spec.payload, uid_bits)
+    return _build_index.remote(None, *rows)
+
+
+def _endpoint_plan(source, spec: VerifySpec, pairs, uid_bits: int):
+    """(number of pairs of the spec's kinds, their endpoint index or
+    None): the endpoint index is the plan from 1 pair up to the
+    round-2 cap; above it the two-attach check takes the pairs."""
+    n = ray.get(_kind_rows.remote(spec.kinds, *block_refs_of(pairs)))
+    return n, (_endpoint_build(source, spec, pairs, uid_bits)
+               if 0 < n <= spec.round2_max else None)
+
+
+def prebuild_index(source: "ray.data.Dataset", spec: VerifySpec,
+                   pairs: "ray.data.Dataset | None" = None,
+                   uid_bits: int = 64):
+    """Launch the index build for ``spec`` over a materialized source
+    table and return its ObjectRef: over ALL source rows (64-bit uids)
+    or, given materialized ``pairs``, over the endpoints of its pairs of
+    the spec's kinds — None then when there are none or more than the
+    round-2 cap.  ``run_dedup`` launches these builds ahead of the
+    checks — the full one as soon as sigs / reps materialize (it
+    overlaps the candidate exchange; a flood plan cancels it), the
+    endpoint ones for both kinds before either check is awaited."""
+    if pairs is None:
+        return _build_index.remote(spec.payload, *block_refs_of(source))
+    return _endpoint_plan(source, spec, pairs, uid_bits)[1]
 
 
 def endpoint_index(pairs: "ray.data.Dataset", source: "ray.data.Dataset",
                    payload, uid_bits: int = 64):
-    """Launch the index build over only the ``payload`` values of the
-    (u, v) ``pairs``' endpoint rows of ``source``; returns its
-    ObjectRef.  The endpoint set is built by one task, so nothing is
-    collected on the driver."""
-    (uv_ref,) = uid_set_refs(pairs, (UV,), uid_bits)
-    rows = semi_filter_by_uid_ref(_payload_table(source, payload, uid_bits),
-                                  uv_ref).materialize()
-    return ray.remote(num_cpus=1)(_build_index).remote(tuple(block_refs_of(rows)))
+    """Launch the index build over the ``payload`` values of the (u, v)
+    ``pairs``' endpoint rows of ``source``; returns its ObjectRef."""
+    return _endpoint_build(source, VerifySpec(payload, None, 0),
+                           pairs.materialize(), uid_bits)
 
 
-def index_rows(batch: pa.Table, index_ref, uid_bits: int = 64):
-    """(u rows, v rows, values): each pair endpoint's position in the
-    shared index's value array, -1 where the endpoint is absent."""
-    uid_s, order, value = _shared(index_ref)
+def _probe(index, batch: pa.Table, uid_bits: int):
+    uid_s, order, value = index
     rows = []
     for col in ("u", "v"):
         pos, hit = sorted_probe(uid_s, uid_np(batch[col], uid_bits))
         rows.append(np.where(hit, order[pos] if len(order) else 0, -1))
     return rows[0], rows[1], value
+
+
+def index_rows(batch: pa.Table, index_ref, uid_bits: int = 64):
+    """(u rows, v rows, values): each pair endpoint's position in the
+    shared index's value array, -1 where the endpoint is absent."""
+    return _probe(_shared(index_ref), batch, uid_bits)
 
 
 def _kept(batch: pa.Table, keep: np.ndarray, uid_bits: int) -> pa.Table:
@@ -265,23 +318,30 @@ def _kept(batch: pa.Table, keep: np.ndarray, uid_bits: int) -> pa.Table:
                      ("kind", pa.int8()))})
 
 
-def _index_check(pairs: "ray.data.Dataset", index_ref, exact,
+def _check_block(batch: pa.Table, spec: VerifySpec, uid_bits: int,
+                 index) -> pa.Table:
+    """Probe both endpoints of the block's pairs of the spec's kinds in
+    the index and apply the exact predicate; pairs with an endpoint
+    absent are dropped."""
+    batch = _pick(batch, spec.kinds)
+    if not len(batch):
+        return empty_edges(uid_bits)
+    ru, rv, value = _probe(index, batch, uid_bits)
+    ok = (ru >= 0) & (rv >= 0)
+    keep = np.zeros(len(batch), bool)
+    if ok.any():
+        keep[ok] = spec.exact(value.take(pa.array(ru[ok])),
+                              value.take(pa.array(rv[ok])))
+    return _kept(batch, keep, uid_bits)
+
+
+def _index_check(pairs: "ray.data.Dataset", index_ref, spec: VerifySpec,
                  uid_bits: int) -> "ray.data.Dataset":
-    """Map over pairs: probe both endpoints in the shared index, apply
-    the exact predicate; pairs with an endpoint absent are dropped."""
-
-    def check(batch: pa.Table) -> pa.Table:
-        if not len(batch):
-            return empty_edges(uid_bits)
-        ru, rv, value = index_rows(batch, index_ref, uid_bits)
-        ok = (ru >= 0) & (rv >= 0)
-        keep = np.zeros(len(batch), bool)
-        if ok.any():
-            keep[ok] = exact(value.take(pa.array(ru[ok])),
-                             value.take(pa.array(rv[ok])))
-        return _kept(batch, keep, uid_bits)
-
-    return pairs.map_batches(check, batch_format="pyarrow")
+    """One task per pair block, the index a top-level argument."""
+    refs = map_blocks(block_refs_of(pairs), _check_block, spec, uid_bits,
+                      index_ref)
+    return (ray.data.from_arrow_refs(refs) if refs
+            else ray.data.from_arrow(empty_edges(uid_bits)))
 
 
 # ---- the two-attach check ----------------------------------------------------
@@ -333,18 +393,25 @@ def _two_attach_check(pairs, pay_u, pay_v, exact, uid_bits: int,
 # ---- the plans ---------------------------------------------------------------
 def _verify(pairs, source, spec: VerifySpec, prebuilt, flood: bool,
             uid_bits: int, num_partitions: int):
-    if flood:
-        pairs = pairs.materialize()
-        if pairs.count() > spec.round2_max:
-            payload = _payload_table(source, spec.payload, uid_bits)
-            u_ref, v_ref = uid_set_refs(pairs, (U, V), uid_bits)
-            return _two_attach_check(
-                pairs, semi_filter_by_uid_ref(payload, u_ref),
-                semi_filter_by_uid_ref(payload, v_ref),
-                spec.exact, uid_bits, num_partitions)
-    index = prebuilt if prebuilt is not None else endpoint_index(
-        pairs, source, spec.payload, uid_bits)
-    return _index_check(pairs, index, spec.exact, uid_bits)
+    pairs = pairs.materialize()
+    index = prebuilt
+    if index is None and not flood:
+        index = _endpoint_build(source, spec, pairs, uid_bits)
+    elif index is None:
+        n, index = _endpoint_plan(source, spec, pairs, uid_bits)
+        if not n:
+            return ray.data.from_arrow(empty_edges(uid_bits))
+    if index is None:
+        pairs = pairs.map_batches(_pick, fn_args=(spec.kinds,),
+                                  batch_format="pyarrow").materialize()
+        payload = source.map_batches(_to_payload, fn_args=(
+            spec.payload, uid_bits), batch_format="pyarrow")
+        u_ref, v_ref = uid_set_refs(pairs, (U, V), uid_bits)
+        return _two_attach_check(
+            pairs, semi_filter_by_uid_ref(payload, u_ref),
+            semi_filter_by_uid_ref(payload, v_ref),
+            spec.exact, uid_bits, num_partitions)
+    return _index_check(pairs, index, spec, uid_bits)
 
 
 def verify_near_edges(
@@ -358,8 +425,8 @@ def verify_near_edges(
 ) -> "ray.data.Dataset":
     """Keep the uid edges whose signature Jaccard estimate reaches
     ``cfg.verify_threshold``.  ``prebuilt`` (an index ObjectRef from
-    :func:`prebuild_index`) serves the small-set plan; without it the
-    index covers only the edges' endpoints.  ``flood`` switches to the
+    :func:`prebuild_index`) is probed when given; without it the index
+    covers only the edges' endpoints, and ``flood`` switches to the
     two keyed attach exchanges above the kind's round-2 cap."""
     return _verify(edges, sigs, near_spec(cfg), prebuilt, flood, uid_bits,
                    num_partitions)

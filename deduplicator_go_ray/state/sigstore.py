@@ -201,6 +201,14 @@ def _combine_wire(refs: list, wire_cols: tuple):
     return tbl.cast(pa.schema(fields)).combine_chunks()
 
 
+@ray.remote
+def _n_computed(*blocks) -> int:
+    """Rows of the signature blocks that ran the kernels (not
+    ``sig_cached``) — one task over the refs, not an aggregate
+    execution."""
+    return sum(int((~np.asarray(t["sig_cached"])).sum()) for t in blocks)
+
+
 def _wire_index(wire_ref, wire_cols: tuple):
     """(sorted S64 sha keys, original row position per sorted key,
     single-chunk payload arrays) built once per worker process from
@@ -482,12 +490,7 @@ def _incremental_signatures_impl(
         sigs = reps.map_batches(fused, batch_format="pyarrow",
                                 batch_size=batch_size).materialize()
 
-        def cnt(t: pa.Table) -> pa.Table:
-            n = int((~np.asarray(t["sig_cached"])).sum())
-            return pa.table({"n": pa.array([n], pa.int64())})
-
-        n_computed = int(sigs.select_columns(["sig_cached"]).map_batches(
-            cnt, batch_format="pyarrow").sum("n") or 0)
+        n_computed = int(ray.get(_n_computed.remote(*block_refs_of(sigs))))
         if n_computed:
             _persist_new(sigs.map_batches(
                 lambda t: t.filter(pa.array(~np.asarray(t["sig_cached"]))),

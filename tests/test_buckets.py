@@ -11,7 +11,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from deduplicator_go_ray.config import LSHConfig, MinHashConfig, SimHashConfig
+from deduplicator_go_ray.config import LSHConfig, MinHashConfig
 from deduplicator_go_ray.stages.buckets import (
     DOC_UID, KIND_ANCHOR, KIND_BAND, KIND_SIMHASH, bucket_rows,
     candidate_edges_fused, uid_of_urls)
@@ -50,8 +50,7 @@ def _zero_digests(n: int) -> dict:
 
 
 def test_bucket_rows_kinds(small_sigs):
-    rows = bucket_rows(small_sigs, MinHashConfig(), SimHashConfig(),
-                       with_anchors=True).to_pandas()
+    rows = bucket_rows(small_sigs, MinHashConfig()).to_pandas()
     kinds = set(rows["kind"])
     assert {KIND_BAND, KIND_SIMHASH, KIND_ANCHOR} <= kinds
     cfg = MinHashConfig()
@@ -65,8 +64,7 @@ def test_bucket_rows_kinds(small_sigs):
 
 
 def test_fused_edges_find_planted_pairs(small_sigs):
-    rows = bucket_rows(small_sigs, MinHashConfig(), SimHashConfig(),
-                       with_anchors=True)
+    rows = bucket_rows(small_sigs, MinHashConfig())
     edges = candidate_edges_fused(rows, LSHConfig(), 3).materialize()
     verified = verify_near_edges(edges.filter(expr=f"kind != {KIND_ANCHOR}"),
                                  small_sigs, MinHashConfig()).to_pandas()
@@ -77,8 +75,7 @@ def test_fused_edges_find_planted_pairs(small_sigs):
 
 
 def test_fused_edges_partition_invariant(small_sigs):
-    rows = bucket_rows(small_sigs, MinHashConfig(), SimHashConfig(),
-                       with_anchors=True).materialize()
+    rows = bucket_rows(small_sigs, MinHashConfig()).materialize()
 
     def canon(ds):
         df = candidate_edges_fused(ds, LSHConfig(), 3).to_pandas()
@@ -151,8 +148,7 @@ def test_prebuilt_index_verify_equals_inline_plans(small_sigs):
     edge set of the index built over the candidate endpoints only."""
     from deduplicator_go_ray.stages.verify import near_spec, prebuild_index
 
-    rows = bucket_rows(small_sigs, MinHashConfig(), SimHashConfig(),
-                       with_anchors=True)
+    rows = bucket_rows(small_sigs, MinHashConfig())
     edges = (candidate_edges_fused(rows, LSHConfig(), 3)
              .filter(expr=f"kind != {KIND_ANCHOR}").materialize())
     cfg = MinHashConfig()
@@ -232,6 +228,60 @@ def test_keyed_round2_equals_index_plans(kind, threshold, ray_session,
     plans += [run(pairs, source, flood=True)]
     for ds in plans:
         assert list(_canon_edges(ds).itertuples(index=False, name=None)) == expect
+
+
+def _random_sig_source(n: int, seed: int):
+    """(source with ``n`` signature rows, their url → uid map); rows
+    "a" and "b" share one signature."""
+    rng = np.random.default_rng(seed)
+    urls = [chr(ord("a") + i) for i in range(n)]
+    sigs = rng.integers(0, 2**63, (n, 128), dtype=np.int64).astype(np.uint64)
+    sigs[1] = sigs[0]
+    source = ray.data.from_arrow(pa.table({
+        "url": urls, "minhash": pa.array(sigs.tolist(),
+                                         pa.list_(pa.uint64()))})).materialize()
+    return source, dict(zip(urls, uid_of_urls(urls)))
+
+
+def test_endpoint_index_build_gets_only_endpoint_rows(ray_session,
+                                                      monkeypatch):
+    """The endpoint filter runs in one task per source block: the one
+    build task receives the endpoints' payload rows, not the source."""
+    from deduplicator_go_ray.stages import verify
+
+    source, uid = _random_sig_source(6, 3)
+    pairs = ray.data.from_arrow(pa.table({
+        "u": pa.array([uid["a"]], pa.int64()),
+        "v": pa.array([uid["b"]], pa.int64())})).materialize()
+    monkeypatch.setattr(verify, "_build_index", ray.remote(
+        lambda payload, *blocks: sum(len(b) for b in blocks)))
+    payload = verify.near_spec(MinHashConfig()).payload
+    assert ray.get(verify.endpoint_index(pairs, source, payload)) == 2
+
+
+def test_flood_plan_reads_the_kinds_own_pair_count(ray_session, monkeypatch):
+    """A flood verify given a mixed-kind candidate table and no prebuilt
+    index picks its plan from its own kind's pair count: 2 near pairs
+    under a 2-pair near cap keep the endpoint index although the table
+    holds 10 rows."""
+    from deduplicator_go_ray.stages import verify
+
+    source, uid = _random_sig_source(6, 4)
+    us = [uid["a"], uid["a"]] + [uid["c"]] * 8
+    vs = [uid["b"], uid["c"]] + [uid["d"]] * 8
+    pairs = ray.data.from_arrow(pa.table({
+        "u": pa.array(us, pa.int64()), "v": pa.array(vs, pa.int64()),
+        "kind": pa.array([KIND_BAND] * 2 + [KIND_ANCHOR] * 8, pa.int8())}))
+    monkeypatch.setattr(verify, "NEAR_ROUND2_MAX_BYTES", 2 * 2 * 128 * 8)
+
+    def no_attach(*a, **k):
+        raise AssertionError("two-attach plan below the kind's cap")
+
+    monkeypatch.setattr(verify, "_two_attach_check", no_attach)
+    got = _canon_edges(verify.verify_near_edges(
+        pairs, source, MinHashConfig(), flood=True))
+    assert list(got.itertuples(index=False, name=None)) == [
+        tuple(sorted((uid["a"], uid["b"])))]
 
 
 def test_keyed_round2_uid128_drops_duplicate_pairs(ray_session, monkeypatch):
@@ -363,7 +413,7 @@ def test_reducer_prune_keeps_pairs_at_the_bound(threshold, m_min, ray_session):
         sigs[name + "_a"], sigs[name + "_b"] = a, b
         planted.append(tuple(sorted(uid_of_urls([name + "_a", name + "_b"]))))
     edges = candidate_edges_fused(
-        bucket_rows(_sig_source(sigs), cfg, None, with_anchors=False),
+        bucket_rows(_sig_source(sigs), cfg, (KIND_BAND,)),
         LSHConfig(), 3, minhash=cfg).to_pandas()
     assert set(planted) <= _pairs(edges, KIND_BAND)
 
@@ -375,8 +425,8 @@ def test_reducer_prune_drops_unrelated_signatures(ray_session):
     rng = np.random.default_rng(23)
     sigs = {f"r{i}": rng.integers(0, 2**62, 128, dtype=np.int64).astype(np.uint64)
             for i in range(20)}
-    rows = bucket_rows(_sig_source(sigs), MinHashConfig(), None,
-                       with_anchors=False).to_pandas()
+    rows = bucket_rows(_sig_source(sigs), MinHashConfig(),
+                       (KIND_BAND,)).to_pandas()
     got, ctl = _forged_pairs(rows, 99)
     assert len(ctl) >= 19
     assert len(got) == 0
@@ -411,7 +461,7 @@ def test_reducer_prune_keeps_contained_texts(ray_session):
     assert len(texts["mb_short"].encode()) > len(texts["mb_short"])
     sigs = _sigs(texts, ray_session)
     edges = candidate_edges_fused(
-        bucket_rows(sigs, MinHashConfig(), None, with_anchors=True),
+        bucket_rows(sigs, MinHashConfig(), (KIND_BAND, KIND_ANCHOR)),
         LSHConfig(), 3).to_pandas()
     uid = dict(zip(texts, uid_of_urls(list(texts))))
     got = _pairs(edges, KIND_ANCHOR)
@@ -429,8 +479,8 @@ def test_reducer_prune_drops_unrelated_texts(ray_session):
     rng = np.random.default_rng(31)
     texts = {f"t{i}": _anchor_text(rng, 180 + 15 * i) for i in range(10)}
     assert min(len(t.encode()) for t in texts.values()) >= 1024
-    rows = bucket_rows(_sigs(texts, ray_session), MinHashConfig(), None,
-                       with_anchors=True).to_pandas()
+    rows = bucket_rows(_sigs(texts, ray_session), MinHashConfig(),
+                       (KIND_BAND, KIND_ANCHOR)).to_pandas()
     rows = rows[(rows["kind"] == KIND_ANCHOR) & rows["flag"]]
     assert len(rows) == len(texts)
     got, ctl = _forged_pairs(rows, 7)
@@ -477,7 +527,7 @@ def test_bucket_rows_key_on_doc_uid_column(ray_session):
     in uid order (10-20, 20-30, then the star 10-30), not over url
     hashes or in url order."""
     rows = bucket_rows(_identical_sigs_with_uids(ray_session), MinHashConfig(),
-                       None, with_anchors=False)
+                       (KIND_BAND,))
     assert sorted(set(rows.to_pandas()["uid"])) == [10, 20, 30]
     got = candidate_edges_fused(rows, LSHConfig(), 3).to_pandas()
     assert set(zip(got["u"], got["v"])) == {(10, 20), (20, 30), (10, 30)}

@@ -283,6 +283,56 @@ def test_texts_through_shuffle_same_assignments(corpus, uid_bits):
         assert (a[col] == b[col]).all(), col
 
 
+def _executions(job) -> int:
+    """Ray Data executions that ``job()`` starts, counted from the
+    ``ray.data`` logger's "Starting execution of Dataset" records (the
+    way dedupbench counts them)."""
+    import logging
+
+    seen = []
+
+    class Count(logging.Handler):
+        def emit(self, record):
+            if str(record.msg).startswith("Starting execution of Dataset"):
+                seen.append(record)
+
+    handler, logger = Count(logging.INFO), logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        job()
+    finally:
+        logger.removeHandler(handler)
+    return len(seen)
+
+
+@pytest.mark.parametrize("plan,executions", [
+    ("default", 3), ("flood", 3), ("sig_store_rerun", 4)])
+def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
+    """One ``run_dedup(...).write_parquet(...)`` job starts Ray Data
+    executions only at its edges: read → extract → content key, the
+    signature map (on a store re-run the store read and its probe map
+    instead; nothing new to append) and the caller's write.  Every
+    stage between them is plain tasks over block refs."""
+    import pyarrow.parquet as pq
+
+    pages_tbl, _ = corpus
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    pq.write_table(pages_tbl.drop_columns(["text"]), pages / "p.parquet")
+    cfg = {"default": PipelineConfig(),
+           "flood": PipelineConfig(smallset_max_edges=0),
+           "sig_store_rerun": PipelineConfig(
+               sig_store_dir=str(tmp_path / "store"))}[plan]
+    if plan == "sig_store_rerun":
+        run_dedup(rd.read_parquet(str(pages)), cfg).write_parquet(
+            str(tmp_path / "fill"))
+    out = tmp_path / "out"
+    got = _executions(lambda: run_dedup(rd.read_parquet(str(pages)), cfg)
+                      .write_parquet(str(out)))
+    assert rd.read_parquet(str(out)).count() == N_ROWS
+    assert got == executions
+
+
 def test_keyed_enrichment_completes_on_one_cpu():
     """The keyed root enrichment (``broadcast_max_reps=0``) once ran on
     Ray's ``Dataset.join``, whose shuffle actors starved the map tasks

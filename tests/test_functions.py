@@ -260,6 +260,38 @@ def test_grouped_apply_keeps_fixed_size_binary(ray_session):
     assert sorted(got["value"].to_pylist()) == sorted(blob.to_pylist())
 
 
+def test_grouped_apply_error_waits_for_every_partition(ray_session, tmp_path):
+    """A failing reduce is re-raised only after every other partition
+    task has finished: the failing partition writes its marker and
+    raises at once, the others sleep 1 s and then write theirs, so all
+    markers exist when the caller sees the error."""
+    import time
+
+    import pyarrow as pa
+    import ray.data
+
+    from deduplicator_go_ray.stages.common import grouped_apply
+
+    def fn(t: pa.Table) -> pa.Table:
+        keys = sorted(t["k"].to_pylist())
+        if 0 in keys:
+            (tmp_path / "failed").write_text("x")
+            raise ValueError("planted reduce failure")
+        time.sleep(1.0)
+        (tmp_path / f"done-{keys[0]}").write_text("x")
+        return t
+
+    ds = ray.data.from_arrow(pa.table({"k": list(range(60))})).materialize()
+    # the same exchange without the failure: one row per partition
+    parts = grouped_apply(ds, ["k"], lambda t: t.slice(0, 1),
+                          num_partitions=4, arrow_fn=True).count()
+    assert parts > 1
+    with pytest.raises(Exception, match="planted reduce failure"):
+        grouped_apply(ds, ["k"], fn, num_partitions=4, arrow_fn=True)
+    assert (tmp_path / "failed").exists()
+    assert len(list(tmp_path.glob("done-*"))) == parts - 1
+
+
 def test_keys_over_equals_value_counts(ray_session):
     """The combined count exchange flags exactly the keys a global
     value count puts above the cap, across many input blocks."""

@@ -250,12 +250,17 @@ def test_embedding_clusters_distributed_path_identical(registry, ray_session):
         onetask.reset_index(drop=True), dist.reset_index(drop=True))
 
 
-def test_pair_queries_verify_plans_equal(ray_session):
+def test_pair_queries_verify_plans_equal(ray_session, monkeypatch):
     # VERDICT r2 #4: the standalone pair queries share the flagship's
     # smallset_max_edges gate — the keyed (flood) twin must produce
-    # byte-identical pairs to the broadcast smallset plan
+    # byte-identical pairs to the broadcast smallset plan.  With the
+    # near round-2 cap at 0, minhash_lsh_pairs' keyed plan is the
+    # two-attach check, not the endpoint index the smallset plan uses
     from deduplicator_go_ray.pipelines.dedup_queries import (
         minhash_lsh_pairs, ngram_jaccard_pairs)
+    from deduplicator_go_ray.stages import verify
+
+    monkeypatch.setattr(verify, "NEAR_ROUND2_MAX_BYTES", 0)
 
     for fn in (minhash_lsh_pairs, ngram_jaccard_pairs):
         small = fn(SF_DIR, plan="smallset").reset_index(drop=True)

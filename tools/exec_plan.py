@@ -1,0 +1,138 @@
+"""Where one dedup job's fixed costs go: its Ray Data executions and its
+driver round trips.
+
+Runs ONE ``run_dedup(read_parquet(pages)).write_parquet(out)`` job on
+dedupbench-shaped inputs — ``generate_pages(--pages, seed)`` with the
+pre-extracted ``text`` column dropped, written as parquet shards — in a
+fresh one-CPU Ray session, after one warm-up job on the same pages.
+It prints each execution's plan line (from Ray Data's "Execution plan
+of Dataset" log records) and the number of driver ``ray.get`` calls the
+job made: ``ray.get`` is wrapped in this process only, so round trips
+that moved out of Ray Data executions into plain tasks still show.
+
+Usage: python tools/exec_plan.py [--plan default|flood|recrawl]
+                                 [--seed 5] [--pages 1000] [--repo DIR]
+
+``--plan flood`` lowers ``smallset_max_edges`` to 0 (dedupbench's
+``crawl_flood``); ``--plan recrawl`` runs against a signature store
+filled by one earlier job on the same pages.  ``--repo`` names the
+source tree to import (default: this checkout), so two trees run the
+same script.  The last line is JSON: ``{"plan", "executions",
+"ray_get_calls", "wall_s"}``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import logging
+import os
+import shutil
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class _Plans(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.INFO)
+        self.plans: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        msg = record.getMessage()
+        if msg.startswith("Execution plan of Dataset"):
+            self.plans.append(msg.split(": ", 1)[-1])
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--plan", choices=("default", "flood", "recrawl"),
+                    default="flood")
+    ap.add_argument("--seed", type=int, default=5)
+    ap.add_argument("--pages", type=int, default=1000)
+    ap.add_argument("--repo", default=HERE)
+    args = ap.parse_args()
+    repo = os.path.abspath(args.repo)
+    sys.path.insert(0, repo)
+    # Ray workers import the engine from the same tree (they also see
+    # the driver's working directory)
+    os.chdir(repo)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [repo] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                  if p])
+
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data
+
+    from deduplicator_go_ray.config import PipelineConfig
+    from deduplicator_go_ray.pipelines.dedup import run_dedup
+    from deduplicator_go_ray.sources.corpus import generate_pages
+
+    work = tempfile.mkdtemp(prefix="exec_plan_")
+    pages, _ = generate_pages(args.pages, seed=args.seed)
+    pages = pages.drop_columns(["text"])
+    pages_dir = os.path.join(work, "pages")
+    os.makedirs(pages_dir)
+    # dedupbench's shard layout (inputs.write_pages): 2,048 rows a shard
+    shards = max(1, len(pages) // 2048)
+    per = -(-len(pages) // shards)
+    for i in range(shards):
+        pq.write_table(pages.slice(i * per, per),
+                       os.path.join(pages_dir, f"part-{i:04d}.parquet"),
+                       row_group_size=2048)
+
+    ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR",
+             object_store_memory=256 << 20)
+    ctx = ray.data.DataContext.get_current()
+    ctx.enable_progress_bars = False
+    ctx.execution_options.verbose_progress = False
+
+    def cfg(store: str | None) -> PipelineConfig:
+        if args.plan == "flood":
+            return PipelineConfig(smallset_max_edges=0)
+        return PipelineConfig(sig_store_dir=store)
+
+    def job(out: str, store: str | None) -> None:
+        run_dedup(ray.data.read_parquet(pages_dir), cfg(store)).write_parquet(
+            os.path.join(work, out))
+
+    seed_store = os.path.join(work, "store-seed")
+    try:
+        job("warm", seed_store if args.plan == "recrawl" else None)
+        store = None
+        if args.plan == "recrawl":
+            store = os.path.join(work, "store")
+            shutil.copytree(seed_store, store)
+        plans = _Plans()
+        logger = logging.getLogger("ray.data")
+        calls = [0]
+        real_get = ray.get
+
+        def counted_get(*a, **kw):
+            calls[0] += 1
+            return real_get(*a, **kw)
+
+        logger.addHandler(plans)
+        ray.get = counted_get
+        try:
+            t = time.perf_counter()
+            job("out", store)
+            wall = time.perf_counter() - t
+        finally:
+            ray.get = real_get
+            logger.removeHandler(plans)
+    finally:
+        ray.shutdown()
+        shutil.rmtree(work, ignore_errors=True)
+
+    for i, plan in enumerate(plans.plans, 1):
+        print(f"{i:2d}. {plan}")
+    print(json.dumps({"plan": args.plan, "executions": len(plans.plans),
+                      "ray_get_calls": calls[0], "wall_s": round(wall, 3)}))
+
+
+if __name__ == "__main__":
+    main()

@@ -155,14 +155,12 @@ def _scaling_child(num_cpus: int, pages_path: str, out_path: str) -> dict:
     """Run the flagship pipeline in a fresh process; write assignments +
     timing to ``out_path``; return the parsed result.
 
-    ``GRAFT_SCALE_FLOOD=1`` lowers the verify plan gate so the
-    100-TB verify plan SELF-SELECTS at bench scale (the candidate set
-    exceeds ``smallset_max_edges`` → partitioned verify) — the honest
-    way to measure the at-scale plan without faking a corpus 1000×
-    bigger (VERDICT r2 next #1).  Components take the one-task tier on
-    either setting: it runs at every edge count up to
-    ``onetask_cc_max_edges`` (200M)."""
-    flood = os.environ.get("GRAFT_SCALE_FLOOD") == "1"
+    The pipeline runs at default config: each match kind verifies
+    against an index over its pairs' endpoints up to its round-2 cap
+    and through two keyed attach exchanges above it
+    (``stages/verify.py``), so the corpus selects the verify plan
+    itself.  Components take the one-task tier at every edge count up
+    to ``onetask_cc_max_edges`` (200M)."""
     code = f"""
 import json, sys, time
 sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
@@ -179,8 +177,6 @@ ray.init(address="local", num_cpus={num_cpus}, include_dashboard=False,
 import ray.data
 ray.data.DataContext.get_current().enable_progress_bars = False
 from deduplicator_go_ray.pipelines.dedup import run_dedup
-from deduplicator_go_ray.config import PipelineConfig
-cfg = PipelineConfig(smallset_max_edges=500_000) if {flood!r} else None
 # warm the worker pool before the timed section — cluster startup is
 # not job throughput, and spawning W workers costs MORE wall on the
 # bigger cluster, which would bias the efficiency ratio downward
@@ -191,7 +187,7 @@ shutil.rmtree(out_dir, ignore_errors=True)
 t0 = time.time()
 ds = ray.data.read_parquet({pages_path!r})
 n_in = ds.count()
-run_dedup(ds, cfg=cfg).write_parquet(out_dir)   # parallel sink — the real pipeline shape
+run_dedup(ds).write_parquet(out_dir)   # parallel sink — the real pipeline shape
 wall = time.time() - t0
 df = ray.data.read_parquet(out_dir).to_pandas().sort_values("url").reset_index(drop=True)
 assert len(df) == n_in, f"row conservation violated: {{len(df)}} out vs {{n_in}} in"
@@ -203,9 +199,9 @@ ray.shutdown()
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=7200)
     # persist the child's full log: under GRAFT_PHASE_TIMING=1 the
-    # [phase]/[note] lines (n_cand vs smallset_max_edges, n_edges vs
-    # onetask_cc_max_edges) are the evidence of WHICH physical plan
-    # self-selected on this corpus at default gates
+    # [phase]/[note] lines (n_cand, n_edges vs onetask_cc_max_edges)
+    # are the evidence of WHICH physical plan self-selected on this
+    # corpus at default gates
     with open(out_path + ".log", "w") as fh:
         fh.write(proc.stdout + "\n--- stderr ---\n" + proc.stderr)
     if proc.returncode != 0:
@@ -329,9 +325,7 @@ def run_scaling() -> dict:
     same = pd.read_parquet("/tmp/bench_scale_lo.parquet").equals(
         pd.read_parquet("/tmp/bench_scale_hi.parquet"))
     return {
-        "metric": ("flood_plan_scaling_efficiency"
-                   if os.environ.get("GRAFT_SCALE_FLOOD") == "1"
-                   else "scaling_efficiency"),
+        "metric": "scaling_efficiency",
         "value": round(eff, 3),
         "unit": "ratio",
         "sf": SCALE_CORPUS,

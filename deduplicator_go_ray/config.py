@@ -181,14 +181,6 @@ class PipelineConfig:
     # adaptively.  5M rep uids = 40 MB per worker — comfortable; beyond
     # that the rep texts ride the exact hash exchange instead.
     broadcast_max_reps: int = 5_000_000
-    # candidate/pair sets at or below this row count verify against a
-    # broadcast index (the small-set plan of stages/verify.py, prebuilt
-    # over every rep when it fits verify_direct_max_bytes).  Bigger sets
-    # take the flood plan: the pairs, already pruned in the candidate
-    # reducer (stages/buckets.py), are checked exactly against an index
-    # over their endpoints only, and above the kind's round-2 cap
-    # (stages/verify.py) through two keyed attach exchanges.
-    smallset_max_edges: int = 2_000_000
     # optional content-keyed signature store (state/sigstore.py):
     # when set, the flagship's signature phase re-uses stored
     # signatures for content keys it has seen in previous runs and
@@ -197,27 +189,6 @@ class PipelineConfig:
     # bound to one signature config; output is byte-identical to the
     # full compute (equality-tested).
     sig_store_dir: "str | None" = None
-    # below the smallset ceiling there is a further choice: when the
-    # FULL signature matrix (n_reps × num_perms × 8 B) fits this
-    # budget, verification scores straight against the materialized
-    # signature/text tables' block refs (direct-refs plan) — skipping
-    # the endpoint tasks and the semi-filter execution, a whole
-    # pipeline barrier.  Above it, the
-    # semi-filter keeps per-worker memory proportional to the candidate
-    # endpoint set instead of the rep set.
-    #
-    # The budget is a PER-NODE OBJECT-STORE allowance, not a per-worker
-    # heap: the index is built by one task and every worker maps it
-    # zero-copy from plasma (stages/verify.py:_shared), so one
-    # node pays one copy.  4 GiB ≈ 4M reps per node before the flood
-    # plan engages — measured at 500k pages / 16 cpus, the direct-refs
-    # plan is ~3× faster end-to-end than the flood exchanges, which
-    # remain the correct plan only once the index outgrows node memory
-    # (BENCH/flood_plan_ab.md).  The budget is additionally clamped at
-    # plan time to 25% of the session's actual object-store capacity
-    # (pipelines/dedup.py) so a small-plasma node never picks an index
-    # it cannot hold.
-    verify_direct_max_bytes: int = 4 << 30
     # reduce-partition count for the fused bucket shuffle; more
     # partitions = smaller reducers and better overlap (tuned on the
     # 200k bench corpus; scale with cluster size at real scale).

@@ -10,7 +10,7 @@
       → reps → map_batches(_signature_slim)           # Ray Data execution 2
       → bucket_batch (bands [+salt] + SimHash chunks  # split pre_fn of
         + substring anchors) → candidate edges        # [one fused exchange]
-      → verify: per-kind endpoint/prebuilt index task # stages/verify.py
+      → verify: per-kind endpoint index task          # stages/verify.py
         + one check task per candidate block (or the
         attach exchanges above a kind's round-2 cap)
       → _cc_onetask: components + anchor endpoints    # one task
@@ -57,14 +57,13 @@ from ..stages.buckets import (KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
                               uid_np, uid_of_urls, uid_pa_type)
 from ..stages.cluster import _cc_onetask, anchor_endpoints, resolve_components
 from ..stages.common import (block_refs_of, grouped_apply, map_blocks,
-                             per_node_object_store_bytes, sorted_probe)
+                             sorted_probe)
 from ..stages.exact import add_content_key, assign_exact_groups, dup_candidates
 from ..stages.extract import ExtractStage
 from ..stages.joins import hash_join
 from ..stages.keeper import select_keepers
 from ..stages.signatures import SignatureStage
-from ..stages.verify import (containment_spec, near_spec, prebuild_index,
-                             verify_containment_edges, verify_near_edges)
+from ..stages.verify import verify_containment_edges, verify_near_edges
 
 # per-worker-process stage cache: task-based map stages build their
 # state once per worker because Ray reuses worker processes across
@@ -388,25 +387,6 @@ def run_dedup(
         cfg = _dc.replace(cfg, uid_bits=cfg.resolved_uid_bits(n_reps))
         timer.note("uid_bits", cfg.uid_bits)
 
-    # Speculatively launch the full verify-index builds NOW so the
-    # 1-cpu gather+sort tasks overlap the candidate exchange; the flood
-    # path cancels them.  The configured budget is a per-node plasma
-    # allowance, clamped to what the SMALLEST node's object store can
-    # hold (the index is one plasma object; letting it dominate a
-    # node's store forces spill where the flood plan streams fine)
-    store_bytes = per_node_object_store_bytes()
-    budget = cfg.verify_direct_max_bytes
-    if store_bytes:
-        budget = min(budget, int(store_bytes * 0.25))
-    direct_plan = (cfg.uid_bits == 64
-                   and n_reps * cfg.minhash.num_perms * 8 <= budget)
-    near, cont = near_spec(cfg.minhash), containment_spec()
-    near_idx = cont_idx = None
-    if direct_plan and n_reps:
-        near_idx = prebuild_index(sigs, near)
-        if cfg.run_substring_pass:
-            cont_idx = prebuild_index(reps, cont)
-
     hot = sampled_hot_band_keys(sigs, cfg, n_reps)
     if timer.on:
         timer.tick("hot_precount")
@@ -423,41 +403,20 @@ def run_dedup(
     timer.tick("candidates")
 
     # ---- verify: both kinds read the one candidate table -------------------
-    # size-aware verification plan: at or below smallset_max_edges
-    # candidates the pairs are checked against a broadcast index (the
-    # prebuilt one, else one over the candidate endpoints); a
-    # candidate FLOOD never holds the full index: each kind's pairs
-    # (already pruned in the candidate reducer) are checked against an
-    # index over their endpoints, or above the kind's round-2 cap
-    # through two hash-partitioned attach exchanges
-    # (equality-tested in tests/test_dedup_pipeline.py)
+    # each kind's plan is the verify stage's rule (stages/verify.py:
+    # _verify): an index over its pairs' endpoints up to its round-2
+    # cap, two keyed attach exchanges above it.  Below the caps neither
+    # call awaits anything, so both kinds' tasks run side by side
+    # (plans equality-tested in tests/test_dedup_pipeline.py)
     n_cand = cand.count()
     timer.note("n_cand", n_cand)
-    flood = n_cand > cfg.smallset_max_edges
-    if flood:
-        # the speculative full index builds lost the bet — stop them
-        # NOW; cancel on a finished task is a no-op and plasma reclaims
-        # the object either way
-        for ref in (near_idx, cont_idx):
-            if ref is not None:
-                ray.cancel(ref, force=False)
-        # the flood gate reads the TOTAL candidate count; the verify
-        # stage picks each kind's plan from its own count (anchor pairs
-        # keep their endpoint index while near pairs may need the
-        # attach exchanges).  Both kinds' endpoint indexes are
-        # launched before either check is awaited
-        near_idx = prebuild_index(sigs, near, cand, cfg.uid_bits)
-        cont_idx = (prebuild_index(reps, cont, cand, cfg.uid_bits)
-                    if cfg.run_substring_pass else None)
-    common = {"flood": flood, "uid_bits": cfg.uid_bits,
-              "num_partitions": cfg.bucket_partitions}
     edge_sets = []
     if n_cand:
-        edge_sets.append(verify_near_edges(cand, sigs, cfg.minhash,
-                                           prebuilt=near_idx, **common))
+        edge_sets.append(verify_near_edges(
+            cand, sigs, cfg.minhash, cfg.uid_bits, cfg.bucket_partitions))
     if n_cand and cfg.run_substring_pass:
-        edge_sets.append(verify_containment_edges(cand, reps,
-                                                  prebuilt=cont_idx, **common))
+        edge_sets.append(verify_containment_edges(
+            cand, reps, cfg.uid_bits, cfg.bucket_partitions))
     edge_refs = [r for e in edge_sets for r in block_refs_of(e)]
     n_edges = sum(e.count() for e in edge_sets)
     timer.tick("verify+edges")

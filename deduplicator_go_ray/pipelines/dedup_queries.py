@@ -32,6 +32,9 @@ from .registry import register
 NGRAM_N = 3                 # word trigrams
 NGRAM_THRESHOLD = 0.8       # exact-Jaccard dup cutoff
 GRAM_DF_CAP = 200           # buckets bigger than this skip pair emission
+# up to this many gram candidates verify against the shared endpoint
+# index; above it the keyed twin verifies them
+INDEX_MAX_PAIRS = 2_000_000
 COSINE_THRESHOLD = 0.45
 
 
@@ -172,12 +175,11 @@ def ngram_jaccard_pairs(sf_dir: str, plan: str = "auto"):
     if n_cand == 0:
         return _finish_jaccard(pd.DataFrame())
 
-    # size-aware verify (the flagship's smallset_max_edges gate): a
-    # candidate flood routes through the hash-partitioned join twin
-    # instead of the shared index (both plans equality-tested)
+    # size-aware verify: a candidate flood routes through the
+    # hash-partitioned join twin instead of the shared index (both
+    # plans equality-tested)
     if plan == "auto":
-        plan = ("keyed" if n_cand > PipelineConfig().smallset_max_edges
-                else "smallset")
+        plan = "keyed" if n_cand > INDEX_MAX_PAIRS else "smallset"
     if plan == "keyed":
         return _finish_jaccard(_verify_gram_pairs_keyed(cand, sets).to_pandas())
 
@@ -280,7 +282,7 @@ def _pairs_to_ids(edges: "ray.data.Dataset") -> pd.DataFrame:
             .reset_index(drop=True))
 
 
-def minhash_lsh_pairs(sf_dir: str, plan: str = "auto") -> pd.DataFrame:
+def minhash_lsh_pairs(sf_dir: str) -> pd.DataFrame:
     pcfg = PipelineConfig()
     cfg, lsh = pcfg.minhash, pcfg.lsh
     sigs = _doc_sigs(sf_dir)
@@ -292,10 +294,8 @@ def minhash_lsh_pairs(sf_dir: str, plan: str = "auto") -> pd.DataFrame:
     cand = candidate_edges_fused(rows, lsh, 0, minhash=cfg).materialize()
     if cand.count() == 0:
         return _pairs_to_ids(cand)
-    # the verify stage's flood plan picks the two-attach check or the
-    # endpoint index from the pair count; "smallset" forces the index
-    return _pairs_to_ids(verify_near_edges(cand, sigs, cfg,
-                                           flood=plan != "smallset"))
+    # the verify stage picks the endpoint index or the two-attach check
+    return _pairs_to_ids(verify_near_edges(cand, sigs, cfg))
 
 
 def _minhash_oracle_sql() -> str:

@@ -189,8 +189,7 @@ def uid_pa_type(bits: int) -> pa.DataType:
     (grouped_apply partitions) infers variable binary for object bytes,
     so a fixed-size empty_result/constructed block would mix two
     schemas for the same column in one dataset (the RefBundle
-    schema-divergence cascade).  One canonical type everywhere;
-    ``_uid_cast`` normalizes any stray fixed-size input."""
+    schema-divergence cascade).  One canonical type everywhere."""
     return pa.int64() if bits == 64 else pa.binary()
 
 

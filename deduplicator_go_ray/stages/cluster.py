@@ -27,6 +27,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .buckets import KIND_ANCHOR, _uid_bits_of, uid_arrow, uid_np
+
 
 def _dsu_find(parent: dict, x: str) -> str:
     root = x
@@ -94,7 +96,6 @@ def anchor_endpoints(tables, uid_bits: int) -> np.ndarray:
     """Sorted-unique endpoints of the substring-anchor edges (``kind``
     ``KIND_ANCHOR``) among edge tables; empty when none carries a
     ``kind`` column."""
-    from .buckets import KIND_ANCHOR
     from .verify import UV, uid_set
 
     return uid_set([t.filter(pc.equal(t["kind"], KIND_ANCHOR)) for t in tables
@@ -116,22 +117,13 @@ def _cc_onetask(key_type, *blocks):
 
     tables = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
               if len(t)]
-
-    def _np_of(col):
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        if pa.types.is_integer(col.type):
-            return np.asarray(col, dtype=np.int64)
-        return np.array(col.to_pylist(), dtype=object)
-    u = np.concatenate([_np_of(t["u"]) for t in tables])
-    v = np.concatenate([_np_of(t["v"]) for t in tables])
+    bits = _uid_bits_of(tables[0]["u"])
+    u = np.concatenate([uid_np(t["u"], bits) for t in tables])
+    v = np.concatenate([uid_np(t["v"], bits) for t in tables])
     nodes, roots = cc_label_arrays(u, v)
-    if nodes.dtype == np.int64:
-        cc = pa.table({"url": pa.array(nodes, key_type or pa.int64()),
-                       "root": pa.array(roots, key_type or pa.int64())})
-    else:
-        cc = pa.table({"url": pa.array(nodes.tolist(), key_type),
-                       "root": pa.array(roots.tolist(), key_type)})
-    return cc, anchor_endpoints(tables, 64 if nodes.dtype == np.int64 else 128)
+    cc = pa.table({"url": uid_arrow(nodes).cast(key_type),
+                   "root": uid_arrow(roots).cast(key_type)})
+    return cc, anchor_endpoints(tables, bits)
 
 
 def connected_components_distributed(

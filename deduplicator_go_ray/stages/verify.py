@@ -7,10 +7,9 @@ candidate that reaches this module goes straight to the exact check,
 built from two shared parts:
 
 * **one index check** — ONE Ray task builds a uid-sorted index of the
-  kind's payload, over all source rows or only over the pairs'
-  endpoints, which one task per source block filters out first
-  (:func:`prebuild_index`, :func:`endpoint_index`); then one plain
-  task per pair block, the index a top-level argument mapped
+  kind's payload over the pairs' endpoints only, which one task per
+  source block filters out first (:func:`endpoint_index`); then one
+  plain task per pair block, the index a top-level argument mapped
   zero-copy from the object store, applies the exact predicate — no
   exchange and no Dataset execution.  Registry queries whose per-pair
   result is more than a keep mask (n-gram Jaccard, longest common
@@ -25,16 +24,15 @@ predicate, the round-2 cap and the candidate kinds it reads, so both
 checks take the same candidate table and each picks its own kind
 inside its tasks.  Sources are keyed like the candidate rows
 (``buckets.batch_uids``): by their ``DOC_UID`` column when they carry
-one, else by the url hash.  Plans:
+one, else by the url hash.  Each kind has one rule, read only in
+:func:`_verify`: the index check while the kind's pairs are at or below
+its round-2 cap, the two-attach check above it (the only plan whose
+per-worker memory does not grow with the pair set).  The kind's pairs
+are counted only when the candidate total exceeds the cap; below it the
+check's tasks are submitted and nothing is awaited, so a caller's two
+verifies run side by side.
 
-* a prebuilt index given: the index check against it;
-* small set (``flood=False``): the index check over the endpoints;
-* flood: the same up to the round-2 cap on the kind's own pair count
-  (:func:`_endpoint_plan`, the only place the cap is read); above it
-  the two-attach check on the full payload (the only plan whose
-  per-worker memory does not grow with the pair set).
-
-Every plan yields the same edge set (equality-tested).
+Both checks yield the same edge set (equality-tested).
 """
 
 from __future__ import annotations
@@ -218,21 +216,19 @@ def _endpoint_payload(t: pa.Table, wanted: np.ndarray, payload,
 
 
 @ray.remote(num_cpus=1)
-def _build_index(payload, *blocks):
-    """Build a uid-sorted index ONCE, in one Ray task: (sorted uids,
-    argsort permutation, value array in block order).  The blocks are
-    (uid, value) payload rows, or source rows converted here by
-    ``payload`` when it is given.  Workers map the result zero-copy
-    from plasma — per-node memory is one copy, not one per worker
-    process.  Text is cast to large_string BEFORE combining, since
-    combining int32-offset strings raises past 2 GiB; the values stay
-    in block order (probes map sorted positions through the
-    permutation), so the build pays ONE contiguous copy."""
+def _build_index(*blocks):
+    """Build a uid-sorted index ONCE, in one Ray task, over (uid, value)
+    payload blocks: (sorted uids, argsort permutation, value array in
+    block order).  Workers map the result zero-copy from plasma —
+    per-node memory is one copy, not one per worker process.  Text is
+    cast to large_string BEFORE combining, since combining int32-offset
+    strings raises past 2 GiB; the values stay in block order (probes
+    map sorted positions through the permutation), so the build pays
+    ONE contiguous copy."""
     from ray.data.block import BlockAccessor
 
-    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
-    tables = [t if payload is None else _to_payload(t, payload, 64)
-              for t in tables if len(t)]
+    tables = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
+              if len(t)]
     if not tables:
         return np.empty(0, np.int64), np.empty(0, np.int64), None
     tbl = pa.concat_tables(tables)
@@ -258,32 +254,7 @@ def _endpoint_build(source, spec: VerifySpec, pairs, uid_bits: int):
                                   *block_refs_of(pairs))
     rows = map_blocks(block_refs_of(source), _endpoint_payload, wanted,
                       spec.payload, uid_bits)
-    return _build_index.remote(None, *rows)
-
-
-def _endpoint_plan(source, spec: VerifySpec, pairs, uid_bits: int):
-    """(number of pairs of the spec's kinds, their endpoint index or
-    None): the endpoint index is the plan from 1 pair up to the
-    round-2 cap; above it the two-attach check takes the pairs."""
-    n = ray.get(_kind_rows.remote(spec.kinds, *block_refs_of(pairs)))
-    return n, (_endpoint_build(source, spec, pairs, uid_bits)
-               if 0 < n <= spec.round2_max else None)
-
-
-def prebuild_index(source: "ray.data.Dataset", spec: VerifySpec,
-                   pairs: "ray.data.Dataset | None" = None,
-                   uid_bits: int = 64):
-    """Launch the index build for ``spec`` over a materialized source
-    table and return its ObjectRef: over ALL source rows (64-bit uids)
-    or, given materialized ``pairs``, over the endpoints of its pairs of
-    the spec's kinds — None then when there are none or more than the
-    round-2 cap.  ``run_dedup`` launches these builds ahead of the
-    checks — the full one as soon as sigs / reps materialize (it
-    overlaps the candidate exchange; a flood plan cancels it), the
-    endpoint ones for both kinds before either check is awaited."""
-    if pairs is None:
-        return _build_index.remote(spec.payload, *block_refs_of(source))
-    return _endpoint_plan(source, spec, pairs, uid_bits)[1]
+    return _build_index.remote(*rows)
 
 
 def endpoint_index(pairs: "ray.data.Dataset", source: "ray.data.Dataset",
@@ -390,57 +361,51 @@ def _two_attach_check(pairs, pay_u, pay_v, exact, uid_bits: int,
     return attach(attach(pairs, pay_u, "u", _distinct_pairs), pay_v, "v", check)
 
 
-# ---- the plans ---------------------------------------------------------------
-def _verify(pairs, source, spec: VerifySpec, prebuilt, flood: bool,
-            uid_bits: int, num_partitions: int):
+# ---- the rule ----------------------------------------------------------------
+def _verify(pairs, source, spec: VerifySpec, uid_bits: int,
+            num_partitions: int):
+    """The index check while the kind's pairs are at or below
+    ``spec.round2_max``, the two-attach check above it.  The kind's
+    pairs are counted (one task, awaited) only when the candidate total
+    from block metadata exceeds the cap."""
     pairs = pairs.materialize()
-    index = prebuilt
-    if index is None and not flood:
-        index = _endpoint_build(source, spec, pairs, uid_bits)
-    elif index is None:
-        n, index = _endpoint_plan(source, spec, pairs, uid_bits)
+    if pairs.count() > spec.round2_max:
+        n = ray.get(_kind_rows.remote(spec.kinds, *block_refs_of(pairs)))
         if not n:
             return ray.data.from_arrow(empty_edges(uid_bits))
-    if index is None:
-        pairs = pairs.map_batches(_pick, fn_args=(spec.kinds,),
-                                  batch_format="pyarrow").materialize()
-        payload = source.map_batches(_to_payload, fn_args=(
-            spec.payload, uid_bits), batch_format="pyarrow")
-        u_ref, v_ref = uid_set_refs(pairs, (U, V), uid_bits)
-        return _two_attach_check(
-            pairs, semi_filter_by_uid_ref(payload, u_ref),
-            semi_filter_by_uid_ref(payload, v_ref),
-            spec.exact, uid_bits, num_partitions)
-    return _index_check(pairs, index, spec, uid_bits)
+        if n > spec.round2_max:
+            pairs = pairs.map_batches(_pick, fn_args=(spec.kinds,),
+                                      batch_format="pyarrow").materialize()
+            payload = source.map_batches(_to_payload, fn_args=(
+                spec.payload, uid_bits), batch_format="pyarrow")
+            u_ref, v_ref = uid_set_refs(pairs, (U, V), uid_bits)
+            return _two_attach_check(
+                pairs, semi_filter_by_uid_ref(payload, u_ref),
+                semi_filter_by_uid_ref(payload, v_ref),
+                spec.exact, uid_bits, num_partitions)
+    return _index_check(pairs, _endpoint_build(source, spec, pairs, uid_bits),
+                        spec, uid_bits)
 
 
 def verify_near_edges(
     edges: "ray.data.Dataset",
     sigs: "ray.data.Dataset",
     cfg: MinHashConfig,
-    prebuilt=None,
-    flood: bool = False,
     uid_bits: int = 64,
     num_partitions: int = 128,
 ) -> "ray.data.Dataset":
     """Keep the uid edges whose signature Jaccard estimate reaches
-    ``cfg.verify_threshold``.  ``prebuilt`` (an index ObjectRef from
-    :func:`prebuild_index`) is probed when given; without it the index
-    covers only the edges' endpoints, and ``flood`` switches to the
-    two keyed attach exchanges above the kind's round-2 cap."""
-    return _verify(edges, sigs, near_spec(cfg), prebuilt, flood, uid_bits,
-                   num_partitions)
+    ``cfg.verify_threshold``; the plan is :func:`_verify`'s rule."""
+    return _verify(edges, sigs, near_spec(cfg), uid_bits, num_partitions)
 
 
 def verify_containment_edges(
     pairs: "ray.data.Dataset",
     texts: "ray.data.Dataset",
-    prebuilt=None,
-    flood: bool = False,
     uid_bits: int = 64,
     num_partitions: int = 128,
 ) -> "ray.data.Dataset":
     """Keep the uid (short, long) pairs where the short text occurs in
-    the long one; plans and flags as in :func:`verify_near_edges`."""
-    return _verify(pairs, texts, containment_spec(), prebuilt, flood,
-                   uid_bits, num_partitions)
+    the long one; the plan is :func:`_verify`'s rule."""
+    return _verify(pairs, texts, containment_spec(), uid_bits,
+                   num_partitions)

@@ -50,8 +50,8 @@ SIG_COLS = ("minhash", "simhash", "n_shingles", "anchors", "sig_error")
 SIG_KERNEL_VERSION = 1
 # stores at or below this on-disk size take the direct-refs plan: the
 # wire table is materialized once and every worker maps it zero-copy
-# from plasma (same philosophy as verify_direct_max_bytes — clamped to
-# the session's actual object store at run time).  Above it, the
+# from plasma (clamped to a quarter of the session's per-node object
+# store at run time).  Above it, the
 # keyed-shuffle anti-join + hash join is the scale twin
 # (equality-tested).
 STORE_BROADCAST_MAX_BYTES = 4 << 30

@@ -142,33 +142,13 @@ def _canon_edges(ds) -> pd.DataFrame:
             .sort_values(["a", "b"]).reset_index(drop=True))
 
 
-def test_prebuilt_index_verify_equals_inline_plans(small_sigs):
-    """The speculative prebuilt verify index (launched early to overlap
-    the candidate shuffle, over every signature row) must yield the
-    edge set of the index built over the candidate endpoints only."""
-    from deduplicator_go_ray.stages.verify import near_spec, prebuild_index
-
-    rows = bucket_rows(small_sigs, MinHashConfig())
-    edges = (candidate_edges_fused(rows, LSHConfig(), 3)
-             .filter(expr=f"kind != {KIND_ANCHOR}").materialize())
-    cfg = MinHashConfig()
-
-    pre = prebuild_index(small_sigs, near_spec(cfg))
-    via_prebuilt = _canon_edges(verify_near_edges(
-        edges, small_sigs, cfg, prebuilt=pre))
-    via_endpoints = _canon_edges(verify_near_edges(edges, small_sigs, cfg))
-    assert len(via_prebuilt) >= 2
-    pd.testing.assert_frame_equal(via_prebuilt, via_endpoints)
-
-
 @pytest.mark.parametrize("kind,threshold", [("near", 0.8), ("near", 0.5),
                                             ("containment", None)])
 def test_keyed_round2_equals_index_plans(kind, threshold, ray_session,
                                          monkeypatch):
-    """Flood verify: with the kind's round-2 cap at 0 every pair is
-    checked through the two keyed attach exchanges instead of an
-    endpoint index.  Its edges, the flood plan's with the endpoint
-    index and the small-set plan's must all equal a brute-force
+    """With the kind's round-2 cap at 0 every pair is checked through
+    the two keyed attach exchanges instead of an endpoint index.  Its
+    edges and the endpoint index plan's must both equal a brute-force
     reference.  The payloads plant borderline pairs that fail the
     exact check by a few slots."""
     from deduplicator_go_ray.stages import verify
@@ -223,9 +203,9 @@ def test_keyed_round2_equals_index_plans(kind, threshold, ray_session,
                      if "absent" not in (x, y) and passes(x, y)})
     assert len(expect) >= 3
 
-    plans = [run(pairs, source), run(pairs, source, flood=True)]
+    plans = [run(pairs, source)]
     monkeypatch.setattr(verify, cap, 0)
-    plans += [run(pairs, source, flood=True)]
+    plans += [run(pairs, source)]
     for ds in plans:
         assert list(_canon_edges(ds).itertuples(index=False, name=None)) == expect
 
@@ -254,16 +234,15 @@ def test_endpoint_index_build_gets_only_endpoint_rows(ray_session,
         "u": pa.array([uid["a"]], pa.int64()),
         "v": pa.array([uid["b"]], pa.int64())})).materialize()
     monkeypatch.setattr(verify, "_build_index", ray.remote(
-        lambda payload, *blocks: sum(len(b) for b in blocks)))
+        lambda *blocks: sum(len(b) for b in blocks)))
     payload = verify.near_spec(MinHashConfig()).payload
     assert ray.get(verify.endpoint_index(pairs, source, payload)) == 2
 
 
 def test_flood_plan_reads_the_kinds_own_pair_count(ray_session, monkeypatch):
-    """A flood verify given a mixed-kind candidate table and no prebuilt
-    index picks its plan from its own kind's pair count: 2 near pairs
-    under a 2-pair near cap keep the endpoint index although the table
-    holds 10 rows."""
+    """A verify given a mixed-kind candidate table picks its plan from
+    its own kind's pair count: 2 near pairs under a 2-pair near cap keep
+    the endpoint index although the table holds 10 rows."""
     from deduplicator_go_ray.stages import verify
 
     source, uid = _random_sig_source(6, 4)
@@ -279,7 +258,7 @@ def test_flood_plan_reads_the_kinds_own_pair_count(ray_session, monkeypatch):
 
     monkeypatch.setattr(verify, "_two_attach_check", no_attach)
     got = _canon_edges(verify.verify_near_edges(
-        pairs, source, MinHashConfig(), flood=True))
+        pairs, source, MinHashConfig()))
     assert list(got.itertuples(index=False, name=None)) == [
         tuple(sorted((uid["a"], uid["b"])))]
 
@@ -309,7 +288,7 @@ def test_keyed_round2_uid128_drops_duplicate_pairs(ray_session, monkeypatch):
     cfg = MinHashConfig()
     index = verify.verify_near_edges(pairs, source, cfg, uid_bits=128)
     monkeypatch.setattr(verify, "NEAR_ROUND2_MAX_BYTES", 0)
-    keyed = verify.verify_near_edges(pairs, source, cfg, flood=True,
+    keyed = verify.verify_near_edges(pairs, source, cfg,
                                      uid_bits=128).to_pandas()
     assert sorted(zip(keyed["u"], keyed["v"])) == sorted(
         [(uid["a"], uid["b"]), (uid["b"], uid["a"])])
@@ -533,18 +512,23 @@ def test_bucket_rows_key_on_doc_uid_column(ray_session):
     assert set(zip(got["u"], got["v"])) == {(10, 20), (20, 30), (10, 30)}
 
 
-@pytest.mark.parametrize("flood", [False, True])
-def test_index_check_probes_source_doc_uid_column(ray_session, flood):
+@pytest.mark.parametrize("two_attach", [False, True])
+def test_index_check_probes_source_doc_uid_column(ray_session, monkeypatch,
+                                                  two_attach):
     """The verify index over a ``DOC_UID``-carrying source is keyed by that
-    column: pairs named by those uids verify, a pair naming an absent
-    uid is dropped."""
+    column, and so is the two-attach check (near round-2 cap 0): pairs
+    named by those uids verify, a pair naming an absent uid is
+    dropped."""
+    from deduplicator_go_ray.stages import verify
+
+    if two_attach:
+        monkeypatch.setattr(verify, "NEAR_ROUND2_MAX_BYTES", 0)
     sigs = _identical_sigs_with_uids(ray_session)
     pairs = ray.data.from_arrow(pa.table({
         "u": pa.array([10, 20, 10], pa.int64()),
         "v": pa.array([20, 30, 99], pa.int64()),
         "kind": pa.array([KIND_BAND] * 3, pa.int8())}))
-    got = verify_near_edges(pairs, sigs, MinHashConfig(),
-                            flood=flood).to_pandas()
+    got = verify_near_edges(pairs, sigs, MinHashConfig()).to_pandas()
     assert sorted(zip(got["u"], got["v"])) == [(10, 20), (20, 30)]
 
 

@@ -170,21 +170,38 @@ def test_presalted_hot_band_path_same_assignments(corpus):
         assert (a[col] == b[col]).all(), col
 
 
-def test_flood_verify_partitioned_same_assignments(corpus):
-    """VERDICT r1 #1: the size-aware verification fallback.  Forcing
-    smallset_max_edges=0 routes EVERY candidate through the flood plan
-    (no prebuilt signature/text index: an index over the candidate
-    endpoints only); assignments must be byte-identical to the
-    broadcast plan."""
+def _force_two_attach(monkeypatch, containment: bool = True) -> list:
+    """Lower the near round-2 cap (and the containment one) to 0, so
+    every pair of that kind takes the two-attach check; returns the
+    list the checks that run append to."""
+    from deduplicator_go_ray.stages import verify
+
+    ran, real = [], verify._two_attach_check
+
+    def spy(*args, **kwargs):
+        ran.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_two_attach_check", spy)
+    monkeypatch.setattr(verify, "NEAR_ROUND2_MAX_BYTES", 0)
+    if containment:
+        monkeypatch.setattr(verify, "CONTAINMENT_ROUND2_MAX_PAIRS", 0)
+    return ran
+
+
+def test_flood_verify_partitioned_same_assignments(corpus, monkeypatch):
+    """VERDICT r1 #1: the size-aware verification fallback.  With both
+    round-2 caps at 0 every candidate of both kinds is checked through
+    the two keyed attach exchanges instead of an endpoint index;
+    assignments must be byte-identical to the default plan's."""
     import ray.data as rd
 
     pages_tbl, _ = corpus
     small = pages_tbl.slice(0, 250)
     base = run_dedup(rd.from_arrow(small)).to_pandas()
-    flood = run_dedup(
-        rd.from_arrow(small),
-        PipelineConfig(smallset_max_edges=0),      # force the flood path
-    ).to_pandas()
+    ran = _force_two_attach(monkeypatch)
+    flood = run_dedup(rd.from_arrow(small)).to_pandas()
+    assert len(ran) == 2
     a = base.sort_values("url").reset_index(drop=True)
     b = flood.sort_values("url").reset_index(drop=True)
     for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
@@ -192,12 +209,12 @@ def test_flood_verify_partitioned_same_assignments(corpus):
         assert (a[col] == b[col]).all(), col
 
 
-def test_flood_verify_low_threshold_same_assignments(corpus):
+def test_flood_verify_low_threshold_same_assignments(corpus, monkeypatch):
     """At verify_threshold=0.5 the candidate reducer's all-slot
     fingerprint bound still prunes (a pair with more than 64 differing
     fingerprint bits cannot reach 64 of 128 equal slots), but far less
-    than at 0.8, so most candidates reach the flood plan's exact check.
-    Assignments must equal the small-set plan's."""
+    than at 0.8, so most candidates reach the two-attach check's exact
+    predicate.  Assignments must equal the endpoint index plan's."""
     import ray.data as rd
 
     from deduplicator_go_ray.config import MinHashConfig
@@ -206,10 +223,9 @@ def test_flood_verify_low_threshold_same_assignments(corpus):
     small = pages_tbl.slice(0, 250)
     mh = MinHashConfig(verify_threshold=0.5)
     base = run_dedup(rd.from_arrow(small), PipelineConfig(minhash=mh)).to_pandas()
-    flood = run_dedup(
-        rd.from_arrow(small),
-        PipelineConfig(minhash=mh, smallset_max_edges=0),
-    ).to_pandas()
+    ran = _force_two_attach(monkeypatch)
+    flood = run_dedup(rd.from_arrow(small), PipelineConfig(minhash=mh)).to_pandas()
+    assert len(ran) == 2
     a = base.sort_values("url").reset_index(drop=True)
     b = flood.sort_values("url").reset_index(drop=True)
     assert (a["match_kind"] == "near").sum() > 0
@@ -235,27 +251,6 @@ def test_cc_tiers_same_assignments(corpus):
     b = dist.sort_values("url").reset_index(drop=True)
     for col in ["url", "cluster_id", "keeper_url", "is_keeper",
                 "action", "match_kind"]:
-        assert (a[col] == b[col]).all(), col
-
-
-def test_semifilter_verify_same_assignments(corpus):
-    """The direct-refs verify plan (default at small rep counts: score
-    straight against the materialized sigs/reps block refs) and the
-    semi-filter + broadcast plan must produce byte-identical
-    assignments.  verify_direct_max_bytes=0 forces the semi-filter."""
-    import ray.data as rd
-
-    pages_tbl, _ = corpus
-    small = pages_tbl.slice(0, 250)
-    base = run_dedup(rd.from_arrow(small)).to_pandas()
-    semi = run_dedup(
-        rd.from_arrow(small),
-        PipelineConfig(verify_direct_max_bytes=0),  # force semi-filter
-    ).to_pandas()
-    a = base.sort_values("url").reset_index(drop=True)
-    b = semi.sort_values("url").reset_index(drop=True)
-    for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
-                "match_kind"]:
         assert (a[col] == b[col]).all(), col
 
 
@@ -306,7 +301,7 @@ def _executions(job) -> int:
 
 
 @pytest.mark.parametrize("plan,executions", [
-    ("default", 3), ("flood", 3), ("sig_store_rerun", 4)])
+    ("default", 3), ("sig_store_rerun", 4)])
 def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
     """One ``run_dedup(...).write_parquet(...)`` job starts Ray Data
     executions only at its edges: read → extract → content key, the
@@ -320,7 +315,6 @@ def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
     pages.mkdir()
     pq.write_table(pages_tbl.drop_columns(["text"]), pages / "p.parquet")
     cfg = {"default": PipelineConfig(),
-           "flood": PipelineConfig(smallset_max_edges=0),
            "sig_store_rerun": PipelineConfig(
                sig_store_dir=str(tmp_path / "store"))}[plan]
     if plan == "sig_store_rerun":
@@ -612,20 +606,19 @@ def test_pluggable_extractor_slot(corpus, tmp_path):
         PC(extractor=("missing-factory",))
 
 
-def test_flood_verify_with_uid128_same_assignments(corpus):
-    """Mechanism combination for the r4 endpoint-task path: the flood
-    (partitioned) verify with 16-byte uids — endpoint arrays are numpy
-    OBJECT arrays there, probed via np.isin instead of searchsorted —
-    must still match the baseline byte-for-byte."""
+def test_flood_verify_with_uid128_same_assignments(corpus, monkeypatch):
+    """Mechanism combination: the two keyed attach exchanges with
+    16-byte uids — endpoint arrays are numpy OBJECT arrays there — must
+    still match the baseline byte-for-byte."""
     import ray.data as rd
 
     pages_tbl, _ = corpus
     small = pages_tbl.slice(0, 250)
     base = run_dedup(rd.from_arrow(small)).to_pandas()
-    flood128 = run_dedup(
-        rd.from_arrow(small),
-        PipelineConfig(uid_bits=128, smallset_max_edges=0),
-    ).to_pandas()
+    ran = _force_two_attach(monkeypatch)
+    flood128 = run_dedup(rd.from_arrow(small),
+                         PipelineConfig(uid_bits=128)).to_pandas()
+    assert len(ran) == 2
     a = base.sort_values("url").reset_index(drop=True)
     b = flood128.sort_values("url").reset_index(drop=True)
     for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
@@ -633,23 +626,21 @@ def test_flood_verify_with_uid128_same_assignments(corpus):
         assert (a[col] == b[col]).all(), col
 
 
-def test_mixed_verify_routing_same_assignments(corpus):
-    """r4 per-kind verify routing: with smallset_max_edges between the
-    anchor count (2 on this fixture) and the total candidate count
-    (at least 16 after the candidate reducer's prune), the near verify
-    floods while the containment verify
-    self-selects its broadcast smallset plan — assignments must match
-    the baseline byte-for-byte (and the all-flood twin at gate 0
-    stays covered by test_flood_verify_partitioned_same_assignments)."""
+def test_mixed_verify_routing_same_assignments(corpus, monkeypatch):
+    """Per-kind verify routing: with only the near round-2 cap at 0 the
+    near pairs take the two-attach check while the containment pairs
+    (2 anchor pairs on this fixture) keep their endpoint index —
+    assignments must match the baseline byte-for-byte (both kinds on
+    the two-attach check stay covered by
+    test_flood_verify_partitioned_same_assignments)."""
     import ray.data as rd
 
     pages_tbl, _ = corpus
     small = pages_tbl.slice(0, 250)
     base = run_dedup(rd.from_arrow(small)).to_pandas()
-    mixed = run_dedup(
-        rd.from_arrow(small),
-        PipelineConfig(smallset_max_edges=8),
-    ).to_pandas()
+    ran = _force_two_attach(monkeypatch, containment=False)
+    mixed = run_dedup(rd.from_arrow(small)).to_pandas()
+    assert len(ran) == 1
     a = base.sort_values("url").reset_index(drop=True)
     b = mixed.sort_values("url").reset_index(drop=True)
     for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",

@@ -10,12 +10,11 @@ of Dataset" log records) and the number of driver ``ray.get`` calls the
 job made: ``ray.get`` is wrapped in this process only, so round trips
 that moved out of Ray Data executions into plain tasks still show.
 
-Usage: python tools/exec_plan.py [--plan default|flood|recrawl]
+Usage: python tools/exec_plan.py [--plan default|recrawl]
                                  [--seed 5] [--pages 1000] [--repo DIR]
 
-``--plan flood`` lowers ``smallset_max_edges`` to 0 (dedupbench's
-``crawl_flood``); ``--plan recrawl`` runs against a signature store
-filled by one earlier job on the same pages.  ``--repo`` names the
+``--plan recrawl`` runs against a signature store filled by one
+earlier job on the same pages.  ``--repo`` names the
 source tree to import (default: this checkout), so two trees run the
 same script.  The last line is JSON: ``{"plan", "executions",
 "ray_get_calls", "wall_s"}``.
@@ -48,8 +47,8 @@ class _Plans(logging.Handler):
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--plan", choices=("default", "flood", "recrawl"),
-                    default="flood")
+    ap.add_argument("--plan", choices=("default", "recrawl"),
+                    default="default")
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--pages", type=int, default=1000)
     ap.add_argument("--repo", default=HERE)
@@ -90,13 +89,9 @@ def main() -> None:
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
 
-    def cfg(store: str | None) -> PipelineConfig:
-        if args.plan == "flood":
-            return PipelineConfig(smallset_max_edges=0)
-        return PipelineConfig(sig_store_dir=store)
-
     def job(out: str, store: str | None) -> None:
-        run_dedup(ray.data.read_parquet(pages_dir), cfg(store)).write_parquet(
+        run_dedup(ray.data.read_parquet(pages_dir),
+                  PipelineConfig(sig_store_dir=store)).write_parquet(
             os.path.join(work, out))
 
     seed_store = os.path.join(work, "store-seed")

@@ -10,9 +10,9 @@ Cases (``--cases``, default all):
   ``generate_pages(1000, seed=7)`` at one CPU;
 * ``sigstore``: ``incremental_signatures(broadcast_max_bytes=0)`` on the
   same 1,000 pages against a store that already holds 900 of them;
-* ``verify``: ``run_dedup(PipelineConfig(smallset_max_edges=0))`` with
-  both round-2 caps at 0, so every pair takes the two keyed attach
-  exchanges; ``verify_s`` is the time spent inside them.
+* ``verify``: ``run_dedup(PipelineConfig())`` with both round-2 caps
+  at 0, so every pair takes the two keyed attach exchanges;
+  ``verify_s`` is the time spent inside them.
 
 Usage: python tools/join_bench.py [--repo DIR] [--cases attach,flagship]
                                   [--rows 10000,200000] [--cpus 1,4]
@@ -155,8 +155,7 @@ def _verify() -> dict:
     verify._two_attach_check = timed
     pages, _ = generate_pages(1000, seed=7)
     t0 = time.perf_counter()
-    df = run_dedup(rd.from_arrow(pages),
-                   PipelineConfig(smallset_max_edges=0)).to_pandas()
+    df = run_dedup(rd.from_arrow(pages), PipelineConfig()).to_pandas()
     return {"s": time.perf_counter() - t0, "verify_s": spent[0],
             "digest": _assign_digest(df)}
 

@@ -199,34 +199,8 @@ class PipelineConfig:
     presalt_min_band_rows: int = 2_000_000
     run_substring_pass: bool = True
     run_simhash: bool = True
-    # doc-uid width for the fused candidate shuffle / edge / cluster
-    # chain.  64 (int64) is collision-safe to ~10^8 docs per job
-    # (n²/2⁶⁵); 128 (16-byte binary, two independent hashes) carries
-    # 10^10+-doc jobs.  The bucket SHUFFLE key stays int64 either way —
-    # only the doc identity payload widens.  ``None`` (default) =
-    # SIZE-AWARE: resolved at plan time from the corpus row count
-    # (``resolved_uid_bits``), like every other size-aware switch in
-    # the engine (VERDICT r3 #1: a manual collision-safety flag at
-    # north-star scale violates the self-selecting-plans rule).
-    uid_bits: int | None = None
-    # row count at/above which the auto uid width switches to 128.
-    # 10^7 keeps the ANY-collision odds of the 64-bit uid below
-    # n²/2⁶⁵ ≈ 2.7e-6 per job — one spurious cluster merge across
-    # ~400k jobs — while 10^8 rows would already be ~3e-4.
-    uid_auto_threshold: int = 10_000_000
-
-    def resolved_uid_bits(self, n_docs: int) -> int:
-        """uid width for a corpus of ``n_docs`` rows: the explicit
-        setting if one was given, else 64 below ``uid_auto_threshold``
-        and 128 at/above it (collision safety self-selects)."""
-        if self.uid_bits is not None:
-            return self.uid_bits
-        return 64 if n_docs < self.uid_auto_threshold else 128
 
     def __post_init__(self) -> None:
-        if self.uid_bits not in (None, 64, 128):
-            raise ValueError(
-                f"uid_bits must be None (auto), 64 or 128, got {self.uid_bits}")
         ex = self.extractor
         if ex != "deterministic" and not (
                 isinstance(ex, tuple) and len(ex) == 2

@@ -8,17 +8,17 @@ per bucket into candidate edges.  Fusing them:
 
 * one shuffle instead of three (the dominant fixed+volume cost of the
   candidate phase);
-* rows are SKINNY INT64s: documents are keyed by ``uid`` (64-bit hash
-  of the url) instead of the url string — ~5× less shuffle volume and
-  numpy-sortable inside the reducers.  uid→url resolution happens once
-  at the end of the pipeline (collision probability n²/2⁶⁴; the
-  tradeoff is documented in the uid helper).  An input that carries
-  the reserved ``DOC_UID`` column (the registry queries' ``doc_id``)
-  is keyed by it instead (:func:`batch_uids`), so chain and star
-  order is the oracles' ``ORDER BY doc_id``; page inputs may not carry
-  it (:func:`refuse_doc_uid`).
+* rows are SKINNY: documents are keyed by ``uid`` (a hash of the url:
+  int64, or 16 bytes from ``UID128_MIN_REPS`` reps) instead of the url
+  string — ~5× less shuffle volume and numpy-sortable inside the
+  reducers.  uid→url resolution happens once at the end of the
+  pipeline (the collision tradeoff is documented at the uid codec).
+  An input that carries the reserved ``DOC_UID`` column (the registry
+  queries' ``doc_id``) is keyed by it instead (:func:`batch_uids`), so
+  chain and star order is the oracles' ``ORDER BY doc_id``; page
+  inputs may not carry it (:func:`refuse_doc_uid`).
 
-Row layout: (key: i64, kind: i8, uid: i64, payload: i64, flag: bool,
+Row layout: (key: i64, kind: i8, uid, payload: i64, flag: bool,
 d0: i64, d1: i64)
   kind 0 = LSH band   — payload unused; emission: sorted chain + star
                          (star only under the group cap; hot buckets,
@@ -47,13 +47,13 @@ contained text's anchors are a subset of its container's — no true
 edge is lost.  Anchor pairs are never deduplicated against near pairs
 (their kind carries the "substring" match kind).
 
-Output: (u: i64, v: i64, kind: i8) candidate edges.  Which pairs are
-emitted and kept is a pure function of each bucket and its members'
-digests — the partition-count-invariance contract
+Output: (u, v, kind: i8) candidate edges, u and v of the uid type.
+Which pairs are emitted and kept is a pure function of each bucket and
+its members' digests — the partition-count-invariance contract
 (files/move.go:226-236); only how many duplicate near rows survive
 depends on which buckets share a partition.
 Candidates are verified exactly by ``stages/verify.py``; this module
-also holds the uid helpers both share.
+also holds the uid codec both share.
 """
 
 from __future__ import annotations
@@ -125,36 +125,52 @@ def anchor_blooms(flat: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
+# ---- the uid codec ---------------------------------------------------------
+# A doc uid is int64 at 64 bits and 16 bytes at 128: ``binary(16)`` in
+# Arrow, numpy ``S16`` (the url's two hash words, viewed as bytes) in
+# numpy.  Every function below reads the width off the column type or
+# the array dtype; only the mint takes it.  Invariant: an ``S16`` array
+# is only ever handled whole — sorted, uniqued, compared, probed, viewed
+# as words or as an Arrow buffer — never iterated or ``tolist``-ed,
+# because numpy item access strips trailing NUL bytes.  Whole-array
+# ``S16`` order is bytewise, i.e. Python ``bytes`` order (property-tested).
+# rep count at or above which a job mints 128-bit uids: the chance of ANY
+# 64-bit collision (n²/2⁶⁵, a spurious cluster merge) is 2.7e-6 per job
+# at 10^7 reps, 3e-4 at 10^8
+UID128_MIN_REPS = 10_000_000
+_UID128 = np.dtype("S16")
+
+
+def uid_bits_for(n_reps: int) -> int:
+    """The uid width of a job over ``n_reps`` representatives."""
+    return 64 if n_reps < UID128_MIN_REPS else 128
+
+
+def uid_pa_type(bits: int) -> pa.DataType:
+    """Arrow type of a uid column of ``bits``."""
+    return pa.int64() if bits == 64 else pa.binary(16)
+
+
+def uid_width(x) -> int:
+    """Width of a uid numpy array or Arrow type."""
+    if isinstance(x, np.ndarray):
+        return 64 if x.dtype == np.int64 else 128
+    return 64 if pa.types.is_integer(x) else 128
+
+
 def uid_of_urls(urls, bits: int = 64) -> np.ndarray:
-    """Doc uid from the url; accepts a list[str] or a pyarrow
-    (Chunked)Array.
-
-    ``bits=64`` (default): int64 bit-view of the vectorized string
-    hash.  At n documents the chance of ANY collision is ~n²/2⁶⁵ —
-    negligible below ~10^8 docs per job; a collision would spuriously
-    merge two clusters.
-
-    ``bits=128`` (``PipelineConfig.uid_bits``): 16-byte uid (two
-    independently-seeded 64-bit hashes) as a numpy OBJECT array of
-    full 16-byte ``bytes`` — collision-safe past 10^10-doc jobs.
-    (Not numpy ``S16``: fixed-S dtypes strip trailing NUL bytes on
-    item access, which corrupts 1-in-256 uids at fixed-width Arrow
-    boundaries.)  The fused shuffle stays int64-KEYED either way (the
-    bucket key is separate); only the doc identity payload widens."""
+    """Mint doc uids from urls (a list[str] or a pyarrow (Chunked)Array):
+    int64 at ``bits=64``, the vectorized url hash — at n documents the
+    chance of ANY collision is ~n²/2⁶⁵; ``S16`` at ``bits=128``, two
+    independently seeded hashes — collision-safe past 10^10-doc jobs.
+    The bucket exchange stays int64-KEYED either way; only the doc
+    identity payload widens."""
+    h = hash64_str(urls, seed=3)
     if bits == 64:
-        return hash64_str(urls, seed=3).view(np.int64)
+        return h.view(np.int64)
     if bits != 128:
         raise ValueError(f"uid bits must be 64 or 128, got {bits}")
-    h1 = hash64_str(urls, seed=3)
-    h2 = hash64_str(urls, seed=1031)
-    buf = np.empty((len(h1), 2), dtype=np.uint64)
-    buf[:, 0] = h1
-    buf[:, 1] = h2
-    raw = buf.tobytes()
-    out = np.empty(len(h1), dtype=object)
-    for i in range(len(h1)):
-        out[i] = raw[i * 16:(i + 1) * 16]
-    return out
+    return np.column_stack([h, hash64_str(urls, seed=1031)]).view(_UID128)[:, 0]
 
 
 def batch_uids(t: pa.Table, bits: int = 64) -> np.ndarray:
@@ -163,7 +179,7 @@ def batch_uids(t: pa.Table, bits: int = 64) -> np.ndarray:
     payload rows carry it), else :func:`uid_of_urls` of its ``url``
     column at ``bits``."""
     if DOC_UID in t.column_names:
-        return uid_np(t[DOC_UID], _uid_bits_of(t[DOC_UID]))
+        return uid_np(t[DOC_UID])
     return uid_of_urls(t["url"], bits)
 
 
@@ -177,29 +193,37 @@ def refuse_doc_uid(columns, where: str) -> None:
 
 
 def uid_arrow(arr: np.ndarray) -> pa.Array:
-    """Arrow array for a uid ndarray of either width (int64 or bytes)."""
+    """Arrow array of a uid ndarray (int64 or ``S16``), zero-copy."""
     if arr.dtype == np.int64:
         return pa.array(arr, pa.int64())
-    return pa.array(arr.tolist(), pa.binary())
+    if arr.dtype != _UID128:
+        raise TypeError(f"uids are int64 or S16, got {arr.dtype}")
+    arr = np.ascontiguousarray(arr)
+    return pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(16), len(arr), [None, pa.py_buffer(arr)])
 
 
-def uid_pa_type(bits: int) -> pa.DataType:
-    """Canonical Arrow type per uid width.  128-bit uids are VARIABLE
-    binary, not fixed_size_binary(16): pandas→Arrow block emission
-    (grouped_apply partitions) infers variable binary for object bytes,
-    so a fixed-size empty_result/constructed block would mix two
-    schemas for the same column in one dataset (the RefBundle
-    schema-divergence cascade).  One canonical type everywhere."""
-    return pa.int64() if bits == 64 else pa.binary()
+def uid_np(col) -> np.ndarray:
+    """Numpy array of a uid column (int64 or ``binary(16)``): one buffer
+    view per chunk, honouring its offset.  Slots under nulls hold
+    undefined values."""
+    if pa.types.is_integer(col.type) and col.type != pa.int64():
+        col = col.cast(pa.int64())
+    dt = {pa.int64(): np.dtype(np.int64), pa.binary(16): _UID128}.get(col.type)
+    if dt is None:
+        raise TypeError(f"uid columns are int64 or binary(16), got {col.type}")
+    parts = [np.frombuffer(c.buffers()[1], dt, count=c.offset + len(c))[c.offset:]
+             for c in (col.chunks if isinstance(col, pa.ChunkedArray) else [col])
+             if len(c)]
+    if not parts:
+        return np.empty(0, dt)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def uid_np(col, bits: int = 64) -> np.ndarray:
-    """Numpy array of a uid column of either width (int64 / object bytes)."""
-    if bits == 64:
-        return np.asarray(col, dtype=np.int64)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return np.array(col.to_pylist(), dtype=object)
+def uid_words(uids: np.ndarray) -> np.ndarray:
+    """(n, 1) or (n, 2) uint64 word view of a uid array."""
+    return np.ascontiguousarray(uids).view(np.uint64).reshape(
+        len(uids), uids.itemsize // 8)
 
 
 def sampled_hot_band_keys(
@@ -262,8 +286,9 @@ def bucket_batch(
     """Explode a batch of signature rows into their bucket rows of
     ``kinds`` only (``KIND_BAND``, ``KIND_SIMHASH``, ``KIND_ANCHOR``),
     keyed by :func:`batch_uids` (the input's ``DOC_UID`` column when it
-    has one).  The batch kernel of :func:`bucket_rows`; ``run_dedup``
-    runs it as the candidate exchange's split ``pre_fn``.
+    has one, else urls minted at ``uid_bits``).  The batch kernel of
+    :func:`bucket_rows`; ``run_dedup`` runs it as the candidate
+    exchange's split ``pre_fn``.
 
     ``hot_band_keys`` (sorted int64, from :func:`sampled_hot_band_keys`)
     activates in-flight salting: a band row whose key is hot gets
@@ -377,19 +402,15 @@ def bucket_rows(
     chunk_bits: int = 16,
     hot_band_keys: np.ndarray | None = None,
     num_salts: int = 16,
-    uid_bits: int = 64,
 ) -> "ray.data.Dataset":
     """The bucket rows of ``kinds`` of every signature row of ``sigs``
-    (:func:`bucket_batch` as a lazy map)."""
+    (:func:`bucket_batch` as a lazy map, 64-bit uids unless the input
+    carries ``DOC_UID``)."""
     return sigs.map_batches(
         bucket_batch, batch_format="pyarrow",
         fn_kwargs={"minhash": minhash, "kinds": tuple(kinds),
                    "chunk_bits": chunk_bits, "hot_band_keys": hot_band_keys,
-                   "num_salts": num_salts, "uid_bits": uid_bits})
-
-
-def _uid_bits_of(col) -> int:
-    return 64 if pa.types.is_integer(col.type) else 128
+                   "num_salts": num_salts})
 
 
 def empty_edges(uid_bits: int = 64) -> pa.Table:
@@ -439,7 +460,8 @@ def candidate_edges_fused(
     builds the bucket rows inside the exchange's split tasks —
     ``run_dedup`` passes :func:`bucket_batch` and its signature table,
     so the rows are never stored unsplit.  Returns (u, v, kind)
-    candidate edges."""
+    candidate edges; ``uid_bits`` is the width of the uids the bucket
+    rows carry (the reducer's pandas output is cast to it)."""
     mh = minhash or MinHashConfig()
     # most fingerprint bits that may differ: with m_min equal slots at
     # most P - m_min bits differ, over any P (unused bits are equal)

@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .buckets import KIND_ANCHOR, _uid_bits_of, uid_arrow, uid_np
+from .buckets import KIND_ANCHOR, uid_arrow, uid_np
 
 
 def _dsu_find(parent: dict, x: str) -> str:
@@ -63,9 +63,9 @@ def cc_label_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Min-label propagation with pointer jumping (Shiloach-Vishkin
     style): labels are INDICES into the sorted unique node array, so
-    the kernel is dtype-agnostic — int64 uids and object-bytes /
-    string urls all reduce to integer index arithmetic after
-    ``np.unique`` (whose sort order matches Python ``min``).  Each
+    the kernel is dtype-agnostic — int64 or ``S16`` uids and string
+    urls all reduce to integer index arithmetic after ``np.unique``
+    (whose sort order matches Python ``min``).  Each
     round is O(E) scatter-min + O(N·log) pointer jumps; rounds are
     O(log N) (dup graphs: 2-4)."""
     nodes, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
@@ -92,38 +92,49 @@ def cc_label_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return nodes, nodes[lbl]
 
 
-def anchor_endpoints(tables, uid_bits: int) -> np.ndarray:
+def anchor_endpoints(tables) -> np.ndarray:
     """Sorted-unique endpoints of the substring-anchor edges (``kind``
     ``KIND_ANCHOR``) among edge tables; empty when none carries a
     ``kind`` column."""
     from .verify import UV, uid_set
 
     return uid_set([t.filter(pc.equal(t["kind"], KIND_ANCHOR)) for t in tables
-                    if "kind" in t.column_names], UV, uid_bits)
+                    if "kind" in t.column_names], UV)
+
+
+def _labels(col) -> np.ndarray:
+    """Node labels of an edge column: url strings as an object array,
+    uids through the codec."""
+    return col.to_numpy() if pa.types.is_string(col.type) else uid_np(col)
+
+
+def _labels_arrow(labels: np.ndarray, typ: pa.DataType) -> pa.Array:
+    return pa.array(labels, typ) if pa.types.is_string(typ) else uid_arrow(labels)
 
 
 @ray.remote(num_cpus=1, num_returns=2)
-def _cc_onetask(key_type, *blocks):
+def _cc_onetask(*blocks):
     """Run :func:`cc_label_arrays` over the edge blocks (top-level
     arguments) in ONE Ray task — the one-task tier of
     :func:`resolve_components`: below genuinely-distributed scale the
     edge set (orders of magnitude smaller than the corpus) fits one
     worker's heap, and a single vectorized task beats ~10 alternating
     label-propagation shuffles by 2 orders of magnitude of fixed cost.
-    Returns the Arrow (url, root) table and the sorted anchor-edge
-    endpoints (:func:`anchor_endpoints`), both living in the object
-    store; ``blocks`` must hold at least one edge."""
+    Returns the Arrow (url, root) table, of the edges' label type, and
+    the sorted anchor-edge endpoints (:func:`anchor_endpoints`), both
+    living in the object store; ``blocks`` must hold at least one edge.
+    Labels are uids (through the codec) or url strings."""
     from ray.data.block import BlockAccessor
 
     tables = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
               if len(t)]
-    bits = _uid_bits_of(tables[0]["u"])
-    u = np.concatenate([uid_np(t["u"], bits) for t in tables])
-    v = np.concatenate([uid_np(t["v"], bits) for t in tables])
+    u = np.concatenate([_labels(t["u"]) for t in tables])
+    v = np.concatenate([_labels(t["v"]) for t in tables])
     nodes, roots = cc_label_arrays(u, v)
-    cc = pa.table({"url": uid_arrow(nodes).cast(key_type),
-                   "root": uid_arrow(roots).cast(key_type)})
-    return cc, anchor_endpoints(tables, bits)
+    typ = tables[0]["u"].type
+    cc = pa.table({"url": _labels_arrow(nodes, typ),
+                   "root": _labels_arrow(roots, typ)})
+    return cc, anchor_endpoints(tables)
 
 
 def connected_components_distributed(
@@ -271,8 +282,8 @@ def resolve_components(
     * above: alternating large-star/small-star label propagation —
       the only tier whose memory never exceeds a partition.
 
-    Node labels may be strings (urls), int64 uids or 16-byte uids — pass
-    ``key_type`` to pin the output schema."""
+    Node labels may be strings (urls), int64 uids or 16-byte uids;
+    ``key_type`` types the output when there are no edges."""
     key_type = key_type or pa.string()
     n = edges_ds.count()
     if n == 0:
@@ -282,7 +293,6 @@ def resolve_components(
     if n <= max_onetask_edges:
         from .common import block_refs_of
 
-        cc, _ = _cc_onetask.remote(key_type,
-                                   *block_refs_of(edges_ds.materialize()))
+        cc, _ = _cc_onetask.remote(*block_refs_of(edges_ds.materialize()))
         return ray.data.from_arrow_refs([cc])
     return connected_components_distributed(edges_ds)

@@ -68,11 +68,14 @@ def _split_block(block, keys: list[str], n_parts: int, pre_fn):
 
 
 @ray.remote(num_returns=2)
-def _reduce_partition(partition_fn, arrow_fn: bool, fill: bool, *slices):
+def _reduce_partition(partition_fn, arrow_fn: bool, fill: bool, schema,
+                      *slices):
     """Reduce side: concatenate one partition's slices and run
     ``partition_fn`` on them.  Returns ``(table, rows)``; ``rows`` is
     -1 when the partition received no rows (``partition_fn`` is never
-    called on an empty partition).
+    called on an empty partition).  A pandas result is cast to
+    ``schema`` when one is given: pandas infers variable binary for
+    bytes, so a 16-byte uid column comes back as ``binary(16)``.
 
     ``fill`` (a list of inputs): a column that only the partition's
     zero-row slices carry — an input that sent it no rows — is added
@@ -90,6 +93,8 @@ def _reduce_partition(partition_fn, arrow_fn: bool, fill: bool, *slices):
     out = partition_fn(full if arrow_fn else full.to_pandas())
     if isinstance(out, pd.DataFrame):
         out = pa.Table.from_pandas(out, preserve_index=False)
+        if schema is not None and not out.schema.equals(schema):
+            out = out.cast(schema)
     # strip the pandas schema-metadata dict: Ray hashes schemas for
     # dedup and a dict payload defeats it
     out = out.replace_schema_metadata(None)
@@ -137,7 +142,8 @@ def grouped_apply(
     (or writing) when the caller sees it.
 
     ``empty_result``: a ZERO-ROW Arrow table with `partition_fn`'s
-    output schema, returned when every partition comes out empty.
+    output schema, returned when every partition comes out empty; a
+    pandas partition result is cast to its schema.
 
     ``arrow_fn=True``: `partition_fn` receives the concatenated
     partition as a **pyarrow Table** and must return one — skipping
@@ -172,7 +178,8 @@ def grouped_apply(
     if n_parts == 1:
         slices = [[s] for s in slices]
     fn_ref = ray.put(partition_fn)
-    outs = [_reduce_partition.remote(fn_ref, arrow_fn, multi,
+    schema = None if empty_result is None else empty_result.schema
+    outs = [_reduce_partition.remote(fn_ref, arrow_fn, multi, schema,
                                      *[s[p] for s in slices])
             for p in range(n_parts if blocks else 0)]
     row_refs = [r for _, r in outs]

@@ -22,7 +22,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..functions.hashing import sha256_hex
 from .common import grouped_apply
 
 
@@ -53,16 +52,6 @@ def add_content_key(ds: "ray.data.Dataset", text_col: str = "text") -> "ray.data
         return out.append_column("n_bytes", pc.cast(nb, pa.int64()))
 
     return ds.map_batches(f, batch_format="pyarrow")
-
-
-def size_duplicate_candidates(ds: "ray.data.Dataset", size_col: str = "n_bytes"):
-    """Sizes that occur more than once — the reference's candidate
-    pruning `GROUP BY size HAVING COUNT(*) > 1` (files/hash.go:37-48).
-    Returns a Dataset of (n_bytes, size_count); small enough to
-    broadcast for a semi-join gate before the expensive stage."""
-    agg = ds.groupby(size_col).count()
-    cnt_col = [c for c in agg.schema().names if c != size_col][0]
-    return agg.filter(lambda row: row[cnt_col] > 1)
 
 
 def dup_candidates(t: pa.Table, min_size: int = 0) -> pa.Table:
@@ -122,36 +111,3 @@ def assign_exact_groups(
     return grouped_apply(
         ds, [part_key], resolve, num_partitions=128,
         pre_fn=lambda t: dup_candidates(t, min_size).select(cols))
-
-
-def duplicate_groups_report(
-    ds: "ray.data.Dataset",
-    min_size: int = 0,
-    limit: int | None = None,
-) -> "ray.data.Dataset":
-    """The reference's `list-dupes` read path (files/utils.go:39-159):
-    groups with COUNT(*)>1, each with member count, total_size and the
-    reclaimable savings size*(count-1), ordered by total_size desc with
-    the deterministic tiebreak (hash, size) ≙ files/utils.go:107."""
-    from ray.data.aggregate import Count, Sum
-
-    grouped = (
-        ds.filter(expr=f"n_bytes >= {int(min_size)}") if min_size else ds
-    )
-    agg = grouped.groupby(["text_sha256", "n_bytes"]).aggregate(
-        Count(alias_name="copy_count"), Sum("n_bytes", alias_name="total_size")
-    )
-    dups = agg.filter(expr="copy_count > 1")
-
-    def savings(batch: pa.Table) -> pa.Table:
-        total = np.asarray(batch["total_size"], dtype=np.int64)
-        cnt = np.asarray(batch["copy_count"], dtype=np.int64)
-        per = total // cnt
-        return batch.append_column("savings", pa.array(total - per, pa.int64()))
-
-    dups = dups.map_batches(savings, batch_format="pyarrow")
-    out = dups.sort(["total_size", "text_sha256", "n_bytes"],
-                    descending=[True, False, False])
-    if limit is not None:
-        out = out.limit(limit)
-    return out

@@ -171,9 +171,7 @@ def broadcast_lookup(
     arr_pair = (isinstance(mapping, tuple) and len(mapping) == 2
                 and isinstance(mapping[0], np.ndarray))
     if arr_pair and mapping[0].dtype != np.int64:
-        # object-dtype keys (128-bit uid bytes): dict fallback below
-        mapping = dict(zip(mapping[0].tolist(), mapping[1].tolist()))
-        arr_pair = False
+        raise TypeError(f"array mappings take int64 keys, got {mapping[0].dtype}")
     int_default = default is None or isinstance(default, (int, np.integer))
     if arr_pair and not int_default:
         # a non-integer default can't ride the int64 probe arrays

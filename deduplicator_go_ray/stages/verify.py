@@ -48,8 +48,8 @@ import ray.data
 
 from ..config import MinHashConfig
 from .buckets import (DOC_UID, KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
-                      _uid_bits_of, batch_uids, empty_edges, min_slot_matches,
-                      uid_arrow, uid_np, uid_pa_type)
+                      batch_uids, empty_edges, min_slot_matches, uid_arrow,
+                      uid_np, uid_width, uid_words)
 from .common import block_refs_of, bounded_cache_put, map_blocks, sorted_probe
 from .joins import hash_join
 
@@ -156,20 +156,19 @@ def _shared(ref):
     return hit
 
 
-def uid_set(tables, cols: tuple, uid_bits: int) -> np.ndarray:
-    """Sorted-unique uids of ``cols`` over tables."""
-    parts = [uid_np(t[c], uid_bits) for t in tables if len(t) for c in cols]
-    if not parts:
-        return np.empty(0, np.int64 if uid_bits == 64 else object)
-    return np.unique(np.concatenate(parts))
+def uid_set(tables, cols: tuple) -> np.ndarray:
+    """Sorted-unique uids of ``cols`` over tables, of the columns' uid
+    type (int64 when there are no tables)."""
+    parts = [uid_np(t[c]) for t in tables for c in cols]
+    return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
 
 
 @ray.remote(num_cpus=1)
-def _uid_set_task(cols: tuple, uid_bits: int, kinds: tuple, *blocks):
-    return uid_set([_pick(t, kinds) for t in blocks], cols, uid_bits)
+def _uid_set_task(cols: tuple, kinds: tuple, *blocks):
+    return uid_set([_pick(t, kinds) for t in blocks], cols)
 
 
-def uid_set_refs(ds: "ray.data.Dataset", roles, uid_bits: int = 64) -> list:
+def uid_set_refs(ds: "ray.data.Dataset", roles) -> list:
     """One ObjectRef per role (a tuple of uid columns): the role's
     sorted-unique uids, built by a 1-cpu Ray task from ``ds``'s block
     refs — ``ds`` executes once, nothing reaches the driver, and every
@@ -179,22 +178,20 @@ def uid_set_refs(ds: "ray.data.Dataset", roles, uid_bits: int = 64) -> list:
     149k union near endpoints), so a role-scoped payload ships ~40%
     fewer bytes per exchange than the union-filtered one."""
     refs = block_refs_of(ds)
-    return [_uid_set_task.remote(tuple(cols), uid_bits, (), *refs)
-            for cols in roles]
+    return [_uid_set_task.remote(tuple(cols), (), *refs) for cols in roles]
 
 
 def semi_filter_by_uid_ref(ds: "ray.data.Dataset", uid_ref,
                            columns: list[str] | None = None) -> "ray.data.Dataset":
     """Keep the rows of ``ds`` whose uid (``batch_uids``: the
-    ``DOC_UID`` column, else the url hashed at the array's width) is in the
-    sorted-unique array behind ``uid_ref`` (from :func:`uid_set_refs`)
-    — a searchsorted probe per batch, no shuffle.  ``columns`` selects
-    the output columns (default: all)."""
+    ``DOC_UID`` column, else the url hashed at the width of the array)
+    is in the sorted-unique array behind ``uid_ref`` (from
+    :func:`uid_set_refs`) — a searchsorted probe per batch, no shuffle.
+    ``columns`` selects the output columns (default: all)."""
 
     def f(batch: pa.Table) -> pa.Table:
         wanted = _shared(uid_ref)
-        uid = batch_uids(batch, 64 if wanted.dtype == np.int64 else 128)
-        _, keep = sorted_probe(wanted, uid)
+        _, keep = sorted_probe(wanted, batch_uids(batch, uid_width(wanted)))
         out = batch if columns is None else batch.select(columns)
         return out.filter(pa.array(keep))
 
@@ -202,17 +199,20 @@ def semi_filter_by_uid_ref(ds: "ray.data.Dataset", uid_ref,
 
 
 # ---- the index check ---------------------------------------------------------
-def _to_payload(t: pa.Table, payload, uid_bits: int) -> pa.Table:
-    """The (``DOC_UID``, value) payload rows of a source block."""
-    return pa.table({DOC_UID: uid_arrow(batch_uids(t, uid_bits)),
-                     "value": payload(t)})
+def _endpoint_payload(t: pa.Table, wanted: np.ndarray, payload) -> pa.Table:
+    """The (``DOC_UID``, value) payload rows of a source block whose uid
+    is in ``wanted``, minted at its width."""
+    uid = batch_uids(t, uid_width(wanted))
+    _, hit = sorted_probe(wanted, uid)
+    return pa.table({DOC_UID: uid_arrow(uid[hit]),
+                     "value": payload(t.filter(pa.array(hit)))})
 
 
-def _endpoint_payload(t: pa.Table, wanted: np.ndarray, payload,
-                      uid_bits: int) -> pa.Table:
-    """The payload rows of a source block whose uid is in ``wanted``."""
-    _, hit = sorted_probe(wanted, batch_uids(t, uid_bits))
-    return _to_payload(t.filter(pa.array(hit)), payload, uid_bits)
+def _endpoint_rows(source, wanted_ref, payload) -> list:
+    """One task per source block: its payload rows of the uids behind
+    ``wanted_ref``."""
+    return map_blocks(block_refs_of(source), _endpoint_payload, wanted_ref,
+                      payload)
 
 
 @ray.remote(num_cpus=1)
@@ -232,7 +232,7 @@ def _build_index(*blocks):
     if not tables:
         return np.empty(0, np.int64), np.empty(0, np.int64), None
     tbl = pa.concat_tables(tables)
-    uid = uid_np(tbl[DOC_UID], _uid_bits_of(tbl[DOC_UID]))
+    uid = uid_np(tbl[DOC_UID])
     value = tbl["value"]
     if pa.types.is_string(value.type):
         value = value.cast(pa.large_string())
@@ -245,74 +245,64 @@ def _kind_rows(kinds: tuple, *blocks) -> int:
     return sum(len(_pick(t, kinds)) for t in blocks)
 
 
-def _endpoint_build(source, spec: VerifySpec, pairs, uid_bits: int):
+def _endpoint_build(source, spec: VerifySpec, pairs):
     """The index over the endpoint rows of ``pairs``' rows of the spec's
     kinds: one task builds the endpoint set, one task per source block
     filters it to those rows' payloads, and only they reach the one
     build task — no Dataset execution and no driver pull."""
-    wanted = _uid_set_task.remote(UV, uid_bits, spec.kinds,
-                                  *block_refs_of(pairs))
-    rows = map_blocks(block_refs_of(source), _endpoint_payload, wanted,
-                      spec.payload, uid_bits)
-    return _build_index.remote(*rows)
+    wanted = _uid_set_task.remote(UV, spec.kinds, *block_refs_of(pairs))
+    return _build_index.remote(*_endpoint_rows(source, wanted, spec.payload))
 
 
 def endpoint_index(pairs: "ray.data.Dataset", source: "ray.data.Dataset",
-                   payload, uid_bits: int = 64):
+                   payload):
     """Launch the index build over the ``payload`` values of the (u, v)
     ``pairs``' endpoint rows of ``source``; returns its ObjectRef."""
     return _endpoint_build(source, VerifySpec(payload, None, 0),
-                           pairs.materialize(), uid_bits)
+                           pairs.materialize())
 
 
-def _probe(index, batch: pa.Table, uid_bits: int):
+def _probe(index, batch: pa.Table):
     uid_s, order, value = index
     rows = []
     for col in ("u", "v"):
-        pos, hit = sorted_probe(uid_s, uid_np(batch[col], uid_bits))
+        pos, hit = sorted_probe(uid_s, uid_np(batch[col]))
         rows.append(np.where(hit, order[pos] if len(order) else 0, -1))
     return rows[0], rows[1], value
 
 
-def index_rows(batch: pa.Table, index_ref, uid_bits: int = 64):
+def index_rows(batch: pa.Table, index_ref):
     """(u rows, v rows, values): each pair endpoint's position in the
     shared index's value array, -1 where the endpoint is absent."""
-    return _probe(_shared(index_ref), batch, uid_bits)
+    return _probe(_shared(index_ref), batch)
 
 
-def _kept(batch: pa.Table, keep: np.ndarray, uid_bits: int) -> pa.Table:
+def _kept(batch: pa.Table, keep: np.ndarray) -> pa.Table:
     """The (u, v, kind) rows of ``batch`` where ``keep`` holds."""
     m = pa.array(keep, pa.bool_())
-    return pa.table({
-        c: pc.cast(batch[c].filter(m).combine_chunks(), t)
-        for c, t in (("u", uid_pa_type(uid_bits)), ("v", uid_pa_type(uid_bits)),
-                     ("kind", pa.int8()))})
+    return pa.table({c: batch[c].filter(m).combine_chunks()
+                     for c in ("u", "v", "kind")})
 
 
-def _check_block(batch: pa.Table, spec: VerifySpec, uid_bits: int,
-                 index) -> pa.Table:
+def _check_block(batch: pa.Table, spec: VerifySpec, index) -> pa.Table:
     """Probe both endpoints of the block's pairs of the spec's kinds in
     the index and apply the exact predicate; pairs with an endpoint
     absent are dropped."""
     batch = _pick(batch, spec.kinds)
-    if not len(batch):
-        return empty_edges(uid_bits)
-    ru, rv, value = _probe(index, batch, uid_bits)
+    ru, rv, value = _probe(index, batch)
     ok = (ru >= 0) & (rv >= 0)
     keep = np.zeros(len(batch), bool)
     if ok.any():
         keep[ok] = spec.exact(value.take(pa.array(ru[ok])),
                               value.take(pa.array(rv[ok])))
-    return _kept(batch, keep, uid_bits)
+    return _kept(batch, keep)
 
 
-def _index_check(pairs: "ray.data.Dataset", index_ref, spec: VerifySpec,
-                 uid_bits: int) -> "ray.data.Dataset":
+def _index_check(pairs: "ray.data.Dataset", index_ref,
+                 spec: VerifySpec) -> "ray.data.Dataset":
     """One task per pair block, the index a top-level argument."""
-    refs = map_blocks(block_refs_of(pairs), _check_block, spec, uid_bits,
-                      index_ref)
-    return (ray.data.from_arrow_refs(refs) if refs
-            else ray.data.from_arrow(empty_edges(uid_bits)))
+    return ray.data.from_arrow_refs(
+        map_blocks(block_refs_of(pairs), _check_block, spec, index_ref))
 
 
 # ---- the two-attach check ----------------------------------------------------
@@ -325,21 +315,13 @@ def _distinct_pairs(t: pa.Table) -> pa.Table:
         return t
     t = t.sort_by([("u", "ascending"), ("v", "ascending"),
                    ("kind", "ascending")])
-    n = len(t)
-    words = np.column_stack([_uid_words(t[c], n) for c in ("u", "v")])
-    first = np.ones(n, bool)
+    words = np.column_stack([uid_words(uid_np(t[c])) for c in ("u", "v")])
+    first = np.ones(len(t), bool)
     first[1:] = (words[1:] != words[:-1]).any(axis=1)
     return t.filter(pa.array(first))
 
 
-def _uid_words(col, n: int) -> np.ndarray:
-    """(n, k) uint64 view of a uid column: int64 (k=1) or 16 bytes (k=2)."""
-    if pa.types.is_integer(col.type):
-        return np.asarray(col.combine_chunks(), np.int64).view(np.uint64)[:, None]
-    return _slot_matrix(col.cast(pa.binary(16)), n, 2)
-
-
-def _two_attach_check(pairs, pay_u, pay_v, exact, uid_bits: int,
+def _two_attach_check(pairs, pay_u, pay_v, exact,
                       num_partitions: int) -> "ray.data.Dataset":
     """Attach ``pay_u`` on u, then ``pay_v`` on v with ``exact``
     applied inside the second reduce; both reduces keep one row per
@@ -354,58 +336,53 @@ def _two_attach_check(pairs, pay_u, pay_v, exact, uid_bits: int,
     def check(t: pa.Table) -> pa.Table:
         t = _distinct_pairs(t)
         if not len(t):
-            return empty_edges(uid_bits)
+            return t.select(["u", "v", "kind"])
         return _kept(t, exact(t["p_u"].combine_chunks(),
-                              t["p_v"].combine_chunks()), uid_bits)
+                              t["p_v"].combine_chunks()))
 
     return attach(attach(pairs, pay_u, "u", _distinct_pairs), pay_v, "v", check)
 
 
 # ---- the rule ----------------------------------------------------------------
-def _verify(pairs, source, spec: VerifySpec, uid_bits: int,
-            num_partitions: int):
+def _verify(pairs, source, spec: VerifySpec, num_partitions: int):
     """The index check while the kind's pairs are at or below
     ``spec.round2_max``, the two-attach check above it.  The kind's
     pairs are counted (one task, awaited) only when the candidate total
     from block metadata exceeds the cap."""
     pairs = pairs.materialize()
-    if pairs.count() > spec.round2_max:
+    n = pairs.count()
+    if n > spec.round2_max:
         n = ray.get(_kind_rows.remote(spec.kinds, *block_refs_of(pairs)))
-        if not n:
-            return ray.data.from_arrow(empty_edges(uid_bits))
-        if n > spec.round2_max:
-            pairs = pairs.map_batches(_pick, fn_args=(spec.kinds,),
-                                      batch_format="pyarrow").materialize()
-            payload = source.map_batches(_to_payload, fn_args=(
-                spec.payload, uid_bits), batch_format="pyarrow")
-            u_ref, v_ref = uid_set_refs(pairs, (U, V), uid_bits)
-            return _two_attach_check(
-                pairs, semi_filter_by_uid_ref(payload, u_ref),
-                semi_filter_by_uid_ref(payload, v_ref),
-                spec.exact, uid_bits, num_partitions)
-    return _index_check(pairs, _endpoint_build(source, spec, pairs, uid_bits),
-                        spec, uid_bits)
+    if not n:
+        return ray.data.from_arrow(empty_edges(
+            uid_width(pairs.schema().base_schema.field("u").type)))
+    if n > spec.round2_max:
+        pairs = pairs.map_batches(_pick, fn_args=(spec.kinds,),
+                                  batch_format="pyarrow").materialize()
+        pay_u, pay_v = (ray.data.from_arrow_refs(
+            _endpoint_rows(source, r, spec.payload))
+            for r in uid_set_refs(pairs, (U, V)))
+        return _two_attach_check(pairs, pay_u, pay_v, spec.exact,
+                                 num_partitions)
+    return _index_check(pairs, _endpoint_build(source, spec, pairs), spec)
 
 
 def verify_near_edges(
     edges: "ray.data.Dataset",
     sigs: "ray.data.Dataset",
     cfg: MinHashConfig,
-    uid_bits: int = 64,
     num_partitions: int = 128,
 ) -> "ray.data.Dataset":
     """Keep the uid edges whose signature Jaccard estimate reaches
     ``cfg.verify_threshold``; the plan is :func:`_verify`'s rule."""
-    return _verify(edges, sigs, near_spec(cfg), uid_bits, num_partitions)
+    return _verify(edges, sigs, near_spec(cfg), num_partitions)
 
 
 def verify_containment_edges(
     pairs: "ray.data.Dataset",
     texts: "ray.data.Dataset",
-    uid_bits: int = 64,
     num_partitions: int = 128,
 ) -> "ray.data.Dataset":
     """Keep the uid (short, long) pairs where the short text occurs in
     the long one; the plan is :func:`_verify`'s rule."""
-    return _verify(pairs, texts, containment_spec(), uid_bits,
-                   num_partitions)
+    return _verify(pairs, texts, containment_spec(), num_partitions)

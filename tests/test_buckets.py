@@ -118,6 +118,72 @@ def test_uid_stability():
     assert len(set(a.tolist())) == 3
 
 
+def test_uid128_codec_roundtrip_and_order():
+    """16-byte uids with leading or trailing NUL bytes round-trip numpy →
+    Arrow → numpy byte for byte through sliced and multi-chunk columns,
+    and whole-array sort, unique and probe follow Python ``bytes``
+    order — the trailing-NUL case numpy item access would corrupt."""
+    import bisect
+
+    from deduplicator_go_ray.stages.buckets import (uid_arrow, uid_np,
+                                                    uid_words)
+    from deduplicator_go_ray.stages.common import sorted_probe
+
+    rng = np.random.default_rng(14)
+    raw = rng.integers(0, 256, (64, 16), dtype=np.uint8)
+    raw[:12, -4:] = 0                  # trailing NULs
+    raw[12:24, :5] = 0                 # leading NULs
+    raw[24, :] = 0                     # all NUL
+    raw[25:30, 8:] = 0                 # a NUL word
+    raw[30:34] = raw[:4]               # duplicates
+    raw[34:40, 0] = 0x80 + np.arange(6, dtype=np.uint8)   # high bytes
+    uids = raw.view("S16")[:, 0]
+    py = [bytes(r) for r in raw]
+    assert uids.tobytes() == b"".join(py)
+
+    arr = uid_arrow(uids)
+    assert arr.type == pa.binary(16) and arr.to_pylist() == py
+    cols = {
+        "array": (arr, py),
+        "slice": (arr.slice(5, 40), py[5:45]),
+        "chunks": (pa.chunked_array([arr.slice(0, 20), arr.slice(20)]), py),
+        "sliced chunks": (pa.chunked_array([arr.slice(3, 9), arr.slice(30, 7)]),
+                          py[3:12] + py[30:37]),
+        "from python": (pa.array([b"\x00" * 16] + py, pa.binary(16)).slice(1),
+                        py),
+        "empty": (pa.chunked_array([], pa.binary(16)), []),
+    }
+    for name, (col, want) in cols.items():
+        got = uid_np(col)
+        assert got.dtype == np.dtype("S16"), name
+        assert got.tobytes() == b"".join(want), name
+        assert uid_words(got).tobytes() == got.tobytes(), name
+        assert uid_arrow(got).to_pylist() == want, name
+
+    def as_py(a):
+        return uid_arrow(a).to_pylist()
+
+    assert as_py(np.sort(uids)) == sorted(py)
+    keys = np.unique(uids)
+    assert as_py(keys) == sorted(set(py))
+    queries = np.concatenate([uids, uid_np(pa.array(
+        [b"\x00" * 15 + b"\x01", b"\xff" * 16, py[0][:15] + b"\x01"],
+        pa.binary(16)))])
+    pos, hit = sorted_probe(keys, queries)
+    ref = sorted(set(py))
+    for q, p, h in zip(as_py(queries), pos, hit):
+        i = bisect.bisect_left(ref, q)
+        assert h == (i < len(ref) and ref[i] == q)
+        if h:
+            assert p == i
+    # the int64 width through the same codec
+    ints = pa.chunked_array([pa.array([5, -1, 7], pa.int64()).slice(1),
+                             pa.array([3], pa.int64())])
+    assert uid_np(ints).tolist() == [-1, 7, 3]
+    assert uid_np(pa.array([4, 2], pa.int32())).dtype == np.int64
+    assert uid_words(uid_np(ints)).shape == (3, 1)
+
+
 def test_slot_matrix_refuses_non_fixed_blobs():
     """Signature blobs are viewed through their fixed-stride data buffer;
     a variable-binary or wrong-width column raises TypeError instead of
@@ -278,18 +344,20 @@ def test_keyed_round2_uid128_drops_duplicate_pairs(ray_session, monkeypatch):
         "url": list(sigs),
         "minhash": pa.array([x.tolist() for x in sigs.values()],
                             pa.list_(pa.uint64()))})).materialize()
-    uid = dict(zip(sigs, uid_of_urls(list(sigs), 128)))
+    uids = uid_of_urls(list(sigs), 128)
+    # Python bytes of the full 16-byte uids (an S16 item would drop NULs)
+    uid = dict(zip(sigs, uid_arrow(uids).to_pylist()))
+    pos = {x: i for i, x in enumerate(sigs)}
     ordered = [(x, y) for x in sigs for y in sigs if x != y] * 2
     kinds = [KIND_SIMHASH] * 6 + [KIND_BAND] * 6
     pairs = ray.data.from_arrow(pa.table({
-        "u": uid_arrow(np.array([uid[x] for x, _ in ordered], object)),
-        "v": uid_arrow(np.array([uid[y] for _, y in ordered], object)),
+        "u": uid_arrow(uids[[pos[x] for x, _ in ordered]]),
+        "v": uid_arrow(uids[[pos[y] for _, y in ordered]]),
         "kind": pa.array(kinds, pa.int8())}))
     cfg = MinHashConfig()
-    index = verify.verify_near_edges(pairs, source, cfg, uid_bits=128)
+    index = verify.verify_near_edges(pairs, source, cfg)
     monkeypatch.setattr(verify, "NEAR_ROUND2_MAX_BYTES", 0)
-    keyed = verify.verify_near_edges(pairs, source, cfg,
-                                     uid_bits=128).to_pandas()
+    keyed = verify.verify_near_edges(pairs, source, cfg).to_pandas()
     assert sorted(zip(keyed["u"], keyed["v"])) == sorted(
         [(uid["a"], uid["b"]), (uid["b"], uid["a"])])
     assert (keyed["kind"] == KIND_BAND).all()

@@ -170,6 +170,25 @@ def test_presalted_hot_band_path_same_assignments(corpus):
         assert (a[col] == b[col]).all(), col
 
 
+def _force_uid128(monkeypatch, force: bool = True) -> list:
+    """Lower ``UID128_MIN_REPS`` to 0 (with ``force``), so every
+    run_dedup job mints 128-bit uids; returns the list the jobs'
+    resolved widths are appended to."""
+    from deduplicator_go_ray.pipelines import dedup
+    from deduplicator_go_ray.stages import buckets
+
+    widths, real = [], dedup.uid_bits_for
+
+    def spy(n_reps):
+        widths.append(real(n_reps))
+        return widths[-1]
+
+    if force:
+        monkeypatch.setattr(buckets, "UID128_MIN_REPS", 0)
+    monkeypatch.setattr(dedup, "uid_bits_for", spy)
+    return widths
+
+
 def _force_two_attach(monkeypatch, containment: bool = True) -> list:
     """Lower the near round-2 cap (and the containment one) to 0, so
     every pair of that kind takes the two-attach check; returns the
@@ -254,8 +273,31 @@ def test_cc_tiers_same_assignments(corpus):
         assert (a[col] == b[col]).all(), col
 
 
+def test_cc_distributed_tier_uid128_same_assignments(corpus, monkeypatch):
+    """The distributed star loop on 16-byte uids: its pandas reducers
+    see Python bytes, and their output must come back as the exchange's
+    ``binary(16)`` uids, assignment-identical to the int64 default."""
+    import ray.data as rd
+
+    pages_tbl, _ = corpus
+    small = pages_tbl.slice(0, 250)
+    base = run_dedup(rd.from_arrow(small)).to_pandas()
+    widths = _force_uid128(monkeypatch)
+    dist = run_dedup(
+        rd.from_arrow(small),
+        PipelineConfig(onetask_cc_max_edges=0),
+    ).to_pandas()
+    assert widths == [128]
+    a = base.sort_values("url").reset_index(drop=True)
+    b = dist.sort_values("url").reset_index(drop=True)
+    assert (a["match_kind"] == "near").any()
+    for col in ["url", "cluster_id", "keeper_url", "is_keeper",
+                "action", "match_kind"]:
+        assert (a[col] == b[col]).all(), col
+
+
 @pytest.mark.parametrize("uid_bits", [64, 128])
-def test_texts_through_shuffle_same_assignments(corpus, uid_bits):
+def test_texts_through_shuffle_same_assignments(corpus, uid_bits, monkeypatch):
     """VERDICT r1 #2: above broadcast_max_reps the rep texts ride the
     exact packed shuffle instead of a broadcast uid semi-filter, and the
     component roots attach through the keyed left outer join — no
@@ -266,11 +308,13 @@ def test_texts_through_shuffle_same_assignments(corpus, uid_bits):
     pages_tbl, _ = corpus
     small = pages_tbl.slice(0, 250)
     base = run_dedup(rd.from_arrow(small)).to_pandas()
+    widths = _force_uid128(monkeypatch, uid_bits == 128)
     big = run_dedup(
         rd.from_arrow(small),
         # force the shuffle path
-        PipelineConfig(broadcast_max_reps=0, uid_bits=uid_bits),
+        PipelineConfig(broadcast_max_reps=0),
     ).to_pandas()
+    assert widths == [uid_bits]
     a = base.sort_values("url").reset_index(drop=True)
     b = big.sort_values("url").reset_index(drop=True)
     for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
@@ -402,19 +446,18 @@ def test_page_uid_column_same_assignments(corpus):
         run_dedup(rd.from_arrow(small.append_column(DOC_UID, ids)))
 
 
-def test_uid128_same_assignments(corpus):
-    """VERDICT r1 #10: the widened 16-byte uid mode must produce the
-    same clusters/keepers as the default int64 mode (cluster ids are
-    content-derived, never internal uid labels, so the widths agree
-    bit-for-bit)."""
+def test_uid128_same_assignments(corpus, monkeypatch):
+    """VERDICT r1 #10: the 16-byte uids must produce the same
+    clusters/keepers as the int64 ones (cluster ids are content-derived,
+    never internal uid labels, so the widths agree bit-for-bit)."""
     import ray.data as rd
 
     pages_tbl, _ = corpus
     small = pages_tbl.slice(0, 250)
     base = run_dedup(rd.from_arrow(small)).to_pandas()
-    wide = run_dedup(
-        rd.from_arrow(small), PipelineConfig(uid_bits=128),
-    ).to_pandas()
+    widths = _force_uid128(monkeypatch)
+    wide = run_dedup(rd.from_arrow(small)).to_pandas()
+    assert widths == [128]
     a = base.sort_values("url").reset_index(drop=True)
     b = wide.sort_values("url").reset_index(drop=True)
     for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
@@ -422,55 +465,55 @@ def test_uid128_same_assignments(corpus):
         assert (a[col] == b[col]).all(), col
 
 
-def test_uid_width_auto_switch_straddles_boundary(corpus):
-    """VERDICT r3 #1: with uid_bits unset the width self-selects from
-    the rep count at plan time.  A fixture straddling the
-    uid_auto_threshold boundary (threshold pushed down so this corpus
-    sits above it) must auto-pick 128 and still produce assignments
-    byte-identical to both explicit widths; the same corpus below the
-    threshold auto-picks 64."""
+def test_uid_width_auto_switch_straddles_boundary(corpus, monkeypatch):
+    """VERDICT r3 #1: the uid width self-selects from the rep count at
+    plan time (``uid_bits_for``: 64 below ``UID128_MIN_REPS``, 128 at or
+    above it).  The same corpus run with the boundary pushed below its
+    rep count must pick 128, with it far above must pick 64, and both
+    must produce assignments byte-identical to the default run."""
     import ray.data as rd
 
-    from deduplicator_go_ray.config import PipelineConfig as PC
+    from deduplicator_go_ray.stages import buckets
+
+    # sanity on the resolver itself
+    n = buckets.UID128_MIN_REPS
+    assert buckets.uid_bits_for(n - 1) == 64
+    assert buckets.uid_bits_for(n) == 128
 
     pages_tbl, _ = corpus
     small = pages_tbl.slice(0, 250)
-    # sanity on the resolver itself
-    auto = PC()
-    assert auto.uid_bits is None
-    assert auto.resolved_uid_bits(auto.uid_auto_threshold - 1) == 64
-    assert auto.resolved_uid_bits(auto.uid_auto_threshold) == 128
-    assert PC(uid_bits=64).resolved_uid_bits(10**12) == 64  # explicit wins
-
     base = run_dedup(rd.from_arrow(small)).to_pandas()
-    # above-threshold side of the boundary: auto resolves to 128
-    wide = run_dedup(rd.from_arrow(small),
-                     PC(uid_auto_threshold=10)).to_pandas()
-    # below-threshold side: auto resolves to 64 (the default run above
-    # already IS this plan — assert all three agree)
-    narrow = run_dedup(rd.from_arrow(small),
-                       PC(uid_auto_threshold=10**9)).to_pandas()
+    widths = _force_uid128(monkeypatch, force=False)
+    got = []
+    for min_reps in (10, 10**9):
+        monkeypatch.setattr(buckets, "UID128_MIN_REPS", min_reps)
+        got.append(run_dedup(rd.from_arrow(small)).to_pandas())
+    assert widths == [128, 64]
     a = base.sort_values("url").reset_index(drop=True)
-    for got in (wide, narrow):
-        b = got.sort_values("url").reset_index(drop=True)
+    for out in got:
+        b = out.sort_values("url").reset_index(drop=True)
         for col in ["url", "cluster_id", "keeper_url", "is_keeper",
                     "action", "match_kind"]:
             assert (a[col] == b[col]).all(), col
 
 
 def test_uid_width_primitives():
+    import pyarrow as pa
+
     from deduplicator_go_ray.stages.buckets import uid_arrow, uid_np, uid_of_urls
 
     urls = [f"https://e{i}.com/{i}" for i in range(100)]
     u64 = uid_of_urls(urls, 64)
     u128 = uid_of_urls(urls, 128)
     assert u64.dtype == np.int64 and len(set(u64.tolist())) == 100
-    assert all(isinstance(b, bytes) and len(b) == 16 for b in u128)
-    assert len(set(u128.tolist())) == 100
+    assert u128.dtype == np.dtype("S16") and u128.nbytes == 16 * 100
+    assert len(np.unique(u128)) == 100
     # arrow round-trip preserves full 16-byte values (incl. NUL tails)
     arr = uid_arrow(u128)
-    back = uid_np(arr, 128)
-    assert (back == u128).all()
+    assert arr.type == pa.binary(16)
+    assert all(len(b) == 16 for b in arr.to_pylist())
+    back = uid_np(arr)
+    assert back.tobytes() == u128.tobytes()
     # determinism
     assert (uid_of_urls(urls, 128) == u128).all()
 
@@ -498,7 +541,8 @@ def test_sig_store_same_assignments(corpus, tmp_path):
             assert (a[col] == b[col]).all(), col
 
 
-def test_uid128_with_sig_store_same_assignments(corpus, tmp_path):
+def test_uid128_with_sig_store_same_assignments(corpus, tmp_path,
+                                                monkeypatch):
     """Mechanism combination: the content-keyed signature store is
     uid-width-independent — a warm 128-bit-uid run (every signature
     re-used from a store written by a 128-bit cold run) matches the
@@ -509,9 +553,11 @@ def test_uid128_with_sig_store_same_assignments(corpus, tmp_path):
     small = pages_tbl.slice(0, 250)
     store = str(tmp_path / "sigstore128")
     base = run_dedup(rd.from_arrow(small)).to_pandas()
-    cfg = PipelineConfig(uid_bits=128, sig_store_dir=store)
+    widths = _force_uid128(monkeypatch)
+    cfg = PipelineConfig(sig_store_dir=store)
     run_dedup(rd.from_arrow(small), cfg).to_pandas()          # cold
     warm = run_dedup(rd.from_arrow(small), cfg).to_pandas()   # warm
+    assert widths == [128, 128]
     a = base.sort_values("url").reset_index(drop=True)
     b = warm.sort_values("url").reset_index(drop=True)
     for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
@@ -608,7 +654,7 @@ def test_pluggable_extractor_slot(corpus, tmp_path):
 
 def test_flood_verify_with_uid128_same_assignments(corpus, monkeypatch):
     """Mechanism combination: the two keyed attach exchanges with
-    16-byte uids — endpoint arrays are numpy OBJECT arrays there — must
+    16-byte uids — endpoint arrays are numpy ``S16`` arrays there — must
     still match the baseline byte-for-byte."""
     import ray.data as rd
 
@@ -616,9 +662,9 @@ def test_flood_verify_with_uid128_same_assignments(corpus, monkeypatch):
     small = pages_tbl.slice(0, 250)
     base = run_dedup(rd.from_arrow(small)).to_pandas()
     ran = _force_two_attach(monkeypatch)
-    flood128 = run_dedup(rd.from_arrow(small),
-                         PipelineConfig(uid_bits=128)).to_pandas()
-    assert len(ran) == 2
+    widths = _force_uid128(monkeypatch)
+    flood128 = run_dedup(rd.from_arrow(small)).to_pandas()
+    assert len(ran) == 2 and widths == [128]
     a = base.sort_values("url").reset_index(drop=True)
     b = flood128.sort_values("url").reset_index(drop=True)
     for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",

@@ -33,7 +33,7 @@ Engine/oracle contract (both sides re-derive, nothing is copied):
   in DuckDB — no sequential recurrence on either side.
 
 Everything is one concatenated pass over the batch (the
-``rolling_hashes_many`` pattern): no per-doc numpy dispatch, no
+``window_hashes`` pattern): no per-doc numpy dispatch, no
 per-row Python.
 """
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hashing import mix64, rolling_hashes_many
+from .hashing import mix64, window_hashes
 
 CDC_WINDOW = 8      # boundary window bytes (k)
 CDC_DIVISOR = 64    # expected chunk size in bytes
@@ -68,11 +68,9 @@ def cdc_chunk_arrays(bufs: list[bytes], k: int = CDC_WINDOW,
 
     # boundary windows: one batched rolling-hash pass, cuts mapped
     # back to (doc, local position) without a per-doc loop
-    hs = rolling_hashes_many(bufs, k)
-    wlens = np.fromiter((h.size for h in hs), np.int64, n_docs)
-    woff = np.concatenate([[0], np.cumsum(wlens)])
-    if woff[-1] > 0:
-        hcat = np.concatenate([h for h in hs if h.size])
+    hcat = window_hashes(b_all, np.r_[0, ends_of_doc], (k,))[0]
+    woff = np.concatenate([[0], np.cumsum(np.maximum(lens - k + 1, 0))])
+    if hcat.size:
         cut = np.flatnonzero(hcat % np.uint64(divisor)
                              == np.uint64(divisor - 1))
         doc_of = np.searchsorted(woff, cut, side="right") - 1

@@ -25,12 +25,26 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 def mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer — bijective uniform mixer on uint64."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= _MIX_MUL1
-    x ^= x >> np.uint64(27)
-    x *= _MIX_MUL2
-    x ^= x >> np.uint64(31)
+    return _mix64_inplace(np.array(x, dtype=np.uint64, order="C"))
+
+
+_MIX_BLOCK = 1 << 16
+
+
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of a C-contiguous uint64 array the caller owns, in
+    place: one cache-sized block at a time with one reused shift buffer
+    (a fresh full-size temporary per step cost 3x the arithmetic)."""
+    flat = x.reshape(-1)
+    t = np.empty(min(flat.size, _MIX_BLOCK), np.uint64)
+    for s in range(0, flat.size, _MIX_BLOCK):
+        v = flat[s:s + _MIX_BLOCK]
+        tv = t[:v.size]
+        for shift, mul in ((30, _MIX_MUL1), (27, _MIX_MUL2), (31, None)):
+            np.right_shift(v, np.uint64(shift), out=tv)
+            v ^= tv
+            if mul is not None:
+                v *= mul
     return x
 
 
@@ -55,6 +69,24 @@ def _as_large_binary(values) -> "object":
         import pyarrow.compute as pc
         arr = pc.fill_null(arr, b"")
     return arr
+
+
+def byte_view(values) -> tuple:
+    """(large_binary array, its bytes, its offsets) of a string/binary
+    column or a Python string list (nulls as empty): the bytes a uint8
+    view of the Arrow data buffer, value ``i`` at
+    ``bytes[offsets[i]:offsets[i+1]]`` with ``offsets[0] == 0``."""
+    arr = _as_large_binary(values)
+    n = len(arr)
+    if not n:
+        return arr, np.empty(0, np.uint8), np.zeros(1, np.int64)
+    offs = np.frombuffer(arr.buffers()[1], np.int64, count=n + 1,
+                         offset=arr.offset * 8)
+    total = int(offs[-1] - offs[0])
+    data = (np.frombuffer(arr.buffers()[2], np.uint8, count=total,
+                          offset=int(offs[0]))
+            if total else np.empty(0, np.uint8))
+    return arr, data, offs - offs[0]
 
 
 # per-pass payload cap for hash64_str: bounds the power tables and the
@@ -321,60 +353,59 @@ def rolling_hashes(data: bytes, k: int, base: int = _ROLL_BASE) -> np.ndarray:
 _ROLL_CHUNK_BYTES = 2 << 20  # per-pass cap: power tables + prefix sums stay cache-resident
 
 
-def rolling_hashes_many(datas: list[bytes], k: int,
-                        base: int = _ROLL_BASE) -> list[np.ndarray]:
-    """Batched :func:`rolling_hashes`: one prefix-sum pass over the
-    concatenated byte buffers instead of one numpy call chain per doc
-    (the per-doc dispatch overhead dominated the signature kernel at
-    ~3 s per 15k-doc batch).
+def window_hashes(data: np.ndarray, offs: np.ndarray, ks,
+                  base: int = _ROLL_BASE) -> list[np.ndarray]:
+    """Every ``k``-byte window hash of every document, for each ``k`` in
+    ``ks``, from ONE prefix-sum pass over the concatenated bytes:
+    ``data`` is uint8, document ``d`` is ``data[offs[d]:offs[d+1]]``.
+    Returns one flat uint64 array per ``k``: document ``d``'s
+    ``max(len_d - k + 1, 0)`` windows, in document order, each equal to
+    :func:`rolling_hashes` of that document.
 
-    Bit-identical to the per-doc function: for a doc starting at global
-    offset ``s``, the global window product is
+    Bit-identical to the per-doc function: for a doc starting at
+    offset ``s``, the window product is
     ``pows[s+i+k-1] * (T[s+i+k-1] - T[s+i-1])
       = pows[s]*invpows[s] * pows[i+k-1] * diff_local
       = pows[i+k-1] * diff_local`` (mod 2^64, base odd so
-    ``pows[s]*invpows[s] == 1``) — exactly the per-doc value.  Windows
-    never cross doc boundaries (each doc's windows are sliced from its
-    own byte range).  Docs are greedily grouped into ~2 MiB passes so
-    the power tables and prefix sums stay cache-resident (same
-    chunking rationale as ``hash64_str``)."""
-    out: list[np.ndarray | None] = [None] * len(datas)
-    group: list[int] = []
-    group_bytes = 0
-
-    def flush():
-        nonlocal group, group_bytes
-        if not group:
-            return
-        bufs = [datas[i] for i in group]
-        arr = np.frombuffer(b"".join(bufs), dtype=np.uint8).astype(np.uint64)
-        total = arr.size
-        if total < k:
-            for i in group:
-                out[i] = np.empty(0, dtype=np.uint64)
-            group, group_bytes = [], 0
-            return
-        pows, invpows = _power_tables(base, total)
-        t = np.cumsum(arr * invpows[:total], dtype=np.uint64)
-        diff = t[k - 1:].copy()
-        diff[1:] -= t[: total - k]
-        h_all = mix64(pows[k - 1: total] * diff)  # window at global pos i
-        s = 0
-        for i in group:
-            n = len(datas[i])
-            cnt = n - k + 1
-            out[i] = (h_all[s: s + cnt].copy() if cnt > 0
-                      else np.empty(0, dtype=np.uint64))
-            s += n
-        group, group_bytes = [], 0
-
-    for i, d in enumerate(datas):
-        group.append(i)
-        group_bytes += len(d)
-        if group_bytes >= _ROLL_CHUNK_BYTES:
-            flush()
-    flush()
-    return out  # type: ignore[return-value]
+    ``pows[s]*invpows[s] == 1``).  The prefix sum ``T`` is the same for
+    every ``k``; only the window difference and the mix are per ``k``.
+    Windows that cross a document boundary are dropped before the mix.
+    Documents are grouped into ~2 MiB passes so the power tables and
+    prefix sums stay cache-resident (the ``hash64_str`` rationale)."""
+    offs = np.asarray(offs, np.int64)
+    n = len(offs) - 1
+    parts: list[list[np.ndarray]] = [[] for _ in ks]
+    d0 = 0
+    while d0 < n:
+        d1 = int(np.searchsorted(offs, offs[d0] + _ROLL_CHUNK_BYTES,
+                                 side="left"))
+        d1 = min(max(d1, d0 + 1), n)
+        a, b = int(offs[d0]), int(offs[d1])
+        total = b - a
+        if total:
+            pows, invpows = _power_tables(base, total)
+            t = np.zeros(total + 1, np.uint64)      # t[i+1] = T[i]
+            np.cumsum(data[a:b] * invpows, out=t[1:])
+            starts = offs[d0:d1] - a
+            ends = offs[d0 + 1:d1 + 1] - a
+            for out, k in zip(parts, ks):
+                m = total - k + 1
+                if m <= 0:
+                    continue
+                h = np.subtract(t[k:], t[:m])
+                h *= pows[k - 1:k - 1 + m]
+                # the windows that start in a doc's last k-1 bytes cross
+                # into the next doc
+                lo = np.maximum(starts, ends - k + 1)
+                cut = ends - lo
+                pos = (np.repeat(lo - np.cumsum(cut) + cut, cut)
+                       + np.arange(int(cut.sum())))
+                keep = np.ones(m, bool)
+                keep[pos[pos < m]] = False
+                out.append(_mix64_inplace(h[keep]))
+        d0 = d1
+    return [p[0] if len(p) == 1 else
+            np.concatenate(p) if p else np.empty(0, np.uint64) for p in parts]
 
 
 def combine64(parts: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -375,9 +375,10 @@ def run_dedup(
     # salted sub-buckets emit chain-only edges.
     n_reps = sigs.count()
     timer.note("n_reps", n_reps)
-    # the collision-safe uid width self-selects from the rep count, here
-    # where the count first exists; only the mint takes it — everything
-    # downstream reads the candidate edges' uid type
+    # the uid width self-selects from the rep count (128 bits where an
+    # accidental 64-bit collision becomes likely), here where the count
+    # first exists; only the mint takes it — everything downstream
+    # reads the candidate edges' uid type
     uid_bits = uid_bits_for(n_reps)
     timer.note("uid_bits", uid_bits)
 

@@ -13,11 +13,10 @@ every distinct word) is a corpus-sized groupby; the sketch trades a
 bounded overestimate (ε = e/w per row, union bound over d rows) for
 never shuffling the long tail.
 
-Token identity reuses the SimHash tokenizer verbatim (lowercased
-``\\w+``, crc32+len+seed → splitmix64 — ``functions/shingles.py:
-word_tokens_u64_many``), so the SQL oracle rides the same tb/tcrc
-HUGEINT machinery as ``simhash_pairs`` (parity caveats documented
-there).  Row r's bucket is ``mix64(h + r·GOLDEN) % W`` — an
+Token identity is the SimHash tokenizer's (lowercased ``\\w+``,
+crc32+len+seed → splitmix64 — ``functions/shingles.py:word_tokens``),
+so the SQL oracle rides the same tb/tcrc HUGEINT machinery as
+``simhash_pairs`` (parity caveats documented there).  Row r's bucket is ``mix64(h + r·GOLDEN) % W`` — an
 independent-enough hash family derived from the one mixer both sides
 already implement.
 
@@ -38,7 +37,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..functions.hashing import mix64, rolling_hashes_many
+from ..functions.hashing import byte_view, mix64, window_hashes
+from ..functions.shingles import word_tokens
 from ..functions.sqlgen import GOLDEN, U64_MOD, crc32_list_sql, mix64_ctes
 from .registry import register
 
@@ -53,25 +53,27 @@ def _read_docs(sf_dir: str) -> "ray.data.Dataset":
 
 
 def _batch_words(t: pa.Table):
-    """Batch → (unique word strings, their u64 hashes, multiplicities).
-    One factorize + one batched crc/mix pass — no per-token numpy
-    dispatch (the ``word_tokens_u64_many`` rationale)."""
-    import re
-    texts = t["text"].to_pylist()
-    toks = [w for s in texts for w in re.findall(r"\w+", s.lower())]
-    if not toks:
-        return [], np.empty(0, np.uint64), np.empty(0, np.int64)
-    codes, uniques = pd.factorize(pd.array(toks), sort=False)
-    cnt = np.bincount(codes, minlength=len(uniques)).astype(np.int64)
-    # same crc32+len·2^32+seed0 → mix64 token identity as
-    # word_tokens_u64_many, applied to the distinct words only
-    from zlib import crc32
-    raw = np.fromiter((crc32(w.encode("utf-8")) for w in uniques),
-                      dtype=np.uint64, count=len(uniques))
-    lens = np.fromiter((len(w) for w in uniques), dtype=np.uint64,
-                       count=len(uniques))
-    h = mix64(raw + (lens << np.uint64(32)))
-    return list(uniques), h, cnt
+    """Batch → (distinct words as a string array, their u64 ids,
+    multiplicities), from the shared tokenizer
+    (``functions/shingles.py:word_tokens``, seed 0).  Every token's
+    bytes are gathered by its span into one Arrow string array and
+    factorized exactly by string (not by id: crc32 + length can
+    collide); each word's id is its first token's."""
+    tok = word_tokens(t["text"])
+    n = tok.ids.size
+    if n == 0:
+        return pa.array([], pa.string()), np.empty(0, np.uint64), \
+            np.empty(0, np.int64)
+    offs = np.zeros(n + 1, np.int64)
+    np.cumsum(tok.lens, out=offs[1:])
+    gather = np.repeat(tok.starts - offs[:-1], tok.lens) + np.arange(offs[-1])
+    words = pa.LargeStringArray.from_buffers(
+        n, pa.py_buffer(offs), pa.py_buffer(tok.data[gather]))
+    enc = words.dictionary_encode()
+    codes = enc.indices.to_numpy()
+    _, first = np.unique(codes, return_index=True)
+    cnt = np.bincount(codes, minlength=len(first)).astype(np.int64)
+    return enc.dictionary.cast(pa.string()), tok.ids[first], cnt
 
 
 def _buckets(h: np.ndarray) -> np.ndarray:
@@ -126,15 +128,14 @@ def cms_heavy_hitters(sf_dir: str) -> "ray.data.Dataset":
     def probe(t: pa.Table) -> pa.Table:
         g = ray.get(grid_ref)
         words, h, _ = _batch_words(t)
-        if not words:
+        if not len(words):
             return pa.table({"word": pa.array([], pa.string()),
                              "est_count": pa.array([], pa.int64())})
         bk = _buckets(h)
         est = g[np.arange(CMS_DEPTH)[:, None], bk].min(axis=0)
         keep = est >= thr
         return pa.table({
-            "word": pa.array(np.asarray(words, dtype=object)[keep],
-                             pa.string()),
+            "word": words.filter(pa.array(keep)),
             "est_count": pa.array(est[keep], pa.int64()),
         })
 
@@ -257,16 +258,15 @@ def hll_distinct_shingles(sf_dir: str) -> pd.DataFrame:
     high dedup yield) at sketch cost."""
 
     def partial(t: pa.Table) -> pa.Table:
-        bufs = [s.encode("utf-8") for s in t["text"].to_pylist()]
-        hs = rolling_hashes_many(bufs, SHINGLE_K)
-        wlens = np.fromiter((h.size for h in hs), np.int64, len(bufs))
+        _, data, offs = byte_view(t["text"])
+        h = window_hashes(data, offs, (SHINGLE_K,))[0]
+        wlens = np.maximum(np.diff(offs) - SHINGLE_K + 1, 0)
         langs = np.repeat(np.asarray(t["lang"].to_pylist(), object), wlens)
         if not langs.size:
             return pa.table({"lang": pa.array([], pa.string()),
                              "j": pa.array([], pa.int64()),
                              "mr": pa.array([], pa.int64()),
                              "nw": pa.array([], pa.int64())})
-        h = np.concatenate([x for x in hs if x.size])
         j = (h >> np.uint64(_REST_BITS)).astype(np.int64)
         rest = h & np.uint64((1 << _REST_BITS) - 1)
         rank = _MAXRANK - _bit_length_u64(rest)

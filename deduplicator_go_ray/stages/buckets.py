@@ -159,18 +159,29 @@ def uid_width(x) -> int:
 
 
 def uid_of_urls(urls, bits: int = 64) -> np.ndarray:
-    """Mint doc uids from urls (a list[str] or a pyarrow (Chunked)Array):
-    int64 at ``bits=64``, the vectorized url hash — at n documents the
-    chance of ANY collision is ~n²/2⁶⁵; ``S16`` at ``bits=128``, two
-    independently seeded hashes — collision-safe past 10^10-doc jobs.
-    The bucket exchange stays int64-KEYED either way; only the doc
-    identity payload widens."""
+    """Mint doc uids from urls (a list[str] or a pyarrow (Chunked)Array).
+
+    At ``bits=64``: int64, the polynomial url hash (``hash64_str``).
+    For n arbitrary urls the chance of ANY collision is ~n²/2⁶⁵, but the
+    hash is a polynomial mod 2⁶⁴, so crafted urls collide at will (two
+    distinct 1 KiB Thue–Morse strings do); the checkpoint done set keys
+    on this uid too.  At ``bits=128``: ``S16``, that word plus SipHash-2-4
+    of the url bytes (``pd.util.hash_array``, pandas' fixed key), an
+    independent non-polynomial hash, so a polynomial collision alone no
+    longer merges two uids; the key is public, so this is collision
+    resistance against accidents, not against an adversary who targets
+    SipHash too.  The bucket exchange stays int64-KEYED either way; only
+    the doc identity payload widens."""
     h = hash64_str(urls, seed=3)
     if bits == 64:
         return h.view(np.int64)
     if bits != 128:
         raise ValueError(f"uid bits must be 64 or 128, got {bits}")
-    return np.column_stack([h, hash64_str(urls, seed=1031)]).view(_UID128)[:, 0]
+    objs = (urls.to_numpy(zero_copy_only=False)
+            if isinstance(urls, (pa.Array, pa.ChunkedArray))
+            else np.asarray(urls, dtype=object))
+    sip = pd.util.hash_array(objs, categorize=False)
+    return np.column_stack([h, sip]).view(_UID128)[:, 0]
 
 
 def batch_uids(t: pa.Table, bits: int = 64) -> np.ndarray:

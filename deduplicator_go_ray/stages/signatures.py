@@ -6,13 +6,17 @@ pool ``files/process.go:243-307``).  It runs as a task-based map stage
 whose instance is cached per worker process
 (``pipelines/dedup.py:_signature_cached``): the seeded permutation
 constants are built once per worker in ``__init__`` (≙ ST1 in
-SURVEY.md §2.3), each ``__call__`` processes one
-Arrow batch fully vectorized (numpy over concatenated shingle arrays,
-``np.minimum.reduceat`` per document — no Python loop over shingles).
+SURVEY.md §2.3), and each ``__call__`` processes one Arrow batch as
+batch-level numpy with no per-token or per-shingle Python: the texts'
+utf-8 bytes are read out of the Arrow buffers, one prefix-sum pass
+gives both the shingle and the anchor window hashes, the word tokens
+come from the one batched tokenizer (``functions/shingles.py``), and the
+anchors are deduplicated by one lexsort and built straight into list
+offsets.
 
-Per-row failures are captured in-band (``error`` column) exactly as the
-reference writes ``HASH_ERROR`` sentinels instead of aborting the run
-(``files/hash.go:245-264``).
+The reference writes ``HASH_ERROR`` sentinels instead of aborting the
+run (``files/hash.go:245-264``); the ``sig_error`` column carries that
+slot, and stays null here because Arrow text is always valid utf-8.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import MinHashConfig, SimHashConfig, SubstringConfig
-from ..functions.hashing import mix64, rolling_hashes
-from ..functions.shingles import word_tokens_u64_many
+from ..functions.hashing import byte_view, hash64_str, mix64, window_hashes
+from ..functions.shingles import word_tokens
 
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -93,9 +97,45 @@ class SignatureStage:
 
     # -- kernels -------------------------------------------------------------
 
-    def _minhash_all(self, flat: np.ndarray, starts: np.ndarray,
-                     lengths: np.ndarray) -> np.ndarray:
-        """(ndocs, num_perms) signature matrix over concatenated shingles.
+    def _shingle_sets(self, wins: np.ndarray, lens: np.ndarray,
+                      texts: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+        """Each doc's shingle set from the batch's k-byte window hashes
+        ``wins`` (doc order, doc ``d`` holding ``max(lens[d] - k + 1,
+        0)``): its distinct window hashes in ascending order, or for a
+        doc shorter than k bytes but not empty, one hash of its whole
+        text (``char_shingles_u64``'s tiny-document identity).  Returns
+        (flat sets in doc order, set sizes).  Each doc's windows are
+        sorted in place, so its distinct values are the first of their
+        runs."""
+        k = self.cfg.shingle_k
+        cnt = np.maximum(lens - k + 1, 0)
+        sizes = np.zeros(len(lens), np.int64)
+        docs = np.flatnonzero(cnt)
+        ends = np.cumsum(cnt)[docs]
+        starts = ends - cnt[docs]
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            wins[s:e].sort()
+        new = np.empty(wins.size, bool)
+        np.not_equal(wins[1:], wins[:-1], out=new[1:])
+        new[starts] = True
+        flat = wins[new]
+        if docs.size:
+            sizes[docs] = np.add.reduceat(new, starts)
+        tiny = np.flatnonzero((lens > 0) & (lens < k))
+        if tiny.size:
+            sizes[tiny] = 1
+            at = np.zeros(int(sizes.sum()), bool)
+            at[(np.cumsum(sizes) - 1)[tiny]] = True
+            merged = np.empty(at.size, np.uint64)
+            merged[at] = hash64_str(texts.take(pa.array(tiny)), seed=1)
+            merged[~at] = flat
+            flat = merged
+        return flat, sizes
+
+    def _minhash_all(self, flat: np.ndarray,
+                     sizes: np.ndarray) -> np.ndarray:
+        """(ndocs, num_perms) signature matrix over the shingle sets
+        (``flat``: each doc's set ascending, ``sizes`` per doc).
 
         One-permutation hashing (Li/Owen/Zhang 2012) with rotation
         densification (Shrivastava/Li 2014): each shingle hash lands in
@@ -104,16 +144,23 @@ class SignatureStage:
         occupied bucket to the right (circularly), salted by the
         distance.  One O(total_shingles) pass replaces 128 independent
         permutation passes — the classic-vs-OPH estimator variance is
-        comparable, and exact-dup signatures stay identical.
+        comparable, and exact-dup signatures stay identical.  The sets
+        are ascending and the bucket is the hash's top bits, so each
+        (doc, bucket) minimum is the first of its run.
         """
         P = self.cfg.num_perms
-        ndocs = len(starts)
+        ndocs = len(sizes)
+        shift = np.uint64(64 - P.bit_length() + 1)  # P a power of two
         sig = np.full(ndocs * P, _U64_MAX, dtype=np.uint64)
         if flat.size:
-            shift = np.uint64(64 - P.bit_length() + 1)  # P a power of two
-            bucket = (flat >> shift).astype(np.int64)
-            doc_idx = np.repeat(np.arange(ndocs, dtype=np.int64), lengths)
-            np.minimum.at(sig, doc_idx * P + bucket, flat)
+            ends = np.cumsum(sizes)
+            bucket = flat >> shift
+            first = np.empty(flat.size, bool)
+            np.not_equal(bucket[1:], bucket[:-1], out=first[1:])
+            first[(ends - sizes)[sizes > 0]] = True
+            at = np.flatnonzero(first)
+            doc = np.searchsorted(ends, at, side="right")
+            sig[doc * P + bucket[at].astype(np.int64)] = flat[at]
         sig = sig.reshape(ndocs, P)
         # --- rotation densification for rows with empty buckets ----------
         empty = sig == _U64_MAX
@@ -136,66 +183,60 @@ class SignatureStage:
             sig[rows] = np.where(occ, sub, borrowed)
         return sig
 
-    def _simhash_all(self, texts: list[str]) -> np.ndarray:
-        """64-bit SimHash per text over word-token features."""
-        flat, lengths = word_tokens_u64_many(texts, seed=self.sim.seed)
-        out = np.zeros(len(texts), dtype=np.uint64)
-        nonempty = lengths > 0
+    def _simhash_all(self, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """64-bit SimHash per text over its word-token ids (``ids`` in
+        text order, ``counts`` per text)."""
+        out = np.zeros(len(counts), dtype=np.uint64)
+        nonempty = counts > 0
         if not nonempty.any():
             return out
-        sums = simhash_bit_sums(flat, lengths[nonempty])
-        majority = (2 * sums) > lengths[nonempty][:, None]
+        sums = simhash_bit_sums(ids, counts[nonempty])
+        majority = (2 * sums) > counts[nonempty][:, None]
         packed = (majority.astype(np.uint64) << self.shifts).sum(axis=1, dtype=np.uint64)
         out[nonempty] = packed
         return out
 
-    def _anchors(self, text: str) -> np.ndarray:
-        """Winnowing-style substring anchors: rolling-hash values of
-        `window`-byte windows sampled where hash % modulus == 0."""
-        data = text.encode("utf-8")
-        if len(data) < self.sub.min_len:
-            return np.empty(0, dtype=np.uint64)
-        h = rolling_hashes(data, self.sub.window)
-        sel = h[h % np.uint64(self.sub.modulus) == 0]
-        return np.unique(sel)
+    def _anchors_all(self, wins: np.ndarray, lens: np.ndarray) -> pa.Array:
+        """Winnowing-style substring anchors as a list column: per doc of
+        at least ``min_len`` bytes, the distinct ``window``-byte window
+        hashes (``wins``, doc order) that are ≡ 0 mod ``modulus``, in
+        ascending uint64 order, bit-viewed as int64 (they feed a key
+        column downstream).  One lexsort over (doc, hash) for the batch;
+        the list offsets come straight from the per-doc counts."""
+        cnt = np.maximum(lens - self.sub.window + 1, 0)
+        mod = self.sub.modulus
+        hit = np.flatnonzero(
+            (wins & np.uint64(mod - 1) if mod & (mod - 1) == 0
+             else wins % np.uint64(mod)) == 0)
+        doc = np.searchsorted(np.cumsum(cnt), hit, side="right")
+        ok = lens[doc] >= self.sub.min_len
+        doc, val = doc[ok], wins[hit[ok]]
+        order = np.lexsort((val, doc))
+        doc, val = doc[order], val[order]
+        new = np.ones(val.size, bool)
+        new[1:] = (val[1:] != val[:-1]) | (doc[1:] != doc[:-1])
+        offsets = np.zeros(len(lens) + 1, np.int32)
+        np.cumsum(np.bincount(doc[new], minlength=len(lens)), out=offsets[1:])
+        return pa.ListArray.from_arrays(
+            pa.array(offsets), pa.array(val[new].view(np.int64)))
 
     # -- batch entry ---------------------------------------------------------
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.hashing import hash64_str, rolling_hashes_many
-
-        texts = batch[self.text_col].to_pylist()
+        # the utf-8 bytes of every text (null → ""), read once out of the
+        # Arrow buffers: ONE prefix-sum pass serves the shingle width and
+        # the anchor window (functions/hashing.py:window_hashes)
+        texts, data, offs = byte_view(batch[self.text_col])
         n = len(texts)
-        # one utf-8 encode per doc, shared by the shingle and anchor
-        # rolling-hash passes; encode failure → in-band HASH_ERROR
-        # sentinel (≙ files/hash.go:245-264), row survives
-        datas: list[bytes] = []
-        errors: list[str | None] = []
-        for t in texts:
-            try:
-                datas.append((t or "").encode("utf-8"))
-                errors.append(None)
-            except Exception:
-                datas.append(b"")
-                errors.append("HASH_ERROR")
-        k = self.cfg.shingle_k
-        rolls = rolling_hashes_many(datas, k)
-        shingle_sets: list[np.ndarray] = []
-        for t, d, r, err in zip(texts, datas, rolls, errors):
-            if err is not None or not d:
-                shingle_sets.append(np.empty(0, dtype=np.uint64))
-            elif len(d) < k:
-                # ≙ char_shingles_u64's tiny-document identity hash
-                shingle_sets.append(hash64_str([t or ""], seed=1))
-            else:
-                shingle_sets.append(np.unique(r))
-        lengths = np.array([s.size for s in shingle_sets], dtype=np.int64)
-        flat = (np.concatenate([s for s in shingle_sets if s.size])
-                if lengths.sum() else np.empty(0, np.uint64))
-        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)
+        lens = np.diff(offs)
+        ks = (self.cfg.shingle_k,) + (
+            (self.sub.window,) if self.compute_anchors else ())
+        wins = window_hashes(data, offs, ks)
 
-        sig = self._minhash_all(flat, starts, lengths)
-        sim = self._simhash_all(texts)
+        flat, n_shingles = self._shingle_sets(wins[0], lens, texts)
+        sig = self._minhash_all(flat, n_shingles)
+        tok = word_tokens(texts, seed=self.sim.seed)
+        sim = self._simhash_all(tok.ids, tok.counts)
 
         out = batch.append_column(
             "minhash",
@@ -203,26 +244,13 @@ class SignatureStage:
                                               self.cfg.num_perms),
         )
         out = out.append_column("simhash", pa.array(sim, pa.uint64()))
-        out = out.append_column("n_shingles", pa.array(lengths, pa.int64()))
+        out = out.append_column("n_shingles", pa.array(n_shingles, pa.int64()))
         if self.compute_anchors:
-            # int64 bit-view — anchor values feed a groupby key downstream
-            # (batched rolling pass over the shared encoded buffers;
-            # identical values to the per-doc _anchors method)
-            rollw = rolling_hashes_many(datas, self.sub.window)
-            mod = np.uint64(self.sub.modulus)
-            anchors = []
-            for d, h in zip(datas, rollw):
-                if len(d) < self.sub.min_len:
-                    anchors.append(np.empty(0, dtype=np.int64))
-                else:
-                    anchors.append(
-                        np.unique(h[h % mod == 0]).view(np.int64))
-            out = out.append_column(
-                "anchors",
-                pa.array([a.tolist() for a in anchors], pa.list_(pa.int64())),
-            )
+            out = out.append_column("anchors", self._anchors_all(wins[1], lens))
         if "sig_error" not in out.column_names:
-            out = out.append_column("sig_error", pa.array(errors, pa.string()))
+            # Arrow text is valid utf-8, so no row fails to hash; the
+            # column keeps the store's row schema
+            out = out.append_column("sig_error", pa.nulls(n, pa.string()))
         return out
 
 

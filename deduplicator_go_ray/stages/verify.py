@@ -6,14 +6,16 @@ The cheap prune runs earlier, inside the candidate reducer
 candidate that reaches this module goes straight to the exact check,
 built from two shared parts:
 
-* **one index check** — ONE Ray task builds a uid-sorted index of the
-  kind's payload over the pairs' endpoints only, which one task per
+* **one index check** — one task gathers the kind's pairs and keeps
+  one row per (u, v); ONE Ray task builds a uid-sorted index of the
+  kind's payload over those pairs' endpoints only, which one task per
   source block filters out first (:func:`endpoint_index`); then one
-  plain task per pair block, the index a top-level argument mapped
+  plain task per pair slice, the index a top-level argument mapped
   zero-copy from the object store, applies the exact predicate — no
-  exchange and no Dataset execution.  Registry queries whose per-pair
-  result is more than a keep mask (n-gram Jaccard, longest common
-  substring) probe the same index (:func:`index_rows`);
+  exchange and no Dataset execution, and each pair is checked once.
+  Registry queries whose per-pair result is more than a keep mask
+  (n-gram Jaccard, longest common substring) probe the same index
+  (:func:`index_rows`);
 * **one two-attach check** — two keyed :func:`~.joins.hash_join`
   exchanges (payload of u, then of v) with the exact predicate applied
   inside the second reduce, so the wide (pair + payload) rows never
@@ -164,8 +166,8 @@ def uid_set(tables, cols: tuple) -> np.ndarray:
 
 
 @ray.remote(num_cpus=1)
-def _uid_set_task(cols: tuple, kinds: tuple, *blocks):
-    return uid_set([_pick(t, kinds) for t in blocks], cols)
+def _uid_set_task(cols: tuple, *blocks):
+    return uid_set(blocks, cols)
 
 
 def uid_set_refs(ds: "ray.data.Dataset", roles) -> list:
@@ -178,7 +180,7 @@ def uid_set_refs(ds: "ray.data.Dataset", roles) -> list:
     149k union near endpoints), so a role-scoped payload ships ~40%
     fewer bytes per exchange than the union-filtered one."""
     refs = block_refs_of(ds)
-    return [_uid_set_task.remote(tuple(cols), (), *refs) for cols in roles]
+    return [_uid_set_task.remote(tuple(cols), *refs) for cols in roles]
 
 
 def semi_filter_by_uid_ref(ds: "ray.data.Dataset", uid_ref,
@@ -245,21 +247,27 @@ def _kind_rows(kinds: tuple, *blocks) -> int:
     return sum(len(_pick(t, kinds)) for t in blocks)
 
 
-def _endpoint_build(source, spec: VerifySpec, pairs):
-    """The index over the endpoint rows of ``pairs``' rows of the spec's
-    kinds: one task builds the endpoint set, one task per source block
-    filters it to those rows' payloads, and only they reach the one
-    build task — no Dataset execution and no driver pull."""
-    wanted = _uid_set_task.remote(UV, spec.kinds, *block_refs_of(pairs))
-    return _build_index.remote(*_endpoint_rows(source, wanted, spec.payload))
-
-
 def endpoint_index(pairs: "ray.data.Dataset", source: "ray.data.Dataset",
                    payload):
     """Launch the index build over the ``payload`` values of the (u, v)
-    ``pairs``' endpoint rows of ``source``; returns its ObjectRef."""
-    return _endpoint_build(source, VerifySpec(payload, None, 0),
-                           pairs.materialize())
+    ``pairs``' endpoint rows of ``source``; returns its ObjectRef.  One
+    task builds the endpoint set, one task per source block filters it
+    to those rows' payloads, and only they reach the one build task —
+    no Dataset execution and no driver pull."""
+    wanted = _uid_set_task.remote(UV, *block_refs_of(pairs.materialize()))
+    return _build_index.remote(*_endpoint_rows(source, wanted, payload))
+
+
+@ray.remote(num_cpus=1)
+def _kind_pairs_task(kinds: tuple, n_out: int, *blocks):
+    """The pairs of ``kinds``, one row per (u, v) (:func:`_distinct_pairs`):
+    the candidate reducer dedupes within its partition only, so a pair
+    whose shared buckets hash to different partitions arrives once per
+    partition.  Returns their sorted-unique endpoint uids, then the
+    pairs in ``n_out`` slices, one check task each."""
+    t = _distinct_pairs(pa.concat_tables([_pick(b, kinds) for b in blocks]))
+    step = -(-len(t) // n_out)
+    return (uid_set([t], UV), *(t.slice(i * step, step) for i in range(n_out)))
 
 
 def _probe(index, batch: pa.Table):
@@ -298,11 +306,18 @@ def _check_block(batch: pa.Table, spec: VerifySpec, index) -> pa.Table:
     return _kept(batch, keep)
 
 
-def _index_check(pairs: "ray.data.Dataset", index_ref,
+def _index_check(pairs: "ray.data.Dataset", source,
                  spec: VerifySpec) -> "ray.data.Dataset":
-    """One task per pair block, the index a top-level argument."""
+    """The kind's distinct pairs (:func:`_kind_pairs_task`), an index
+    over their endpoints' payloads (:func:`endpoint_index`'s tasks),
+    then one check task per pair slice, the index a top-level
+    argument."""
+    refs = block_refs_of(pairs)
+    wanted, *slices = _kind_pairs_task.options(
+        num_returns=1 + len(refs)).remote(spec.kinds, len(refs), *refs)
+    index = _build_index.remote(*_endpoint_rows(source, wanted, spec.payload))
     return ray.data.from_arrow_refs(
-        map_blocks(block_refs_of(pairs), _check_block, spec, index_ref))
+        map_blocks(slices, _check_block, spec, index))
 
 
 # ---- the two-attach check ----------------------------------------------------
@@ -364,7 +379,7 @@ def _verify(pairs, source, spec: VerifySpec, num_partitions: int):
             for r in uid_set_refs(pairs, (U, V)))
         return _two_attach_check(pairs, pay_u, pay_v, spec.exact,
                                  num_partitions)
-    return _index_check(pairs, _endpoint_build(source, spec, pairs), spec)
+    return _index_check(pairs, source, spec)
 
 
 def verify_near_edges(

@@ -8,6 +8,7 @@ import functools
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray.data
 
@@ -116,6 +117,30 @@ def test_uid_stability():
     b = uid_of_urls(["x", "y", "z"])
     assert np.array_equal(a, b)
     assert len(set(a.tolist())) == 3
+
+
+def test_uid128_separates_polynomial_collisions():
+    """Two distinct 1 KiB Thue–Morse urls collide on the polynomial url
+    hash — the 64-bit uid, whatever its seed — but the 128-bit uid's
+    second word is SipHash, independent of it, so the two stay apart;
+    list and Arrow inputs mint the same uids."""
+    from deduplicator_go_ray.stages.buckets import uid_words
+
+    swap = str.maketrans("ab", "ba")
+    a = "a"
+    for _ in range(10):
+        a += a.translate(swap)
+    b = a.translate(swap)
+    assert len(a) == 1024 and a != b
+    u64 = uid_of_urls([a, b])
+    assert u64[0] == u64[1]                     # the known 64-bit weakness
+    u128 = uid_of_urls([a, b], 128)
+    words = uid_words(u128)
+    assert words[0, 0] == words[1, 0] and words[0, 1] != words[1, 1]
+    assert len(np.unique(u128)) == 2
+    assert uid_of_urls(pa.array([a, b]), 128).tobytes() == u128.tobytes()
+    assert uid_of_urls(pa.chunked_array([pa.array([a]), pa.array([b])]),
+                       128).tobytes() == u128.tobytes()
 
 
 def test_uid128_codec_roundtrip_and_order():
@@ -497,8 +522,10 @@ def test_reducer_prune_keeps_contained_texts(ray_session):
     raw = long.encode()
     # the first 200-byte window with an anchor (a short needs a min anchor
     # to be a candidate at all)
-    exact200 = next(raw[o:o + 200].decode() for o in range(0, len(raw) - 200)
-                    if st._anchors(raw[o:o + 200].decode()).size)
+    windows = [raw[o:o + 200].decode() for o in range(0, len(raw) - 200)]
+    n_anchors = pc.list_value_length(
+        st(pa.table({"text": windows}))["anchors"]).to_numpy()
+    exact200 = windows[int(np.flatnonzero(n_anchors)[0])]
     assert len(exact200.encode()) == SubstringConfig().min_len
     mb_long = _anchor_text(rng, 300, ["größe", "日本語", "naïve", "café",
                                       "ẞtraße", "über", "東京", "żółw"])

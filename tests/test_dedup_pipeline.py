@@ -253,6 +253,59 @@ def test_flood_verify_low_threshold_same_assignments(corpus, monkeypatch):
         assert (a[col] == b[col]).all(), col
 
 
+def test_near_pairs_checked_once_across_candidate_partitions(corpus,
+                                                            tmp_path,
+                                                            monkeypatch):
+    """The candidate reducer dedupes near pairs within its partition
+    only, so at 4 candidate partitions some pairs reach the near verify
+    more than once.  The index check gathers the kind's pairs in one
+    task and keeps one row per (u, v): the exact check sees each
+    distinct pair once, as many as at 1 partition, and the assignments
+    equal the 1-partition run's."""
+    import ray.data as rd
+
+    from deduplicator_go_ray.stages import verify
+    from deduplicator_go_ray.stages.buckets import KIND_ANCHOR
+
+    real_verify, real_check = verify._verify, verify._check_block
+    log = str(tmp_path / "checked")
+    seen = {}
+
+    def spy_verify(pairs, source, spec, num_partitions):
+        if KIND_ANCHOR not in spec.kinds:
+            seen["pairs"] = pairs.materialize()
+        return real_verify(pairs, source, spec, num_partitions)
+
+    def spy_check(batch, spec, index):
+        if KIND_ANCHOR not in spec.kinds:
+            with open(log, "a") as f:
+                f.write(f"{len(verify._pick(batch, spec.kinds))}\n")
+        return real_check(batch, spec, index)
+
+    monkeypatch.setattr(verify, "_verify", spy_verify)
+    monkeypatch.setattr(verify, "_check_block", spy_check)
+    pages_tbl, _ = corpus
+    small = pages_tbl.slice(0, 250)
+    runs = {}
+    for parts in (1, 4):
+        open(log, "w").close()
+        out = run_dedup(rd.from_arrow(small),
+                        PipelineConfig(bucket_partitions=parts)).to_pandas()
+        near = seen["pairs"].to_pandas()
+        near = near[near["kind"] != KIND_ANCHOR]
+        checked = sum(int(x) for x in open(log).read().split())
+        runs[parts] = (out.sort_values("url").reset_index(drop=True),
+                       len(near), len(near.drop_duplicates(["u", "v"])),
+                       checked)
+    (one, rows1, pairs1, checked1), (four, rows4, pairs4, checked4) = (
+        runs[1], runs[4])
+    assert rows1 == pairs1 and rows4 > pairs4       # copies at 4 partitions
+    assert checked1 == pairs1 == pairs4 == checked4 > 0
+    for col in ["url", "cluster_id", "keeper_url", "is_keeper", "action",
+                "match_kind"]:
+        assert (one[col] == four[col]).all(), col
+
+
 def test_cc_tiers_same_assignments(corpus):
     """The two component-resolution tiers (one-task kernel by default,
     distributed star loop at onetask_cc_max_edges=0) must be

@@ -108,23 +108,29 @@ def test_hash64_chunking_invisible(strings, chunk_bytes):
 
 
 @SMALL
-@given(st.lists(st.binary(max_size=120), min_size=1, max_size=25),
-       st.integers(min_value=1, max_value=24),
+@given(st.lists(st.binary(max_size=120), min_size=0, max_size=25),
+       st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=3),
        st.integers(min_value=8, max_value=300))
-def test_rolling_hashes_many_equals_per_doc(datas, k, chunk_bytes):
-    """The batched rolling-hash pass (global prefix sums over the
-    concatenated buffers, chunked for cache residency) must be
-    bit-identical to the per-doc function for every doc, any chunking."""
+def test_window_hashes_equal_per_doc(datas, ks, chunk_bytes):
+    """The batched rolling-hash pass (one prefix sum over the
+    concatenated buffers for every width, chunked for cache residency)
+    must be bit-identical to the per-doc function for every doc and
+    width, any chunking."""
     from deduplicator_go_ray.functions import hashing
 
+    lens = [len(d) for d in datas]
+    offs = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
     old = hashing._ROLL_CHUNK_BYTES
     try:
         hashing._ROLL_CHUNK_BYTES = chunk_bytes
-        many = hashing.rolling_hashes_many(datas, k)
+        flats = hashing.window_hashes(np.frombuffer(b"".join(datas), np.uint8),
+                                      offs, ks)
     finally:
         hashing._ROLL_CHUNK_BYTES = old
-    for d, m in zip(datas, many):
-        assert np.array_equal(m, rolling_hashes(d, k))
+    for k, flat in zip(ks, flats):
+        want = [rolling_hashes(d, k) for d in datas]
+        assert np.array_equal(flat, np.concatenate(
+            want) if want else np.empty(0, np.uint64))
 
 
 @SMALL

@@ -83,14 +83,14 @@ def test_hll_estimates_within_error_bound(ray_session):
     """Raw-regime accuracy: the HLL estimate per lang lands within the
     ~1.04/sqrt(m) relative-error envelope (3 sigma) of the exact
     distinct-shingle count."""
-    from deduplicator_go_ray.functions.hashing import rolling_hashes_many
+    from deduplicator_go_ray.functions.hashing import rolling_hashes
     from deduplicator_go_ray.pipelines.sketch_queries import (
         HLL_M, SHINGLE_K, hll_distinct_shingles)
 
     import pyarrow.parquet as pq
     docs = pq.read_table(SF + "/documents.parquet", columns=["text", "lang"])
     bufs = [s.encode("utf-8") for s in docs["text"].to_pylist()]
-    hs = rolling_hashes_many(bufs, SHINGLE_K)
+    hs = [rolling_hashes(b, SHINGLE_K) for b in bufs]
     exact: dict[str, set] = {}
     for lang, h in zip(docs["lang"].to_pylist(), hs):
         exact.setdefault(lang, set()).update(h.tolist())

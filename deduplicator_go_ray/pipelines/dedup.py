@@ -8,6 +8,8 @@
         (sentinel / too-small filter + projection in its split tasks)
       → rep texts: one task per extracted block       # rep-uid set task
       → reps → map_batches(_signature_slim)           # Ray Data execution 2
+        (with a signature store: split and range      # state/sigstore.py
+        tasks, no execution)
       → bucket_batch (bands [+salt] + SimHash chunks  # split pre_fn of
         + substring anchors) → candidate edges        # [one fused exchange]
       → verify: per-kind endpoint index task          # stages/verify.py
@@ -24,12 +26,12 @@
 
 Ray Data runs only the edges: the read → extract → content-key map and
 the signature map (task-based ``map_batches`` with a per-worker stage
-cache, ``_STAGE_CACHE``), plus, with a signature store, the store read,
-its probe map and its append write.  Every stage between them is plain
-Ray tasks whose inputs are block refs passed as top-level task
-arguments, and whose outputs are wrapped by ``from_arrow_refs``, which
-starts no execution.  A Ray Data execution costs ~55 ms of fixed time
-on one CPU against ~4 ms for a plain task.
+cache, ``_STAGE_CACHE``); with a signature store the signatures are
+plain tasks too, so a store run has two executions.  Every stage
+between them is plain Ray tasks whose inputs are block refs passed as
+top-level task arguments, and whose outputs are wrapped by
+``from_arrow_refs``, which starts no execution.  A Ray Data execution
+costs ~55 ms of fixed time on one CPU against ~4 ms for a plain task.
 
 Every per-group decision is a pure function of group content, so the
 assignment set is identical at any parallelism — the reference's
@@ -341,21 +343,19 @@ def run_dedup(
     if cfg.sig_store_dir:
         # incremental signature store (state/sigstore.py): unchanged
         # content keys re-use their stored signatures; only unseen
-        # content runs the kernels.  Output is byte-identical to the
-        # full compute (equality-tested), so every downstream stage is
-        # untouched.  The sigs table carries two store-bookkeeping
-        # columns the baseline path doesn't (text_sha256 for the
-        # append-only persist, sig_cached for the compute accounting) —
-        # ~65 B/row of plasma residency; they never enter a shuffle
-        # (the bucket rows are skinny, the verify index gathers
-        # url+minhash only).
+        # content runs the kernels, inside the store's range tasks.
+        # Output is byte-identical to the full compute
+        # (equality-tested), so every downstream stage is untouched.
+        # The sigs table carries two store-bookkeeping columns the
+        # baseline path doesn't (text_sha256, sig_cached for the
+        # compute accounting) — ~65 B/row of plasma residency; they
+        # never enter a shuffle (the bucket rows are skinny, the verify
+        # index gathers url+minhash only).
         from ..state.sigstore import incremental_signatures
 
         sigs, _n_new = incremental_signatures(
-            reps, cfg.sig_store_dir, num_partitions=num_partitions,
-            sig_kwargs=sig_kwargs, passthrough=("n_bytes",),
-            batch_size=cfg.signature_batch_size)
-        sigs = sigs.materialize()
+            reps, cfg.sig_store_dir, sig_kwargs=sig_kwargs,
+            passthrough=("n_bytes",), batch_size=cfg.signature_batch_size)
         timer.note("sigs_computed", _n_new)
     else:
         sigs = reps.map_batches(

@@ -78,9 +78,11 @@ def _batch_words(t: pa.Table):
 
 def _buckets(h: np.ndarray) -> np.ndarray:
     """(d, n) bucket ids: row r uses mix64(h + r·GOLDEN) % W."""
-    g = np.uint64(GOLDEN)
+    # r·GOLDEN mod 2^64 as a Python int: a numpy scalar product would
+    # wrap too, but with an overflow warning
     return np.stack([
-        (mix64(h + np.uint64(r) * g) % np.uint64(CMS_WIDTH)).astype(np.int64)
+        (mix64(h + np.uint64(r * GOLDEN % (1 << 64)))
+         % np.uint64(CMS_WIDTH)).astype(np.int64)
         for r in range(CMS_DEPTH)])
 
 

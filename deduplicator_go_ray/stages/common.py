@@ -56,7 +56,14 @@ def _split_block(block, keys: list[str], n_parts: int, pre_fn):
         tbl = pre_fn(tbl)
     if n_parts == 1:
         return tbl
-    part = (_key_hash(tbl, keys) % np.uint64(n_parts)).astype(np.int64)
+    return slice_parts(
+        tbl, (_key_hash(tbl, keys) % np.uint64(n_parts)).astype(np.int64),
+        n_parts)
+
+
+def slice_parts(tbl: pa.Table, part: np.ndarray, n_parts: int) -> tuple:
+    """``n_parts`` Arrow slices of ``tbl``, slice ``p`` holding the rows
+    whose ``part`` is ``p`` (in their input order)."""
     order = np.argsort(part, kind="stable")
     # combine first: take() with a shuffled index over a MANY-chunk
     # table degrades ~1000x on wide binary columns (per-element chunk
@@ -101,15 +108,21 @@ def _reduce_partition(partition_fn, arrow_fn: bool, fill: bool, schema,
     return out, out.num_rows
 
 
-def _exchange_partitions(num_partitions: int, input_bytes: int) -> int:
-    """Reduce-task count: enough to keep every CPU busy and every
-    partition near Ray Data's target block size (``input_bytes`` are
-    measured BEFORE any ``pre_fn``), never more than the caller's
-    ``num_partitions``.  Results never depend on it."""
+def sized_partitions(input_bytes: int) -> int:
+    """Enough partitions to keep every CPU busy (two per CPU) and every
+    partition near Ray Data's target block size.  Results never depend
+    on it."""
     cpus = int(ray.cluster_resources().get("CPU", 1))
     target = ray.data.DataContext.get_current().target_max_block_size
     by_size = -(-input_bytes // target) if target else 1
-    return max(1, min(num_partitions, max(2 * cpus, by_size)))
+    return max(1, 2 * cpus, by_size)
+
+
+def _exchange_partitions(num_partitions: int, input_bytes: int) -> int:
+    """Reduce-task count: :func:`sized_partitions` (``input_bytes`` are
+    measured BEFORE any ``pre_fn``), never more than the caller's
+    ``num_partitions``."""
+    return max(1, min(num_partitions, sized_partitions(input_bytes)))
 
 
 def grouped_apply(
@@ -182,12 +195,7 @@ def grouped_apply(
     outs = [_reduce_partition.remote(fn_ref, arrow_fn, multi, schema,
                                      *[s[p] for s in slices])
             for p in range(n_parts if blocks else 0)]
-    row_refs = [r for _, r in outs]
-    try:
-        rows = ray.get(row_refs)
-    except Exception:
-        ray.wait(row_refs, num_returns=len(row_refs))
-        raise
+    rows = get_all([r for _, r in outs])
     kept = [t for (t, _), n in zip(outs, rows) if n > 0]
     if kept:
         return ray.data.from_arrow_refs(kept)
@@ -198,6 +206,17 @@ def grouped_apply(
     ran = [t for (t, _), n in zip(outs, rows) if n == 0]
     return (ray.data.from_arrow_refs(ran[:1]) if ran
             else ray.data.from_arrow(pa.table({})))
+
+
+def get_all(refs: list) -> list:
+    """``ray.get(refs)``, except that when one task failed every other
+    one is awaited before the error is re-raised, so none is still
+    running (or writing) when the caller sees it."""
+    try:
+        return ray.get(refs)
+    except Exception:
+        ray.wait(refs, num_returns=len(refs))
+        raise
 
 
 def block_refs_of(ds: "ray.data.Dataset") -> list:
@@ -276,21 +295,6 @@ def sorted_probe(keys_sorted: np.ndarray, queries: np.ndarray):
     pos = np.minimum(np.searchsorted(keys_sorted, queries),
                      keys_sorted.size - 1)
     return pos, keys_sorted[pos] == queries
-
-
-def per_node_object_store_bytes() -> int:
-    """The SMALLEST alive node's object-store capacity, in bytes — the
-    correct bound for 'can one node hold this broadcast object'
-    (``ray.cluster_resources()`` sums across nodes and overstates it on
-    any multi-node cluster).  0 when unavailable."""
-    try:
-        nodes = ray.nodes()
-    except Exception:
-        return 0
-    caps = [int(n.get("Resources", {}).get("object_store_memory", 0))
-            for n in nodes if n.get("Alive")]
-    caps = [c for c in caps if c > 0]
-    return min(caps) if caps else 0
 
 
 def dedupe_rows(ds: "ray.data.Dataset", keys: list[str], num_partitions: int = 64):

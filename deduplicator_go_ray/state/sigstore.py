@@ -15,31 +15,51 @@ phase of an incremental run costs O(new content), not O(corpus).
 Store layout: parquet files under ``store_dir``, append-only — a
 content key's signature never changes, so new runs only ADD files
 (no partition rewrites, no tombstones; single writer per store, like
-the run checkpoint).  Exactness does NOT rest on any probe: membership
-is decided on the FULL sha-256 key — a sorted fixed-width 'S64'
-searchsorted against the plasma-shared wire table in the direct-refs
-plan, a keyed-shuffle anti-join + hash join when the store exceeds the
-plasma budget (both plans equality-tested).
+the run checkpoint).  The content-key space is cut into contiguous
+ranges of the sha's 16-bit prefix (its first four hex digits).  An
+append file holds one range's rows and names it:
+``<run token>-<lo>-<hi>.parquet`` covers prefixes ``[lo, hi)``.  A file
+with any other name (the layout before ranges, or a store compacted
+before them) may hold any prefix: one split task reads it once and
+routes its rows to the ranges; ``compact_store`` turns such a store
+into range files.
+
+One plan at every store size, plain Ray tasks over block refs and
+store files: one split task per reps block routes rows by prefix into
+K ranges (K from ``common.sized_partitions`` over the store and reps
+bytes: two per CPU, more when a range would exceed Ray Data's target
+block size, never a caller's cap), and one task per range reads only
+the range files whose range meets its own, probes its rows on the FULL
+sha-256 key (a sorted fixed-width 'S64' searchsorted), decodes the
+hits and runs the signature kernel on the misses.  A range task has no
+side effect: Ray may re-run it from lineage when its output block is
+lost, long after the call returned.  Its misses are committed as the
+range's append file by a separate commit task, which the call awaits
+inside the store's write fence.  A task's memory is bounded by its
+range; the driver opens no store file.
 
 Wire format: the nested/unsigned signature columns are encoded to
-join- and parquet-friendly types (Arrow's hash join rejects
-fixed_size_list payload columns): minhash → one binary blob per row
-(P×8 bytes, zero-copy buffer reshape), simhash → int64 bit-view,
-anchors → int64-array blob.  Encode and decode are buffer-level numpy
-views — no per-row Python on the warm (store-hit) path.
+parquet-friendly types: minhash → one binary blob per row (P×8 bytes,
+zero-copy buffer reshape), simhash → int64 bit-view, anchors →
+int64-array blob.  Encode and decode are buffer-level numpy views — no
+per-row Python on the warm (store-hit) path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
 from ..config import MinHashConfig
-from .statefs import as_state_path
+from ..stages.common import get_all, sized_partitions, sorted_probe
+from .statefs import StatePath, as_state_path
 
 SIG_COLS = ("minhash", "simhash", "n_shingles", "anchors", "sig_error")
 
@@ -48,17 +68,12 @@ SIG_COLS = ("minhash", "simhash", "n_shingles", "anchors", "sig_error")
 # exactly like the reference's hash-algorithm upgrade
 # (files/hash_upgrade.go:17-110)
 SIG_KERNEL_VERSION = 1
-# stores at or below this on-disk size take the direct-refs plan: the
-# wire table is materialized once and every worker maps it zero-copy
-# from plasma (clamped to a quarter of the session's per-node object
-# store at run time).  Above it, the
-# keyed-shuffle anti-join + hash join is the scale twin
-# (equality-tested).
-STORE_BROADCAST_MAX_BYTES = 4 << 30
 _P = MinHashConfig().num_perms      # slot count pinned per store
 
 
 _META_FILE = "_sigstore_meta.json"
+_PREFIXES = 1 << 16                 # content keys route by a 16-bit prefix
+_RANGED = re.compile(r"^[0-9a-f]{16}-(\d{5})-(\d{5})\.parquet$")
 
 
 def sig_config_version(sig_kwargs: dict | None = None) -> int:
@@ -73,7 +88,6 @@ def sig_config_version(sig_kwargs: dict | None = None) -> int:
     invisible — they re-enter the work set — and
     :func:`upgrade_signatures` drops the superseded files.
     """
-    import dataclasses
     import json
 
     from ..config import SimHashConfig, SubstringConfig
@@ -91,31 +105,59 @@ def sig_config_version(sig_kwargs: dict | None = None) -> int:
     return int(hash64_str([payload]).view(np.int64)[0])
 
 
-def _store_files(store_dir) -> list[str]:
+def _store_listing(store_dir) -> dict[str, int]:
+    """Name → size of the store's data files, from one listing."""
+    from pyarrow import fs as pafs
+
     sp = as_state_path(store_dir)
-    return [f for f in sp.listdir()
-            if f.endswith(".parquet") and not f.startswith((".", "_"))]
+    sel = pafs.FileSelector(sp.rel, allow_not_found=True, recursive=False)
+    return {i.base_name: i.size for i in sp.fs.get_file_info(sel)
+            if i.base_name.endswith(".parquet")
+            and not i.base_name.startswith((".", "_"))}
 
 
-def _check_meta(store_dir: str, num_perms: int, anchors: bool) -> None:
-    """A store is bound to ONE signature config: the sidecar written at
-    first persist pins num_perms and the anchors setting; a mismatched
-    run must fail fast instead of silently mixing signature widths."""
-    import json
-
-    path = as_state_path(store_dir).join(_META_FILE)
-    if not path.isfile():
-        return
-    meta = json.loads(path.read_bytes().decode())
-    if (meta.get("num_perms") != num_perms
-            or bool(meta.get("anchors")) != bool(anchors)):
-        raise ValueError(
-            f"signature store config mismatch: store has "
-            f"num_perms={meta.get('num_perms')} anchors={meta.get('anchors')}"
-            f", this run wants num_perms={num_perms} anchors={anchors}")
+def _store_files(store_dir) -> list[str]:
+    return sorted(_store_listing(store_dir))
 
 
-def _write_meta(store_dir: str, num_perms: int, anchors: bool) -> None:
+def _ranges(k: int) -> list[tuple[int, int]]:
+    """K contiguous ``[lo, hi)`` prefix ranges covering the prefix
+    space; prefix ``p`` falls in range ``(p * k) >> 16``."""
+    b = [-(-i * _PREFIXES // k) for i in range(k + 1)]
+    return list(zip(b[:-1], b[1:]))
+
+
+def _range_file(token: str, lo: int, hi: int) -> str:
+    return f"{token}-{lo:05d}-{hi:05d}.parquet"
+
+
+def _range_count(nbytes: int) -> int:
+    """Prefix ranges for a store call or rewrite over ``nbytes`` of
+    store and reps: every CPU busy, every range near one target block."""
+    return min(_PREFIXES, sized_partitions(nbytes))
+
+
+def _file_ranges(names) -> tuple:
+    """``(name, lo, hi)`` per range-named store file."""
+    return tuple((n, int(m[1]), int(m[2])) for n in sorted(names)
+                 if (m := _RANGED.match(n)))
+
+
+def _unranged(names) -> list:
+    """The store files that are not range-named: any prefix may be in
+    them."""
+    return sorted(n for n in names if not _RANGED.match(n))
+
+
+def _new_token() -> str:
+    return os.urandom(8).hex()
+
+
+def _pin_meta(store_dir, num_perms: int, anchors: bool) -> None:
+    """A store is bound to ONE signature config: the sidecar written
+    before the first append pins num_perms and the anchors setting; a
+    mismatched run must fail fast instead of silently mixing signature
+    widths."""
     import json
 
     sp = as_state_path(store_dir)
@@ -124,11 +166,14 @@ def _write_meta(store_dir: str, num_perms: int, anchors: bool) -> None:
         sp.makedirs()
         path.write_bytes_atomic(json.dumps(
             {"num_perms": num_perms, "anchors": bool(anchors)}).encode())
-
-
-def _store_nbytes(store_dir) -> int:
-    sp = as_state_path(store_dir)
-    return sum(sp.join(f).size() for f in _store_files(store_dir))
+        return
+    meta = json.loads(path.read_bytes().decode())
+    if (meta.get("num_perms") != num_perms
+            or bool(meta.get("anchors")) != bool(anchors)):
+        raise ValueError(
+            f"signature store config mismatch: store has "
+            f"num_perms={meta.get('num_perms')} anchors={meta.get('anchors')}"
+            f", this run wants num_perms={num_perms} anchors={anchors}")
 
 
 def _bin_from(flat_bytes: bytes, offsets: np.ndarray) -> pa.Array:
@@ -147,7 +192,7 @@ def _bin_views(col: "pa.ChunkedArray") -> tuple[np.ndarray, np.ndarray]:
         arr = (arr.chunk(0) if arr.num_chunks
                else pa.array([], pa.binary()))
     # Binary buffers: [validity, offsets, data] — int64 offsets for
-    # large_binary (the combined >2 GiB wire columns), int32 otherwise
+    # large_binary, int32 otherwise
     wid = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
     offs_all = np.frombuffer(arr.buffers()[1] or b"\x00" * 8, wid)
     offs = offs_all[arr.offset:arr.offset + len(arr) + 1].astype(np.int64)
@@ -174,61 +219,16 @@ def _sha_np(col) -> np.ndarray:
     return np.array(arr.to_pylist(), dtype="S64")
 
 
-# per-worker-process cache of the store's sorted sha index + payload
-# views (FIFO-bounded; entries pin the plasma object alive)
-_WIRE_CACHE: dict = {}
+_HEX = np.zeros(256, np.int64)       # ASCII hex digit → its value
+_HEX[np.frombuffer(b"0123456789abcdefABCDEF", np.uint8)] = [
+    *range(16), *range(10, 16)]
 
 
-@ray.remote(num_cpus=1)
-def _combine_wire(refs: list, wire_cols: tuple):
-    """ONE task concatenates the store's blocks into a single
-    contiguous table in plasma (the stages/verify._build_index
-    pattern): per-batch ``take`` on a many-chunk binary ChunkedArray
-    re-resolves chunks pathologically (measured 0.3 s per 512-row
-    gather vs 0.1 ms single-chunk), so one global combine pays the
-    copy once per cluster instead of per batch."""
-    tables = [t for t in ray.get(refs) if len(t)]
-    if not tables:
-        return None
-    tbl = pa.concat_tables(
-        [t.select(["text_sha256", *wire_cols]) for t in tables])
-    # int32-offset binary columns cap at 2 GiB per chunk — widen the
-    # blob columns to large_binary BEFORE combining so big stores
-    # combine into one contiguous chunk instead of raising
-    fields = [pa.field(f.name, pa.large_binary())
-              if pa.types.is_binary(f.type) and f.name.endswith("_blob")
-              else f for f in tbl.schema]
-    return tbl.cast(pa.schema(fields)).combine_chunks()
-
-
-@ray.remote
-def _n_computed(*blocks) -> int:
-    """Rows of the signature blocks that ran the kernels (not
-    ``sig_cached``) — one task over the refs, not an aggregate
-    execution."""
-    return sum(int((~np.asarray(t["sig_cached"])).sum()) for t in blocks)
-
-
-def _wire_index(wire_ref, wire_cols: tuple):
-    """(sorted S64 sha keys, original row position per sorted key,
-    single-chunk payload arrays) built once per worker process from
-    the combined wire table — zero-copy plasma read, C-level sort."""
-    from ..stages.common import bounded_cache_put
-
-    key = (wire_ref.hex(), wire_cols)
-    hit = _WIRE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    tbl = ray.get(wire_ref)
-    if tbl is None or len(tbl) == 0:
-        out = (np.empty(0, dtype="S64"), np.empty(0, np.int64), {})
-        return bounded_cache_put(_WIRE_CACHE, key, out)
-    keys = _sha_np(tbl["text_sha256"])
-    order = np.argsort(keys, kind="stable").astype(np.int64)
-    payload = {c: (tbl[c].chunk(0) if isinstance(tbl[c], pa.ChunkedArray)
-                   else tbl[c]) for c in wire_cols}
-    out = (keys[order], order, payload)
-    return bounded_cache_put(_WIRE_CACHE, key, out)
+def _prefix16(col) -> np.ndarray:
+    """The first four hex digits of a ``text_sha256`` column, as ints
+    in ``[0, 2^16)``."""
+    d = _HEX[_sha_np(col).view(np.uint8).reshape(-1, 64)[:, :4]]
+    return (d[:, 0] << 12) | (d[:, 1] << 8) | (d[:, 2] << 4) | d[:, 3]
 
 
 def encode_sig_columns(t: pa.Table) -> pa.Table:
@@ -280,26 +280,214 @@ def decode_sig_columns(t: pa.Table, num_perms: int = _P) -> pa.Table:
     return pa.table(cols)
 
 
+# ---- the range reader and the append commit ---------------------------------
+def _by_range(t: pa.Table, k: int):
+    """``t`` cut into ``k`` Arrow slices, slice ``i`` holding the rows
+    whose content-key prefix falls in range ``i`` (``t`` when k is 1)."""
+    from ..stages.common import slice_parts
+
+    if k == 1:
+        return t
+    return slice_parts(t, (_prefix16(t["text_sha256"]) * k) >> 16, k)
+
+
+def _read_file(sp: StatePath, name: str) -> pa.Table:
+    """One store file, with a ``sig_version`` column (null on the rows
+    of a pre-fingerprint file)."""
+    import pyarrow.parquet as pq
+
+    with sp.fs.open_input_file(sp.join(name).rel) as fh:
+        t = pq.read_table(fh)
+    if "sig_version" not in t.column_names:
+        t = t.append_column("sig_version", pa.nulls(len(t), pa.int64()))
+    return t
+
+
+@ray.remote
+def _split_file(sp: StatePath, name: str, k: int):
+    """One store file that is not range-named, read once → ``k`` slices
+    by range, like a reps block."""
+    return _by_range(_read_file(sp, name), k)
+
+
+def _read_range(sp: StatePath, files: tuple, lo: int, hi: int,
+                ver: int | None = None, split: tuple = ()
+                ) -> "pa.Table | None":
+    """The store rows whose content-key prefix lies in ``[lo, hi)``:
+    the ``split`` slices of this range (from :func:`_split_file`) plus
+    the rows of the range ``files`` (``(name, lo, hi)``) whose range
+    meets it; None when there are none.
+
+    A row without a fingerprint (a pre-fingerprint file, or such a row
+    kept by compaction, as a null ``sig_version``) is legacy: it
+    predates the fingerprint and was only readable under the meta
+    hard-check, so it is trusted as current; ``upgrade_signatures``
+    migrates it properly.  With ``ver``, only legacy rows and rows at
+    that fingerprint are kept and the column is dropped; without it
+    every row is kept, with the column (the compaction read)."""
+    tables = [t for t in split if t.num_rows]
+    for name, flo, fhi in files:
+        if flo >= hi or fhi <= lo:
+            continue
+        t = _read_file(sp, name)
+        if flo < lo or fhi > hi:
+            p = _prefix16(t["text_sha256"])
+            t = t.filter(pa.array((p >= lo) & (p < hi)))
+        tables.append(t)
+    if not tables:
+        return None
+    t = pa.concat_tables(tables, promote_options="default")
+    if ver is not None:
+        v = t["sig_version"]
+        t = t.filter(pc.or_kleene(pc.is_null(v), pc.equal(v, ver)))
+        t = t.drop_columns(["sig_version"])
+    return t.combine_chunks()
+
+
+def _commit_parquet(path: StatePath, table: pa.Table) -> None:
+    """All-or-nothing parquet write through the statefs commit
+    protocol: a dot-prefixed temp file plus one rename on POSIX, one
+    PUT on object stores.  The listing never shows a partial file."""
+    import pyarrow.parquet as pq
+
+    buf = pa.BufferOutputStream()
+    pq.write_table(table, buf, row_group_size=65536)
+    path.write_bytes_atomic(buf.getvalue())
+
+
+def _append_range(sp: StatePath, token: str, lo: int, hi: int,
+                  sigs: pa.Table, ver: int) -> None:
+    """Persist one range's computed rows as the file named by
+    ``(token, range)``, each row stamped with the config/kernel
+    fingerprint it was computed under.  A retried task rewrites the
+    same name with the same rows."""
+    cols = ["text_sha256", *(c for c in SIG_COLS if c in sigs.column_names)]
+    t = encode_sig_columns(sigs.select(cols))
+    t = t.append_column("sig_version",
+                        pa.array(np.full(len(t), ver, np.int64)))
+    _commit_parquet(sp.join(_range_file(token, lo, hi)), t)
+
+
+# ---- the store plan ---------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class _RangeJob:
+    """What every range task of one store call shares (put once)."""
+
+    store: StatePath
+    files: tuple            # (name, lo, hi) per range-named store file
+    token: str              # names this call's append files
+    ver: int
+    sig_kwargs: dict
+    out_cols: tuple
+    batch_size: int
+
+
+@ray.remote
+def _split_ranges(block, k: int, cols: list):
+    """One reps block → ``k`` Arrow slices, slice ``i`` holding the rows
+    whose content-key prefix falls in range ``i``."""
+    from ray.data.block import BlockAccessor
+
+    return _by_range(BlockAccessor.for_block(block).to_arrow().select(cols),
+                     k)
+
+
+def _flagged(t: pa.Table, cached: bool) -> pa.Table:
+    return t.append_column("sig_cached",
+                           pa.array(np.full(len(t), cached, dtype=bool)))
+
+
+@ray.remote(num_returns=3)
+def _range_task(job: _RangeJob, lo: int, hi: int, n_split: int, *slices):
+    """One prefix range of a store call: probe, decode the hits and run
+    the kernel on the misses (in ``batch_size`` slices).  ``slices``
+    are this range's slices of the ``n_split`` split store files, then
+    of the reps blocks.  Returns ``(sigs, [rows, computed, failed],
+    computed sigs or None)``, ``failed`` counting the computed rows
+    with a ``sig_error``.  Writes nothing: :func:`_commit_range`
+    persists the computed rows."""
+    from ..pipelines.dedup import _signature_cached
+
+    reps = [s for s in slices[n_split:] if s.num_rows]
+    if not reps:
+        return pa.table({}), np.zeros(3, np.int64), None
+    t = pa.concat_tables(reps)
+    anchors = job.sig_kwargs["compute_anchors"]
+    num_perms = (job.sig_kwargs.get("minhash") or MinHashConfig()).num_perms
+    parts = []
+    store = _read_range(job.store, job.files, lo, hi, job.ver,
+                        slices[:n_split])
+    if store is not None:
+        if ("anchors_blob" in store.column_names) != bool(anchors):
+            raise ValueError(
+                "signature store anchors setting does not match this "
+                "run's config — a store is bound to one signature config")
+        keys = _sha_np(store["text_sha256"])
+        order = np.argsort(keys, kind="stable")
+        pos, hit = sorted_probe(keys[order], _sha_np(t["text_sha256"]))
+        if hit.any():
+            dec = decode_sig_columns(
+                store.take(pa.array(order[pos[hit]])), num_perms=num_perms)
+            base = t.filter(pa.array(hit)).drop_columns(["text"])
+            for c in SIG_COLS:
+                if c in dec.column_names:
+                    base = base.append_column(c, dec[c])
+            parts.append(_flagged(base, True).select(job.out_cols))
+            t = t.filter(pa.array(~hit))
+    comp, failed = None, 0
+    if len(t):
+        b = job.batch_size
+        comp = pa.concat_tables([
+            _signature_cached(t.slice(i, b), **job.sig_kwargs)
+            for i in range(0, len(t), b)])
+        comp = _flagged(comp, False).select(job.out_cols)
+        failed = len(comp) - comp["sig_error"].null_count
+        parts.append(comp)
+    out = (parts[0] if len(parts) == 1
+           else pa.concat_tables(parts, promote_options="default"))
+    return out, np.array([len(out), len(t), failed], np.int64), comp
+
+
+@ray.remote
+def _commit_range(job: _RangeJob, lo: int, hi: int, comp) -> None:
+    """Persist one range's computed rows (None: nothing computed)."""
+    if comp is not None:
+        _append_range(job.store, job.token, lo, hi, comp, job.ver)
+
+
 def incremental_signatures(
     reps: "ray.data.Dataset",
     store_dir: str,
-    num_partitions: int = 16,
     compute_anchors: bool = True,
     sig_kwargs: dict | None = None,
     passthrough: tuple = (),
-    broadcast_max_bytes: int | None = None,
     batch_size: int = 512,
     fence_wait: bool = False,
 ) -> "tuple[ray.data.Dataset, int]":
-    """Fenced wrapper of :func:`_incremental_signatures_impl`: the
-    whole classify→probe→compute→persist flow holds the store's write
-    fence (``state/fence.py`` ≙ ``lock/lock.go:65-114``), so two jobs
-    pointed at one ``store_dir`` can no longer interleave appends —
-    the second writer raises ``FenceHeldError`` (or waits, with
-    ``fence_wait=True``) instead of corrupting the store."""
+    """Signatures for ``reps`` (url, text, text_sha256 — one row per
+    content key, e.g. exact-class representatives), computing only rows
+    whose content key is absent from the store and persisting those for
+    the next run.
+
+    ``sig_kwargs`` are forwarded to the signature stage (a store is
+    bound to ONE signature config — num_perms and the anchors setting
+    are validated against the store's meta sidecar); ``passthrough``
+    columns of ``reps`` (e.g. n_bytes) ride through to the output.
+
+    Returns ``(sigs, n_computed)``: ``sigs`` carries
+    (url, *passthrough, text_sha256, *SIG_COLS, sig_cached) for every
+    input row — byte-identical to a fresh full compute (pinned by
+    tests) — and ``n_computed`` is how many rows actually ran the
+    signature kernels this call.
+
+    The whole probe→compute→persist flow holds the store's write fence
+    (``state/fence.py`` ≙ ``lock/lock.go:65-114``), so two jobs pointed
+    at one ``store_dir`` cannot interleave appends — the second writer
+    raises ``FenceHeldError`` (or waits, with ``fence_wait=True``)."""
     from .fence import WriteFence
 
     sp = as_state_path(store_dir)
+    fence = None
     if sp.local() is None:
         # no fencing primitive on object stores (statefs docstring);
         # single-writer is by deployment convention there
@@ -309,245 +497,81 @@ def incremental_signatures(
             f"signature store {sp.raw!r} is not on a local/shared-POSIX "
             "filesystem: the write fence cannot operate — ensure ONE "
             "writer per store by deployment convention", stacklevel=2)
-        return _incremental_signatures_impl(
-            reps, store_dir, num_partitions=num_partitions,
-            compute_anchors=compute_anchors, sig_kwargs=sig_kwargs,
-            passthrough=passthrough,
-            broadcast_max_bytes=broadcast_max_bytes,
-            batch_size=batch_size)
-    fence = WriteFence(sp.local()).acquire(wait=fence_wait)
+    else:
+        fence = WriteFence(sp.local()).acquire(wait=fence_wait)
     try:
-        return _incremental_signatures_impl(
-            reps, store_dir, num_partitions=num_partitions,
-            compute_anchors=compute_anchors, sig_kwargs=sig_kwargs,
-            passthrough=passthrough,
-            broadcast_max_bytes=broadcast_max_bytes,
-            batch_size=batch_size)
+        sigs, counts = _store_signatures(
+            reps, sp, compute_anchors, sig_kwargs, passthrough, batch_size)
     finally:
-        fence.release()
+        if fence is not None:
+            fence.release()
+    return sigs, int(counts[1])
 
 
-def _incremental_signatures_impl(
-    reps: "ray.data.Dataset",
-    store_dir: str,
-    num_partitions: int = 16,
-    compute_anchors: bool = True,
-    sig_kwargs: dict | None = None,
-    passthrough: tuple = (),
-    broadcast_max_bytes: int | None = None,
-    batch_size: int = 512,
-) -> "tuple[ray.data.Dataset, int]":
-    """Signatures for ``reps`` (url, text, text_sha256 — one row per
-    content key, e.g. exact-class representatives), computing only rows
-    whose content key is absent from the store and persisting those for
-    the next run.
-
-    ``sig_kwargs`` are forwarded to the signature stage (a store is
-    bound to ONE signature config — num_perms and the anchors setting
-    are validated against the store schema on load); ``passthrough``
-    columns of ``reps`` (e.g. n_bytes) ride through to the output.
-
-    Returns ``(sigs, n_computed)``: ``sigs`` carries
-    (url, *passthrough, text_sha256, *SIG_COLS) for every input row —
-    byte-identical to a fresh full compute (pinned by tests) — and
-    ``n_computed`` is how many rows actually ran the signature kernels
-    this call.
-    """
-    import functools
-
-    from ..pipelines.dedup import _signature_cached
-    from ..stages.joins import hash_join
-
+def _store_signatures(reps, sp: StatePath, compute_anchors: bool,
+                      sig_kwargs: dict | None, passthrough: tuple,
+                      batch_size: int):
+    """The unfenced store plan: split tasks over the reps blocks and
+    the store files that are not range-named, one task per prefix
+    range, one commit task per range.  Every task is awaited, on the
+    error path too, before this returns — the caller's fence outlives
+    every append.  Returns ``(sigs, [rows, computed, failed])``."""
     sig_kwargs = dict(sig_kwargs or {})
     sig_kwargs.setdefault("compute_anchors", compute_anchors)
-    compute_anchors = sig_kwargs["compute_anchors"]
+    anchors = sig_kwargs["compute_anchors"]
     num_perms = (sig_kwargs.get("minhash") or MinHashConfig()).num_perms
+    out_cols = ("url", *passthrough, "text_sha256",
+                *(c for c in SIG_COLS if anchors or c != "anchors"),
+                "sig_cached")
 
-    out_cols = ["url", *passthrough, "text_sha256", *SIG_COLS]
-    if not compute_anchors:
-        out_cols = [c for c in out_cols if c != "anchors"]
+    listing = _store_listing(sp)
+    _pin_meta(sp, num_perms, anchors)
+    blocks, nbytes = [], sum(listing.values())
+    # materialize() first: on a block-ref wrapper it starts no execution
+    # and makes the bundle walk ~10 ms cheaper
+    for bundle in reps.materialize().iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows:
+                blocks.append(ref)
+                nbytes += meta.size_bytes or 0
+    if not blocks:
+        return ray.data.from_arrow(pa.table({})), np.zeros(3, np.int64)
+    k = _range_count(nbytes)
+    in_cols = ["url", *passthrough, "text_sha256", "text"]
+    old = _split_unranged(sp, listing, k)
+    slices = _split_all(_split_ranges, k, [(b, k, in_cols) for b in blocks])
+    job = ray.put(_RangeJob(sp, _file_ranges(listing), _new_token(),
+                            sig_config_version(sig_kwargs), sig_kwargs,
+                            out_cols, batch_size))
+    ranges = _ranges(k)
+    outs = [_range_task.remote(job, lo, hi, len(old),
+                               *[s[i] for s in old + slices])
+            for i, (lo, hi) in enumerate(ranges)]
+    commits = [_commit_range.remote(job, lo, hi, comp)
+               for (lo, hi), (_, _, comp) in zip(ranges, outs)]
+    counts = get_all([c for _, c, _ in outs] + commits)[:k]
+    kept = [t for (t, _, _), c in zip(outs, counts) if c[0]]
+    return ray.data.from_arrow_refs(kept), np.sum(counts, axis=0)
 
-    out_cols = [*out_cols, "sig_cached"]
-    store_cols = ["text_sha256",
-                  *(c for c in SIG_COLS if compute_anchors or c != "anchors")]
 
-    ver = sig_config_version(sig_kwargs)
+def _split_all(task, k: int, calls: list) -> list:
+    """One ``task`` per argument tuple in ``calls``, each returning
+    ``k`` range slices: a list of per-call lists of slice refs."""
+    split = task.options(num_returns=k)
+    out = [split.remote(*a) for a in calls]
+    return [[s] for s in out] if k == 1 else out
 
-    store = None
-    fits = False
-    if _store_files(store_dir):
-        import pyarrow.parquet as pq
 
-        _check_meta(store_dir, num_perms, compute_anchors)
-        # classify files by FOOTER, per file, on the driver (metadata
-        # only — no data read).  Deciding from the unified dataset
-        # schema would be wrong for a MIXED store (legacy files from a
-        # pre-fingerprint run + versioned files appended later): schema
-        # inference could miss sig_version depending on file-listing
-        # order and silently skip the version filter, reusing
-        # signatures computed under a different config.
-        sp = as_state_path(store_dir)
-        versioned, legacy = [], []
-        names = None
-        for f in _store_files(store_dir):
-            fp = sp.join(f)
-            with sp.fs.open_input_file(fp.rel) as fh:
-                fnames = pq.ParquetFile(fh).schema_arrow.names
-            names = names or fnames
-            (versioned if "sig_version" in fnames else legacy).append(fp.rel)
-        has_anchors = "anchors_blob" in (names or [])
-        if has_anchors != bool(compute_anchors):
-            raise ValueError(
-                "signature store anchors setting does not match this "
-                "run's config — a store is bound to one signature config")
-        # membership is (sha, sig_version): rows persisted under a
-        # different config/kernel fingerprint are invisible and their
-        # shas re-enter the work set.  Legacy files (no version
-        # column) predate the fingerprint and were only readable under
-        # the meta hard-check above — trusted as current one time;
-        # upgrade_signatures migrates them properly.
-        parts = []
-        if versioned:
-            parts.append(
-                ray.data.read_parquet(versioned, filesystem=sp.fs)
-                .filter(expr=f"sig_version == {ver}")
-                .drop_columns(["sig_version"]))
-        if legacy:
-            parts.append(ray.data.read_parquet(legacy, filesystem=sp.fs))
-        store = parts[0] if len(parts) == 1 else parts[0].union(parts[1])
-        budget = (STORE_BROADCAST_MAX_BYTES if broadcast_max_bytes is None
-                  else broadcast_max_bytes)
-        from ..stages.common import per_node_object_store_bytes
-
-        cap = per_node_object_store_bytes()
-        if cap:
-            budget = min(budget, int(cap * 0.25))
-        fits = _store_nbytes(store_dir) <= budget
-
-    def _persist_new(ds: "ray.data.Dataset") -> None:
-        # append-only: new content keys only ever ADD files, each row
-        # stamped with the config/kernel fingerprint it was computed
-        # under (files within one run are version-homogeneous)
-        _write_meta(store_dir, num_perms, compute_anchors)
-        (ds.select_columns(store_cols)
-         .map_batches(encode_sig_columns, batch_format="pyarrow")
-         .map_batches(
-             lambda t: t.append_column(
-                 "sig_version",
-                 pa.array(np.full(len(t), ver, np.int64), pa.int64())),
-             batch_format="pyarrow")
-         .write_parquet(as_state_path(store_dir).rel,
-                        filesystem=as_state_path(store_dir).fs))
-
-    if store is not None and fits:
-        # direct-refs fused plan: the wire table is materialized once
-        # and every worker maps it zero-copy from plasma, building ONE
-        # sorted S64 sha array per worker process (C memcmp
-        # searchsorted — no pandas string Index, no per-row Python).
-        # Each reps batch splits in place: store hits attach+decode,
-        # misses run the kernels — one operator, so the sigs dataset
-        # keeps the exact block structure of the fresh-compute path
-        # (the earlier hits/miss split + union measured SLOWER than
-        # recomputing end-to-end at 500k docs: BENCH/sigstore_ab.json).
-        from ..stages.common import block_refs_of
-
-        wire_cols = tuple(c for c in
-                          ("mh_blob", "simhash_i64", "n_shingles",
-                           "anchors_blob", "sig_error")
-                          if has_anchors or c != "anchors_blob")
-        wire = store.materialize()
-        wire_ref = _combine_wire.remote(list(block_refs_of(wire)),
-                                        wire_cols)
-
-        def fused(t: pa.Table) -> pa.Table:
-            from ..stages.common import sorted_probe
-
-            keys_sorted, rowpos, payload = _wire_index(wire_ref, wire_cols)
-            pos, hit = sorted_probe(keys_sorted, _sha_np(t["text_sha256"]))
-            parts = []
-            if hit.any():
-                take = pa.array(rowpos[pos[hit]])
-                base = t.filter(pa.array(hit)).select(
-                    ["url", *passthrough, "text_sha256"])
-                dec = decode_sig_columns(
-                    pa.table({c: payload[c].take(take) for c in wire_cols}),
-                    num_perms=num_perms)
-                for c in SIG_COLS:
-                    if compute_anchors or c != "anchors":
-                        base = base.append_column(c, dec[c])
-                base = base.append_column(
-                    "sig_cached", pa.array(np.ones(len(base), dtype=bool)))
-                parts.append(base.select(out_cols))
-            if not hit.all() or not parts:
-                sub = t.filter(pa.array(~hit))
-                comp = _signature_cached(sub, **sig_kwargs)
-                comp = comp.append_column(
-                    "sig_cached", pa.array(np.zeros(len(comp), dtype=bool)))
-                parts.append(comp.select(out_cols))
-            return (parts[0] if len(parts) == 1
-                    else pa.concat_tables(parts, promote_options="default"))
-
-        sigs = reps.map_batches(fused, batch_format="pyarrow",
-                                batch_size=batch_size).materialize()
-
-        n_computed = int(ray.get(_n_computed.remote(*block_refs_of(sigs))))
-        if n_computed:
-            _persist_new(sigs.map_batches(
-                lambda t: t.filter(pa.array(~np.asarray(t["sig_cached"]))),
-                batch_format="pyarrow"))
-        return sigs, n_computed
-
-    hits = None
-    miss = reps
-    # scale twin (store exceeds the plasma budget): a keyed inner join
-    # for the hits and a keyed anti-join for the misses — nothing
-    # broadcast, nothing on the driver (equality-tested against the
-    # fused plan).  Materialize the (possibly union-of-versioned-and-
-    # legacy) store FIRST: both joins read it, and it would otherwise
-    # be read twice.  An empty store leaves every rep a miss
-    store = store.materialize() if store is not None else None
-    if store is not None and store.count():
-        slim = reps.select_columns(["url", *passthrough, "text_sha256"])
-        miss = hash_join(reps, store, "text_sha256", "left anti",
-                         num_partitions=num_partitions)
-        hits = (hash_join(slim, store, "text_sha256",
-                          num_partitions=num_partitions)
-                .map_batches(
-                    functools.partial(decode_sig_columns,
-                                      num_perms=num_perms),
-                    batch_format="pyarrow")
-                .map_batches(
-                    lambda t: t.append_column(
-                        "sig_cached",
-                        pa.array(np.ones(len(t), dtype=bool))),
-                    batch_format="pyarrow")
-                .select_columns(out_cols))
-
-    # the select INSIDE the fused map chain drops the wide text column
-    # before materialization (the cold/bootstrap run would otherwise pin
-    # a second corpus-wide text copy in plasma — the regression
-    # _signature_slim exists to prevent on the baseline path)
-    computed = miss.map_batches(
-        _signature_cached, fn_kwargs=sig_kwargs,
-        batch_format="pyarrow", batch_size=batch_size).map_batches(
-            lambda t: t.append_column(
-                "sig_cached",
-                pa.array(np.zeros(len(t), dtype=bool))).select(out_cols),
-            batch_format="pyarrow").materialize()
-    n_computed = computed.count()
-
-    if n_computed:
-        _persist_new(computed)
-
-    sigs = computed if hits is None else hits.union(computed)
-    return sigs, n_computed
+def _split_unranged(sp: StatePath, names, k: int) -> list:
+    """Range slices of the store files that are not range-named, each
+    read once by one split task."""
+    return _split_all(_split_file, k, [(sp, n, k) for n in _unranged(names)])
 
 
 def upgrade_signatures(
     reps: "ray.data.Dataset",
     store_dir: str,
     sig_kwargs: dict | None = None,
-    num_partitions: int = 16,
     compute_anchors: bool = True,
     passthrough: tuple = (),
     batch_size: int = 512,
@@ -558,9 +582,9 @@ def upgrade_signatures(
     hashes, recompute under the new algorithm, account
     upgraded/unchanged/failed, drop the superseded values).
 
-    Files whose per-row fingerprint differs from the new config's (or
-    that predate the fingerprint column) are superseded: they are
-    removed up front, the meta sidecar is rewritten, and the normal
+    Files holding any row whose fingerprint differs from the new
+    config's (or that predates the fingerprint) are superseded: they
+    are removed up front, the meta sidecar is rewritten, and the normal
     incremental flow recomputes exactly the rows that lost their store
     entry.  Rows already at the new version (a resumed upgrade) are
     reused byte-identically — the warm path stays the warm path.
@@ -573,10 +597,6 @@ def upgrade_signatures(
     writer observing a half-migrated store would re-persist stale
     rows).
     """
-    import json
-
-    import pyarrow.parquet as pq
-
     from contextlib import nullcontext
 
     from .fence import WriteFence
@@ -584,12 +604,12 @@ def upgrade_signatures(
     lp = as_state_path(store_dir).local()
     with (WriteFence(lp) if lp is not None else nullcontext()):
         return _upgrade_signatures_fenced(
-            reps, store_dir, sig_kwargs, num_partitions, compute_anchors,
-            passthrough, batch_size)
+            reps, store_dir, sig_kwargs, compute_anchors, passthrough,
+            batch_size)
 
 
-def _upgrade_signatures_fenced(reps, store_dir, sig_kwargs, num_partitions,
-                               compute_anchors, passthrough, batch_size):
+def _upgrade_signatures_fenced(reps, store_dir, sig_kwargs, compute_anchors,
+                               passthrough, batch_size):
     import json
 
     import pyarrow.parquet as pq
@@ -605,13 +625,12 @@ def _upgrade_signatures_fenced(reps, store_dir, sig_kwargs, num_partitions,
         fp = sp.join(f)
         with sp.fs.open_input_file(fp.rel) as fh:
             pf = pq.ParquetFile(fh)
-            if "sig_version" not in pf.schema_arrow.names:
-                superseded.append(fp)   # pre-fingerprint store
-                continue
-            # files are version-homogeneous (one persist = one run =
-            # one version); read the tiny version column, not the data
-            fver = pf.read(columns=["sig_version"])
-        if len(fver) == 0 or fver["sig_version"][0].as_py() != ver:
+            # read the tiny version column, not the data
+            fver = (pf.read(columns=["sig_version"])["sig_version"]
+                    if "sig_version" in pf.schema_arrow.names else None)
+        if (fver is None or len(fver) == 0
+                or not pc.all(pc.fill_null(pc.equal(fver, ver),
+                                           False)).as_py()):
             superseded.append(fp)
     for fp in superseded:
         fp.remove()
@@ -623,35 +642,15 @@ def _upgrade_signatures_fenced(reps, store_dir, sig_kwargs, num_partitions,
              "anchors": bool(sig_kwargs["compute_anchors"]),
              "sig_version": ver}).encode())
 
-    # the unfenced impl: the migration already holds the store fence
-    sigs, n_computed = _incremental_signatures_impl(
-        reps, store_dir,
-        num_partitions=num_partitions,
-        compute_anchors=sig_kwargs["compute_anchors"],
-        sig_kwargs=sig_kwargs,
-        passthrough=passthrough,
-        batch_size=batch_size,
-    )
-    sigs = sigs.materialize()
-
-    def acct(t: pa.Table) -> pa.Table:
-        cached = np.asarray(t["sig_cached"], bool)
-        failed = (~pa.compute.is_null(t["sig_error"]).to_numpy(
-            zero_copy_only=False)) & ~cached
-        return pa.table({
-            "unchanged": pa.array([int(cached.sum())], pa.int64()),
-            "failed": pa.array([int(failed.sum())], pa.int64()),
-        })
-
-    stats = (sigs.select_columns(["sig_cached", "sig_error"])
-             .map_batches(acct, batch_format="pyarrow").materialize())
-    unchanged = int(stats.sum("unchanged") or 0)
-    failed = int(stats.sum("failed") or 0)
+    # the unfenced plan: the migration already holds the store fence
+    sigs, (rows, computed, failed) = _store_signatures(
+        reps, sp, sig_kwargs["compute_anchors"], sig_kwargs, passthrough,
+        batch_size)
     # disjoint accounting ≙ files/hash_upgrade.go upgraded/unchanged/
-    # failed: n_computed counts every recomputed row INCLUDING the ones
-    # whose recompute errored — those belong to "failed" only
-    report = {"upgraded": int(n_computed) - failed, "unchanged": unchanged,
-              "failed": failed, "superseded_files": len(superseded)}
+    # failed: a recomputed row whose recompute errored is "failed" only
+    report = {"upgraded": int(computed - failed),
+              "unchanged": int(rows - computed), "failed": int(failed),
+              "superseded_files": len(superseded)}
     return sigs, report
 
 
@@ -746,9 +745,10 @@ def _require_local(store_dir, op: str) -> str:
 
 
 def compact_store(store_dir: str, target_files: int = 16) -> int:
-    """Rewrite the append-only store as ~``target_files`` parquet files
-    (each run of :func:`incremental_signatures` ADDS files, and the
-    warm read/combine cost grows with file count).  Atomic per the
+    """Rewrite the append-only store as one range-named file per
+    prefix range, ``target_files`` ranges (each run of
+    :func:`incremental_signatures` ADDS files, and every range task
+    opens each file whose range meets its own).  Atomic per the
     single-writer rule: the new files land in a sibling tmp dir which
     is swapped in with two renames.  Returns the new file count.
     Holds the store's write fence for the whole rewrite.
@@ -761,29 +761,10 @@ def compact_store(store_dir: str, target_files: int = 16) -> int:
 
     store_dir = _require_local(store_dir, "compact_store")
     files = _store_files(store_dir)
-    if len(files) <= target_files:
+    if len(files) <= target_files and not _unranged(files):
         return len(files)
     with WriteFence(store_dir):
-        return _compact_store_fenced(store_dir, target_files)
-
-
-def _compact_store_fenced(store_dir: str, target_files: int) -> int:
-    import shutil
-
-    files = _store_files(store_dir)
-    store = ray.data.read_parquet(
-        [os.path.join(store_dir, f) for f in files])
-    tmp = store_dir.rstrip("/") + ".compact_tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    store.repartition(target_files).write_parquet(tmp)
-    meta = os.path.join(store_dir, _META_FILE)
-    if os.path.exists(meta):
-        shutil.copy(meta, os.path.join(tmp, _META_FILE))
-    old = store_dir.rstrip("/") + ".compact_old"
-    shutil.rmtree(old, ignore_errors=True)
-    os.rename(store_dir, old)
-    os.rename(tmp, store_dir)
-    shutil.rmtree(old, ignore_errors=True)
+        _rewrite_store(store_dir, target_files, None, "compact")
     return len(_store_files(store_dir))
 
 
@@ -795,61 +776,74 @@ def prune_store(store_dir: str,
     liveness half of the reference's prune flow (``files/prune.go:122,
     175-204``) applied to the near-dup tier: across snapshots, content
     that left the corpus would otherwise accumulate forever in the
-    append-only store.  Rewrites atomically like :func:`compact_store`
-    and holds the store's write fence the same way; returns the number
-    of rows dropped.  Local/shared-POSIX only, like
-    :func:`compact_store`."""
+    append-only store.  Rewrites atomically like :func:`compact_store`,
+    into one file per prefix range, and holds the store's write fence
+    the same way; returns the number of rows dropped.
+    Local/shared-POSIX only, like :func:`compact_store`."""
+    from ..stages.common import block_refs_of
     from .fence import WriteFence
 
     store_dir = _require_local(store_dir, "prune_store")
-    if not _store_files(store_dir):
+    listing = _store_listing(store_dir)
+    if not listing:
         return 0
+    live = live_keys.select_columns([key_col]).materialize()
+    live_ref = _live_key_set.remote(key_col, *block_refs_of(live))
+    k = _range_count(sum(listing.values()))
     with WriteFence(store_dir):
-        return _prune_store_fenced(store_dir, live_keys, key_col)
+        before, after = _rewrite_store(store_dir, k, live_ref, "prune")
+    return int(before - after)
 
 
-def _prune_store_fenced(store_dir: str,
-                        live_keys: "ray.data.Dataset",
-                        key_col: str) -> int:
+@ray.remote
+def _live_key_set(key_col: str, *blocks) -> np.ndarray:
+    """Sorted distinct 'S64' content keys of the live blocks."""
+    keys = [_sha_np(t[key_col]) for t in blocks if len(t)]
+    return (np.unique(np.concatenate(keys)) if keys
+            else np.empty(0, dtype="S64"))
+
+
+@ray.remote
+def _rewrite_range(src: StatePath, dst: StatePath, files: tuple, lo: int,
+                   hi: int, token: str, live, *split) -> np.ndarray:
+    """One prefix range of a store rewrite: the range's rows (live
+    ones only, given a live key set) as one file of ``dst``.  Returns
+    ``[rows read, rows written]``."""
+    t = _read_range(src, files, lo, hi, split=split)
+    if t is None:
+        return np.zeros(2, np.int64)
+    n = len(t)
+    if live is not None:
+        _, hit = sorted_probe(live, _sha_np(t["text_sha256"]))
+        t = t.filter(pa.array(hit))
+    if len(t):
+        _commit_parquet(dst.join(_range_file(token, lo, hi)), t)
+    return np.array([n, len(t)], np.int64)
+
+
+def _rewrite_store(store_dir: str, k: int, live, tag: str) -> np.ndarray:
+    """Rewrite the store through the range reader into ``k`` range
+    files in a sibling tmp dir, then swap it in with two renames.
+    Returns ``[rows read, rows written]``."""
     import shutil
 
-    files = _store_files(store_dir)
-    if not files:
-        return 0
-    store = ray.data.read_parquet(
-        [os.path.join(store_dir, f) for f in files])
-    n_before = store.count()
-    live = live_keys.select_columns([key_col]).materialize()
-
-    from ..stages.common import block_refs_of
-    refs = tuple(block_refs_of(live))
-
-    def keep_live(t: pa.Table) -> pa.Table:
-        from ..stages.common import bounded_cache_put, sorted_probe
-
-        ck = ("live_shas", tuple(r.hex() for r in refs))
-        keys = _WIRE_CACHE.get(ck)
-        if keys is None:
-            tables = [x for x in ray.get(list(refs)) if len(x)]
-            arr = (np.unique(np.concatenate(
-                       [_sha_np(x[key_col]) for x in tables]))
-                   if tables else np.empty(0, dtype="S64"))
-            keys = bounded_cache_put(_WIRE_CACHE, ck, arr)
-        _, hit = sorted_probe(keys, _sha_np(t["text_sha256"]))
-        return t.filter(pa.array(hit))
-
-    kept = store.map_batches(keep_live, batch_format="pyarrow")
-    tmp = store_dir.rstrip("/") + ".prune_tmp"
+    names = _store_files(store_dir)
+    tmp = store_dir.rstrip("/") + f".{tag}_tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    kept.write_parquet(tmp)
-    n_after = ray.data.read_parquet(tmp).count() if _store_files(tmp) else 0
+    os.makedirs(tmp)
+    token = _new_token()
+    src, dst = as_state_path(store_dir), as_state_path(tmp)
+    old = _split_unranged(src, names, k)
+    counts = get_all([_rewrite_range.remote(src, dst, _file_ranges(names),
+                                            lo, hi, token, live,
+                                            *[s[i] for s in old])
+                      for i, (lo, hi) in enumerate(_ranges(k))])
     meta = os.path.join(store_dir, _META_FILE)
     if os.path.exists(meta):
-        os.makedirs(tmp, exist_ok=True)
         shutil.copy(meta, os.path.join(tmp, _META_FILE))
-    old = store_dir.rstrip("/") + ".prune_old"
+    old = store_dir.rstrip("/") + f".{tag}_old"
     shutil.rmtree(old, ignore_errors=True)
     os.rename(store_dir, old)
     os.rename(tmp, store_dir)
     shutil.rmtree(old, ignore_errors=True)
-    return int(n_before - n_after)
+    return np.sum(counts, axis=0)

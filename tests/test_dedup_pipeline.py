@@ -398,13 +398,13 @@ def _executions(job) -> int:
 
 
 @pytest.mark.parametrize("plan,executions", [
-    ("default", 3), ("sig_store_rerun", 4)])
+    ("default", 3), ("sig_store_rerun", 2)])
 def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
     """One ``run_dedup(...).write_parquet(...)`` job starts Ray Data
     executions only at its edges: read → extract → content key, the
-    signature map (on a store re-run the store read and its probe map
-    instead; nothing new to append) and the caller's write.  Every
-    stage between them is plain tasks over block refs."""
+    signature map (none on a store re-run: the store's range tasks are
+    plain tasks) and the caller's write.  Every stage between them is
+    plain tasks over block refs."""
     import pyarrow.parquet as pq
 
     pages_tbl, _ = corpus

@@ -126,15 +126,24 @@ def test_encode_decode_roundtrip_no_ray():
     assert back_sl.select(t.column_names).equals(sl.combine_chunks())
 
 
-def test_scale_twin_join_path_identical(ray_session, tmp_path, corpus):
-    """Forcing the over-budget plan (broadcast_max_bytes=0: keyed
-    anti-join + hash join instead of the direct-refs attach) must yield
-    the same frame and the same zero-compute warm behavior."""
+def _force_ranges(monkeypatch, k: int) -> None:
+    """Make every store call below use ``k`` prefix ranges."""
+    from deduplicator_go_ray.state import sigstore
+
+    monkeypatch.setattr(sigstore, "_range_count", lambda b: k)
+
+
+def test_scale_twin_join_path_identical(ray_session, tmp_path, corpus,
+                                        monkeypatch):
+    """A store read by a multi-range plan (forced to 3 ranges; the
+    default at one CPU is 2) must yield the same frame and the same
+    zero-compute warm behavior."""
     store = str(tmp_path / "sigstore")
     pages = _pages(corpus)
     incremental_signatures(pages, store)
 
-    s, n = incremental_signatures(pages, store, broadcast_max_bytes=0)
+    _force_ranges(monkeypatch, 3)
+    s, n = incremental_signatures(pages, store)
     assert n == 0
     assert _frame(s).equals(_fresh(pages))
 
@@ -233,7 +242,9 @@ def test_compact_and_prune_store(ray_session, tmp_path, corpus):
     file count without changing warm behavior; liveness pruning drops
     content keys absent from the current corpus (they recompute on the
     next run) while live keys stay warm."""
-    from deduplicator_go_ray.state.sigstore import (compact_store,
+    from deduplicator_go_ray.state.sigstore import (_file_ranges, _ranges,
+                                                    _store_files,
+                                                    compact_store,
                                                     incremental_signatures,
                                                     prune_store)
 
@@ -243,7 +254,10 @@ def test_compact_and_prune_store(ray_session, tmp_path, corpus):
     incremental_signatures(_pages(corpus), store)           # run 2 adds 20
 
     n_files = compact_store(store, target_files=2)
-    assert n_files <= 4                                     # repartition hint
+    assert n_files <= 4
+    # one range-named file per prefix range
+    assert sorted(r[1:] for r in _file_ranges(_store_files(store))) == (
+        _ranges(2))
     s, n = incremental_signatures(_pages(corpus), store)
     assert n == 0                                           # still warm
     assert _frame(s).equals(_fresh(_pages(corpus)))
@@ -313,7 +327,7 @@ def test_sigstore_version_upgrade(ray_session, tmp_path, corpus):
 
 
 def test_mixed_legacy_and_versioned_store_version_filter(
-        ray_session, tmp_path, corpus):
+        ray_session, tmp_path, corpus, monkeypatch):
     """A MIXED store (pre-fingerprint legacy files + versioned files)
     must still apply the version filter to the versioned rows: the
     classification is per-file from the parquet footer, never from the
@@ -348,9 +362,9 @@ def test_mixed_legacy_and_versioned_store_version_filter(
     s2, n2 = incremental_signatures(_pages(corpus), store, sig_kwargs=v2)
     assert n2 == len(corpus) - len(A)
 
-    # and the scale-twin (keyed) plan agrees on the same mixed store
-    s3, n3 = incremental_signatures(_pages(corpus), store, sig_kwargs=v2,
-                                    broadcast_max_bytes=0)
+    # and a forced 3-range plan agrees on the same mixed store
+    _force_ranges(monkeypatch, 3)
+    s3, n3 = incremental_signatures(_pages(corpus), store, sig_kwargs=v2)
     assert n3 == 0      # v2 rows were just persisted; legacy still trusted
 
 
@@ -409,3 +423,196 @@ def test_compact_prune_respect_fence_and_sentinel_survives_swap(
                 if f.endswith(".writer.lock")]
     s, n = incremental_signatures(_pages(corpus), store)
     assert n == 0                                     # still warm
+
+
+def test_store_written_at_three_ranges_read_at_two_and_one(
+        ray_session, tmp_path, corpus, monkeypatch):
+    """Range files written at K=3 are read back at K=2 and K=1 (a range
+    task opens every file whose range meets its own and keeps only its
+    own prefixes): zero compute and the fresh frame each time."""
+    from deduplicator_go_ray.state import sigstore
+
+    store = str(tmp_path / "sigstore")
+    pages = _pages(corpus)
+    _force_ranges(monkeypatch, 3)
+    incremental_signatures(pages, store)
+    files = sigstore._store_files(store)
+    assert {r[1:] for r in sigstore._file_ranges(files)} == set(
+        sigstore._ranges(3))
+    for k in (2, 1):
+        _force_ranges(monkeypatch, k)
+        s, n = incremental_signatures(pages, store)
+        assert n == 0
+        assert _frame(s).equals(_fresh(pages))
+    assert len(sigstore._store_files(store)) == 3       # nothing appended
+
+
+def test_parent_layout_store_reused(ray_session, tmp_path, corpus,
+                                    monkeypatch):
+    """A store in the layout before ranges (files named by the Dataset
+    writer, one of them pre-fingerprint) counts as covering every range:
+    a run over it plus three new docs computes only the new three, and
+    the frame equals a fresh compute."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from deduplicator_go_ray.state import sigstore
+
+    store = tmp_path / "sigstore"
+    store.mkdir()
+    keys = sorted(corpus)
+    for name, part, versioned in (
+            ("4c1e_000000_000000.parquet", keys[:15], False),
+            ("9a0b_000000_000000.parquet", keys[15:], True)):
+        t = sigstore.encode_sig_columns(
+            _computed_sigs({k: corpus[k] for k in part}).select(
+                ["text_sha256", *sigstore.SIG_COLS]))
+        if versioned:
+            t = t.append_column("sig_version", pa.array(
+                [sigstore.sig_config_version()] * len(t), pa.int64()))
+        pq.write_table(t, str(store / name))
+    (store / "_sigstore_meta.json").write_text(
+        json.dumps({"num_perms": 128, "anchors": True}))
+
+    corpus2 = dict(corpus)
+    corpus2.update({f"site9{i:02d}/p": f"a brand new page {i} " * 20
+                    for i in range(3)})
+    _force_ranges(monkeypatch, 3)
+    s, n = incremental_signatures(_pages(corpus2), str(store))
+    assert n == 3
+    assert _frame(s).equals(_fresh(_pages(corpus2)))
+    assert len(os.listdir(store)) <= 2 + 3 + 1    # appends are range files
+
+    # compaction turns the store into range files even when it already
+    # has no more files than the target
+    assert len(os.listdir(store)) - 1 <= 8
+    n_files = sigstore.compact_store(str(store), target_files=8)
+    files = sigstore._store_files(str(store))
+    assert n_files == len(files) and not sigstore._unranged(files)
+    assert {r[1:] for r in sigstore._file_ranges(files)} <= set(
+        sigstore._ranges(8))
+    s, n = incremental_signatures(_pages(corpus2), str(store))
+    assert n == 0
+    assert _frame(s).equals(_fresh(_pages(corpus2)))
+
+
+def _computed_sigs(texts: dict) -> pa.Table:
+    """Signature rows computed in process, with no Ray task."""
+    import hashlib
+
+    from deduplicator_go_ray.pipelines.dedup import _signature_cached
+
+    urls = sorted(texts)
+    return _signature_cached(pa.table({
+        "url": urls, "text": [texts[u] for u in urls],
+        "text_sha256": [hashlib.sha256(texts[u].encode()).hexdigest()
+                        for u in urls]}), compute_anchors=True)
+
+
+def test_append_failing_before_commit_leaves_listing_unchanged(
+        tmp_path, corpus, monkeypatch):
+    """An append that fails after its temp write and before the commit
+    rename leaves only a dot-prefixed temp file, which the listing
+    never shows."""
+    from deduplicator_go_ray.state import sigstore
+    from deduplicator_go_ray.state.statefs import StatePath
+
+    sp = StatePath(str(tmp_path / "sigstore"))
+    sp.makedirs()
+    sigs = _computed_sigs(corpus)
+    sigstore._append_range(sp, "a" * 16, 0, 1 << 16, sigs.slice(0, 10), 7)
+    before = sigstore._store_files(sp)
+
+    def crash(self, dst):
+        raise OSError("crashed before the commit rename")
+
+    monkeypatch.setattr(StatePath, "move_to", crash)
+    with pytest.raises(OSError, match="commit rename"):
+        sigstore._append_range(sp, "b" * 16, 0, 1 << 16, sigs.slice(10), 7)
+    assert sigstore._store_files(sp) == before
+    assert any(f.startswith(".") for f in sp.listdir())
+
+
+def test_retried_range_write_leaves_one_file(tmp_path, corpus):
+    """A range task retried under the same run token rewrites the same
+    name: one file, holding the rows once."""
+    import pyarrow.parquet as pq
+
+    from deduplicator_go_ray.state import sigstore
+    from deduplicator_go_ray.state.statefs import StatePath
+
+    sp = StatePath(str(tmp_path / "sigstore"))
+    sp.makedirs()
+    sigs = _computed_sigs(corpus)
+    for _ in range(2):
+        sigstore._append_range(sp, "c" * 16, 0, 1 << 16, sigs, 7)
+    (name,) = sigstore._store_files(sp)
+    back = sigstore.decode_sig_columns(pq.read_table(sp.join(name).rel))
+    cols = ["text_sha256", *sigstore.SIG_COLS]
+    assert back.select(cols).equals(sigs.select(cols).combine_chunks())
+    assert back["sig_version"].to_pylist() == [7] * len(sigs)
+
+
+def test_failed_range_task_awaits_every_range_before_fence_release(
+        ray_session, tmp_path, monkeypatch):
+    """When one range task fails, the error reaches the caller only
+    after every other range task has finished its append, so no task
+    writes once the write fence is released.  Range 0 fails at once on
+    an unreadable store file; ranges 1 and 2 run the kernel on ~200
+    docs each first."""
+    import os
+
+    from deduplicator_go_ray.state import sigstore
+    from deduplicator_go_ray.state.fence import lock_path
+
+    store = tmp_path / "sigstore"
+    store.mkdir()
+    lo, hi = sigstore._ranges(3)[0]
+    bad = sigstore._range_file("0" * 16, lo, hi)
+    (store / bad).write_bytes(b"not a parquet file")
+    texts = {f"site{i:04d}/p": f"page {i} " + " ".join(
+        f"w{(i * 7 + j) % 997}" for j in range(300)) for i in range(600)}
+    pages = _pages(texts)
+    _force_ranges(monkeypatch, 3)
+    with pytest.raises(Exception):
+        incremental_signatures(pages, str(store))
+    appended = [f for f in sigstore._store_files(store) if f != bad]
+    assert ({r[1:] for r in sigstore._file_ranges(appended)}
+            == set(sigstore._ranges(3)[1:]))
+    assert not os.path.exists(lock_path(str(store)))
+
+
+def test_range_task_rerun_after_release_writes_nothing(
+        ray_session, tmp_path, corpus, monkeypatch):
+    """Ray re-runs a range task from lineage when its output block is
+    lost, possibly after the call returned and the fence was released.
+    Such a re-run must not write: here the call's appends are removed
+    (as a prune would) and a range task is re-run with the call's own
+    arguments, which brings back no file."""
+    import os
+
+    import ray
+
+    from deduplicator_go_ray.state import sigstore
+
+    calls, real = [], sigstore._range_task
+
+    class Recorder:
+        def remote(self, *args):
+            calls.append(args)
+            return real.remote(*args)
+
+    monkeypatch.setattr(sigstore, "_range_task", Recorder())
+    store = str(tmp_path / "sigstore")
+    _force_ranges(monkeypatch, 2)
+    _, n = incremental_signatures(_pages(corpus), store)
+    assert n == len(corpus)
+    appended = sigstore._store_files(store)
+    assert len(appended) == 2
+    for f in appended:
+        os.remove(os.path.join(store, f))
+    sigs, counts, _ = ray.get(list(real.remote(*calls[0])))
+    assert counts[1] > 0 and len(sigs) == counts[0]
+    assert sigstore._store_files(store) == []

@@ -8,8 +8,16 @@ Cases (``--cases``, default all):
   as many keys (full-range int64 values), at each ``--cpus``;
 * ``flagship``: ``run_dedup(PipelineConfig(broadcast_max_reps=0))`` on
   ``generate_pages(1000, seed=7)`` at one CPU;
-* ``sigstore``: ``incremental_signatures(broadcast_max_bytes=0)`` on the
-  same 1,000 pages against a store that already holds 900 of them;
+* ``sigstore``: ``incremental_signatures`` forced to 4 prefix ranges
+  (the default at one CPU is 2) on the same 1,000 pages against a
+  store that already holds 900 of them, at each ``--cpus``;
+* ``sigstore_legacy``: the same, with the store first rewritten as 4
+  files that are not range-named, rows shuffled (the layout before
+  prefix ranges, which every range reads through one split task per
+  file);
+* ``sigstore_cold``: 5,000 pages against an empty store, every
+  signature computed, the range count sized from the cluster
+  (``ranges`` in the record), at each ``--cpus``;
 * ``verify``: ``run_dedup(PipelineConfig())`` with both round-2 caps
   at 0, so every pair takes the two keyed attach exchanges;
   ``verify_s`` is the time spent inside them.
@@ -104,7 +112,27 @@ def _flagship() -> dict:
     return {"s": time.perf_counter() - t0, "digest": _assign_digest(df)}
 
 
-def _sigstore() -> dict:
+def _unrange(store: str) -> None:
+    """Rewrite a store's data files as 4 files that are not
+    range-named, rows shuffled."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    names = [f for f in os.listdir(store) if f.endswith(".parquet")
+             and not f.startswith(("_", "."))]
+    t = pa.concat_tables([pq.read_table(os.path.join(store, f))
+                          for f in names])
+    t = t.take(np.random.default_rng(7).permutation(len(t)))
+    step = -(-len(t) // 4)
+    for i in range(4):
+        pq.write_table(t.slice(i * step, step),
+                       os.path.join(store, f"part-{i}.parquet"))
+    for f in names:
+        os.remove(os.path.join(store, f))
+
+
+def _sigstore(layout: str = "ranged") -> dict:
     import hashlib
     import tempfile
 
@@ -112,22 +140,33 @@ def _sigstore() -> dict:
 
     from deduplicator_go_ray.sources.corpus import generate_pages
     from deduplicator_go_ray.stages.exact import add_content_key
+    from deduplicator_go_ray.state import sigstore
     from deduplicator_go_ray.state.sigstore import incremental_signatures
 
-    pages, _ = generate_pages(1000, seed=7)
+    ranges = []
+    sized = getattr(sigstore, "_range_count", None)
+    if layout == "cold" and sized is not None:
+        sigstore._range_count = lambda b: ranges.append(sized(b)) or ranges[-1]
+    elif layout != "cold":
+        sigstore._range_count = lambda b: 4
+    pages, _ = generate_pages(5000 if layout == "cold" else 1000, seed=7)
     reps = add_content_key(ray.data.from_arrow(
         pages.select(["url", "text"]))).materialize()
     with tempfile.TemporaryDirectory() as d:
         store = os.path.join(d, "sigstore")
-        incremental_signatures(reps.limit(900).materialize(), store)
+        if layout != "cold":
+            incremental_signatures(reps.limit(900).materialize(), store)
+        if layout == "legacy":
+            _unrange(store)
         t0 = time.perf_counter()
-        sigs, n = incremental_signatures(reps, store, broadcast_max_bytes=0)
+        sigs, n = incremental_signatures(reps, store)
         df = sigs.to_pandas()
         s = time.perf_counter() - t0
     df = df.sort_values("url").reset_index(drop=True)
     blob = df[["url", "text_sha256", "n_shingles", "simhash"]].to_csv(index=False)
     blob += "".join(str(list(m)) for m in df["minhash"])
     return {"s": s, "computed": int(n),
+            "ranges": ranges[-1] if ranges else None,
             "digest": hashlib.sha256(blob.encode()).hexdigest()[:16]}
 
 
@@ -182,6 +221,8 @@ def child(args) -> None:
             rec.update(_attach(args.rows[0]))
         else:
             rec.update({"flagship": _flagship, "sigstore": _sigstore,
+                        "sigstore_legacy": lambda: _sigstore("legacy"),
+                        "sigstore_cold": lambda: _sigstore("cold"),
                         "verify": _verify}[rec["case"]]())
     except TimeoutError:
         rec["timeout"] = True
@@ -194,7 +235,8 @@ def child(args) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repo", default=HERE)
-    ap.add_argument("--cases", default="attach,flagship,sigstore,verify")
+    ap.add_argument("--cases", default="attach,flagship,sigstore,"
+                    "sigstore_legacy,sigstore_cold,verify")
     ap.add_argument("--rows", default="10000,200000")
     ap.add_argument("--cpus", default="1,4")
     ap.add_argument("--timeout", type=int, default=120)
@@ -210,7 +252,8 @@ def main() -> None:
         return
     for case in args.cases:
         # the flagship-scale cases run at one CPU only
-        cpus = args.cpus if case in ("attach", "sigstore") else [1]
+        cpus = (args.cpus if case == "attach" or case.startswith("sigstore")
+                else [1])
         rows = args.rows if case == "attach" else [0]
         for c in cpus:
             for r in rows:

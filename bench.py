@@ -5,7 +5,8 @@ Default mode: runs the headline pipelines over ``$GRAFT_SF_DIR``
 (``num_cpus = $RAY_GRAFT_CPUS`` or 32) and prints ONE JSON line::
 
     {"metric": "e2e_sec", "value": <total sec>, "unit": "sec",
-     "queries": {...}, "sf": "...", "num_cpus": N, "docs_per_sec": ...}
+     "queries": {...}, "sf": "...", "num_cpus": N, "docs_per_sec": ...,
+     "host": {...}}
 
 ``--scaling``: runs the flagship dedup pipeline twice in FRESH
 subprocesses at two parallelism levels (``GRAFT_SCALE_LO``/``HI``,
@@ -16,6 +17,10 @@ throughputs, the scaling efficiency (target ≥ 0.8), adjacent
 host-ceiling calibrations, and whether cluster assignments are
 identical across parallelism (the coordination-free-determinism
 invariant, ≙ files/move.go:226-236 in the reference).
+
+Both modes stamp the host into their JSON (``host``: dedupbench's
+single-core ALU rate and memory-copy bandwidth, ``hoststamp.probe``),
+so a slow host phase can be told from a slow change.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import os
 import subprocess
 import sys
 import time
+
+from dedupbench import hoststamp
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
@@ -110,6 +117,7 @@ def run_bench() -> dict:
         "n_docs": n_docs,
         "docs_per_sec": round(n_docs / dedup_sec, 1) if dedup_sec else None,
         "warmup_sec": warmup_sec,
+        "host": hoststamp.probe(),
     }
     ray.shutdown()
     return out
@@ -343,6 +351,7 @@ def run_scaling() -> dict:
         if mem_eff else None,
         "assignments_identical": bool(same),
         "n_docs": lo["rows"],
+        "host": hoststamp.probe(),
     }
 
 

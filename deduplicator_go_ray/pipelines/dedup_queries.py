@@ -170,7 +170,7 @@ def ngram_jaccard_pairs(sf_dir: str, plan: str = "auto"):
     # duplicate candidate pairs (one per shared gram bucket) cost one
     # verification each — cheaper than a dedupe shuffle; the final
     # drop_duplicates runs on the (tiny) verified result
-    cand = grouped_apply(gram_rows, ["gram"], emit_pairs).materialize()
+    cand = grouped_apply(gram_rows, ["gram"], emit_pairs)
     n_cand = cand.count()
     if n_cand == 0:
         return _finish_jaccard(pd.DataFrame())
@@ -291,7 +291,7 @@ def minhash_lsh_pairs(sf_dir: str) -> pd.DataFrame:
                        hot_band_keys=sampled_hot_band_keys(sigs, pcfg,
                                                            sigs.count()),
                        num_salts=lsh.num_salts)
-    cand = candidate_edges_fused(rows, lsh, 0, minhash=cfg).materialize()
+    cand = candidate_edges_fused(rows, lsh, 0, minhash=cfg)
     if cand.count() == 0:
         return _pairs_to_ids(cand)
     # the verify stage picks the endpoint index or the two-attach check

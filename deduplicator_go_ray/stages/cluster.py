@@ -274,8 +274,8 @@ def resolve_components(
     (u, v, ...); both tiers return a materialized Dataset (url, root)
     listing every node with root = component minimum (equality-tested):
 
-    * ≤ ``max_onetask_edges``: ONE Ray task gathers the materialized
-      edge block refs and runs :func:`cc_label_arrays` — nothing on the
+    * ≤ ``max_onetask_edges``: ONE Ray task gathers the edge block
+      refs and runs :func:`cc_label_arrays` — nothing on the
       driver; at 16 B/edge the default cap is a ~3 GiB single-worker
       gather, orders of magnitude cheaper than the shuffle loop's fixed
       cost.
@@ -291,8 +291,8 @@ def resolve_components(
             pa.table({"url": pa.array([], key_type), "root": pa.array([], key_type)})
         )
     if n <= max_onetask_edges:
-        from .common import block_refs_of
+        from .common import block_refs_of, dataset_of
 
-        cc, _ = _cc_onetask.remote(*block_refs_of(edges_ds.materialize()))
-        return ray.data.from_arrow_refs([cc])
+        cc, _ = _cc_onetask.remote(*block_refs_of(edges_ds))
+        return dataset_of([cc])
     return connected_components_distributed(edges_ds)

@@ -142,17 +142,18 @@ def grouped_apply(
     partition count (N-vs-4N determinism).
 
     The exchange is plain Ray tasks over block refs: every input is
-    executed once (its upstream maps fused into that execution; a
-    materialized input starts no execution) and zero-row blocks are
-    skipped by their metadata.  One split task per block applies
+    walked once (:func:`nonempty_blocks`; a lazy input executes there,
+    its upstream maps fused into that execution, and any input not yet
+    executed, a bare ``from_arrow_refs`` wrapper included, starts a
+    streaming executor).  One split task per block applies
     ``pre_fn``, hashes ``keys`` and returns one Arrow slice per
     partition; one reduce task per partition concatenates its slices
     and runs ``partition_fn``.  No block data reaches the driver, only
     the partition row counts.  The exchange runs when this function is
-    called; the result is a materialized dataset of the non-empty
-    partitions.  When a reduce fails, every other partition task is
-    awaited before the error is re-raised, so none is still running
-    (or writing) when the caller sees it.
+    called; the result is an executed dataset (:func:`dataset_of`) of
+    the non-empty partitions.  When a reduce fails, every other
+    partition task is awaited before the error is re-raised, so none is
+    still running (or writing) when the caller sees it.
 
     ``empty_result``: a ZERO-ROW Arrow table with `partition_fn`'s
     output schema, returned when every partition comes out empty; a
@@ -177,14 +178,9 @@ def grouped_apply(
     pre_refs = {id(f): ray.put(f) for f in pre_fns if f is not None}
     blocks, input_bytes = [], 0
     for d, f in zip(inputs, pre_fns):
-        for bundle in d.iter_internal_ref_bundles():
-            for ref, meta in bundle.blocks:
-                # Ray forwards zero-row blocks untouched, often without
-                # a schema: never let one reach a split task
-                if meta.num_rows == 0:
-                    continue
-                blocks.append((ref, pre_refs.get(id(f))))
-                input_bytes += meta.size_bytes or 0
+        for ref, meta in nonempty_blocks(d):
+            blocks.append((ref, pre_refs.get(id(f))))
+            input_bytes += meta.size_bytes or 0
     n_parts = _exchange_partitions(num_partitions, input_bytes)
     split = _split_block.options(num_returns=n_parts)
     slices = [split.remote(b, keys, n_parts, f) for b, f in blocks]
@@ -198,14 +194,13 @@ def grouped_apply(
     rows = get_all([r for _, r in outs])
     kept = [t for (t, _), n in zip(outs, rows) if n > 0]
     if kept:
-        return ray.data.from_arrow_refs(kept)
+        return dataset_of(kept)
     if empty_result is not None:
         return ray.data.from_arrow(empty_result)
     # every partition came out empty: keep partition_fn's own schema
     # when it ran at all
     ran = [t for (t, _), n in zip(outs, rows) if n == 0]
-    return (ray.data.from_arrow_refs(ran[:1]) if ran
-            else ray.data.from_arrow(pa.table({})))
+    return dataset_of(ran[:1]) if ran else ray.data.from_arrow(pa.table({}))
 
 
 def get_all(refs: list) -> list:
@@ -219,15 +214,36 @@ def get_all(refs: list) -> list:
         raise
 
 
+def dataset_of(refs: list) -> "ray.data.MaterializedDataset":
+    """The Arrow blocks behind ``refs`` as an executed Dataset: the one
+    way the engine wraps block refs.  ``from_arrow_refs`` runs one
+    metadata task per block and waits for them, and the wrapper it
+    returns is not executed: each walk of its bundles
+    (:func:`nonempty_blocks`) would start a Ray Data streaming executor,
+    ~13 ms of fixed time on one CPU.  ``materialize()`` on it starts
+    none (the blocks are already in the object store) and returns a
+    snapshot that every walk reads directly."""
+    return ray.data.from_arrow_refs(refs).materialize()
+
+
+def nonempty_blocks(ds: "ray.data.Dataset"):
+    """Yields ``(ref, metadata)`` of ``ds``'s blocks that hold rows;
+    a walk of an unexecuted Dataset executes it.  Zero-row blocks are
+    skipped by their metadata: Ray forwards them untouched, often
+    without a schema, so one must never reach a task that reads
+    columns."""
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                yield ref, meta
+
+
 def block_refs_of(ds: "ray.data.Dataset") -> list:
-    """Object refs of a materialized Dataset's non-empty blocks — the
-    broadcast handle: shipping refs costs nothing, workers fetch the
-    Arrow blocks zero-copy from the object store (no driver-side pull,
-    no pickled dict serialized on the driver and re-deserialized per
-    worker).  Zero-row blocks are skipped by their metadata: Ray
-    forwards them untouched, often without a schema."""
-    return [ref for b in ds.iter_internal_ref_bundles()
-            for ref, meta in b.blocks if meta.num_rows != 0]
+    """Object refs of a Dataset's non-empty blocks — the broadcast
+    handle: shipping refs costs nothing, workers fetch the Arrow blocks
+    zero-copy from the object store (no driver-side pull, no pickled
+    dict serialized on the driver and re-deserialized per worker)."""
+    return [ref for ref, _ in nonempty_blocks(ds)]
 
 
 @ray.remote
@@ -243,8 +259,8 @@ def map_blocks(refs: list, fn, *args, num_returns: int = 1) -> list:
     resolved (zero-copy from the object store), as top-level task
     arguments do; nothing is fetched inside the task.  Returns the
     tasks' output refs (a list of ``num_returns``-tuples when
-    ``num_returns > 1``) — wrap them with ``ray.data.from_arrow_refs``
-    where a Dataset is needed; that starts no execution."""
+    ``num_returns > 1``) — wrap them with :func:`dataset_of` where a
+    Dataset is needed."""
     task = _block_task.options(num_returns=num_returns)
     return [task.remote(fn, r, *args) for r in refs]
 

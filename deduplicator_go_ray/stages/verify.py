@@ -52,7 +52,8 @@ from ..config import MinHashConfig
 from .buckets import (DOC_UID, KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
                       batch_uids, empty_edges, min_slot_matches, uid_arrow,
                       uid_np, uid_width, uid_words)
-from .common import block_refs_of, bounded_cache_put, map_blocks, sorted_probe
+from .common import (block_refs_of, bounded_cache_put, dataset_of, map_blocks,
+                     sorted_probe)
 from .joins import hash_join
 
 # round-2 caps: up to this many pairs the exact check runs against an
@@ -254,7 +255,7 @@ def endpoint_index(pairs: "ray.data.Dataset", source: "ray.data.Dataset",
     task builds the endpoint set, one task per source block filters it
     to those rows' payloads, and only they reach the one build task —
     no Dataset execution and no driver pull."""
-    wanted = _uid_set_task.remote(UV, *block_refs_of(pairs.materialize()))
+    wanted = _uid_set_task.remote(UV, *block_refs_of(pairs))
     return _build_index.remote(*_endpoint_rows(source, wanted, payload))
 
 
@@ -316,8 +317,7 @@ def _index_check(pairs: "ray.data.Dataset", source,
     wanted, *slices = _kind_pairs_task.options(
         num_returns=1 + len(refs)).remote(spec.kinds, len(refs), *refs)
     index = _build_index.remote(*_endpoint_rows(source, wanted, spec.payload))
-    return ray.data.from_arrow_refs(
-        map_blocks(slices, _check_block, spec, index))
+    return dataset_of(map_blocks(slices, _check_block, spec, index))
 
 
 # ---- the two-attach check ----------------------------------------------------
@@ -363,8 +363,9 @@ def _verify(pairs, source, spec: VerifySpec, num_partitions: int):
     """The index check while the kind's pairs are at or below
     ``spec.round2_max``, the two-attach check above it.  The kind's
     pairs are counted (one task, awaited) only when the candidate total
-    from block metadata exceeds the cap."""
-    pairs = pairs.materialize()
+    from block metadata exceeds the cap.  ``pairs`` is read more than
+    once (its count, then its blocks): the engine passes an executed
+    Dataset, and a lazy one would execute at each read."""
     n = pairs.count()
     if n > spec.round2_max:
         n = ray.get(_kind_rows.remote(spec.kinds, *block_refs_of(pairs)))
@@ -374,9 +375,8 @@ def _verify(pairs, source, spec: VerifySpec, num_partitions: int):
     if n > spec.round2_max:
         pairs = pairs.map_batches(_pick, fn_args=(spec.kinds,),
                                   batch_format="pyarrow").materialize()
-        pay_u, pay_v = (ray.data.from_arrow_refs(
-            _endpoint_rows(source, r, spec.payload))
-            for r in uid_set_refs(pairs, (U, V)))
+        pay_u, pay_v = (dataset_of(_endpoint_rows(source, r, spec.payload))
+                        for r in uid_set_refs(pairs, (U, V)))
         return _two_attach_check(pairs, pay_u, pay_v, spec.exact,
                                  num_partitions)
     return _index_check(pairs, source, spec)

@@ -58,7 +58,8 @@ import ray
 import ray.data
 
 from ..config import MinHashConfig
-from ..stages.common import get_all, sized_partitions, sorted_probe
+from ..stages.common import (dataset_of, get_all, nonempty_blocks,
+                             sized_partitions, sorted_probe)
 from .statefs import StatePath, as_state_path
 
 SIG_COLS = ("minhash", "simhash", "n_shingles", "anchors", "sig_error")
@@ -527,13 +528,11 @@ def _store_signatures(reps, sp: StatePath, compute_anchors: bool,
     listing = _store_listing(sp)
     _pin_meta(sp, num_perms, anchors)
     blocks, nbytes = [], sum(listing.values())
-    # materialize() first: on a block-ref wrapper it starts no execution
-    # and makes the bundle walk ~10 ms cheaper
-    for bundle in reps.materialize().iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows:
-                blocks.append(ref)
-                nbytes += meta.size_bytes or 0
+    # one walk: a lazy reps executes here; run_dedup's reps is built by
+    # common.dataset_of, so its walk starts no streaming executor
+    for ref, meta in nonempty_blocks(reps):
+        blocks.append(ref)
+        nbytes += meta.size_bytes or 0
     if not blocks:
         return ray.data.from_arrow(pa.table({})), np.zeros(3, np.int64)
     k = _range_count(nbytes)
@@ -551,7 +550,7 @@ def _store_signatures(reps, sp: StatePath, compute_anchors: bool,
                for (lo, hi), (_, _, comp) in zip(ranges, outs)]
     counts = get_all([c for _, c, _ in outs] + commits)[:k]
     kept = [t for (t, _, _), c in zip(outs, counts) if c[0]]
-    return ray.data.from_arrow_refs(kept), np.sum(counts, axis=0)
+    return dataset_of(kept), np.sum(counts, axis=0)
 
 
 def _split_all(task, k: int, calls: list) -> list:

@@ -375,26 +375,36 @@ def test_texts_through_shuffle_same_assignments(corpus, uid_bits, monkeypatch):
         assert (a[col] == b[col]).all(), col
 
 
-def _executions(job) -> int:
-    """Ray Data executions that ``job()`` starts, counted from the
-    ``ray.data`` logger's "Starting execution of Dataset" records (the
-    way dedupbench counts them)."""
+def _executions(job) -> tuple[int, int]:
+    """(Ray Data executions, streaming executors) that ``job()``
+    starts: executions counted from the ``ray.data`` logger's "Starting
+    execution of Dataset" records (the way dedupbench counts them),
+    executors from calls of ``ExecutionPlan.create_executor``."""
     import logging
 
-    seen = []
+    from ray.data._internal.plan import ExecutionPlan
+
+    seen, executors = [], []
 
     class Count(logging.Handler):
         def emit(self, record):
             if str(record.msg).startswith("Starting execution of Dataset"):
                 seen.append(record)
 
+    def create_executor(plan):
+        executors.append(plan)
+        return real_create(plan)
+
     handler, logger = Count(logging.INFO), logging.getLogger("ray.data")
+    real_create = ExecutionPlan.create_executor
     logger.addHandler(handler)
+    ExecutionPlan.create_executor = create_executor
     try:
         job()
     finally:
+        ExecutionPlan.create_executor = real_create
         logger.removeHandler(handler)
-    return len(seen)
+    return len(seen), len(executors)
 
 
 @pytest.mark.parametrize("plan,executions", [
@@ -404,7 +414,9 @@ def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
     executions only at its edges: read → extract → content key, the
     signature map (none on a store re-run: the store's range tasks are
     plain tasks) and the caller's write.  Every stage between them is
-    plain tasks over block refs."""
+    plain tasks over block refs, and no walk of the Datasets wrapping
+    them starts a streaming executor of its own: executors equal
+    executions."""
     import pyarrow.parquet as pq
 
     pages_tbl, _ = corpus
@@ -418,10 +430,12 @@ def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
         run_dedup(rd.read_parquet(str(pages)), cfg).write_parquet(
             str(tmp_path / "fill"))
     out = tmp_path / "out"
-    got = _executions(lambda: run_dedup(rd.read_parquet(str(pages)), cfg)
-                      .write_parquet(str(out)))
+    got, executors = _executions(
+        lambda: run_dedup(rd.read_parquet(str(pages)), cfg)
+        .write_parquet(str(out)))
     assert rd.read_parquet(str(out)).count() == N_ROWS
     assert got == executions
+    assert executors == executions
 
 
 def test_keyed_enrichment_completes_on_one_cpu():

@@ -1,5 +1,5 @@
-"""Where one dedup job's fixed costs go: its Ray Data executions and its
-driver round trips.
+"""Where one dedup job's fixed costs go: its Ray Data executions, its
+Dataset wrappers and its driver round trips.
 
 Runs ONE ``run_dedup(read_parquet(pages)).write_parquet(out)`` job on
 dedupbench-shaped inputs — ``generate_pages(--pages, seed)`` with the
@@ -8,7 +8,11 @@ fresh one-CPU Ray session, after one warm-up job on the same pages.
 It prints each execution's plan line (from Ray Data's "Execution plan
 of Dataset" log records) and the number of driver ``ray.get`` calls the
 job made: ``ray.get`` is wrapped in this process only, so round trips
-that moved out of Ray Data executions into plain tasks still show.
+that moved out of Ray Data executions into plain tasks still show.  It
+also counts the job's ``ray.data.from_arrow_refs`` wraps (each runs one
+metadata task per block and waits for them) and the streaming executors
+Ray Data creates (``ExecutionPlan.create_executor``): every execution
+creates one, and so does each walk of a Dataset not yet executed.
 
 Usage: python tools/exec_plan.py [--plan default|recrawl]
                                  [--seed 5] [--pages 1000] [--repo DIR]
@@ -17,7 +21,7 @@ Usage: python tools/exec_plan.py [--plan default|recrawl]
 earlier job on the same pages.  ``--repo`` names the
 source tree to import (default: this checkout), so two trees run the
 same script.  The last line is JSON: ``{"plan", "executions",
-"ray_get_calls", "wall_s"}``.
+"ray_get_calls", "from_arrow_refs", "executors", "wall_s"}``.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ def main() -> None:
     import pyarrow.parquet as pq
     import ray
     import ray.data
+    from ray.data._internal.plan import ExecutionPlan
 
     from deduplicator_go_ray.config import PipelineConfig
     from deduplicator_go_ray.pipelines.dedup import run_dedup
@@ -103,21 +108,27 @@ def main() -> None:
             shutil.copytree(seed_store, store)
         plans = _Plans()
         logger = logging.getLogger("ray.data")
-        calls = [0]
-        real_get = ray.get
+        calls = {"ray_get_calls": 0, "from_arrow_refs": 0, "executors": 0}
+        real = (ray.get, ray.data.from_arrow_refs,
+                ExecutionPlan.create_executor)
 
-        def counted_get(*a, **kw):
-            calls[0] += 1
-            return real_get(*a, **kw)
+        def counted(name, fn):
+            def call(*a, **kw):
+                calls[name] += 1
+                return fn(*a, **kw)
+            return call
 
         logger.addHandler(plans)
-        ray.get = counted_get
+        ray.get = counted("ray_get_calls", real[0])
+        ray.data.from_arrow_refs = counted("from_arrow_refs", real[1])
+        ExecutionPlan.create_executor = counted("executors", real[2])
         try:
             t = time.perf_counter()
             job("out", store)
             wall = time.perf_counter() - t
         finally:
-            ray.get = real_get
+            (ray.get, ray.data.from_arrow_refs,
+             ExecutionPlan.create_executor) = real
             logger.removeHandler(plans)
     finally:
         ray.shutdown()
@@ -126,7 +137,7 @@ def main() -> None:
     for i, plan in enumerate(plans.plans, 1):
         print(f"{i:2d}. {plan}")
     print(json.dumps({"plan": args.plan, "executions": len(plans.plans),
-                      "ray_get_calls": calls[0], "wall_s": round(wall, 3)}))
+                      **calls, "wall_s": round(wall, 3)}))
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ Default mode: runs the headline pipelines over ``$GRAFT_SF_DIR``
      "queries": {...}, "sf": "...", "num_cpus": N, "docs_per_sec": ...,
      "host": {...}}
 
+``python bench.py NAME [NAME ...]`` times only the named registry
+queries, with the same JSON keys (``docs_per_sec`` is null unless
+``dedup_pipeline`` and ``token_counts`` are among them).
+
 ``--scaling``: runs the flagship dedup pipeline twice in FRESH
 subprocesses at two parallelism levels (``GRAFT_SCALE_LO``/``HI``,
 default 4 and 16 cpus — see run_scaling for why not 8/32 on this box)
@@ -61,7 +65,7 @@ def _consume(res) -> int:
     return res.count()  # ray Dataset — executes the pipeline
 
 
-def run_bench() -> dict:
+def run_bench(names: list[str] | None = None) -> dict:
     import ray
 
     if not ray.is_initialized():
@@ -74,6 +78,11 @@ def run_bench() -> dict:
     import __ray_entry__ as entry
 
     qs = entry.queries()
+    names = names or HEADLINE
+    unknown = sorted(set(names) - set(qs))
+    if unknown:
+        ray.shutdown()
+        raise SystemExit(f"unknown queries: {', '.join(unknown)}")
     # warm the session before timing: worker-pool spin-up and the
     # FIRST grouped_apply (worker-side package imports, export of the
     # exchange's split/reduce tasks) are cluster-startup costs,
@@ -99,14 +108,14 @@ def run_bench() -> dict:
     timings: dict[str, float] = {}
     rows: dict[str, int] = {}
     t_all = time.time()
-    for name in HEADLINE:
+    for name in names:
         t0 = time.time()
         rows[name] = _consume(qs[name](SF_DIR))
         timings[name] = round(time.time() - t0, 3)
     total = round(time.time() - t_all, 3)
 
     n_docs = rows.get("token_counts", 0)
-    dedup_sec = timings.get("dedup_pipeline", float("nan"))
+    dedup_sec = timings.get("dedup_pipeline")
     out = {
         "metric": "e2e_sec",
         "value": total,
@@ -359,4 +368,4 @@ if __name__ == "__main__":
     if "--scaling" in sys.argv:
         print(json.dumps(run_scaling()))
     else:
-        print(json.dumps(run_bench()))
+        print(json.dumps(run_bench(sys.argv[1:])))

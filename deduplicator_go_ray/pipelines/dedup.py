@@ -303,7 +303,7 @@ def run_dedup(
     timer.tick("extract+hash")
     n_docs = hashed.count()  # metadata read — hashed is materialized
     if n_docs == 0:
-        return ray.data.from_arrow(_EMPTY_ASSIGN)
+        return dataset_of([ray.put(_EMPTY_ASSIGN)])
     hashed_refs = block_refs_of(hashed)
     # error rows + too-small rows pass through as self-clusters: one
     # task per extracted block, submitted now (zero-row results are

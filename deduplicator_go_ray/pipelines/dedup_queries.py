@@ -4,19 +4,26 @@ full flagship pipeline.
 
 The candidate-generate → verify shape mirrors the reference's
 hash-candidate pruning then full-identity confirmation
-(``files/hash.go:37-48`` → ``files/utils.go:67-95``): cheap shared-gram
-buckets (bounded per-bucket pair emission, hot buckets skipped — their
-pairs are carried by their rarer grams) feed an exact verification join
-that recomputes the true Jaccard from each side's full gram set.
+(``files/hash.go:37-48`` → ``files/utils.go:67-95``).  The exact-gram
+query prunes with the prefix filter (Chaudhuri, Ganti and Kaushik, ICDE
+2006; AllPairs, Bayardo et al., WWW 2007): each doc keeps its first
+|x| − ⌈t·|x|⌉ + 1 grams in one global rare-first order, and a pair is a
+candidate only when it shares a prefix gram and passes the length
+filter t·max(|x|, |y|) ≤ min(|x|, |y|), checked in its positional form
+(PPJoin).  Every pair with Jaccard ≥ t passes both, so the query is
+exact; an exact verification then recomputes the true Jaccard from
+each side's full gram set.
 """
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -26,15 +33,11 @@ from ..stages.buckets import (DOC_UID, KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
                               bucket_rows, candidate_edges_fused,
                               sampled_hot_band_keys)
 from ..stages.common import dedupe_rows, grouped_apply, list_matrix
-from ..stages.verify import verify_near_edges
+from ..stages.verify import endpoint_index, index_rows, verify_near_edges
 from .registry import register
 
 NGRAM_N = 3                 # word trigrams
 NGRAM_THRESHOLD = 0.8       # exact-Jaccard dup cutoff
-GRAM_DF_CAP = 200           # buckets bigger than this skip pair emission
-# up to this many gram candidates verify against the shared endpoint
-# index; above it the keyed twin verifies them
-INDEX_MAX_PAIRS = 2_000_000
 COSINE_THRESHOLD = 0.45
 
 
@@ -45,48 +48,118 @@ def _read_docs(sf_dir: str, columns: list[str]) -> "ray.data.Dataset":
 
 
 # --------------------------------------------------------------------------
-# word-trigram exact Jaccard — candidate buckets + exact verify join
+# word-trigram exact Jaccard — prefix-filter join + exact verify
 # --------------------------------------------------------------------------
 
 def _gram_sets(sf_dir: str) -> "ray.data.Dataset":
     """Per doc (``DOC_UID`` = doc_id): its sorted distinct trigram u64
-    hashes as a binary blob."""
+    hashes, as a ``list<int64>`` of their bits."""
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
     def f(t: pa.Table) -> pa.Table:
-        blobs = []
+        sets = []
         for s in t["text"].to_pylist():
             w = [x for x in s.split(" ") if x]
-            grams = {" ".join(w[i:i + NGRAM_N]) for i in range(len(w) - NGRAM_N + 1)}
-            hs = np.sort(hash64_str(sorted(grams))) if grams else np.empty(0, np.uint64)
-            blobs.append(hs.tobytes())
+            sets.append({" ".join(w[i:i + NGRAM_N])
+                         for i in range(len(w) - NGRAM_N + 1)})
+        lens = np.array([len(g) for g in sets], np.int64)
+        # one hash pass over the batch, then one sort by (doc, hash)
+        h = hash64_str([g for grams in sets for g in grams])
+        h = h[np.lexsort((h, np.repeat(np.arange(len(sets)), lens)))]
+        offsets = np.cumsum(np.r_[0, lens]).astype(np.int32)
         return pa.table({DOC_UID: t["doc_id"],
-                         "grams": pa.array(blobs, pa.binary())})
+                         "grams": pa.ListArray.from_arrays(offsets,
+                                                           h.view(np.int64))})
 
     return docs.map_batches(f, batch_format="pyarrow")
 
 
-def _grams_value(t: pa.Table) -> pa.Array:
-    """Index payload of a gram-set batch: the gram blobs."""
-    return t["grams"].combine_chunks()
+# the cutoff as a fraction (0.8 = 4/5): the prefix and the positional
+# filter run in integer arithmetic on it, so no float rounding can drop a
+# pair that the final check keeps
+_T_NUM, _T_DEN = Fraction(str(NGRAM_THRESHOLD)).as_integer_ratio()
 
 
-def _scored_pairs(t: pa.Table, blobs_u: list, blobs_v: list) -> pa.Table:
-    """The (u, v) pairs of ``t`` whose gram blobs (aligned lists)
-    reach ``NGRAM_THRESHOLD`` exact Jaccard.  Per-PAIR set intersection
-    — verified candidates only, a tiny fraction of the corpus."""
-    jac = np.zeros(len(t))
-    for i, (x, y) in enumerate(zip(blobs_u, blobs_v)):
-        ga = np.frombuffer(x, np.uint64)
-        gb = np.frombuffer(y, np.uint64)
-        inter = np.intersect1d(ga, gb).size
-        jac[i] = inter / max(ga.size + gb.size - inter, 1)
-    keep = jac >= NGRAM_THRESHOLD
-    return pa.table({
-        "doc_id_a": pa.array(np.asarray(t["u"], np.int64)[keep], pa.int64()),
-        "doc_id_b": pa.array(np.asarray(t["v"], np.int64)[keep], pa.int64()),
-        "jaccard": pa.array(jac[keep], pa.float64()),
-    })
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, sizes) of the runs of equal values in a sorted array."""
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    return starts, np.diff(np.r_[starts, key.size])
+
+
+def _gram_rows(t: pa.Table) -> pa.Table:
+    """One (gram, doc) row per gram of a gram-set block."""
+    grams = t["grams"].combine_chunks()
+    return pa.table({"gram": grams.flatten(),
+                     "doc": t[DOC_UID].take(pc.list_parent_indices(grams))})
+
+
+def _with_df(t: pa.Table) -> pa.Table:
+    """Gram exchange: tag each (gram, doc) row with the gram's document
+    frequency."""
+    _, inv, df = np.unique(np.asarray(t["gram"]), return_inverse=True,
+                           return_counts=True)
+    return t.append_column("df", pa.array(df[inv]))
+
+
+def _prefixes(t: pa.Table) -> pa.Table:
+    """Doc exchange: each doc's prefix in the global (df, gram) order —
+    the grams from which at least t·|x| of its grams remain, its first
+    |x| − ⌈t·|x|⌉ + 1 — with the doc's gram count ``n`` and the count
+    of its grams from this one on, ``rest``."""
+    order = np.lexsort((np.asarray(t["gram"]), np.asarray(t["df"]),
+                        np.asarray(t["doc"])))
+    doc, gram = np.asarray(t["doc"])[order], np.asarray(t["gram"])[order]
+    starts, n = _runs(doc)
+    rest = np.repeat(starts + n, n) - np.arange(doc.size)
+    n = np.repeat(n, n)
+    keep = _T_DEN * rest >= _T_NUM * n
+    return pa.table({"gram": gram[keep], "doc": doc[keep], "n": n[keep],
+                     "rest": rest[keep]})
+
+
+def _prefix_pairs(t: pa.Table) -> pa.Table:
+    """Prefix-gram exchange: the distinct (u < v) doc pairs that share a
+    prefix gram g and pass the positional filter at g (PPJoin, Xiao et
+    al., WWW 2008).  J ≥ t means overlap·(1 + t) ≥ t·(|x| + |y|).  A
+    pair's first shared gram lies in both prefixes, and from it on the
+    overlap is at most min(rest_x, rest_y), so every pair with J ≥ t
+    passes there.  The filter implies the length filter
+    t·max(|x|, |y|) ≤ min(|x|, |y|).  Pairs are expanded one distinct
+    bucket size at a time (one triu per size, no loop over buckets)."""
+    order = np.lexsort((np.asarray(t["doc"]), np.asarray(t["gram"])))
+    doc, n, rest = (np.asarray(t[c])[order] for c in ("doc", "n", "rest"))
+    starts, sizes = _runs(np.asarray(t["gram"])[order])
+    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for s in np.unique(sizes[sizes > 1]):
+        rows = starts[sizes == s][:, None] + np.arange(s)
+        iu, jv = np.triu_indices(s, k=1)
+        a, b = rows[:, iu].ravel(), rows[:, jv].ravel()
+        ok = (np.minimum(rest[a], rest[b]) * (_T_DEN + _T_NUM)
+              >= _T_NUM * (n[a] + n[b]))
+        us.append(doc[a[ok]])
+        vs.append(doc[b[ok]])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    first = np.ones(u.size, bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return pa.table({"u": u[first], "v": v[first]})
+
+
+def overlap_counts(len_a: np.ndarray, flat_a: np.ndarray,
+                   len_b: np.ndarray, flat_b: np.ndarray) -> np.ndarray:
+    """|A_i ∩ B_i| for aligned lists of sets, each given as its set
+    sizes and its values flattened (each set's values distinct): one
+    lexsort by (pair, value), and each equal neighbour is one shared
+    value."""
+    n = len(len_a)
+    pair = np.concatenate([np.repeat(np.arange(n), len_a),
+                           np.repeat(np.arange(n), len_b)])
+    val = np.concatenate([flat_a, flat_b])
+    order = np.lexsort((val, pair))
+    pair, val = pair[order], val[order]
+    same = (pair[1:] == pair[:-1]) & (val[1:] == val[:-1])
+    return np.bincount(pair[1:][same], minlength=n)
 
 
 _EMPTY_JACCARD = pa.table({"doc_id_a": pa.array([], pa.int64()),
@@ -94,113 +167,41 @@ _EMPTY_JACCARD = pa.table({"doc_id_a": pa.array([], pa.int64()),
                            "jaccard": pa.array([], pa.float64())})
 
 
-def _verify_gram_pairs_keyed(cand: "ray.data.Dataset",
-                             sets: "ray.data.Dataset",
-                             num_partitions: int = 16) -> "ray.data.Dataset":
-    """Candidate-FLOOD twin of the shared-index gram-set verify: both
-    endpoints' gram blobs are attached through hash-partitioned joins,
-    so no worker ever holds the full gram index (VERDICT r2 #4 — the
-    standalone pair queries now share the flagship's size-aware
-    switch).  Output schema matches the smallset verify exactly."""
-    from ..stages.joins import hash_join
-
-    def prep(side: str):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table({side: t[DOC_UID], f"grams_{side}": t["grams"]})
-        return f
-
-    def score(t: pa.Table) -> pa.Table:
-        if not len(t):
-            return _EMPTY_JACCARD
-        return _scored_pairs(t, t["grams_u"].to_pylist(),
-                             t["grams_v"].to_pylist())
-
-    left = hash_join(cand, sets.map_batches(prep("u"), batch_format="pyarrow"),
-                     "u", num_partitions=num_partitions)
-    return hash_join(left, sets.map_batches(prep("v"), batch_format="pyarrow"),
-                     "v", post_fn=score, num_partitions=num_partitions)
-
-
-def _finish_jaccard(out: pd.DataFrame) -> pd.DataFrame:
-    """Shared output contract of every ngram_jaccard_pairs plan: typed
-    empty frame, pair-deduped, deterministically ordered."""
-    if out.empty:
-        out = _EMPTY_JACCARD.to_pandas()
-    return (out.drop_duplicates(["doc_id_a", "doc_id_b"])
-            .sort_values(["doc_id_a", "doc_id_b"]).reset_index(drop=True))
-
-
-def ngram_jaccard_pairs(sf_dir: str, plan: str = "auto"):
+def ngram_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
     sets = _gram_sets(sf_dir).materialize()
+    tagged = grouped_apply(sets, ["gram"], _with_df, arrow_fn=True,
+                           pre_fn=_gram_rows)
+    prefixes = grouped_apply(tagged, ["doc"], _prefixes, arrow_fn=True)
+    cand = grouped_apply(prefixes, ["gram"], _prefix_pairs, arrow_fn=True)
+    if cand.count() == 0:
+        return _EMPTY_JACCARD.to_pandas()
 
-    def explode(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t[DOC_UID], dtype=np.int64)
-        blobs = t["grams"].to_pylist()
-        lens = np.array([len(b) // 8 for b in blobs], dtype=np.int64)
-        flat = np.frombuffer(b"".join(blobs), dtype=np.uint64)
-        return pa.table({
-            "gram": pa.array(flat.view(np.int64), pa.int64()),
-            "doc_id": pa.array(np.repeat(ids, lens), pa.int64()),
-        })
-
-    gram_rows = sets.map_batches(explode, batch_format="pyarrow")
-
-    def emit_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        # vectorized clique emission: group rows by gram, then expand
-        # pairs one DISTINCT GROUP SIZE at a time (one triu per size,
-        # no Python loop over the ~10^5 tiny gram groups)
-        df = df.sort_values(["gram", "doc_id"], kind="mergesort")
-        g = df["gram"].to_numpy()
-        d = df["doc_id"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-        sizes = np.diff(np.r_[starts, g.size])
-        keep = (sizes > 1) & (sizes <= GRAM_DF_CAP)
-        frames = []
-        for s in np.unique(sizes[keep]):
-            idx = starts[keep][sizes[keep] == s]
-            mat = d[idx[:, None] + np.arange(s)[None, :]]   # (groups, s)
-            iu, jv = np.triu_indices(s, k=1)
-            frames.append(pd.DataFrame({"u": mat[:, iu].ravel(),
-                                        "v": mat[:, jv].ravel()}))
-        if not frames:
-            return pd.DataFrame({"u": pd.Series(dtype="int64"),
-                                 "v": pd.Series(dtype="int64")})
-        return pd.concat(frames).drop_duplicates()
-
-    # duplicate candidate pairs (one per shared gram bucket) cost one
-    # verification each — cheaper than a dedupe shuffle; the final
-    # drop_duplicates runs on the (tiny) verified result
-    cand = grouped_apply(gram_rows, ["gram"], emit_pairs)
-    n_cand = cand.count()
-    if n_cand == 0:
-        return _finish_jaccard(pd.DataFrame())
-
-    # size-aware verify: a candidate flood routes through the
-    # hash-partitioned join twin instead of the shared index (both
-    # plans equality-tested)
-    if plan == "auto":
-        plan = "keyed" if n_cand > INDEX_MAX_PAIRS else "smallset"
-    if plan == "keyed":
-        return _finish_jaccard(_verify_gram_pairs_keyed(cand, sets).to_pandas())
-
-    # smallset plan: the verify stage's shared index over the gram blobs
-    # of the candidate endpoints — one task builds it, workers map it
-    # zero-copy, nothing is collected on the driver
-    from ..stages.verify import endpoint_index, index_rows
-
-    index = endpoint_index(cand, sets, _grams_value)
+    # the verify stage's shared index over the candidate endpoints' gram
+    # sets, built by one task.  Wait for it: a check task blocked on it
+    # frees its CPU, and on one CPU the build then waits for a new worker
+    index = endpoint_index(cand, sets, lambda t: t["grams"].combine_chunks())
+    ray.wait([index])
 
     def verify(t: pa.Table) -> pa.Table:
         ru, rv, grams = index_rows(t, index)
-        ok = np.flatnonzero((ru >= 0) & (rv >= 0))
-        if not ok.size:
-            return _EMPTY_JACCARD
-        return _scored_pairs(t.take(pa.array(ok)),
-                             grams.take(pa.array(ru[ok])).to_pylist(),
-                             grams.take(pa.array(rv[ok])).to_pylist())
+        ga, gb = grams.take(pa.array(ru)), grams.take(pa.array(rv))
+        na = np.asarray(pc.list_value_length(ga), np.int64)
+        nb = np.asarray(pc.list_value_length(gb), np.int64)
+        inter = overlap_counts(na, np.asarray(ga.flatten()),
+                               nb, np.asarray(gb.flatten()))
+        jac = inter / (na + nb - inter)
+        keep = jac >= NGRAM_THRESHOLD
+        return pa.table({
+            "doc_id_a": pa.array(np.asarray(t["u"])[keep], pa.int64()),
+            "doc_id_b": pa.array(np.asarray(t["v"])[keep], pa.int64()),
+            "jaccard": pa.array(jac[keep], pa.float64()),
+        })
 
-    return _finish_jaccard(
-        cand.map_batches(verify, batch_format="pyarrow").to_pandas())
+    # a pair whose prefix grams hash to different partitions is emitted
+    # (and checked) once per partition: dedupe the verified result
+    out = cand.map_batches(verify, batch_format="pyarrow").to_pandas()
+    return (out.drop_duplicates(["doc_id_a", "doc_id_b"])
+            .sort_values(["doc_id_a", "doc_id_b"]).reset_index(drop=True))
 
 
 register(

@@ -1,4 +1,4 @@
-"""Explicit Arrow schema constants, validated at stage boundaries.
+"""Explicit Arrow schema constants of the stage boundaries.
 
 The reference's fixed SQL schema evolved by migrations
 (``db/migrate.go:14-48``, ``migrations/000002_files.up.sql:1-11``) maps
@@ -78,21 +78,3 @@ METRICS_SCHEMA = pa.schema(
         ("wall_s", pa.float64()),
     ]
 )
-
-
-def validate(table: pa.Table, schema: pa.Schema, *, where: str = "") -> pa.Table:
-    """Assert `table` carries at least `schema`'s columns with matching types.
-
-    Stage-boundary validation replacing the reference's DB-enforced
-    schema; extra columns are allowed (stages append derived columns).
-    """
-    for f in schema:
-        idx = table.schema.get_field_index(f.name)
-        if idx < 0:
-            raise ValueError(f"{where}: missing column {f.name!r}")
-        actual = table.schema.field(idx).type
-        if actual != f.type:
-            raise ValueError(
-                f"{where}: column {f.name!r} has type {actual}, expected {f.type}"
-            )
-    return table

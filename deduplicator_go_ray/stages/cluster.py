@@ -28,6 +28,7 @@ import ray
 import ray.data
 
 from .buckets import KIND_ANCHOR, uid_arrow, uid_np
+from .common import block_refs_of, dataset_of, grouped_apply
 
 
 def _dsu_find(parent: dict, x: str) -> str:
@@ -149,7 +150,6 @@ def connected_components_distributed(
     inside the dedupe pass.  Returns (url, root): every non-root node
     mapped to its component minimum.
     """
-    from .common import grouped_apply
     from ..functions.hashing import hash64_str, mix64
 
     def undirect(t: pa.Table) -> pa.Table:
@@ -287,12 +287,9 @@ def resolve_components(
     key_type = key_type or pa.string()
     n = edges_ds.count()
     if n == 0:
-        return ray.data.from_arrow(
-            pa.table({"url": pa.array([], key_type), "root": pa.array([], key_type)})
-        )
+        return dataset_of([ray.put(pa.table({"url": pa.array([], key_type),
+                                             "root": pa.array([], key_type)}))])
     if n <= max_onetask_edges:
-        from .common import block_refs_of, dataset_of
-
         cc, _ = _cc_onetask.remote(*block_refs_of(edges_ds))
         return dataset_of([cc])
     return connected_components_distributed(edges_ds)

@@ -196,11 +196,11 @@ def grouped_apply(
     if kept:
         return dataset_of(kept)
     if empty_result is not None:
-        return ray.data.from_arrow(empty_result)
+        return dataset_of([ray.put(empty_result)])
     # every partition came out empty: keep partition_fn's own schema
     # when it ran at all
     ran = [t for (t, _), n in zip(outs, rows) if n == 0]
-    return dataset_of(ran[:1]) if ran else ray.data.from_arrow(pa.table({}))
+    return dataset_of(ran[:1] or [ray.put(pa.table({}))])
 
 
 def get_all(refs: list) -> list:

@@ -253,7 +253,3 @@ class SignatureStage:
             out = out.append_column("sig_error", pa.nulls(n, pa.string()))
         return out
 
-
-def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> np.ndarray:
-    """Row-wise signature-estimated Jaccard of two (n, P) matrices."""
-    return (sig_a == sig_b).mean(axis=1)

@@ -370,8 +370,8 @@ def _verify(pairs, source, spec: VerifySpec, num_partitions: int):
     if n > spec.round2_max:
         n = ray.get(_kind_rows.remote(spec.kinds, *block_refs_of(pairs)))
     if not n:
-        return ray.data.from_arrow(empty_edges(
-            uid_width(pairs.schema().base_schema.field("u").type)))
+        return dataset_of([ray.put(empty_edges(
+            uid_width(pairs.schema().base_schema.field("u").type)))])
     if n > spec.round2_max:
         pairs = pairs.map_batches(_pick, fn_args=(spec.kinds,),
                                   batch_format="pyarrow").materialize()

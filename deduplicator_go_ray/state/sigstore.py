@@ -534,7 +534,7 @@ def _store_signatures(reps, sp: StatePath, compute_anchors: bool,
         blocks.append(ref)
         nbytes += meta.size_bytes or 0
     if not blocks:
-        return ray.data.from_arrow(pa.table({})), np.zeros(3, np.int64)
+        return dataset_of([ray.put(pa.table({}))]), np.zeros(3, np.int64)
     k = _range_count(nbytes)
     in_cols = ["url", *passthrough, "text_sha256", "text"]
     old = _split_unranged(sp, listing, k)

@@ -408,7 +408,7 @@ def _executions(job) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("plan,executions", [
-    ("default", 3), ("sig_store_rerun", 2)])
+    ("default", 3), ("sig_store_rerun", 2), ("no_duplicates", 3)])
 def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
     """One ``run_dedup(...).write_parquet(...)`` job starts Ray Data
     executions only at its edges: read → extract → content key, the
@@ -416,16 +416,26 @@ def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
     plain tasks) and the caller's write.  Every stage between them is
     plain tasks over block refs, and no walk of the Datasets wrapping
     them starts a streaming executor of its own: executors equal
-    executions."""
+    executions.  ``no_duplicates`` gives every page its own random
+    text, so the candidate, verify and keeper stages come out empty."""
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     pages_tbl, _ = corpus
+    if plan == "no_duplicates":
+        rng = np.random.default_rng(11)
+        html = ["<html><body><p>" + " ".join(
+            f"w{x}" for x in rng.integers(0, 1 << 40, 120)) + "</p></body></html>"
+            for _ in range(N_ROWS)]
+        pages_tbl = pages_tbl.set_column(
+            pages_tbl.schema.get_field_index("html"), "html",
+            pa.array([h.encode() for h in html], pa.binary()))
     pages = tmp_path / "pages"
     pages.mkdir()
     pq.write_table(pages_tbl.drop_columns(["text"]), pages / "p.parquet")
-    cfg = {"default": PipelineConfig(),
-           "sig_store_rerun": PipelineConfig(
-               sig_store_dir=str(tmp_path / "store"))}[plan]
+    cfg = PipelineConfig()
+    if plan == "sig_store_rerun":
+        cfg = PipelineConfig(sig_store_dir=str(tmp_path / "store"))
     if plan == "sig_store_rerun":
         run_dedup(rd.read_parquet(str(pages)), cfg).write_parquet(
             str(tmp_path / "fill"))
@@ -433,7 +443,10 @@ def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
     got, executors = _executions(
         lambda: run_dedup(rd.read_parquet(str(pages)), cfg)
         .write_parquet(str(out)))
-    assert rd.read_parquet(str(out)).count() == N_ROWS
+    written = rd.read_parquet(str(out)).to_pandas()
+    assert len(written) == N_ROWS
+    if plan == "no_duplicates":
+        assert written["is_keeper"].all()
     assert got == executions
     assert executors == executions
 

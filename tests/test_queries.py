@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -254,17 +255,89 @@ def test_pair_queries_verify_plans_equal(ray_session, monkeypatch):
     # VERDICT r2 #4: the standalone pair queries' scale twins must
     # produce byte-identical pairs to their endpoint index plans.
     # minhash_lsh_pairs takes the verify stage's plan: with the near
-    # round-2 cap at 0 it is the two-attach check; ngram_jaccard_pairs
-    # keeps its own keyed twin
-    from deduplicator_go_ray.pipelines.dedup_queries import (
-        minhash_lsh_pairs, ngram_jaccard_pairs)
+    # round-2 cap at 0 it is the two-attach check.  ngram_jaccard_pairs
+    # has one plan, checked against its oracle below
+    from deduplicator_go_ray.pipelines.dedup_queries import minhash_lsh_pairs
     from deduplicator_go_ray.stages import verify
 
-    runs = [(minhash_lsh_pairs, {}), (ngram_jaccard_pairs, {"plan": "smallset"})]
-    small = [fn(SF_DIR, **kw).reset_index(drop=True) for fn, kw in runs]
+    small = minhash_lsh_pairs(SF_DIR).reset_index(drop=True)
     monkeypatch.setattr(verify, "NEAR_ROUND2_MAX_BYTES", 0)
-    keyed = [minhash_lsh_pairs(SF_DIR).reset_index(drop=True),
-             ngram_jaccard_pairs(SF_DIR, plan="keyed").reset_index(drop=True)]
-    for (fn, _), s, k in zip(runs, small, keyed):
-        pd.testing.assert_frame_equal(s, k)
-        assert len(s) > 0, fn.__name__
+    keyed = minhash_lsh_pairs(SF_DIR).reset_index(drop=True)
+    pd.testing.assert_frame_equal(small, keyed)
+    assert len(small) > 0
+
+
+def _ngram_and_oracle(tmp_path, texts: list[str]):
+    """``ngram_jaccard_pairs`` and its registered oracle SQL over a
+    ``documents.parquet`` of ``texts`` (doc_id = position)."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as e
+    from deduplicator_go_ray.pipelines.dedup_queries import ngram_jaccard_pairs
+
+    path = tmp_path / "documents.parquet"
+    pq.write_table(pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                             "text": pa.array(texts, pa.string())}), path)
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM '{path}'")
+    oracle = (con.execute(e.oracle_sql()["ngram_jaccard_pairs"]).fetch_df()
+              .sort_values(["doc_id_a", "doc_id_b"]).reset_index(drop=True))
+    return ngram_jaccard_pairs(str(tmp_path)), oracle
+
+
+def test_ngram_pairs_find_a_pair_of_hot_grams(ray_session, tmp_path):
+    """Every gram that docs A and B share occurs in 203 docs: 201
+    fillers are the same 60-word passage plus 40 words of their own.
+    J(A, B) = 58/62 and every other pair is below 0.8.  A cap on gram
+    document frequency (the earlier plan skipped buckets of more than
+    200 docs) loses the pair; the prefix filter must not."""
+    passage = [f"p{i}" for i in range(60)]
+    texts = [" ".join(passage + [f"f{d}w{j}" for j in range(40)])
+             for d in range(201)]
+    texts += [" ".join(passage + ["a0", "a1"]), " ".join(passage + ["b0", "b1"])]
+    got, oracle = _ngram_and_oracle(tmp_path, texts)
+    pd.testing.assert_frame_equal(got, oracle)
+    assert list(zip(got["doc_id_a"], got["doc_id_b"])) == [(201, 202)]
+    assert got["jaccard"][0] == 58 / 62
+
+
+def test_ngram_pairs_keep_a_pair_at_the_threshold(ray_session, tmp_path):
+    """A 35-gram doc and a 28-gram doc whose grams are a subset of it:
+    J = 28/35 = 0.8 exactly, so the length filter (0.8 · 35 = 28) and
+    the positional filter sit at equality.  A strict comparison, or a
+    prefix length rounded the wrong way, drops the pair."""
+    words = [f"x{i}" for i in range(37)]
+    texts = [" ".join(words), " ".join(words[:30]),
+             " ".join(f"y{i}" for i in range(40)),
+             " ".join(words[:3] + [f"z{i}" for i in range(20)])]
+    got, oracle = _ngram_and_oracle(tmp_path, texts)
+    pd.testing.assert_frame_equal(got, oracle)
+    assert list(zip(got["doc_id_a"], got["doc_id_b"], got["jaccard"])) == [
+        (0, 1, 0.8)]
+
+
+_GRAM_SETS = st.lists(st.one_of(st.integers(0, 40),
+                                st.integers(-(1 << 63), (1 << 63) - 1)),
+                      unique=True, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_GRAM_SETS, _GRAM_SETS), max_size=12))
+def test_overlap_counts_match_intersect1d(pairs):
+    """The batched overlap count equals ``np.intersect1d`` pair by
+    pair, with empty, identical and disjoint sets always in the batch."""
+    import numpy as np
+
+    from deduplicator_go_ray.pipelines.dedup_queries import overlap_counts
+
+    some = pairs[0][0] if pairs else [3, 1, 2]
+    pairs = pairs + [([], []), ([], some), (some, some),
+                     ([1, 2, 3], [4, 5, 6])]
+    sets = [[np.array(s, np.int64) for s in side] for side in zip(*pairs)]
+    got = overlap_counts(*(a for side in sets for a in (
+        np.array([len(s) for s in side], np.int64),
+        np.concatenate(side))))
+    want = [np.intersect1d(a, b).size for a, b in zip(*sets)]
+    assert got.tolist() == want

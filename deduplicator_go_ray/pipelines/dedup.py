@@ -29,13 +29,17 @@ the signature map (task-based ``map_batches`` with a per-worker stage
 cache, ``_STAGE_CACHE``); with a signature store the signatures are
 plain tasks too, so a store run has two executions.  Every stage
 between them is plain Ray tasks whose inputs are block refs passed as
-top-level task arguments.  Their outputs become Datasets only through
-``stages.common.dataset_of``: ``from_arrow_refs`` runs one metadata
-task per block and waits for them, and each walk of the unexecuted
-wrapper it returns would start a Ray Data streaming executor (~13 ms
-on one CPU), so the helper returns the wrapper's executed snapshot.
-A Ray Data execution costs ~55 ms of fixed time on one CPU against
-~4 ms for a plain task.
+top-level task arguments, and the stages hand one another
+``stages.common.Blocks``: the non-empty block refs with the row count
+and byte size their producing tasks report.  Each stage awaits those
+small counts (it needs them anyway: ``n_reps``, ``n_cand``,
+``n_edges``, the component count, the zero-row blocks dropped before
+the sink), so it has run when it returns.  A Dataset is built from
+refs (``stages.common.dataset_of``: one metadata task per block and a
+stats-actor round trip per Dataset, 7-9 ms for 3 blocks on one CPU)
+only where Ray Data must run: the signature map's input, and the
+result handed to the caller.  A Ray Data execution costs ~55 ms of
+fixed time on one CPU against ~4 ms for a plain task.
 
 Every per-group decision is a pure function of group content, so the
 assignment set is identical at any parallelism — the reference's
@@ -60,10 +64,12 @@ from ..schema import ASSIGNMENTS_SCHEMA
 from ..stages.buckets import (KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
                               bucket_batch, candidate_edges_fused,
                               refuse_doc_uid, sampled_hot_band_keys, uid_arrow,
-                              uid_bits_for, uid_np, uid_of_urls, uid_width)
+                              uid_bits_for, uid_np, uid_of_urls, uid_pa_type,
+                              uid_width)
 from ..stages.cluster import _cc_onetask, anchor_endpoints, resolve_components
-from ..stages.common import (block_refs_of, dataset_of, grouped_apply,
-                             map_blocks, sorted_probe)
+from ..stages.common import (as_blocks, block_refs_of, dataset_of, gather,
+                             grouped_apply, map_blocks, sorted_probe,
+                             with_stats)
 from ..stages.exact import add_content_key, assign_exact_groups, dup_candidates
 from ..stages.extract import ExtractStage
 from ..stages.joins import hash_join
@@ -158,14 +164,13 @@ def _self_clustered(t: pa.Table, kind: str) -> pa.Table:
 def _self_clusters(t: pa.Table, min_size: int, num_partitions: int):
     """The pass-through rows of one extracted block as a sink block:
     error rows, and with ``min_size`` the too-small rows, each its own
-    cluster.  Returns ``(block, rows)``."""
+    cluster.  Returns the block with its stats."""
     parts = [_self_clustered(t.filter(pc.is_valid(t["error"])), "error")]
     if min_size:
         small = pc.and_kleene(pc.is_null(t["error"]),
                               pc.less(t["n_bytes"], int(min_size)))
         parts.append(_self_clustered(t.filter(small), "too_small"))
-    out = _finished(pa.concat_tables(parts), num_partitions)
-    return out, len(out)
+    return with_stats(_finished(pa.concat_tables(parts), num_partitions))
 
 
 @ray.remote
@@ -175,15 +180,15 @@ def _rep_uids(*blocks) -> np.ndarray:
         [uid_of_urls(t.filter(t["is_rep"])["url"]) for t in blocks]))
 
 
-def _rep_rows(t: pa.Table, cols: list, rep_uids=None,
-              min_size: int = 0) -> pa.Table:
+def _rep_rows(t: pa.Table, cols: list, rep_uids=None, min_size: int = 0):
     """The representative rows of a members block or, given the sorted
-    ``rep_uids``, of an extracted block; ``cols`` only."""
+    ``rep_uids``, of an extracted block; ``cols`` only, with their
+    stats."""
     if rep_uids is None:
-        return t.filter(t["is_rep"]).select(cols)
+        return with_stats(t.filter(t["is_rep"]).select(cols))
     t = dup_candidates(t, min_size)
     _, hit = sorted_probe(rep_uids, uid_of_urls(t["url"]))
-    return t.filter(pa.array(hit)).select(cols)
+    return with_stats(t.filter(pa.array(hit)).select(cols))
 
 
 # the distributed components tier's anchor-endpoint set (the one-task
@@ -191,22 +196,22 @@ def _rep_rows(t: pa.Table, cols: list, rep_uids=None,
 _anchor_uids = ray.remote(lambda *blocks: anchor_endpoints(blocks))
 
 
-def _with_rep_uid(t: pa.Table, uid_type: pa.DataType) -> pa.Table:
+def _with_rep_uid(t: pa.Table, uid_type: pa.DataType):
     if "text" in t.column_names:
         t = t.drop_columns(["text"])
-    return t.append_column("rep_uid", uid_arrow(
-        uid_of_urls(t["rep_url"], uid_width(uid_type))))
+    return with_stats(t.append_column("rep_uid", uid_arrow(
+        uid_of_urls(t["rep_url"], uid_width(uid_type)))))
 
 
-def _as_near_root(t: pa.Table) -> pa.Table:
-    return pa.table({"rep_uid": t["url"], "near_root": t["root"]})
+def _as_near_root(t: pa.Table):
+    return with_stats(pa.table({"rep_uid": t["url"], "near_root": t["root"]}))
 
 
 def _finalize(t: pa.Table, cc, sub, uid_type: pa.DataType,
               num_partitions: int):
     """One members block → (its duplicate rows, with ``canonical`` and
-    ``match_kind``, for the keeper exchange; its unique rows as
-    finished assignment rows; their count).  A member's canonical is
+    ``match_kind``, for the keeper exchange; their stats; its unique
+    rows as finished assignment rows; their stats).  A member's canonical is
     its exact representative's component root (the ``near_root``
     column after a keyed join, else a probe of the one-task tier's
     sorted component map ``cc``) or the representative itself; ``sub``
@@ -235,18 +240,18 @@ def _finalize(t: pa.Table, cc, sub, uid_type: pa.DataType,
     dups = (t.append_column("canonical", uid_arrow(canonical))
             .append_column("match_kind", pa.array(kinds, pa.string()))
             .filter(pa.array(dup)))
-    return (dups, _finished(_self_clustered(uniq, "unique"), num_partitions),
-            len(uniq))
+    return (*with_stats(dups),
+            *with_stats(_finished(_self_clustered(uniq, "unique"),
+                                  num_partitions)))
 
 
-def _nonempty(tail: list, head: list = ()) -> "ray.data.Dataset":
-    """The non-empty blocks ``head`` and the ``(block, rows)`` refs of
+def _nonempty(tail: list, head: tuple = ()) -> "ray.data.Dataset":
+    """The non-empty blocks ``head`` and the ``(block, stats)`` refs of
     ``tail`` as one dataset, wrapped once: ``tail``'s zero-row blocks
     are dropped by their row counts unless every block is empty.  Ray
     forwards zero-row blocks untouched through a caller's later map,
     still in the pre-map schema (VERDICT r2 #9)."""
-    rows = ray.get([n for _, n in tail])
-    kept = list(head) + [b for (b, _), n in zip(tail, rows) if n]
+    kept = list(head) + list(gather(tail).refs)
     return dataset_of(kept or [tail[0][0]])
 
 
@@ -299,16 +304,15 @@ def run_dedup(
         extracted = extract_pages(pages, cfg)
     # materialize ONCE: the exact exchange, the rep texts and the
     # self-cluster task all read its blocks
-    hashed = add_content_key(extracted).materialize()
+    docs = as_blocks(add_content_key(extracted).materialize())
     timer.tick("extract+hash")
-    n_docs = hashed.count()  # metadata read — hashed is materialized
+    n_docs = docs.num_rows
     if n_docs == 0:
         return dataset_of([ray.put(_EMPTY_ASSIGN)])
-    hashed_refs = block_refs_of(hashed)
     # error rows + too-small rows pass through as self-clusters: one
     # task per extracted block, submitted now (zero-row results are
     # dropped at the end)
-    tail = map_blocks(hashed_refs, _self_clusters, cfg.min_size,
+    tail = map_blocks(docs.refs, _self_clusters, cfg.min_size,
                       num_partitions, num_returns=2)
 
     # ---- exact dedup (shuffle on content key) ------------------------------
@@ -325,21 +329,21 @@ def run_dedup(
     texts_through_shuffle = n_docs > cfg.broadcast_max_reps
     keep = (("url", "warc_ts", "lang", "text") if texts_through_shuffle
             else ("url", "warc_ts", "lang"))
-    members = assign_exact_groups(hashed, keep_cols=keep,
+    members = assign_exact_groups(docs, keep_cols=keep,
                                   min_size=cfg.min_size)
     timer.tick("exact_groups")
-    member_refs = block_refs_of(members)
-    if not member_refs:
+    if not members.refs:
         # empty / all-error corpus: only the self-clusters flow through
         return _nonempty(tail)
 
     rep_cols = ["url", "text", "n_bytes"] + (
         ["text_sha256"] if cfg.sig_store_dir else [])
-    reps = dataset_of(
-        map_blocks(member_refs, _rep_rows, rep_cols) if texts_through_shuffle
-        else map_blocks(hashed_refs, _rep_rows, rep_cols,
-                        _rep_uids.remote(*member_refs), cfg.min_size))
-    timer.tick("rep_texts")
+    rep_outs = (
+        map_blocks(members.refs, _rep_rows, rep_cols, num_returns=2)
+        if texts_through_shuffle
+        else map_blocks(docs.refs, _rep_rows, rep_cols,
+                        _rep_uids.remote(*members.refs), cfg.min_size,
+                        num_returns=2))
 
     # ---- signatures on representatives only (candidate pruning §7.0) -------
     sig_kwargs = {
@@ -361,16 +365,22 @@ def run_dedup(
         # index gathers url+minhash only).
         from ..state.sigstore import incremental_signatures
 
+        reps = gather(rep_outs)
+        timer.tick("rep_texts")
         sigs, _n_new = incremental_signatures(
             reps, cfg.sig_store_dir, sig_kwargs=sig_kwargs,
             passthrough=("n_bytes",), batch_size=cfg.signature_batch_size)
         timer.note("sigs_computed", _n_new)
     else:
-        sigs = reps.map_batches(
+        # the signature map is Ray Data's: its input is wrapped, and
+        # its executed output is read back as Blocks
+        reps = dataset_of([b for b, _ in rep_outs])
+        timer.tick("rep_texts")
+        sigs = as_blocks(reps.map_batches(
             functools.partial(_signature_slim, **sig_kwargs),
             batch_format="pyarrow",
             batch_size=cfg.signature_batch_size,
-        ).materialize()
+        ).materialize())
 
     timer.tick("signatures")
     # ---- candidate edges: ONE fused bucket exchange ------------------------
@@ -381,13 +391,14 @@ def run_dedup(
     # deterministic 1/8 content-hash sample pre-counts band keys, and
     # hot keys are salted IN-FLIGHT inside the same fused exchange —
     # salted sub-buckets emit chain-only edges.
-    n_reps = sigs.count()
+    n_reps = sigs.num_rows
     timer.note("n_reps", n_reps)
     # the uid width self-selects from the rep count (128 bits where an
     # accidental 64-bit collision becomes likely), here where the count
     # first exists; only the mint takes it — everything downstream
-    # reads the candidate edges' uid type
+    # reads uid_type, the type the candidate exchange casts its edges to
     uid_bits = uid_bits_for(n_reps)
+    uid_type = uid_pa_type(uid_bits)
     timer.note("uid_bits", uid_bits)
 
     hot = sampled_hot_band_keys(sigs, cfg, n_reps)
@@ -403,16 +414,15 @@ def run_dedup(
             bucket_batch, minhash=cfg.minhash, kinds=kinds,
             hot_band_keys=hot, num_salts=cfg.lsh.num_salts,
             uid_bits=uid_bits))
-    uid_type = cand.schema().base_schema.field("u").type
     timer.tick("candidates")
 
     # ---- verify: both kinds read the one candidate table -------------------
     # each kind's plan is the verify stage's rule (stages/verify.py:
     # _verify): an index over its pairs' endpoints up to its round-2
-    # cap, two keyed attach exchanges above it.  Below the caps neither
-    # call awaits anything, so both kinds' tasks run side by side
-    # (plans equality-tested in tests/test_dedup_pipeline.py)
-    n_cand = cand.count()
+    # cap, two keyed attach exchanges above it (plans equality-tested
+    # in tests/test_dedup_pipeline.py); each call returns its edges
+    # once its checks have run
+    n_cand = cand.num_rows
     timer.note("n_cand", n_cand)
     edge_sets = []
     if n_cand:
@@ -421,29 +431,28 @@ def run_dedup(
     if n_cand and cfg.run_substring_pass:
         edge_sets.append(verify_containment_edges(
             cand, reps, cfg.bucket_partitions))
-    edge_refs = [r for e in edge_sets for r in block_refs_of(e)]
-    n_edges = sum(e.count() for e in edge_sets)
+    edge_refs = [r for e in edge_sets for r in e.refs]
+    n_edges = sum(e.num_rows for e in edge_sets)
     timer.tick("verify+edges")
     timer.note("n_edges", n_edges)
 
     # ---- components → rep cluster assignment -------------------------------
-    # the one-task tier returns the (url, root) map and the sorted
-    # anchor-edge endpoints together; both stay in the object store and
-    # reach the finalize tasks as top-level arguments — no driver pull
+    # the one-task tier returns the (url, root) map, the sorted
+    # anchor-edge endpoints and the map's row count; the first two stay
+    # in the object store and reach the finalize tasks as top-level
+    # arguments — no driver pull
     cc_ref = sub_ref = None
-    n_comp = 0
+    cc_refs, n_comp = [], 0
     if n_edges and n_edges <= cfg.onetask_cc_max_edges:
-        cc_ref, sub_ref = _cc_onetask.remote(*edge_refs)
-        # dataset_of waits for the map's metadata task, so this is the
-        # components barrier; its materialize() is where dedupbench's
-        # traced run counts the components
-        rep_clusters = dataset_of([cc_ref])
-        n_comp = rep_clusters.count()
+        cc_ref, sub_ref, n_ref = _cc_onetask.remote(*edge_refs)
+        n_comp = ray.get(n_ref)
+        cc_refs = [cc_ref]
     elif n_edges:
         rep_clusters = resolve_components(
             dataset_of(edge_refs), key_type=uid_type,
             max_onetask_edges=cfg.onetask_cc_max_edges)
         sub_ref = _anchor_uids.remote(*edge_refs)
+        cc_refs = block_refs_of(rep_clusters)
         n_comp = rep_clusters.count()
     timer.tick("components")
 
@@ -451,14 +460,15 @@ def run_dedup(
         # the component map is too large to broadcast (or spread over
         # the distributed tier's partitions): one keyed join attaches
         # each member's near_root
-        enriched = hash_join(
-            dataset_of(map_blocks(member_refs, _with_rep_uid, uid_type)),
-            dataset_of(map_blocks(block_refs_of(rep_clusters), _as_near_root)),
+        members = hash_join(
+            gather(map_blocks(members.refs, _with_rep_uid, uid_type,
+                              num_returns=2)),
+            gather(map_blocks(cc_refs, _as_near_root, num_returns=2)),
             "rep_uid", "left outer", num_partitions=num_partitions)
-        member_refs, cc_ref = block_refs_of(enriched), None
-    finals = map_blocks(member_refs, _finalize, cc_ref, sub_ref,
-                        uid_type, num_partitions, num_returns=3)
-    tail += [(u, n) for _, u, n in finals]
+        cc_ref = None
+    finals = map_blocks(members.refs, _finalize, cc_ref, sub_ref,
+                        uid_type, num_partitions, num_returns=4)
+    tail += [(u, st) for _, _, u, st in finals]
     timer.tick("finalize")
 
     # ---- keeper resolution per cluster (shuffle on canonical uid) ----------
@@ -502,7 +512,7 @@ def run_dedup(
         }), preserve_index=False), num_partitions)
 
     keepers = grouped_apply(
-        dataset_of([d for d, _, _ in finals]), ["canonical"],
+        gather((d, st) for d, st, _, _ in finals), ["canonical"],
         resolve, num_partitions=cfg.bucket_partitions,
         empty_result=_EMPTY_ASSIGN)
-    return _nonempty(tail, block_refs_of(keepers))
+    return _nonempty(tail, keepers.refs)

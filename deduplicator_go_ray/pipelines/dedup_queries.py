@@ -51,27 +51,40 @@ def _read_docs(sf_dir: str, columns: list[str]) -> "ray.data.Dataset":
 # word-trigram exact Jaccard — prefix-filter join + exact verify
 # --------------------------------------------------------------------------
 
+def gram_set_batch(t: pa.Table) -> pa.Table:
+    """The gram sets of a (doc_id, text) batch: per doc (``DOC_UID`` =
+    doc_id) its distinct word trigrams — words split on single spaces,
+    empty words dropped, as the oracle splits — hashed to u64 and
+    sorted, as a ``list<int64>`` of their bits.  One Arrow pass per
+    batch: split, join each run of ``NGRAM_N`` consecutive words of one
+    doc, keep each (doc, gram) once, then one hash call."""
+    words = pc.split_pattern(t["text"].combine_chunks(), " ")
+    flat, doc = words.flatten(), pc.list_parent_indices(words)
+    nonempty = pc.greater(pc.binary_length(flat), 0)
+    flat, doc = flat.filter(nonempty), np.asarray(doc.filter(nonempty))
+    # a gram starts at word i when word i + N - 1 is in the same doc
+    # (doc indices are non-decreasing along the flattened words)
+    starts = np.flatnonzero(doc[:max(0, len(doc) - NGRAM_N + 1)]
+                            == doc[NGRAM_N - 1:])
+    grams = pc.binary_join_element_wise(
+        *(flat.take(pa.array(starts + j)) for j in range(NGRAM_N)), " ")
+    distinct = pa.table({"doc": doc[starts], "gram": grams}).group_by(
+        ["doc", "gram"], use_threads=False).aggregate([])
+    gdoc = np.asarray(distinct["doc"], np.int64)
+    h = hash64_str(distinct["gram"])
+    order = np.lexsort((h, gdoc))
+    offsets = np.r_[0, np.cumsum(np.bincount(gdoc, minlength=len(t)))]
+    return pa.table({DOC_UID: t["doc_id"],
+                     "grams": pa.ListArray.from_arrays(
+                         pa.array(offsets, pa.int32()),
+                         h[order].view(np.int64))})
+
+
 def _gram_sets(sf_dir: str) -> "ray.data.Dataset":
     """Per doc (``DOC_UID`` = doc_id): its sorted distinct trigram u64
-    hashes, as a ``list<int64>`` of their bits."""
-    docs = _read_docs(sf_dir, ["doc_id", "text"])
-
-    def f(t: pa.Table) -> pa.Table:
-        sets = []
-        for s in t["text"].to_pylist():
-            w = [x for x in s.split(" ") if x]
-            sets.append({" ".join(w[i:i + NGRAM_N])
-                         for i in range(len(w) - NGRAM_N + 1)})
-        lens = np.array([len(g) for g in sets], np.int64)
-        # one hash pass over the batch, then one sort by (doc, hash)
-        h = hash64_str([g for grams in sets for g in grams])
-        h = h[np.lexsort((h, np.repeat(np.arange(len(sets)), lens)))]
-        offsets = np.cumsum(np.r_[0, lens]).astype(np.int32)
-        return pa.table({DOC_UID: t["doc_id"],
-                         "grams": pa.ListArray.from_arrays(offsets,
-                                                           h.view(np.int64))})
-
-    return docs.map_batches(f, batch_format="pyarrow")
+    hashes (:func:`gram_set_batch`)."""
+    return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        gram_set_batch, batch_format="pyarrow")
 
 
 # the cutoff as a fraction (0.8 = 4/5): the prefix and the positional

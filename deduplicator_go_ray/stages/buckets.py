@@ -65,7 +65,7 @@ import ray.data
 
 from ..config import LSHConfig, MinHashConfig, PipelineConfig
 from ..functions.hashing import combine64, hash64_str, mix64
-from .common import grouped_apply, keys_over
+from .common import Blocks, grouped_apply, keys_over
 
 KIND_BAND = 0
 KIND_SIMHASH = 1
@@ -238,7 +238,7 @@ def uid_words(uids: np.ndarray) -> np.ndarray:
 
 
 def sampled_hot_band_keys(
-    sigs: "ray.data.Dataset",
+    sigs: "Blocks | ray.data.Dataset",
     cfg: PipelineConfig,
     n_docs: int,
     sample_mod: int = 8,
@@ -455,7 +455,7 @@ def _chain_star_pairs(sizes: np.ndarray, starts: np.ndarray, group_cap: int,
 
 
 def candidate_edges_fused(
-    buckets: "ray.data.Dataset",
+    buckets: "Blocks | ray.data.Dataset",
     lsh: LSHConfig,
     simhash_hamming: int,
     anchor_bucket_cap: int = 4096,
@@ -464,15 +464,17 @@ def candidate_edges_fused(
     uid_bits: int = 64,
     minhash: MinHashConfig | None = None,
     pre_fn=None,
-) -> "ray.data.Dataset":
+) -> "Blocks | ray.data.Dataset":
     """One hash shuffle on ``key``; per partition, vectorized per-kind
     emission and the digest prune (module docstring).  ``minhash``
     (default ``MinHashConfig()``) sets the near threshold.  ``pre_fn``
     builds the bucket rows inside the exchange's split tasks —
-    ``run_dedup`` passes :func:`bucket_batch` and its signature table,
-    so the rows are never stored unsplit.  Returns (u, v, kind)
-    candidate edges; ``uid_bits`` is the width of the uids the bucket
-    rows carry (the reducer's pandas output is cast to it)."""
+    ``run_dedup`` passes :func:`bucket_batch` and its signature
+    :class:`~.common.Blocks`, so the rows are never stored unsplit.
+    Returns (u, v, kind) candidate edges, as Blocks when given them
+    (:func:`~.common.grouped_apply`'s refs contract); ``uid_bits`` is
+    the width of the uids the bucket rows carry (the reducer's pandas
+    output is cast to it)."""
     mh = minhash or MinHashConfig()
     # most fingerprint bits that may differ: with m_min equal slots at
     # most P - m_min bits differ, over any P (unused bits are equal)

@@ -113,7 +113,7 @@ def _labels_arrow(labels: np.ndarray, typ: pa.DataType) -> pa.Array:
     return pa.array(labels, typ) if pa.types.is_string(typ) else uid_arrow(labels)
 
 
-@ray.remote(num_cpus=1, num_returns=2)
+@ray.remote(num_cpus=1, num_returns=3)
 def _cc_onetask(*blocks):
     """Run :func:`cc_label_arrays` over the edge blocks (top-level
     arguments) in ONE Ray task — the one-task tier of
@@ -121,10 +121,11 @@ def _cc_onetask(*blocks):
     edge set (orders of magnitude smaller than the corpus) fits one
     worker's heap, and a single vectorized task beats ~10 alternating
     label-propagation shuffles by 2 orders of magnitude of fixed cost.
-    Returns the Arrow (url, root) table, of the edges' label type, and
-    the sorted anchor-edge endpoints (:func:`anchor_endpoints`), both
-    living in the object store; ``blocks`` must hold at least one edge.
-    Labels are uids (through the codec) or url strings."""
+    Returns the Arrow (url, root) table, of the edges' label type, the
+    sorted anchor-edge endpoints (:func:`anchor_endpoints`), both
+    living in the object store, and the table's row count; ``blocks``
+    must hold at least one edge.  Labels are uids (through the codec)
+    or url strings."""
     from ray.data.block import BlockAccessor
 
     tables = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
@@ -135,7 +136,7 @@ def _cc_onetask(*blocks):
     typ = tables[0]["u"].type
     cc = pa.table({"url": _labels_arrow(nodes, typ),
                    "root": _labels_arrow(roots, typ)})
-    return cc, anchor_endpoints(tables)
+    return cc, anchor_endpoints(tables), len(cc)
 
 
 def connected_components_distributed(
@@ -290,6 +291,6 @@ def resolve_components(
         return dataset_of([ray.put(pa.table({"url": pa.array([], key_type),
                                              "root": pa.array([], key_type)}))])
     if n <= max_onetask_edges:
-        cc, _ = _cc_onetask.remote(*block_refs_of(edges_ds))
+        cc, _, _ = _cc_onetask.remote(*block_refs_of(edges_ds))
         return dataset_of([cc])
     return connected_components_distributed(edges_ds)

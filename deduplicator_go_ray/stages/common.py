@@ -18,6 +18,7 @@ barriers or shuffle actors.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -78,18 +79,19 @@ def slice_parts(tbl: pa.Table, part: np.ndarray, n_parts: int) -> tuple:
 def _reduce_partition(partition_fn, arrow_fn: bool, fill: bool, schema,
                       *slices):
     """Reduce side: concatenate one partition's slices and run
-    ``partition_fn`` on them.  Returns ``(table, rows)``; ``rows`` is
-    -1 when the partition received no rows (``partition_fn`` is never
-    called on an empty partition).  A pandas result is cast to
-    ``schema`` when one is given: pandas infers variable binary for
-    bytes, so a 16-byte uid column comes back as ``binary(16)``.
+    ``partition_fn`` on them.  Returns ``(table, (rows, bytes))``;
+    ``rows`` is -1 when the partition received no rows
+    (``partition_fn`` is never called on an empty partition).  A pandas
+    result is cast to ``schema`` when one is given: pandas infers
+    variable binary for bytes, so a 16-byte uid column comes back as
+    ``binary(16)``.
 
     ``fill`` (a list of inputs): a column that only the partition's
     zero-row slices carry — an input that sent it no rows — is added
     as typed nulls."""
     tables = [t for t in slices if t.num_rows]
     if not tables:
-        return pa.table({}), -1
+        return pa.table({}), (-1, 0)
     # unioned inputs may disagree on column ORDER: unify by name
     full = pa.concat_tables(tables, promote_options="default")
     if fill:
@@ -104,8 +106,7 @@ def _reduce_partition(partition_fn, arrow_fn: bool, fill: bool, schema,
             out = out.cast(schema)
     # strip the pandas schema-metadata dict: Ray hashes schemas for
     # dedup and a dict payload defeats it
-    out = out.replace_schema_metadata(None)
-    return out, out.num_rows
+    return with_stats(out.replace_schema_metadata(None))
 
 
 def sized_partitions(input_bytes: int) -> int:
@@ -126,14 +127,14 @@ def _exchange_partitions(num_partitions: int, input_bytes: int) -> int:
 
 
 def grouped_apply(
-    ds: "ray.data.Dataset | list",
+    ds: "Blocks | ray.data.Dataset | list",
     keys: list[str],
     partition_fn: Callable[[pd.DataFrame], pd.DataFrame],
     num_partitions: int = 64,
     empty_result: pa.Table | None = None,
     arrow_fn: bool = False,
     pre_fn: "Callable[[pa.Table], pa.Table] | list | None" = None,
-) -> "ray.data.Dataset":
+) -> "Blocks | ray.data.Dataset":
     """Hash-partition `ds` on `keys`, then run `partition_fn` once per
     partition over a pandas frame containing only complete key-groups.
 
@@ -141,23 +142,26 @@ def grouped_apply(
     beyond what it itself sorts — results are then independent of the
     partition count (N-vs-4N determinism).
 
-    The exchange is plain Ray tasks over block refs: every input is
-    walked once (:func:`nonempty_blocks`; a lazy input executes there,
-    its upstream maps fused into that execution, and any input not yet
-    executed, a bare ``from_arrow_refs`` wrapper included, starts a
-    streaming executor).  One split task per block applies
-    ``pre_fn``, hashes ``keys`` and returns one Arrow slice per
-    partition; one reduce task per partition concatenates its slices
-    and runs ``partition_fn``.  No block data reaches the driver, only
-    the partition row counts.  The exchange runs when this function is
-    called; the result is an executed dataset (:func:`dataset_of`) of
-    the non-empty partitions.  When a reduce fails, every other
-    partition task is awaited before the error is re-raised, so none is
-    still running (or writing) when the caller sees it.
+    The exchange is plain Ray tasks over block refs.  One split task
+    per input block applies ``pre_fn``, hashes ``keys`` and returns one
+    Arrow slice per partition; one reduce task per partition
+    concatenates its slices and runs ``partition_fn``.  No block data
+    reaches the driver, only each partition's row count and byte size,
+    which the call awaits: the exchange has run when it returns.  When
+    a reduce fails, every other partition task is awaited before the
+    error is re-raised, so none is still running (or writing) when the
+    caller sees it.
+
+    The refs contract (:class:`Blocks`): given :class:`Blocks`, the
+    result is the :class:`Blocks` of the non-empty partitions, and no
+    Dataset is built.  Given a Dataset, its blocks are walked once
+    (:func:`as_blocks`; a lazy input executes there) and the result is
+    an executed Dataset (:func:`dataset_of`), typed by
+    ``empty_result`` (else by `partition_fn`'s own zero-row output)
+    when every partition comes out empty.
 
     ``empty_result``: a ZERO-ROW Arrow table with `partition_fn`'s
-    output schema, returned when every partition comes out empty; a
-    pandas partition result is cast to its schema.
+    output schema; a pandas partition result is cast to its schema.
 
     ``arrow_fn=True``: `partition_fn` receives the concatenated
     partition as a **pyarrow Table** and must return one — skipping
@@ -165,23 +169,22 @@ def grouped_apply(
     per cell and dominates wall time when rows carry wide binary
     payloads (the flood-verify signature blobs).
 
-    ``ds`` may be a LIST of datasets (a union exchange — e.g. the two
-    sides of :func:`~.joins.hash_join`); their columns are unified by
-    name inside each partition, and a partition that received no rows
-    of an input still carries that input's columns, as typed nulls
-    (an input with no rows at all carries none).  ``pre_fn`` may then
-    be a list too, one function (or None) per input."""
+    ``ds`` may be a LIST of inputs (a union exchange — e.g. the two
+    sides of :func:`~.joins.hash_join`; the result is :class:`Blocks`
+    when every input is); their columns are unified by name inside
+    each partition, and a partition that received no rows of an input
+    still carries that input's columns, as typed nulls (an input with
+    no rows at all carries none).  ``pre_fn`` may then be a list too,
+    one function (or None) per input."""
     multi = isinstance(ds, (list, tuple))
-    inputs = list(ds) if multi else [ds]
+    inputs = [as_blocks(d) for d in (ds if multi else [ds])]
     pre_fns = (list(pre_fn) if isinstance(pre_fn, (list, tuple))
                else [pre_fn] * len(inputs))
     pre_refs = {id(f): ray.put(f) for f in pre_fns if f is not None}
-    blocks, input_bytes = [], 0
-    for d, f in zip(inputs, pre_fns):
-        for ref, meta in nonempty_blocks(d):
-            blocks.append((ref, pre_refs.get(id(f))))
-            input_bytes += meta.size_bytes or 0
-    n_parts = _exchange_partitions(num_partitions, input_bytes)
+    blocks = [(ref, pre_refs.get(id(f)))
+              for b, f in zip(inputs, pre_fns) for ref in b.refs]
+    n_parts = _exchange_partitions(
+        num_partitions, sum(sum(b.sizes) for b in inputs))
     split = _split_block.options(num_returns=n_parts)
     slices = [split.remote(b, keys, n_parts, f) for b, f in blocks]
     if n_parts == 1:
@@ -191,15 +194,13 @@ def grouped_apply(
     outs = [_reduce_partition.remote(fn_ref, arrow_fn, multi, schema,
                                      *[s[p] for s in slices])
             for p in range(n_parts if blocks else 0)]
-    rows = get_all([r for _, r in outs])
-    kept = [t for (t, _), n in zip(outs, rows) if n > 0]
-    if kept:
-        return dataset_of(kept)
-    if empty_result is not None:
-        return dataset_of([ray.put(empty_result)])
+    stats = get_all([st for _, st in outs])
+    out = _kept(outs, stats)
+    if _is_blocks(ds) or out.refs or empty_result is not None:
+        return like(ds, out, empty_result)
     # every partition came out empty: keep partition_fn's own schema
     # when it ran at all
-    ran = [t for (t, _), n in zip(outs, rows) if n == 0]
+    ran = [t for (t, _), (n, _) in zip(outs, stats) if n == 0]
     return dataset_of(ran[:1] or [ray.put(pa.table({}))])
 
 
@@ -214,11 +215,89 @@ def get_all(refs: list) -> list:
         raise
 
 
+@dataclass(frozen=True)
+class Blocks:
+    """The value ``run_dedup``'s stages pass one another: refs of
+    non-empty Arrow blocks in the object store, with the row count and
+    byte size of each as the task that produced it reported them
+    (:func:`with_stats`).  ``schema`` is the blocks' schema when a
+    Dataset's metadata gave it (:func:`as_blocks`), else None.  Passing
+    Blocks costs no Ray Data work: a stage reads its input's sizes and
+    counts from here, and ships the refs to its tasks as top-level
+    arguments."""
+
+    refs: tuple = ()
+    rows: tuple = ()
+    sizes: tuple = ()
+    schema: "pa.Schema | None" = None
+
+    @property
+    def num_rows(self) -> int:
+        return sum(self.rows)
+
+
+def _is_blocks(src) -> bool:
+    """Whether a stage input (or every input of a list) is
+    :class:`Blocks`: the stage then answers in :class:`Blocks` too."""
+    if isinstance(src, (list, tuple)):
+        return all(isinstance(s, Blocks) for s in src)
+    return isinstance(src, Blocks)
+
+
+def with_stats(t: pa.Table) -> tuple:
+    """``(t, (rows, bytes))``: a task's output block and the small stats
+    value its stage awaits (:func:`gather`).  The bytes are Arrow's
+    ``nbytes``, the size Ray Data's block metadata reports."""
+    return t, (t.num_rows, t.nbytes)
+
+
+def _kept(outs, stats) -> Blocks:
+    kept = [(b, n, size) for (b, _), (n, size) in zip(outs, stats) if n > 0]
+    return Blocks(tuple(b for b, _, _ in kept), tuple(n for _, n, _ in kept),
+                  tuple(size for _, _, size in kept))
+
+
+def gather(outs) -> Blocks:
+    """Await the stats of ``(block ref, stats ref)`` pairs (tasks whose
+    function returns :func:`with_stats`); the non-empty blocks as
+    :class:`Blocks`, in input order."""
+    outs = list(outs)
+    return _kept(outs, get_all([st for _, st in outs]))
+
+
+def as_blocks(ds: "Blocks | ray.data.Dataset") -> Blocks:
+    """A stage input as :class:`Blocks`: as is, or a Dataset's
+    non-empty blocks with the row counts, sizes and schema of its
+    block metadata (one walk, :func:`nonempty_blocks`)."""
+    if isinstance(ds, Blocks):
+        return ds
+    kept = list(nonempty_blocks(ds))
+    schema = ds.schema(fetch_if_missing=False)
+    return Blocks(tuple(r for r, _ in kept),
+                  tuple(m.num_rows for _, m in kept),
+                  tuple(m.size_bytes or 0 for _, m in kept),
+                  None if schema is None else schema.base_schema)
+
+
+def like(src, out: Blocks, empty: pa.Table | None):
+    """A stage's result in the form of its input ``src``: ``out`` when
+    ``src`` is :class:`Blocks`, else ``out`` as an executed Dataset
+    (``empty``, a typed zero-row table, when ``out`` holds no block)."""
+    if _is_blocks(src):
+        return out
+    return dataset_of(list(out.refs) or [ray.put(empty)])
+
+
 def dataset_of(refs: list) -> "ray.data.MaterializedDataset":
     """The Arrow blocks behind ``refs`` as an executed Dataset: the one
-    way the engine wraps block refs.  ``from_arrow_refs`` runs one
-    metadata task per block and waits for them, and the wrapper it
-    returns is not executed: each walk of its bundles
+    way the engine wraps block refs, and only where Ray Data must run —
+    a ``map_batches`` over them, a caller's write, a stage called with
+    a Dataset (the registry queries, the checkpointed run).  Between
+    ``run_dedup``'s stages the refs travel as :class:`Blocks` instead.
+    ``from_arrow_refs`` runs one metadata task per block and waits for
+    them, and every Dataset Ray Data constructs asks its stats actor
+    for an id: the wrap and its snapshot cost 7-9 ms for 3 blocks on
+    one CPU.  The wrapper is not executed: each walk of its bundles
     (:func:`nonempty_blocks`) would start a Ray Data streaming executor,
     ~13 ms of fixed time on one CPU.  ``materialize()`` on it starts
     none (the blocks are already in the object store) and returns a
@@ -238,11 +317,14 @@ def nonempty_blocks(ds: "ray.data.Dataset"):
                 yield ref, meta
 
 
-def block_refs_of(ds: "ray.data.Dataset") -> list:
-    """Object refs of a Dataset's non-empty blocks — the broadcast
-    handle: shipping refs costs nothing, workers fetch the Arrow blocks
-    zero-copy from the object store (no driver-side pull, no pickled
-    dict serialized on the driver and re-deserialized per worker)."""
+def block_refs_of(ds: "Blocks | ray.data.Dataset") -> list:
+    """Object refs of a Dataset's (or :class:`Blocks`') non-empty
+    blocks — the broadcast handle: shipping refs costs nothing, workers
+    fetch the Arrow blocks zero-copy from the object store (no
+    driver-side pull, no pickled dict serialized on the driver and
+    re-deserialized per worker)."""
+    if isinstance(ds, Blocks):
+        return list(ds.refs)
     return [ref for ref, _ in nonempty_blocks(ds)]
 
 
@@ -257,10 +339,12 @@ def map_blocks(refs: list, fn, *args, num_returns: int = 1) -> list:
     """One plain Ray task per block ref: ``fn(block, *args)``, the
     block as an Arrow table.  ``args`` that are ObjectRefs arrive
     resolved (zero-copy from the object store), as top-level task
-    arguments do; nothing is fetched inside the task.  Returns the
-    tasks' output refs (a list of ``num_returns``-tuples when
-    ``num_returns > 1``) — wrap them with :func:`dataset_of` where a
-    Dataset is needed."""
+    arguments do; nothing is fetched inside the task.  Submits and
+    returns at once: the tasks' output refs (a list of
+    ``num_returns``-tuples when ``num_returns > 1``).  A stage whose
+    ``fn`` returns :func:`with_stats` (``num_returns=2``) awaits the
+    small stats with :func:`gather` and hands on :class:`Blocks`;
+    :func:`dataset_of` wraps refs only where Ray Data must run."""
     task = _block_task.options(num_returns=num_returns)
     return [task.remote(fn, r, *args) for r in refs]
 
@@ -339,7 +423,7 @@ def keys_over(ds: "ray.data.Dataset", col: str, cap: int,
         s = t.group_by(col, use_threads=False).aggregate([("n", "sum")])
         return s.filter(pc.greater(s["n_sum"], cap)).select([col])
 
-    hot = grouped_apply(ds, [col], over, arrow_fn=True, pre_fn=partial,
-                        empty_result=pa.table({col: pa.array([], pa.int64())}))
-    parts = [np.asarray(t[col], np.int64) for t in ray.get(block_refs_of(hot))]
+    hot = grouped_apply(as_blocks(ds), [col], over, arrow_fn=True,
+                        pre_fn=partial)
+    parts = [np.asarray(t[col], np.int64) for t in ray.get(list(hot.refs))]
     return np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)

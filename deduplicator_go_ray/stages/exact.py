@@ -22,7 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from .common import grouped_apply
+from .common import Blocks, as_blocks, grouped_apply, like
 
 
 def add_content_key(ds: "ray.data.Dataset", text_col: str = "text") -> "ray.data.Dataset":
@@ -67,17 +67,19 @@ def dup_candidates(t: pa.Table, min_size: int = 0) -> pa.Table:
 
 
 def assign_exact_groups(
-    ds: "ray.data.Dataset",
+    ds: "Blocks | ray.data.Dataset",
     keep_cols: tuple[str, ...] = ("url", "warc_ts", "lang", "text"),
     min_size: int = 0,
-) -> "ray.data.Dataset":
+) -> "Blocks | ray.data.Dataset":
     """groupby (text_sha256, n_bytes) → per-member rows with
     ``rep_url`` (= min url, the deterministic group representative),
     ``exact_size`` (member count) and ``is_rep``.
 
     Only :func:`dup_candidates` rows group; they are picked, and
     ``keep_cols`` selected, inside the exchange's split tasks — over a
-    materialized ``ds`` the stage starts no Dataset execution.
+    materialized ``ds`` the stage starts no Dataset execution.  Returns
+    :class:`~.common.Blocks` when given them (``run_dedup``), else a
+    Dataset, typed when it has no rows.
 
     ``text`` is blanked for non-representatives right inside the group
     reduce so the wide column leaves the shuffle exactly once —
@@ -97,10 +99,16 @@ def assign_exact_groups(
             df = df.drop(columns="key64")
         return df
 
+    blocks = as_blocks(ds)
+    schema = blocks.schema
     cols = list(dict.fromkeys(keep_cols)) + ["text_sha256", "n_bytes"]
-    schema = ds.schema(fetch_if_missing=False)
     if schema is not None:
         cols = [c for c in cols if c in schema.names]
+    empty = (pa.table({"url": pa.array([], pa.string())}) if schema is None
+             else schema.empty_table().select(cols))
+    empty = (empty.append_column("rep_url", pa.array([], pa.string()))
+             .append_column("exact_size", pa.array([], pa.int64()))
+             .append_column("is_rep", pa.array([], pa.bool_())))
     # partition on the int64 digest prefix when present (equal sha ⇒
     # equal key64, so co-location is preserved); the string key remains
     # the fallback for pre-key64 inputs
@@ -108,6 +116,7 @@ def assign_exact_groups(
     if schema is not None and "key64" in schema.names:
         cols.append("key64")
         part_key = "key64"
-    return grouped_apply(
-        ds, [part_key], resolve, num_partitions=128,
+    out = grouped_apply(
+        blocks, [part_key], resolve, num_partitions=128,
         pre_fn=lambda t: dup_candidates(t, min_size).select(cols))
+    return like(ds, out, empty)

@@ -51,7 +51,8 @@ def hash_join(
     partition on ``key`` (one ``grouped_apply`` over ``[left,
     right]``) and every reduce task splits its partition by the tag
     and joins it with ``pa.Table.join`` (single-threaded — the task is
-    the unit of parallelism).
+    the unit of parallelism).  Given two ``common.Blocks``, it returns
+    ``Blocks`` (``grouped_apply``'s refs contract).
 
     ``how`` is one of :data:`JOIN_TYPES`.  ``inner`` and ``left outer``
     append the right side's other columns (null on unmatched left rows

@@ -52,8 +52,9 @@ from ..config import MinHashConfig
 from .buckets import (DOC_UID, KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
                       batch_uids, empty_edges, min_slot_matches, uid_arrow,
                       uid_np, uid_width, uid_words)
-from .common import (block_refs_of, bounded_cache_put, dataset_of, map_blocks,
-                     sorted_probe)
+from .common import (Blocks, as_blocks, block_refs_of, bounded_cache_put,
+                     dataset_of, gather, like, map_blocks, sorted_probe,
+                     with_stats)
 from .joins import hash_join
 
 # round-2 caps: up to this many pairs the exact check runs against an
@@ -293,10 +294,10 @@ def _kept(batch: pa.Table, keep: np.ndarray) -> pa.Table:
                      for c in ("u", "v", "kind")})
 
 
-def _check_block(batch: pa.Table, spec: VerifySpec, index) -> pa.Table:
+def _check_block(batch: pa.Table, spec: VerifySpec, index):
     """Probe both endpoints of the block's pairs of the spec's kinds in
     the index and apply the exact predicate; pairs with an endpoint
-    absent are dropped."""
+    absent are dropped.  Returns the kept edges with their stats."""
     batch = _pick(batch, spec.kinds)
     ru, rv, value = _probe(index, batch)
     ok = (ru >= 0) & (rv >= 0)
@@ -304,20 +305,20 @@ def _check_block(batch: pa.Table, spec: VerifySpec, index) -> pa.Table:
     if ok.any():
         keep[ok] = spec.exact(value.take(pa.array(ru[ok])),
                               value.take(pa.array(rv[ok])))
-    return _kept(batch, keep)
+    return with_stats(_kept(batch, keep))
 
 
-def _index_check(pairs: "ray.data.Dataset", source,
-                 spec: VerifySpec) -> "ray.data.Dataset":
+def _index_check(pairs: Blocks, source, spec: VerifySpec) -> Blocks:
     """The kind's distinct pairs (:func:`_kind_pairs_task`), an index
     over their endpoints' payloads (:func:`endpoint_index`'s tasks),
     then one check task per pair slice, the index a top-level
-    argument."""
-    refs = block_refs_of(pairs)
+    argument; the kept edges once the checks have run."""
+    refs = pairs.refs
     wanted, *slices = _kind_pairs_task.options(
         num_returns=1 + len(refs)).remote(spec.kinds, len(refs), *refs)
     index = _build_index.remote(*_endpoint_rows(source, wanted, spec.payload))
-    return dataset_of(map_blocks(slices, _check_block, spec, index))
+    return gather(map_blocks(slices, _check_block, spec, index,
+                             num_returns=2))
 
 
 # ---- the two-attach check ----------------------------------------------------
@@ -362,42 +363,45 @@ def _two_attach_check(pairs, pay_u, pay_v, exact,
 def _verify(pairs, source, spec: VerifySpec, num_partitions: int):
     """The index check while the kind's pairs are at or below
     ``spec.round2_max``, the two-attach check above it.  The kind's
-    pairs are counted (one task, awaited) only when the candidate total
-    from block metadata exceeds the cap.  ``pairs`` is read more than
-    once (its count, then its blocks): the engine passes an executed
-    Dataset, and a lazy one would execute at each read."""
-    n = pairs.count()
+    pairs are counted (one task, awaited) only when the candidate
+    total, the sum of the input's row counts, exceeds the cap.  Both
+    checks have run when this returns: the edges as
+    :class:`~.common.Blocks` when ``pairs`` are Blocks, else as an
+    executed Dataset.  The two-attach check, which no workload at
+    bench scale reaches, wraps its pairs as a Dataset at entry."""
+    blocks = as_blocks(pairs)
+    n = blocks.num_rows
     if n > spec.round2_max:
-        n = ray.get(_kind_rows.remote(spec.kinds, *block_refs_of(pairs)))
-    if not n:
-        return dataset_of([ray.put(empty_edges(
-            uid_width(pairs.schema().base_schema.field("u").type)))])
+        n = ray.get(_kind_rows.remote(spec.kinds, *blocks.refs))
     if n > spec.round2_max:
-        pairs = pairs.map_batches(_pick, fn_args=(spec.kinds,),
-                                  batch_format="pyarrow").materialize()
+        ds = dataset_of(list(blocks.refs)) if pairs is blocks else pairs
+        picked = ds.map_batches(_pick, fn_args=(spec.kinds,),
+                                batch_format="pyarrow").materialize()
         pay_u, pay_v = (dataset_of(_endpoint_rows(source, r, spec.payload))
-                        for r in uid_set_refs(pairs, (U, V)))
-        return _two_attach_check(pairs, pay_u, pay_v, spec.exact,
-                                 num_partitions)
-    return _index_check(pairs, source, spec)
-
-
+                        for r in uid_set_refs(picked, (U, V)))
+        out = _two_attach_check(picked, pay_u, pay_v, spec.exact,
+                                num_partitions)
+        return as_blocks(out) if pairs is blocks else out
+    out = _index_check(blocks, source, spec) if n else Blocks()
+    schema = blocks.schema
+    return like(pairs, out, empty_edges(
+        64 if schema is None else uid_width(schema.field("u").type)))
 def verify_near_edges(
-    edges: "ray.data.Dataset",
-    sigs: "ray.data.Dataset",
+    edges: "Blocks | ray.data.Dataset",
+    sigs: "Blocks | ray.data.Dataset",
     cfg: MinHashConfig,
     num_partitions: int = 128,
-) -> "ray.data.Dataset":
+) -> "Blocks | ray.data.Dataset":
     """Keep the uid edges whose signature Jaccard estimate reaches
     ``cfg.verify_threshold``; the plan is :func:`_verify`'s rule."""
     return _verify(edges, sigs, near_spec(cfg), num_partitions)
 
 
 def verify_containment_edges(
-    pairs: "ray.data.Dataset",
-    texts: "ray.data.Dataset",
+    pairs: "Blocks | ray.data.Dataset",
+    texts: "Blocks | ray.data.Dataset",
     num_partitions: int = 128,
-) -> "ray.data.Dataset":
+) -> "Blocks | ray.data.Dataset":
     """Keep the uid (short, long) pairs where the short text occurs in
     the long one; the plan is :func:`_verify`'s rule."""
     return _verify(pairs, texts, containment_spec(), num_partitions)

@@ -58,7 +58,7 @@ import ray
 import ray.data
 
 from ..config import MinHashConfig
-from ..stages.common import (dataset_of, get_all, nonempty_blocks,
+from ..stages.common import (Blocks, as_blocks, get_all, like,
                              sized_partitions, sorted_probe)
 from .statefs import StatePath, as_state_path
 
@@ -405,13 +405,13 @@ def _range_task(job: _RangeJob, lo: int, hi: int, n_split: int, *slices):
     are this range's slices of the ``n_split`` split store files, then
     of the reps blocks.  Returns ``(sigs, [rows, computed, failed],
     computed sigs or None)``, ``failed`` counting the computed rows
-    with a ``sig_error``.  Writes nothing: :func:`_commit_range`
-    persists the computed rows."""
+    with a ``sig_error`` (then the output's bytes, a fourth count).
+    Writes nothing: :func:`_commit_range` persists the computed rows."""
     from ..pipelines.dedup import _signature_cached
 
     reps = [s for s in slices[n_split:] if s.num_rows]
     if not reps:
-        return pa.table({}), np.zeros(3, np.int64), None
+        return pa.table({}), np.zeros(4, np.int64), None
     t = pa.concat_tables(reps)
     anchors = job.sig_kwargs["compute_anchors"]
     num_perms = (job.sig_kwargs.get("minhash") or MinHashConfig()).num_perms
@@ -446,7 +446,7 @@ def _range_task(job: _RangeJob, lo: int, hi: int, n_split: int, *slices):
         parts.append(comp)
     out = (parts[0] if len(parts) == 1
            else pa.concat_tables(parts, promote_options="default"))
-    return out, np.array([len(out), len(t), failed], np.int64), comp
+    return out, np.array([len(out), len(t), failed, out.nbytes], np.int64), comp
 
 
 @ray.remote
@@ -457,14 +457,14 @@ def _commit_range(job: _RangeJob, lo: int, hi: int, comp) -> None:
 
 
 def incremental_signatures(
-    reps: "ray.data.Dataset",
+    reps: "Blocks | ray.data.Dataset",
     store_dir: str,
     compute_anchors: bool = True,
     sig_kwargs: dict | None = None,
     passthrough: tuple = (),
     batch_size: int = 512,
     fence_wait: bool = False,
-) -> "tuple[ray.data.Dataset, int]":
+) -> "tuple[Blocks | ray.data.Dataset, int]":
     """Signatures for ``reps`` (url, text, text_sha256 — one row per
     content key, e.g. exact-class representatives), computing only rows
     whose content key is absent from the store and persisting those for
@@ -479,7 +479,9 @@ def incremental_signatures(
     (url, *passthrough, text_sha256, *SIG_COLS, sig_cached) for every
     input row — byte-identical to a fresh full compute (pinned by
     tests) — and ``n_computed`` is how many rows actually ran the
-    signature kernels this call.
+    signature kernels this call.  ``sigs`` are
+    :class:`~..stages.common.Blocks` when ``reps`` are (``run_dedup``),
+    else an executed Dataset, typed when it has no rows.
 
     The whole probe→compute→persist flow holds the store's write fence
     (``state/fence.py`` ≙ ``lock/lock.go:65-114``), so two jobs pointed
@@ -527,18 +529,20 @@ def _store_signatures(reps, sp: StatePath, compute_anchors: bool,
 
     listing = _store_listing(sp)
     _pin_meta(sp, num_perms, anchors)
-    blocks, nbytes = [], sum(listing.values())
-    # one walk: a lazy reps executes here; run_dedup's reps is built by
-    # common.dataset_of, so its walk starts no streaming executor
-    for ref, meta in nonempty_blocks(reps):
-        blocks.append(ref)
-        nbytes += meta.size_bytes or 0
-    if not blocks:
-        return dataset_of([ray.put(pa.table({}))]), np.zeros(3, np.int64)
-    k = _range_count(nbytes)
+    blocks = as_blocks(reps)
     in_cols = ["url", *passthrough, "text_sha256", "text"]
+
+    def result(sigs: Blocks, counts):
+        empty = (None if isinstance(reps, Blocks) or sigs.refs else
+                 _empty_sigs(blocks.schema, in_cols, out_cols, sig_kwargs))
+        return like(reps, sigs, empty), counts
+
+    if not blocks.refs:
+        return result(blocks, np.zeros(3, np.int64))
+    k = _range_count(sum(listing.values()) + sum(blocks.sizes))
     old = _split_unranged(sp, listing, k)
-    slices = _split_all(_split_ranges, k, [(b, k, in_cols) for b in blocks])
+    slices = _split_all(_split_ranges, k,
+                        [(b, k, in_cols) for b in blocks.refs])
     job = ray.put(_RangeJob(sp, _file_ranges(listing), _new_token(),
                             sig_config_version(sig_kwargs), sig_kwargs,
                             out_cols, batch_size))
@@ -549,8 +553,23 @@ def _store_signatures(reps, sp: StatePath, compute_anchors: bool,
     commits = [_commit_range.remote(job, lo, hi, comp)
                for (lo, hi), (_, _, comp) in zip(ranges, outs)]
     counts = get_all([c for _, c, _ in outs] + commits)[:k]
-    kept = [t for (t, _, _), c in zip(outs, counts) if c[0]]
-    return dataset_of(kept), np.sum(counts, axis=0)
+    kept = [(t, c) for (t, _, _), c in zip(outs, counts) if c[0]]
+    sigs = Blocks(tuple(t for t, _ in kept), tuple(int(c[0]) for _, c in kept),
+                  tuple(int(c[3]) for _, c in kept))
+    return result(sigs, np.sum(counts, axis=0)[:3])
+
+
+def _empty_sigs(schema, in_cols: list, out_cols: tuple,
+                sig_kwargs: dict) -> pa.Table:
+    """The zero-row signature table of a store call: the kernel's
+    output over zero rows of ``schema`` (the reps' schema; string
+    columns when it is unknown), with ``out_cols``."""
+    from ..pipelines.dedup import _signature_cached
+
+    if schema is None or not set(in_cols) <= set(schema.names):
+        schema = pa.schema([(c, pa.string()) for c in in_cols])
+    t = _signature_cached(schema.empty_table().select(in_cols), **sig_kwargs)
+    return _flagged(t, False).select(out_cols)
 
 
 def _split_all(task, k: int, calls: list) -> list:

@@ -10,6 +10,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
+import ray
 import ray.data
 
 from deduplicator_go_ray.config import LSHConfig, MinHashConfig
@@ -62,6 +63,60 @@ def test_bucket_rows_kinds(small_sigs):
     # exactly one min-anchor flag per doc that has anchors
     anc = rows[rows["kind"] == KIND_ANCHOR]
     assert (anc.groupby("uid")["flag"].sum() >= 1).all()
+
+
+def _rows_of(blocks) -> pa.Table:
+    return pa.concat_tables(ray.get(list(blocks.refs)))
+
+
+def _sorted(t: pa.Table) -> pa.Table:
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+def test_exchanges_answer_blocks_with_blocks(small_sigs, monkeypatch):
+    """The refs contract: given ``Blocks``, ``grouped_apply`` and
+    ``candidate_edges_fused`` return ``Blocks`` — non-empty blocks with
+    their row counts and sizes, and no Dataset built — holding the rows
+    they return given a Dataset."""
+    from deduplicator_go_ray.stages.buckets import bucket_batch
+    from deduplicator_go_ray.stages.common import (Blocks, as_blocks,
+                                                   grouped_apply)
+
+    rows_ds = bucket_rows(small_sigs, MinHashConfig()).materialize()
+    rows_b, sigs_b = as_blocks(rows_ds), as_blocks(small_sigs)
+    assert rows_b.num_rows == rows_ds.count()
+
+    def per_kind(t: pa.Table) -> pa.Table:
+        return t.group_by("kind", use_threads=False).aggregate(
+            [("uid", "count")])
+
+    pre = functools.partial(bucket_batch, minhash=MinHashConfig())
+    via_ds = [
+        grouped_apply(rows_ds, ["kind"], per_kind, arrow_fn=True),
+        candidate_edges_fused(rows_ds, LSHConfig(), 3),
+        candidate_edges_fused(small_sigs, LSHConfig(), 3, pre_fn=pre),
+    ]
+    wraps = []
+    real = ray.data.from_arrow_refs
+    monkeypatch.setattr(ray.data, "from_arrow_refs",
+                        lambda *a, **k: wraps.append(1) or real(*a, **k))
+    via_b = [
+        grouped_apply(rows_b, ["kind"], per_kind, arrow_fn=True),
+        candidate_edges_fused(rows_b, LSHConfig(), 3),
+        candidate_edges_fused(sigs_b, LSHConfig(), 3, pre_fn=pre),
+        grouped_apply(rows_b, ["kind"], per_kind, arrow_fn=True,
+                      pre_fn=lambda t: t.slice(0, 0)),
+    ]
+    assert wraps == []
+    assert all(isinstance(b, Blocks) for b in via_b)
+    assert not any(isinstance(d, Blocks) for d in via_ds)
+    for d, b in zip(via_ds, via_b):
+        assert b.refs and all(n > 0 for n in b.rows)
+        assert all(size > 0 for size in b.sizes)
+        assert b.num_rows == d.count()
+        assert _sorted(_rows_of(b)).equals(
+            _sorted(pa.concat_tables(ray.get(d.to_arrow_refs()))))
+    assert via_b[3] == Blocks()
 
 
 def test_fused_edges_find_planted_pairs(small_sigs):

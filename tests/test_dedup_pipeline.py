@@ -262,10 +262,13 @@ def test_near_pairs_checked_once_across_candidate_partitions(corpus,
     task and keeps one row per (u, v): the exact check sees each
     distinct pair once, as many as at 1 partition, and the assignments
     equal the 1-partition run's."""
+    import pyarrow as pa
+    import ray
     import ray.data as rd
 
     from deduplicator_go_ray.stages import verify
     from deduplicator_go_ray.stages.buckets import KIND_ANCHOR
+    from deduplicator_go_ray.stages.common import block_refs_of
 
     real_verify, real_check = verify._verify, verify._check_block
     log = str(tmp_path / "checked")
@@ -273,7 +276,7 @@ def test_near_pairs_checked_once_across_candidate_partitions(corpus,
 
     def spy_verify(pairs, source, spec, num_partitions):
         if KIND_ANCHOR not in spec.kinds:
-            seen["pairs"] = pairs.materialize()
+            seen["pairs"] = pairs
         return real_verify(pairs, source, spec, num_partitions)
 
     def spy_check(batch, spec, index):
@@ -291,7 +294,8 @@ def test_near_pairs_checked_once_across_candidate_partitions(corpus,
         open(log, "w").close()
         out = run_dedup(rd.from_arrow(small),
                         PipelineConfig(bucket_partitions=parts)).to_pandas()
-        near = seen["pairs"].to_pandas()
+        near = pa.concat_tables(
+            ray.get(block_refs_of(seen["pairs"]))).to_pandas()
         near = near[near["kind"] != KIND_ANCHOR]
         checked = sum(int(x) for x in open(log).read().split())
         runs[parts] = (out.sort_values("url").reset_index(drop=True),
@@ -375,16 +379,17 @@ def test_texts_through_shuffle_same_assignments(corpus, uid_bits, monkeypatch):
         assert (a[col] == b[col]).all(), col
 
 
-def _executions(job) -> tuple[int, int]:
-    """(Ray Data executions, streaming executors) that ``job()``
-    starts: executions counted from the ``ray.data`` logger's "Starting
-    execution of Dataset" records (the way dedupbench counts them),
-    executors from calls of ``ExecutionPlan.create_executor``."""
+def _executions(job) -> tuple[int, int, int]:
+    """(Ray Data executions, streaming executors, block-ref wraps) that
+    ``job()`` starts: executions counted from the ``ray.data`` logger's
+    "Starting execution of Dataset" records (the way dedupbench counts
+    them), executors from calls of ``ExecutionPlan.create_executor``,
+    wraps from calls of ``ray.data.from_arrow_refs``."""
     import logging
 
     from ray.data._internal.plan import ExecutionPlan
 
-    seen, executors = [], []
+    seen, executors, wraps = [], [], []
 
     class Count(logging.Handler):
         def emit(self, record):
@@ -395,29 +400,45 @@ def _executions(job) -> tuple[int, int]:
         executors.append(plan)
         return real_create(plan)
 
+    def from_arrow_refs(*a, **kw):
+        wraps.append(a)
+        return real_wrap(*a, **kw)
+
     handler, logger = Count(logging.INFO), logging.getLogger("ray.data")
-    real_create = ExecutionPlan.create_executor
+    real_create, real_wrap = ExecutionPlan.create_executor, rd.from_arrow_refs
     logger.addHandler(handler)
     ExecutionPlan.create_executor = create_executor
+    rd.from_arrow_refs = from_arrow_refs
     try:
         job()
     finally:
         ExecutionPlan.create_executor = real_create
+        rd.from_arrow_refs = real_wrap
         logger.removeHandler(handler)
-    return len(seen), len(executors)
+    return len(seen), len(executors), len(wraps)
+
+
+# block-ref wraps per job: the stages pass Blocks, so Ray Data wraps
+# refs only for the signature map's input and for the result
+_WRAPS = {"default": 2, "sig_store_rerun": 1, "no_duplicates": 2,
+          "all_error": 1}
 
 
 @pytest.mark.parametrize("plan,executions", [
-    ("default", 3), ("sig_store_rerun", 2), ("no_duplicates", 3)])
+    ("default", 3), ("sig_store_rerun", 2), ("no_duplicates", 3),
+    ("all_error", 2)])
 def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
     """One ``run_dedup(...).write_parquet(...)`` job starts Ray Data
     executions only at its edges: read → extract → content key, the
     signature map (none on a store re-run: the store's range tasks are
     plain tasks) and the caller's write.  Every stage between them is
-    plain tasks over block refs, and no walk of the Datasets wrapping
-    them starts a streaming executor of its own: executors equal
-    executions.  ``no_duplicates`` gives every page its own random
-    text, so the candidate, verify and keeper stages come out empty."""
+    plain tasks over block refs passed as ``Blocks``: block refs are
+    wrapped as a Dataset only for the signature map's input and for the
+    result, and no walk of a wrap starts a streaming executor of its
+    own: executors equal executions.  ``no_duplicates`` gives every
+    page its own random text, so the candidate, verify and keeper
+    stages come out empty; ``all_error`` fails every page's
+    extraction, so no exact group forms."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -430,6 +451,10 @@ def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
         pages_tbl = pages_tbl.set_column(
             pages_tbl.schema.get_field_index("html"), "html",
             pa.array([h.encode() for h in html], pa.binary()))
+    if plan == "all_error":
+        pages_tbl = pages_tbl.set_column(
+            pages_tbl.schema.get_field_index("html"), "html",
+            pa.array([None] * N_ROWS, pa.binary()))
     pages = tmp_path / "pages"
     pages.mkdir()
     pq.write_table(pages_tbl.drop_columns(["text"]), pages / "p.parquet")
@@ -440,15 +465,18 @@ def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
         run_dedup(rd.read_parquet(str(pages)), cfg).write_parquet(
             str(tmp_path / "fill"))
     out = tmp_path / "out"
-    got, executors = _executions(
+    got, executors, wraps = _executions(
         lambda: run_dedup(rd.read_parquet(str(pages)), cfg)
         .write_parquet(str(out)))
     written = rd.read_parquet(str(out)).to_pandas()
     assert len(written) == N_ROWS
     if plan == "no_duplicates":
         assert written["is_keeper"].all()
+    if plan == "all_error":
+        assert (written["match_kind"] == "error").all()
     assert got == executions
     assert executors == executions
+    assert wraps == _WRAPS[plan]
 
 
 def test_keyed_enrichment_completes_on_one_cpu():

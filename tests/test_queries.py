@@ -341,3 +341,43 @@ def test_overlap_counts_match_intersect1d(pairs):
         np.concatenate(side))))
     want = [np.intersect1d(a, b).size for a, b in zip(*sets)]
     assert got.tolist() == want
+
+
+def _loop_gram_sets(texts: list[str]) -> list[list[int]]:
+    """The reference the batched gram sets must equal: each doc's words
+    split on single spaces (empty words dropped), the set of its word
+    trigrams, hashed, sorted as u64 and read as int64 bits."""
+    import numpy as np
+
+    from deduplicator_go_ray.functions.hashing import hash64_str
+    from deduplicator_go_ray.pipelines.dedup_queries import NGRAM_N
+
+    out = []
+    for s in texts:
+        w = [x for x in s.split(" ") if x]
+        grams = {" ".join(w[i:i + NGRAM_N])
+                 for i in range(len(w) - NGRAM_N + 1)}
+        out.append(np.sort(hash64_str(list(grams))).view(np.int64).tolist()
+                   if grams else [])
+    return out
+
+
+_WORDS = st.sampled_from(["a", "b", "ab", "é", "日本", "x\ty", " ", "  ", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_WORDS, max_size=14).map(" ".join), max_size=8))
+def test_gram_set_batch_equals_the_loop(texts):
+    """One Arrow pass per batch gives each doc the gram list of the
+    per-doc loop: runs of spaces, leading and trailing spaces, docs of
+    fewer than three words, repeated grams, tabs inside a word and
+    non-ASCII words included."""
+    import pyarrow as pa
+
+    from deduplicator_go_ray.pipelines.dedup_queries import gram_set_batch
+
+    t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                  "text": pa.array(texts, pa.string())})
+    out = gram_set_batch(t)
+    assert out["grams"].to_pylist() == _loop_gram_sets(texts)
+    assert out.column(0).to_pylist() == list(range(len(texts)))

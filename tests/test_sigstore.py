@@ -60,6 +60,42 @@ def test_incremental_signatures_store_roundtrip(ray_session, tmp_path, corpus):
     assert _frame(s2).equals(_fresh(pages))
 
 
+def test_empty_results_are_typed(ray_session, tmp_path, corpus):
+    """A store call on reps with no rows, and an exact exchange whose
+    rows are all error sentinels, return typed zero-row Datasets: their
+    ``schema()`` reads block metadata and starts no streaming executor
+    (a zero-column block has no schema, and asking for it executes the
+    Dataset)."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from deduplicator_go_ray.stages.exact import assign_exact_groups
+
+    pages = _pages(corpus)
+    empty = pages.filter(expr="url == ''").materialize()
+    sigs, n = incremental_signatures(empty, str(tmp_path / "store"),
+                                     passthrough=("n_bytes",))
+    errors = add_content_key(ray.data.from_arrow(pa.table({
+        "url": pa.array(["a", "b"]), "text": pa.array(["x", "x"]),
+        "error": pa.array(["bad", "bad"])}))).materialize()
+    members = assign_exact_groups(errors, keep_cols=("url",))
+    executors = []
+    real = ExecutionPlan.create_executor
+    ExecutionPlan.create_executor = (
+        lambda plan: executors.append(plan) or real(plan))
+    try:
+        sig_names = sigs.schema().names
+        member_names = members.schema().names
+    finally:
+        ExecutionPlan.create_executor = real
+    assert executors == []
+    assert n == 0 and sigs.count() == 0 and members.count() == 0
+    assert sig_names == ["url", "n_bytes", "text_sha256", "minhash",
+                         "simhash", "n_shingles", "anchors", "sig_error",
+                         "sig_cached"]
+    assert member_names == ["url", "text_sha256", "n_bytes", "rep_url",
+                            "exact_size", "is_rep"]
+
+
 def test_incremental_signatures_changed_and_new_docs(ray_session, tmp_path,
                                                      corpus):
     store = str(tmp_path / "sigstore")

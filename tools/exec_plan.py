@@ -9,10 +9,13 @@ It prints each execution's plan line (from Ray Data's "Execution plan
 of Dataset" log records) and the number of driver ``ray.get`` calls the
 job made: ``ray.get`` is wrapped in this process only, so round trips
 that moved out of Ray Data executions into plain tasks still show.  It
-also counts the job's ``ray.data.from_arrow_refs`` wraps (each runs one
-metadata task per block and waits for them) and the streaming executors
-Ray Data creates (``ExecutionPlan.create_executor``): every execution
-creates one, and so does each walk of a Dataset not yet executed.
+also counts the job's ``ray.data.from_arrow_refs`` wraps and the block
+refs they cover (each wrap runs one metadata task per ref and waits for
+them), the streaming executors Ray Data creates
+(``ExecutionPlan.create_executor``: every execution creates one, and so
+does each walk of a Dataset not yet executed), and the CPU seconds of
+the driver's main thread over the job (``time.thread_time``), where a
+saving in driver-side work shows even when the wall is noisy.
 
 Usage: python tools/exec_plan.py [--plan default|recrawl]
                                  [--seed 5] [--pages 1000] [--repo DIR]
@@ -21,7 +24,8 @@ Usage: python tools/exec_plan.py [--plan default|recrawl]
 earlier job on the same pages.  ``--repo`` names the
 source tree to import (default: this checkout), so two trees run the
 same script.  The last line is JSON: ``{"plan", "executions",
-"ray_get_calls", "from_arrow_refs", "executors", "wall_s"}``.
+"ray_get_calls", "from_arrow_refs", "wrapped_refs", "executors",
+"wall_s", "driver_cpu_s"}``.
 """
 
 from __future__ import annotations
@@ -108,7 +112,8 @@ def main() -> None:
             shutil.copytree(seed_store, store)
         plans = _Plans()
         logger = logging.getLogger("ray.data")
-        calls = {"ray_get_calls": 0, "from_arrow_refs": 0, "executors": 0}
+        calls = {"ray_get_calls": 0, "from_arrow_refs": 0, "wrapped_refs": 0,
+                 "executors": 0}
         real = (ray.get, ray.data.from_arrow_refs,
                 ExecutionPlan.create_executor)
 
@@ -118,14 +123,20 @@ def main() -> None:
                 return fn(*a, **kw)
             return call
 
+        def wrap(refs, *a, **kw):
+            calls["wrapped_refs"] += (len(refs) if isinstance(refs, list)
+                                      else 1)
+            return counted("from_arrow_refs", real[1])(refs, *a, **kw)
+
         logger.addHandler(plans)
         ray.get = counted("ray_get_calls", real[0])
-        ray.data.from_arrow_refs = counted("from_arrow_refs", real[1])
+        ray.data.from_arrow_refs = wrap
         ExecutionPlan.create_executor = counted("executors", real[2])
         try:
-            t = time.perf_counter()
+            t, cpu = time.perf_counter(), time.thread_time()
             job("out", store)
             wall = time.perf_counter() - t
+            cpu = time.thread_time() - cpu
         finally:
             (ray.get, ray.data.from_arrow_refs,
              ExecutionPlan.create_executor) = real
@@ -137,7 +148,8 @@ def main() -> None:
     for i, plan in enumerate(plans.plans, 1):
         print(f"{i:2d}. {plan}")
     print(json.dumps({"plan": args.plan, "executions": len(plans.plans),
-                      **calls, "wall_s": round(wall, 3)}))
+                      **calls, "wall_s": round(wall, 3),
+                      "driver_cpu_s": round(cpu, 3)}))
 
 
 if __name__ == "__main__":

@@ -104,11 +104,6 @@ def assign_exact_groups(
     cols = list(dict.fromkeys(keep_cols)) + ["text_sha256", "n_bytes"]
     if schema is not None:
         cols = [c for c in cols if c in schema.names]
-    empty = (pa.table({"url": pa.array([], pa.string())}) if schema is None
-             else schema.empty_table().select(cols))
-    empty = (empty.append_column("rep_url", pa.array([], pa.string()))
-             .append_column("exact_size", pa.array([], pa.int64()))
-             .append_column("is_rep", pa.array([], pa.bool_())))
     # partition on the int64 digest prefix when present (equal sha ⇒
     # equal key64, so co-location is preserved); the string key remains
     # the fallback for pre-key64 inputs
@@ -119,4 +114,12 @@ def assign_exact_groups(
     out = grouped_apply(
         blocks, [part_key], resolve, num_partitions=128,
         pre_fn=lambda t: dup_candidates(t, min_size).select(cols))
+    if isinstance(ds, Blocks):
+        return out
+    empty = (pa.table({"url": pa.array([], pa.string())}) if schema is None
+             else schema.empty_table().select(
+                 [c for c in cols if c != "key64"]))
+    empty = (empty.append_column("rep_url", pa.array([], pa.string()))
+             .append_column("exact_size", pa.array([], pa.int64()))
+             .append_column("is_rep", pa.array([], pa.bool_())))
     return like(ds, out, empty)

@@ -386,6 +386,8 @@ def _verify(pairs, source, spec: VerifySpec, num_partitions: int):
     schema = blocks.schema
     return like(pairs, out, empty_edges(
         64 if schema is None else uid_width(schema.field("u").type)))
+
+
 def verify_near_edges(
     edges: "Blocks | ray.data.Dataset",
     sigs: "Blocks | ray.data.Dataset",

@@ -21,8 +21,11 @@
       → grouped_apply(canonical, keeper policy)       # D2-D4 [keeper exchange]
       → assignments: keeper partitions + unique rows + self-clusters
         (error / too-small rows, one task per extracted block), each
-        block finished with its partition_id — the caller's
-        write_parquet is execution 3
+        block finished with its partition_id
+      → _packed: in order, into bins of at most the   # one concat task
+        target block size                             # per bin of 2+ blocks
+      → the caller's write_parquet                    # Ray Data execution 3
+        (one write task and one parquet file per packed block)
 
 Ray Data runs only the edges: the read → extract → content-key map and
 the signature map (task-based ``map_batches`` with a per-worker stage
@@ -40,6 +43,16 @@ stats-actor round trip per Dataset, 7-9 ms for 3 blocks on one CPU)
 only where Ray Data must run: the signature map's input, and the
 result handed to the caller.  A Ray Data execution costs ~55 ms of
 fixed time on one CPU against ~4 ms for a plain task.
+
+The result's block count is the write's cost: each block the caller's
+write receives is one metadata task, one write task and one parquet
+file (~17 ms on one CPU).  Left as they come, the self-clusters alone
+are one block per extracted block, most holding a few error rows, so
+``_packed`` packs the non-empty result blocks, in order, into bins of
+at most Ray Data's target block size by the sizes their tasks
+reported: a 1,000-page job hands the write 1 block instead of 6, a
+10,000-page job 1 instead of 30, and blocks already near the target
+pass through as they are.
 
 Every per-group decision is a pure function of group content, so the
 assignment set is identical at any parallelism — the reference's
@@ -67,8 +80,8 @@ from ..stages.buckets import (KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
                               uid_bits_for, uid_np, uid_of_urls, uid_pa_type,
                               uid_width)
 from ..stages.cluster import _cc_onetask, anchor_endpoints, resolve_components
-from ..stages.common import (as_blocks, block_refs_of, dataset_of, gather,
-                             grouped_apply, map_blocks, sorted_probe,
+from ..stages.common import (Blocks, as_blocks, block_refs_of, dataset_of,
+                             gather, grouped_apply, map_blocks, sorted_probe,
                              with_stats)
 from ..stages.exact import add_content_key, assign_exact_groups, dup_candidates
 from ..stages.extract import ExtractStage
@@ -245,14 +258,37 @@ def _finalize(t: pa.Table, cc, sub, uid_type: pa.DataType,
                                   num_partitions)))
 
 
-def _nonempty(tail: list, head: tuple = ()) -> "ray.data.Dataset":
-    """The non-empty blocks ``head`` and the ``(block, stats)`` refs of
-    ``tail`` as one dataset, wrapped once: ``tail``'s zero-row blocks
-    are dropped by their row counts unless every block is empty.  Ray
-    forwards zero-row blocks untouched through a caller's later map,
-    still in the pre-map schema (VERDICT r2 #9)."""
-    kept = list(head) + list(gather(tail).refs)
-    return dataset_of(kept or [tail[0][0]])
+@ray.remote
+def _concat_blocks(*blocks) -> pa.Table:
+    """One bin of result blocks as one block (:func:`_packed`)."""
+    return pa.concat_tables(blocks)
+
+
+def _packed(*parts: Blocks) -> "ray.data.Dataset":
+    """The result as the caller's write receives it: the blocks of
+    ``parts``, in order, packed greedily by the sizes their tasks
+    reported into bins of at most Ray Data's target block size (the
+    target ``stages.common.sized_partitions`` sizes partitions by), and
+    wrapped once.  One ``pa.concat_tables`` task per bin of two or more
+    blocks; a bin of one block (a block near or above the target)
+    passes through untouched.  Each block the write receives costs a
+    metadata task, a write task and a parquet file, ~17 ms on one CPU,
+    and the self-clusters alone are one block per extracted block; the
+    rows and their ``partition_id`` do not change.  ``Blocks`` hold no
+    zero-row block: Ray forwards such a block untouched through a
+    caller's later map, still in the pre-map schema (VERDICT r2 #9)."""
+    target = (ray.data.DataContext.get_current().target_max_block_size
+              or float("inf"))
+    bins, size = [], 0
+    for ref, n in ((r, n) for p in parts for r, n in zip(p.refs, p.sizes)):
+        if bins and size + n <= target:
+            bins[-1].append(ref)
+            size += n
+        else:
+            bins.append([ref])
+            size = n
+    refs = [b[0] if len(b) == 1 else _concat_blocks.remote(*b) for b in bins]
+    return dataset_of(refs or [ray.put(_EMPTY_ASSIGN)])
 
 
 class _PhaseTimer:
@@ -311,7 +347,7 @@ def run_dedup(
         return dataset_of([ray.put(_EMPTY_ASSIGN)])
     # error rows + too-small rows pass through as self-clusters: one
     # task per extracted block, submitted now (zero-row results are
-    # dropped at the end)
+    # dropped, the rest packed, at the end)
     tail = map_blocks(docs.refs, _self_clusters, cfg.min_size,
                       num_partitions, num_returns=2)
 
@@ -334,7 +370,7 @@ def run_dedup(
     timer.tick("exact_groups")
     if not members.refs:
         # empty / all-error corpus: only the self-clusters flow through
-        return _nonempty(tail)
+        return _packed(gather(tail))
 
     rep_cols = ["url", "text", "n_bytes"] + (
         ["text_sha256"] if cfg.sig_store_dir else [])
@@ -515,4 +551,4 @@ def run_dedup(
         gather((d, st) for d, st, _, _ in finals), ["canonical"],
         resolve, num_partitions=cfg.bucket_partitions,
         empty_result=_EMPTY_ASSIGN)
-    return _nonempty(tail, keepers.refs)
+    return _packed(keepers, gather(tail))

@@ -438,7 +438,10 @@ def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
     own: executors equal executions.  ``no_duplicates`` gives every
     page its own random text, so the candidate, verify and keeper
     stages come out empty; ``all_error`` fails every page's
-    extraction, so no exact group forms."""
+    extraction, so no exact group forms.  The result's blocks are
+    packed to Ray Data's target block size, so the write makes one
+    parquet file on every plan (each extra block would cost a metadata
+    task, a write task and a file)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -477,6 +480,44 @@ def test_ray_data_runs_only_the_edges(corpus, tmp_path, plan, executions):
     assert got == executions
     assert executors == executions
     assert wraps == _WRAPS[plan]
+    assert len(list(out.glob("*.parquet"))) == 1
+
+
+def test_result_blocks_packed_to_the_target(corpus, result, monkeypatch):
+    """``run_dedup`` packs its result blocks, in order, into bins of at
+    most Ray Data's target block size, one concat task per bin of two
+    or more.  With the target lowered to 32 KiB the result has several
+    blocks, each at most the target unless it is one upstream block
+    passed through, and the assignments equal the default target's.
+    The lowered target also changes the extracted blocks and the
+    exchanges' partition counts, so the equality is also one across
+    block layouts."""
+    from deduplicator_go_ray.pipelines import dedup
+    from deduplicator_go_ray.stages.common import nonempty_blocks
+
+    packed, concat = [], dedup._concat_blocks
+
+    class Spy:
+        @staticmethod
+        def remote(*refs):
+            packed.append(concat.remote(*refs))
+            return packed[-1]
+
+    monkeypatch.setattr(dedup, "_concat_blocks", Spy)
+    target = 32 << 10
+    ctx = rd.DataContext.get_current()
+    default, ctx.target_max_block_size = ctx.target_max_block_size, target
+    try:
+        ds = run_dedup(rd.from_arrow(corpus[0]))
+    finally:
+        ctx.target_max_block_size = default
+    blocks = list(nonempty_blocks(ds))
+    assert len(blocks) >= 2 and packed
+    for ref, meta in blocks:
+        assert meta.size_bytes <= target or ref not in packed
+    got = ds.to_pandas().sort_values("url").reset_index(drop=True)
+    want = result[0].sort_values("url").reset_index(drop=True)
+    assert got.equals(want)
 
 
 def test_keyed_enrichment_completes_on_one_cpu():

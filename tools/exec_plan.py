@@ -15,7 +15,9 @@ them), the streaming executors Ray Data creates
 (``ExecutionPlan.create_executor``: every execution creates one, and so
 does each walk of a Dataset not yet executed), and the CPU seconds of
 the driver's main thread over the job (``time.thread_time``), where a
-saving in driver-side work shows even when the wall is noisy.
+saving in driver-side work shows even when the wall is noisy, and the
+blocks the caller's write received: one write task and one parquet
+file each, counted as the files the job wrote.
 
 Usage: python tools/exec_plan.py [--plan default|recrawl]
                                  [--seed 5] [--pages 1000] [--repo DIR]
@@ -25,7 +27,7 @@ earlier job on the same pages.  ``--repo`` names the
 source tree to import (default: this checkout), so two trees run the
 same script.  The last line is JSON: ``{"plan", "executions",
 "ray_get_calls", "from_arrow_refs", "wrapped_refs", "executors",
-"wall_s", "driver_cpu_s"}``.
+"sink_blocks", "wall_s", "driver_cpu_s"}``.
 """
 
 from __future__ import annotations
@@ -137,6 +139,8 @@ def main() -> None:
             job("out", store)
             wall = time.perf_counter() - t
             cpu = time.thread_time() - cpu
+            sink_blocks = sum(f.endswith(".parquet")
+                              for f in os.listdir(os.path.join(work, "out")))
         finally:
             (ray.get, ray.data.from_arrow_refs,
              ExecutionPlan.create_executor) = real
@@ -148,7 +152,8 @@ def main() -> None:
     for i, plan in enumerate(plans.plans, 1):
         print(f"{i:2d}. {plan}")
     print(json.dumps({"plan": args.plan, "executions": len(plans.plans),
-                      **calls, "wall_s": round(wall, 3),
+                      **calls, "sink_blocks": sink_blocks,
+                      "wall_s": round(wall, 3),
                       "driver_cpu_s": round(cpu, 3)}))
 
 

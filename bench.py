@@ -101,8 +101,7 @@ def run_bench(names: list[str] | None = None) -> dict:
         lambda b: b).materialize()
     tiny = ray.data.from_arrow(
         pa.table({"k": list(range(64)), "v": [1] * 64}))
-    grouped_apply(tiny, ["k"], lambda df: df,
-                  num_partitions=8).materialize()
+    grouped_apply(tiny, ["k"], lambda df: df, num_partitions=8)
     warmup_sec = round(time.time() - t_w, 3)
 
     timings: dict[str, float] = {}

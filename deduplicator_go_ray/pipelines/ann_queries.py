@@ -493,8 +493,7 @@ def embedding_clusters(sf_dir: str,
         "v": pa.array(pairs["id_b"].to_numpy(np.int64), pa.int64()),
     }))
     # both tiers list every edge endpoint (roots map to themselves)
-    comp = (resolve_components(edges, key_type=pa.int64(),
-                               max_onetask_edges=max_onetask_edges)
+    comp = (resolve_components(edges, max_onetask_edges=max_onetask_edges)
             .to_pandas().sort_values("url").reset_index(drop=True))
     nodes = comp["url"].to_numpy(np.int64)
     roots = comp["root"].to_numpy(np.int64)

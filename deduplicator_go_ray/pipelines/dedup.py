@@ -31,14 +31,14 @@ Ray Data runs only the edges: the read → extract → content-key map and
 the signature map (task-based ``map_batches`` with a per-worker stage
 cache, ``_STAGE_CACHE``); with a signature store the signatures are
 plain tasks too, so a store run has two executions.  Every stage
-between them is plain Ray tasks whose inputs are block refs passed as
-top-level task arguments, and the stages hand one another
-``stages.common.Blocks``: the non-empty block refs with the row count
-and byte size their producing tasks report.  Each stage awaits those
-small counts (it needs them anyway: ``n_reps``, ``n_cand``,
-``n_edges``, the component count, the zero-row blocks dropped before
-the sink), so it has run when it returns.  A Dataset is built from
-refs (``stages.common.dataset_of``: one metadata task per block and a
+between them takes and returns ``stages.common.Blocks``, the engine's
+one stage contract: the non-empty block refs with the row count, byte
+size and schema their producing tasks report, shipped to the stage's
+tasks as top-level arguments.  Each stage awaits those small stats (it
+needs them anyway: ``n_reps``, ``n_cand``, ``n_edges``, the component
+count, the zero-row blocks dropped before the sink), so it has run when
+it returns.  A Dataset is built from Blocks
+(``stages.common.dataset_of``: one metadata task per block and a
 stats-actor round trip per Dataset, 7-9 ms for 3 blocks on one CPU)
 only where Ray Data must run: the signature map's input, and the
 result handed to the caller.  A Ray Data execution costs ~55 ms of
@@ -80,9 +80,9 @@ from ..stages.buckets import (KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
                               uid_bits_for, uid_np, uid_of_urls, uid_pa_type,
                               uid_width)
 from ..stages.cluster import _cc_onetask, anchor_endpoints, resolve_components
-from ..stages.common import (Blocks, as_blocks, block_refs_of, dataset_of,
-                             gather, grouped_apply, map_blocks, sorted_probe,
-                             with_stats)
+from ..stages.common import (Blocks, as_blocks, dataset_of, gather,
+                             gather_all, grouped_apply, map_blocks,
+                             sorted_probe, with_stats)
 from ..stages.exact import add_content_key, assign_exact_groups, dup_candidates
 from ..stages.extract import ExtractStage
 from ..stages.joins import hash_join
@@ -264,7 +264,7 @@ def _concat_blocks(*blocks) -> pa.Table:
     return pa.concat_tables(blocks)
 
 
-def _packed(*parts: Blocks) -> "ray.data.Dataset":
+def _packed(*parts: Blocks) -> "ray.data.MaterializedDataset":
     """The result as the caller's write receives it: the blocks of
     ``parts``, in order, packed greedily by the sizes their tasks
     reported into bins of at most Ray Data's target block size (the
@@ -276,7 +276,8 @@ def _packed(*parts: Blocks) -> "ray.data.Dataset":
     and the self-clusters alone are one block per extracted block; the
     rows and their ``partition_id`` do not change.  ``Blocks`` hold no
     zero-row block: Ray forwards such a block untouched through a
-    caller's later map, still in the pre-map schema (VERDICT r2 #9)."""
+    caller's later map, still in the pre-map schema (VERDICT r2 #9).
+    With no block the result is zero rows of ``ASSIGNMENTS_SCHEMA``."""
     target = (ray.data.DataContext.get_current().target_max_block_size
               or float("inf"))
     bins, size = [], 0
@@ -288,7 +289,7 @@ def _packed(*parts: Blocks) -> "ray.data.Dataset":
             bins.append([ref])
             size = n
     refs = [b[0] if len(b) == 1 else _concat_blocks.remote(*b) for b in bins]
-    return dataset_of(refs or [ray.put(_EMPTY_ASSIGN)])
+    return dataset_of(Blocks(tuple(refs), schema=ASSIGNMENTS_SCHEMA))
 
 
 class _PhaseTimer:
@@ -344,7 +345,7 @@ def run_dedup(
     timer.tick("extract+hash")
     n_docs = docs.num_rows
     if n_docs == 0:
-        return dataset_of([ray.put(_EMPTY_ASSIGN)])
+        return _packed()
     # error rows + too-small rows pass through as self-clusters: one
     # task per extracted block, submitted now (zero-row results are
     # dropped, the rest packed, at the end)
@@ -388,6 +389,8 @@ def run_dedup(
         "substring": cfg.substring,
         "compute_anchors": cfg.run_substring_pass,
     }
+    reps = gather(rep_outs)
+    timer.tick("rep_texts")
     if cfg.sig_store_dir:
         # incremental signature store (state/sigstore.py): unchanged
         # content keys re-use their stored signatures; only unseen
@@ -401,8 +404,6 @@ def run_dedup(
         # index gathers url+minhash only).
         from ..state.sigstore import incremental_signatures
 
-        reps = gather(rep_outs)
-        timer.tick("rep_texts")
         sigs, _n_new = incremental_signatures(
             reps, cfg.sig_store_dir, sig_kwargs=sig_kwargs,
             passthrough=("n_bytes",), batch_size=cfg.signature_batch_size)
@@ -410,9 +411,7 @@ def run_dedup(
     else:
         # the signature map is Ray Data's: its input is wrapped, and
         # its executed output is read back as Blocks
-        reps = dataset_of([b for b, _ in rep_outs])
-        timer.tick("rep_texts")
-        sigs = as_blocks(reps.map_batches(
+        sigs = as_blocks(dataset_of(reps).map_batches(
             functools.partial(_signature_slim, **sig_kwargs),
             batch_format="pyarrow",
             batch_size=cfg.signature_batch_size,
@@ -460,36 +459,33 @@ def run_dedup(
     # once its checks have run
     n_cand = cand.num_rows
     timer.note("n_cand", n_cand)
-    edge_sets = []
+    edges = Blocks()
     if n_cand:
-        edge_sets.append(verify_near_edges(
-            cand, sigs, cfg.minhash, cfg.bucket_partitions))
+        edges += verify_near_edges(cand, sigs, cfg.minhash,
+                                   cfg.bucket_partitions)
     if n_cand and cfg.run_substring_pass:
-        edge_sets.append(verify_containment_edges(
-            cand, reps, cfg.bucket_partitions))
-    edge_refs = [r for e in edge_sets for r in e.refs]
-    n_edges = sum(e.num_rows for e in edge_sets)
+        edges += verify_containment_edges(cand, reps, cfg.bucket_partitions)
+    n_edges = edges.num_rows
     timer.tick("verify+edges")
     timer.note("n_edges", n_edges)
 
     # ---- components → rep cluster assignment -------------------------------
     # the one-task tier returns the (url, root) map, the sorted
-    # anchor-edge endpoints and the map's row count; the first two stay
+    # anchor-edge endpoints and the map's stats; the first two stay
     # in the object store and reach the finalize tasks as top-level
     # arguments — no driver pull
     cc_ref = sub_ref = None
     cc_refs, n_comp = [], 0
     if n_edges and n_edges <= cfg.onetask_cc_max_edges:
-        cc_ref, sub_ref, n_ref = _cc_onetask.remote(*edge_refs)
-        n_comp = ray.get(n_ref)
+        cc_ref, sub_ref, st_ref = _cc_onetask.remote(*edges.refs)
+        n_comp = ray.get(st_ref)[0]
         cc_refs = [cc_ref]
     elif n_edges:
         rep_clusters = resolve_components(
-            dataset_of(edge_refs), key_type=uid_type,
-            max_onetask_edges=cfg.onetask_cc_max_edges)
-        sub_ref = _anchor_uids.remote(*edge_refs)
-        cc_refs = block_refs_of(rep_clusters)
-        n_comp = rep_clusters.count()
+            edges, max_onetask_edges=cfg.onetask_cc_max_edges)
+        sub_ref = _anchor_uids.remote(*edges.refs)
+        cc_refs = list(rep_clusters.refs)
+        n_comp = rep_clusters.num_rows
     timer.tick("components")
 
     if n_comp > cfg.broadcast_max_reps or (n_comp and cc_ref is None):
@@ -504,7 +500,9 @@ def run_dedup(
         cc_ref = None
     finals = map_blocks(members.refs, _finalize, cc_ref, sub_ref,
                         uid_type, num_partitions, num_returns=4)
-    tail += [(u, st) for _, _, u, st in finals]
+    # the duplicate rows and the finished rest, awaited in one round trip
+    dups, rest = gather_all([(d, st) for d, st, _, _ in finals],
+                            tail + [(u, st) for _, _, u, st in finals])
     timer.tick("finalize")
 
     # ---- keeper resolution per cluster (shuffle on canonical uid) ----------
@@ -548,7 +546,6 @@ def run_dedup(
         }), preserve_index=False), num_partitions)
 
     keepers = grouped_apply(
-        gather((d, st) for d, st, _, _ in finals), ["canonical"],
-        resolve, num_partitions=cfg.bucket_partitions,
+        dups, ["canonical"], resolve, num_partitions=cfg.bucket_partitions,
         empty_result=_EMPTY_ASSIGN)
-    return _packed(keepers, gather(tail))
+    return _packed(keepers, rest)

@@ -32,7 +32,8 @@ from ..functions.hashing import hash64_str
 from ..stages.buckets import (DOC_UID, KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
                               bucket_rows, candidate_edges_fused,
                               sampled_hot_band_keys)
-from ..stages.common import dedupe_rows, grouped_apply, list_matrix
+from ..stages.common import (as_blocks, dedupe_rows, grouped_apply, list_matrix,
+                             map_blocks)
 from ..stages.verify import endpoint_index, index_rows, verify_near_edges
 from .registry import register
 
@@ -186,7 +187,7 @@ def ngram_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
                            pre_fn=_gram_rows)
     prefixes = grouped_apply(tagged, ["doc"], _prefixes, arrow_fn=True)
     cand = grouped_apply(prefixes, ["gram"], _prefix_pairs, arrow_fn=True)
-    if cand.count() == 0:
+    if cand.num_rows == 0:
         return _EMPTY_JACCARD.to_pandas()
 
     # the verify stage's shared index over the candidate endpoints' gram
@@ -212,7 +213,7 @@ def ngram_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
 
     # a pair whose prefix grams hash to different partitions is emitted
     # (and checked) once per partition: dedupe the verified result
-    out = cand.map_batches(verify, batch_format="pyarrow").to_pandas()
+    out = pa.concat_tables(ray.get(map_blocks(cand.refs, verify))).to_pandas()
     return (out.drop_duplicates(["doc_id_a", "doc_id_b"])
             .sort_values(["doc_id_a", "doc_id_b"]).reset_index(drop=True))
 
@@ -306,7 +307,7 @@ def minhash_lsh_pairs(sf_dir: str) -> pd.DataFrame:
                                                            sigs.count()),
                        num_salts=lsh.num_salts)
     cand = candidate_edges_fused(rows, lsh, 0, minhash=cfg)
-    if cand.count() == 0:
+    if cand.num_rows == 0:
         return _pairs_to_ids(cand)
     # the verify stage picks the endpoint index or the two-attach check
     return _pairs_to_ids(verify_near_edges(cand, sigs, cfg))
@@ -516,8 +517,6 @@ def embedding_dup_pairs(
     be manual) delegates to the bucketed scale twin
     ``embedding_dup_pairs_lsh`` below — equality-tested against this
     plan at fixture scale."""
-    from ..stages.common import block_refs_of
-
     path = os.path.join(sf_dir, "embeddings.parquet")
     if exact_max_rows is not None:
         import pyarrow.dataset as pads
@@ -529,7 +528,7 @@ def embedding_dup_pairs(
         path,
         columns=["vec_id", "embedding"]).materialize()
     build = ray.remote(num_cpus=1)(_build_embedding_index)
-    ref = build.remote(tuple(block_refs_of(emb)))
+    ref = build.remote(as_blocks(emb).refs)
 
     def block(t: pa.Table) -> pa.Table:
         all_ids, M = ray.get(ref)

@@ -192,8 +192,8 @@ def prune_dead(sf_dir: str) -> "ray.data.Dataset":
 
     state = docs.map_batches(keyed("src1"), batch_format="pyarrow")
     listing = docs.map_batches(keyed("src0"), batch_format="pyarrow")
-    dead = hash_join(state, listing, "h", "left anti")
-    return dead.select_columns(["doc_id"])
+    return hash_join(state, listing, "h", "left anti",
+                     post_fn=lambda t: t.select(["doc_id"]))
 
 
 register(
@@ -452,9 +452,9 @@ def import_near_gate(sf_dir: str) -> pd.DataFrame:
     cand = gate_candidates(sigs_in, sigs_ex, cfg, GATE_EX_CAP)
     hits = pd.DataFrame({"u": pd.Series(dtype="int64"),
                          "v": pd.Series(dtype="int64")})
-    if cand.count() > 0:
-        ver = verify_near_edges(cand, sigs_in.union(sigs_ex), cfg)
-        hits = ver.select_columns(["u", "v"]).to_pandas()
+    ver = verify_near_edges(cand, sigs_in.union(sigs_ex), cfg)
+    if ver.num_rows > 0:
+        hits = ver.to_pandas()[["u", "v"]]
 
     def inc_only(t: pa.Table) -> pa.Table:
         ids = np.asarray(t["doc_id"], dtype=np.int64)
@@ -571,7 +571,7 @@ def upgrade_signatures_q(sf_dir: str) -> pa.Table:
         add_content_key(docs.map_batches(to_pages, batch_format="pyarrow")),
         ["text_sha256"],
         lambda df: df.sort_values("url").drop_duplicates(["text_sha256"]),
-    ).materialize()
+    )
 
     v1 = {"compute_anchors": True}
     v2 = {"minhash": _MH(shingle_k=7), "compute_anchors": True}

@@ -2,7 +2,9 @@
 pair for the driver's DuckDB conformance harness.
 
 Each ``queries()`` callable takes ``sf_dir`` and returns a Dataset /
-pandas DataFrame / pyarrow Table; the matching ``oracle_sql()`` entry
+pandas DataFrame / pyarrow Table — a query whose last stage hands back
+``stages.common.Blocks`` is wrapped here, the engine's one registry
+edge (``stages.common.dataset_of``); the matching ``oracle_sql()`` entry
 is ANSI SQL DuckDB runs over the same parquet tables (views: region
 nation customer supplier part orders lineitem events documents
 embeddings).  Column names match exactly on both sides.  Non-SQL-
@@ -13,6 +15,7 @@ planted truth in tests/ instead.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from typing import Any
 
@@ -21,9 +24,22 @@ _ORACLES: dict[str, str] = {}
 
 
 def register(name: str, fn: Callable[[str], Any], sql: str | None = None) -> None:
-    _QUERIES[name] = fn
+    _QUERIES[name] = _at_edge(fn)
     if sql is not None:
         _ORACLES[name] = sql
+
+
+def _at_edge(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """``fn`` with a :class:`~..stages.common.Blocks` result handed back
+    as an executed Dataset."""
+    from ..stages.common import Blocks, dataset_of
+
+    @functools.wraps(fn)
+    def query(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return dataset_of(out) if isinstance(out, Blocks) else out
+
+    return query
 
 
 # The driver's correctness harness caps its per-round sweep at the

@@ -346,13 +346,13 @@ def import_anti_join(sf_dir: str) -> "ray.data.Dataset":
     if target_keys.count() <= BROADCAST_MAX_KEYS:
         # small side: distinct target keys, collected once and broadcast
         existing = {r["n_chars"] for r in target_keys.take_all()}
-        new = broadcast_semi_filter(candidates, "n_chars", existing, anti=True)
-    else:
-        # large target: keyed-shuffle anti-join — nothing broadcast,
-        # nothing on the driver (the scale twin; equality-tested)
-        from ..stages.joins import hash_join
-        new = hash_join(candidates, target_keys, "n_chars", "left anti")
-    return new.select_columns(["doc_id"])
+        return broadcast_semi_filter(candidates, "n_chars", existing,
+                                     anti=True).select_columns(["doc_id"])
+    # large target: keyed-shuffle anti-join — nothing broadcast,
+    # nothing on the driver (the scale twin; equality-tested)
+    from ..stages.joins import hash_join
+    return hash_join(candidates, target_keys, "n_chars", "left anti",
+                     post_fn=lambda t: t.select(["doc_id"]))
 
 
 register(

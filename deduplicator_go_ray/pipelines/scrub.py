@@ -48,6 +48,8 @@ import ray
 import ray.data
 
 from ..functions.hashing import hash64_str
+from ..stages.common import (Blocks, as_blocks, gather, keys_over, map_blocks,
+                             with_stats)
 from .registry import register
 
 
@@ -164,56 +166,43 @@ def _line_frame(t: pa.Table) -> pd.DataFrame:
     })
 
 
-def remove_frequent_lines(docs: "ray.data.Dataset",
-                          thr: int) -> "ray.data.Dataset":
-    """Two-pass frequent-line removal over a (doc_id, text) dataset:
-    lines (of the synthetic page frame) occurring ``>= thr`` times
+def _line_hashes(t: pa.Table) -> pa.Table:
+    return pa.table({"lh": pa.array(_line_frame(t)["lh"].to_numpy(),
+                                    pa.int64())})
+
+
+def _drop_frequent(t: pa.Table, bad: np.ndarray):
+    """One (doc_id, text) block with the lines whose hash is in ``bad``
+    removed, with its stats."""
+    lf = _line_frame(t)
+    keep = ~np.isin(lf["lh"].to_numpy(), bad)
+    kept = lf[keep]
+    joined = kept.groupby("row", sort=True)["line"].agg("\n".join)
+    n_rows = t.num_rows
+    clean = pd.Series([""] * n_rows)
+    clean[joined.index] = joined
+    dropped = pd.Series(np.zeros(n_rows, dtype=np.int64))
+    drop_counts = lf[~keep].groupby("row", sort=True).size()
+    dropped[drop_counts.index] = drop_counts
+    return with_stats(pa.table({
+        "doc_id": t["doc_id"],
+        "clean_text": pa.array(clean.tolist(), pa.string()),
+        "n_dropped": pa.array(dropped.to_numpy(), pa.int64()),
+    }))
+
+
+def remove_frequent_lines(docs: "Blocks | ray.data.Dataset",
+                          thr: int) -> "Blocks":
+    """Two-pass frequent-line removal over (doc_id, text) rows: lines
+    (of the synthetic page frame) occurring ``>= thr`` times
     corpus-wide are dropped.  Pass 1 moves only (hash, count) int64
-    partials through the groupby; the frequent set broadcasts once."""
-    from ray.data.aggregate import Sum
-
-    def partial_counts(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"lh": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        vc = _line_frame(t)["lh"].value_counts()
-        return pa.table({"lh": pa.array(vc.index.to_numpy(), pa.int64()),
-                         "n": pa.array(vc.to_numpy(), pa.int64())})
-
-    counts = (docs.map_batches(partial_counts, batch_format="pyarrow")
-                  .groupby("lh").aggregate(Sum("n", alias_name="n")))
-    freq = counts.filter(expr=f"n >= {thr}")
-    # the frequent set is tiny by construction (it IS the boilerplate);
-    # collected once, shipped once via the object store
-    freq_hashes = np.sort(np.concatenate(
-        [b["lh"].to_numpy() for b in
-         freq.select_columns(["lh"]).iter_batches(batch_format="pyarrow")]
-        or [np.array([], dtype=np.int64)]))
-    freq_ref = ray.put(freq_hashes)
-
-    def drop_frequent(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "clean_text": pa.array([], pa.string()),
-                             "n_dropped": pa.array([], pa.int64())})
-        bad = ray.get(freq_ref)
-        lf = _line_frame(t)
-        keep = ~np.isin(lf["lh"].to_numpy(), bad)
-        kept = lf[keep]
-        joined = kept.groupby("row", sort=True)["line"].agg("\n".join)
-        n_rows = t.num_rows
-        clean = pd.Series([""] * n_rows)
-        clean[joined.index] = joined
-        dropped = pd.Series(np.zeros(n_rows, dtype=np.int64))
-        drop_counts = lf[~keep].groupby("row", sort=True).size()
-        dropped[drop_counts.index] = drop_counts
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "clean_text": pa.array(clean.tolist(), pa.string()),
-            "n_dropped": pa.array(dropped.to_numpy(), pa.int64()),
-        })
-
-    return docs.map_batches(drop_frequent, batch_format="pyarrow")
+    partials through one count exchange (``keys_over``); the frequent
+    set, tiny by construction (it IS the boilerplate), ships once
+    through the object store to one task per block."""
+    docs = as_blocks(docs)
+    freq = keys_over(docs, "lh", thr - 1, pre_fn=_line_hashes)
+    return gather(map_blocks(docs.refs, _drop_frequent, ray.put(freq),
+                             num_returns=2))
 
 
 def boilerplate_lines(sf_dir: str) -> "ray.data.Dataset":
@@ -497,9 +486,6 @@ def line_dedup_first_ds(docs: "ray.data.Dataset",
             "__m": pa.array(np.ones(n, np.int8), pa.int8()),
         })
 
-    both = (docs.map_batches(occ_rows, batch_format="pyarrow")
-                .union(dups.map_batches(win_rows, batch_format="pyarrow")))
-
     def emit_drops(df: pd.DataFrame) -> pd.DataFrame:
         wins = df[df["__m"] == 1].set_index("lh")["w"]
         occ = df[df["__m"] == 0]
@@ -511,8 +497,9 @@ def line_dedup_first_ds(docs: "ray.data.Dataset",
         return pd.DataFrame({"drop_key": occ.loc[drop, "owner"].to_numpy()})
 
     drops = grouped_apply(
-        both, ["lh"], emit_drops,
-        empty_result=pa.table({"drop_key": pa.array([], pa.int64())}))
+        [docs, dups], ["lh"], emit_drops,
+        empty_result=pa.table({"drop_key": pa.array([], pa.int64())}),
+        pre_fn=[occ_rows, win_rows])
 
     def doc_rows(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -529,10 +516,6 @@ def line_dedup_first_ds(docs: "ray.data.Dataset",
             "text": pa.array([""] * len(t), pa.string()),
             "drop_key": t["drop_key"],
         })
-
-    merged = (docs.map_batches(doc_rows, batch_format="pyarrow")
-                  .union(drops.map_batches(drop_rows,
-                                           batch_format="pyarrow")))
 
     def rebuild(df: pd.DataFrame) -> pd.DataFrame:
         dd = df[df["drop_key"] >= 0]
@@ -555,8 +538,8 @@ def line_dedup_first_ds(docs: "ray.data.Dataset",
             drop = drop_keys[idx_c] == lf["owner"].to_numpy()
         return _assemble_clean(t, lf, drop).to_pandas()
 
-    return grouped_apply(merged, ["doc_id"], rebuild,
-                         empty_result=_LDF_EMPTY)
+    return grouped_apply([docs, drops], ["doc_id"], rebuild,
+                         empty_result=_LDF_EMPTY, pre_fn=[doc_rows, drop_rows])
 
 
 def line_dedup_first(sf_dir: str) -> "ray.data.Dataset":
@@ -669,8 +652,6 @@ def curation_pipeline(sf_dir: str) -> "ray.data.Dataset":
             "final_text": out,
         }).filter(keep)
 
-    survivors = clean.map_batches(scrub_and_filter, batch_format="pyarrow")
-
     # 5. exact keep-first on the content hash
     def hash_stage(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -679,8 +660,6 @@ def curation_pipeline(sf_dir: str) -> "ray.data.Dataset":
                 md5_hex(t["final_text"].to_pylist()), pa.string()),
             "final_text": t["final_text"],
         })
-
-    hashed = survivors.map_batches(hash_stage, batch_format="pyarrow")
 
     def keep_min(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["content_hash", "doc_id"], kind="mergesort")
@@ -691,11 +670,12 @@ def curation_pipeline(sf_dir: str) -> "ray.data.Dataset":
             "final_text": out["final_text"],
         })
 
-    return grouped_apply(hashed, ["content_hash"], keep_min,
+    return grouped_apply(clean, ["content_hash"], keep_min,
                          empty_result=pa.table({
                              "doc_id": pa.array([], pa.int64()),
                              "content_hash": pa.array([], pa.string()),
-                             "final_text": pa.array([], pa.string())}))
+                             "final_text": pa.array([], pa.string())}),
+                         pre_fn=lambda t: hash_stage(scrub_and_filter(t)))
 
 
 register(

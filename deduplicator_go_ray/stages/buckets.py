@@ -464,17 +464,16 @@ def candidate_edges_fused(
     uid_bits: int = 64,
     minhash: MinHashConfig | None = None,
     pre_fn=None,
-) -> "Blocks | ray.data.Dataset":
+) -> Blocks:
     """One hash shuffle on ``key``; per partition, vectorized per-kind
     emission and the digest prune (module docstring).  ``minhash``
     (default ``MinHashConfig()``) sets the near threshold.  ``pre_fn``
     builds the bucket rows inside the exchange's split tasks —
     ``run_dedup`` passes :func:`bucket_batch` and its signature
     :class:`~.common.Blocks`, so the rows are never stored unsplit.
-    Returns (u, v, kind) candidate edges, as Blocks when given them
-    (:func:`~.common.grouped_apply`'s refs contract); ``uid_bits`` is
-    the width of the uids the bucket rows carry (the reducer's pandas
-    output is cast to it)."""
+    Returns (u, v, kind) candidate edges; ``uid_bits`` is the width of
+    the uids the bucket rows carry (the reducer's pandas output is cast
+    to it)."""
     mh = minhash or MinHashConfig()
     # most fingerprint bits that may differ: with m_min equal slots at
     # most P - m_min bits differ, over any P (unused bits are equal)
@@ -577,25 +576,27 @@ def candidate_edges_fused(
 
 
 def gate_candidates(
-    incoming: "ray.data.Dataset",
-    existing: "ray.data.Dataset",
+    incoming: "Blocks | ray.data.Dataset",
+    existing: "Blocks | ray.data.Dataset",
     minhash: MinHashConfig,
     existing_cap: int,
     num_partitions: int = 64,
-) -> "ray.data.Dataset":
+) -> Blocks:
     """(u, v, kind) band candidates of the near-dup import gates, u
     incoming and v existing: per band bucket, every incoming doc × the
     first ``existing_cap`` existing docs by uid.  Per-incoming emission
     is bounded by bands × existing_cap whatever the bucket skew, and
     the cap is part of the gates' definition (their SQL oracle ranks
-    the same way), not a silent truncation."""
+    the same way), not a silent truncation.  Each side's band rows are
+    built in the exchange's split tasks."""
 
-    def side(sigs: "ray.data.Dataset", is_ex: bool) -> "ray.data.Dataset":
-        return bucket_rows(sigs, minhash, (KIND_BAND,)).map_batches(
-            lambda t: pa.table({
-                "key": t["key"], "uid": t["uid"],
-                "is_ex": pa.array(np.full(len(t), is_ex), pa.bool_())}),
-            batch_format="pyarrow")
+    def side(is_ex: bool):
+        def rows(t: pa.Table) -> pa.Table:
+            b = bucket_batch(t, minhash, (KIND_BAND,))
+            return pa.table({
+                "key": b["key"], "uid": b["uid"],
+                "is_ex": pa.array(np.full(len(b), is_ex), pa.bool_())})
+        return rows
 
     def emit(df: pd.DataFrame) -> pd.DataFrame:
         # one row per (key, doc) per side — a doc whose bands fold to
@@ -610,6 +611,7 @@ def gate_candidates(
             "kind": np.full(len(pairs), KIND_BAND, np.int8),
         }).drop_duplicates(["u", "v"])
 
-    return grouped_apply([side(incoming, False), side(existing, True)],
-                         ["key"], emit, num_partitions=num_partitions,
-                         empty_result=empty_edges())
+    return grouped_apply([incoming, existing], ["key"], emit,
+                         num_partitions=num_partitions,
+                         empty_result=empty_edges(),
+                         pre_fn=[side(False), side(True)])

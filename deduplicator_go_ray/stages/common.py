@@ -1,18 +1,25 @@
-"""Shared shuffle helper: hash-partitioned grouped apply.
+"""The engine's one stage contract, and its exchange.
 
-Ray's ``groupby(key).map_groups(fn)`` invokes ``fn`` once per key — at
-web scale the dup-group key space has ~as many groups as rows, and a
-Python call per group dominates wall time.  The engine's pattern
-instead: route every row to partition ``hash(key) % P`` (each partition
-a complete set of key-groups) and run a **vectorized partition-level
+Every stage takes and returns :class:`Blocks`: refs of non-empty Arrow
+blocks in the object store with the row count, byte size and schema
+their producing tasks reported.  A stage handed a Dataset converts it
+once (:func:`as_blocks`); a Dataset is built back from Blocks only
+where Ray Data must run (:func:`dataset_of`), so the stages themselves
+are plain Ray tasks over block refs.
+
+The exchange is :func:`grouped_apply`.  Ray's
+``groupby(key).map_groups(fn)`` invokes ``fn`` once per key — at web
+scale the dup-group key space has ~as many groups as rows, and a Python
+call per group dominates wall time.  The engine's pattern instead:
+route every row to partition ``hash(key) % P`` (each partition a
+complete set of key-groups) and run a **vectorized partition-level
 function** (pandas groupby transforms / numpy) once per partition.
 Correctness only needs co-location of equal keys, which the hash
 guarantees; determinism holds because every partition function is a
 pure function of its rows (≙ the reference's coordination-free
-invariant, files/move.go:226-236).  The exchange itself is plain Ray
-tasks over block refs, not a Ray Data all-to-all operator: its cost is
-then one task per block and one per partition, with no sample/sort
-barriers or shuffle actors.
+invariant, files/move.go:226-236).  The exchange is one split task per
+block and one reduce task per partition, with no sample/sort barriers
+or shuffle actors.
 """
 
 from __future__ import annotations
@@ -79,19 +86,19 @@ def slice_parts(tbl: pa.Table, part: np.ndarray, n_parts: int) -> tuple:
 def _reduce_partition(partition_fn, arrow_fn: bool, fill: bool, schema,
                       *slices):
     """Reduce side: concatenate one partition's slices and run
-    ``partition_fn`` on them.  Returns ``(table, (rows, bytes))``;
-    ``rows`` is -1 when the partition received no rows
-    (``partition_fn`` is never called on an empty partition).  A pandas
-    result is cast to ``schema`` when one is given: pandas infers
-    variable binary for bytes, so a 16-byte uid column comes back as
-    ``binary(16)``.
+    ``partition_fn`` on them.  Returns the table with its stats
+    (:func:`with_stats`), or :data:`NO_ROWS` when the partition
+    received no rows (``partition_fn`` is never called on an empty
+    partition).  A pandas result is cast to ``schema`` when one is
+    given: pandas infers variable binary for bytes, so a 16-byte uid
+    column comes back as ``binary(16)``.
 
     ``fill`` (a list of inputs): a column that only the partition's
     zero-row slices carry — an input that sent it no rows — is added
     as typed nulls."""
     tables = [t for t in slices if t.num_rows]
     if not tables:
-        return pa.table({}), (-1, 0)
+        return NO_ROWS
     # unioned inputs may disagree on column ORDER: unify by name
     full = pa.concat_tables(tables, promote_options="default")
     if fill:
@@ -134,7 +141,7 @@ def grouped_apply(
     empty_result: pa.Table | None = None,
     arrow_fn: bool = False,
     pre_fn: "Callable[[pa.Table], pa.Table] | list | None" = None,
-) -> "Blocks | ray.data.Dataset":
+) -> Blocks:
     """Hash-partition `ds` on `keys`, then run `partition_fn` once per
     partition over a pandas frame containing only complete key-groups.
 
@@ -142,23 +149,18 @@ def grouped_apply(
     beyond what it itself sorts — results are then independent of the
     partition count (N-vs-4N determinism).
 
-    The exchange is plain Ray tasks over block refs.  One split task
-    per input block applies ``pre_fn``, hashes ``keys`` and returns one
-    Arrow slice per partition; one reduce task per partition
-    concatenates its slices and runs ``partition_fn``.  No block data
-    reaches the driver, only each partition's row count and byte size,
-    which the call awaits: the exchange has run when it returns.  When
+    The exchange is plain Ray tasks over block refs (a Dataset input is
+    converted once, :func:`as_blocks`).  One split task per input block
+    applies ``pre_fn``, hashes ``keys`` and returns one Arrow slice per
+    partition; one reduce task per partition concatenates its slices
+    and runs ``partition_fn``.  No block data reaches the driver, only
+    each partition's stats, which the call awaits: the exchange has run
+    when it returns, and the result is the :class:`Blocks` of the
+    non-empty partitions.  Their schema is that of `partition_fn`'s
+    output, zero-row outputs included, else ``empty_result``'s.  When
     a reduce fails, every other partition task is awaited before the
     error is re-raised, so none is still running (or writing) when the
     caller sees it.
-
-    The refs contract (:class:`Blocks`): given :class:`Blocks`, the
-    result is the :class:`Blocks` of the non-empty partitions, and no
-    Dataset is built.  Given a Dataset, its blocks are walked once
-    (:func:`as_blocks`; a lazy input executes there) and the result is
-    an executed Dataset (:func:`dataset_of`), typed by
-    ``empty_result`` (else by `partition_fn`'s own zero-row output)
-    when every partition comes out empty.
 
     ``empty_result``: a ZERO-ROW Arrow table with `partition_fn`'s
     output schema; a pandas partition result is cast to its schema.
@@ -170,12 +172,11 @@ def grouped_apply(
     payloads (the flood-verify signature blobs).
 
     ``ds`` may be a LIST of inputs (a union exchange — e.g. the two
-    sides of :func:`~.joins.hash_join`; the result is :class:`Blocks`
-    when every input is); their columns are unified by name inside
-    each partition, and a partition that received no rows of an input
-    still carries that input's columns, as typed nulls (an input with
-    no rows at all carries none).  ``pre_fn`` may then be a list too,
-    one function (or None) per input."""
+    sides of :func:`~.joins.hash_join`); their columns are unified by
+    name inside each partition, and a partition that received no rows
+    of an input still carries that input's columns, as typed nulls (an
+    input with no rows at all carries none).  ``pre_fn`` may then be a
+    list too, one function (or None) per input."""
     multi = isinstance(ds, (list, tuple))
     inputs = [as_blocks(d) for d in (ds if multi else [ds])]
     pre_fns = (list(pre_fn) if isinstance(pre_fn, (list, tuple))
@@ -194,14 +195,7 @@ def grouped_apply(
     outs = [_reduce_partition.remote(fn_ref, arrow_fn, multi, schema,
                                      *[s[p] for s in slices])
             for p in range(n_parts if blocks else 0)]
-    stats = get_all([st for _, st in outs])
-    out = _kept(outs, stats)
-    if _is_blocks(ds) or out.refs or empty_result is not None:
-        return like(ds, out, empty_result)
-    # every partition came out empty: keep partition_fn's own schema
-    # when it ran at all
-    ran = [t for (t, _), (n, _) in zip(outs, stats) if n == 0]
-    return dataset_of(ran[:1] or [ray.put(pa.table({}))])
+    return blocks_of(outs, get_all([st for _, st in outs]), schema)
 
 
 def get_all(refs: list) -> list:
@@ -217,11 +211,13 @@ def get_all(refs: list) -> list:
 
 @dataclass(frozen=True)
 class Blocks:
-    """The value ``run_dedup``'s stages pass one another: refs of
-    non-empty Arrow blocks in the object store, with the row count and
-    byte size of each as the task that produced it reported them
-    (:func:`with_stats`).  ``schema`` is the blocks' schema when a
-    Dataset's metadata gave it (:func:`as_blocks`), else None.  Passing
+    """The value every stage takes and returns: refs of non-empty Arrow
+    blocks in the object store, with the row count and byte size of
+    each as the task that produced it reported them
+    (:func:`with_stats`).  ``schema`` is the blocks' schema as a task
+    reported it, zero-row outputs included, or as the caller of an
+    exchange gave it (``empty_result``) or a Dataset's metadata gave it
+    (:func:`as_blocks`); None when nothing produced a block.  Passing
     Blocks costs no Ray Data work: a stage reads its input's sizes and
     counts from here, and ships the refs to its tasks as top-level
     arguments."""
@@ -235,97 +231,102 @@ class Blocks:
     def num_rows(self) -> int:
         return sum(self.rows)
 
+    def __add__(self, other: "Blocks") -> "Blocks":
+        """Both inputs' blocks, in order (a union of one schema)."""
+        return Blocks(self.refs + other.refs, self.rows + other.rows,
+                      self.sizes + other.sizes,
+                      self.schema if self.schema is not None else other.schema)
 
-def _is_blocks(src) -> bool:
-    """Whether a stage input (or every input of a list) is
-    :class:`Blocks`: the stage then answers in :class:`Blocks` too."""
-    if isinstance(src, (list, tuple)):
-        return all(isinstance(s, Blocks) for s in src)
-    return isinstance(src, Blocks)
+    def to_arrow(self) -> pa.Table:
+        """The rows as one table on the driver; with no block, zero
+        rows of ``schema`` (no columns when it is unknown)."""
+        from ray.data.block import BlockAccessor
+
+        if not self.refs:
+            return (self.schema or pa.schema([])).empty_table()
+        return pa.concat_tables(
+            [BlockAccessor.for_block(b).to_arrow()
+             for b in ray.get(list(self.refs))], promote_options="default")
+
+    def to_pandas(self) -> pd.DataFrame:
+        return self.to_arrow().to_pandas()
+
+
+# a task's output when it received no rows: no block, and no schema to
+# report
+NO_ROWS = (pa.table({}), (0, 0, None))
 
 
 def with_stats(t: pa.Table) -> tuple:
-    """``(t, (rows, bytes))``: a task's output block and the small stats
-    value its stage awaits (:func:`gather`).  The bytes are Arrow's
-    ``nbytes``, the size Ray Data's block metadata reports."""
-    return t, (t.num_rows, t.nbytes)
+    """``(t, (rows, bytes, schema))``: a task's output block and the
+    small stats value its stage awaits (:func:`gather`).  The bytes are
+    Arrow's ``nbytes``, the size Ray Data's block metadata reports."""
+    return t, (t.num_rows, t.nbytes, t.schema)
 
 
-def _kept(outs, stats) -> Blocks:
-    kept = [(b, n, size) for (b, _), (n, size) in zip(outs, stats) if n > 0]
+def blocks_of(outs, stats, schema=None) -> Blocks:
+    """The :class:`Blocks` of ``(block ref, stats ref)`` pairs given their
+    awaited ``stats``: the non-empty blocks, in input order, typed by
+    the first non-empty block, else by the first zero-row block a task
+    produced, else by ``schema``."""
+    kept = [(b, n, size) for (b, _), (n, size, _) in zip(outs, stats) if n]
+    typed = ([s for n, _, s in stats if n]
+             or [s for _, _, s in stats if s is not None] or [schema])
     return Blocks(tuple(b for b, _, _ in kept), tuple(n for _, n, _ in kept),
-                  tuple(size for _, _, size in kept))
+                  tuple(size for _, _, size in kept), typed[0])
 
 
 def gather(outs) -> Blocks:
     """Await the stats of ``(block ref, stats ref)`` pairs (tasks whose
     function returns :func:`with_stats`); the non-empty blocks as
     :class:`Blocks`, in input order."""
-    outs = list(outs)
-    return _kept(outs, get_all([st for _, st in outs]))
+    return gather_all(outs)[0]
+
+
+def gather_all(*parts) -> tuple:
+    """:func:`gather` of several lists of pairs in one driver round
+    trip: one :class:`Blocks` per list."""
+    parts = [list(p) for p in parts]
+    stats = iter(get_all([st for p in parts for _, st in p]))
+    return tuple(blocks_of(p, [next(stats) for _ in p]) for p in parts)
 
 
 def as_blocks(ds: "Blocks | ray.data.Dataset") -> Blocks:
-    """A stage input as :class:`Blocks`: as is, or a Dataset's
-    non-empty blocks with the row counts, sizes and schema of its
-    block metadata (one walk, :func:`nonempty_blocks`)."""
-    if isinstance(ds, Blocks):
-        return ds
-    kept = list(nonempty_blocks(ds))
-    schema = ds.schema(fetch_if_missing=False)
-    return Blocks(tuple(r for r, _ in kept),
-                  tuple(m.num_rows for _, m in kept),
-                  tuple(m.size_bytes or 0 for _, m in kept),
-                  None if schema is None else schema.base_schema)
-
-
-def like(src, out: Blocks, empty: pa.Table | None):
-    """A stage's result in the form of its input ``src``: ``out`` when
-    ``src`` is :class:`Blocks`, else ``out`` as an executed Dataset
-    (``empty``, a typed zero-row table, when ``out`` holds no block)."""
-    if _is_blocks(src):
-        return out
-    return dataset_of(list(out.refs) or [ray.put(empty)])
-
-
-def dataset_of(refs: list) -> "ray.data.MaterializedDataset":
-    """The Arrow blocks behind ``refs`` as an executed Dataset: the one
-    way the engine wraps block refs, and only where Ray Data must run —
-    a ``map_batches`` over them, a caller's write, a stage called with
-    a Dataset (the registry queries, the checkpointed run).  Between
-    ``run_dedup``'s stages the refs travel as :class:`Blocks` instead.
-    ``from_arrow_refs`` runs one metadata task per block and waits for
-    them, and every Dataset Ray Data constructs asks its stats actor
-    for an id: the wrap and its snapshot cost 7-9 ms for 3 blocks on
-    one CPU.  The wrapper is not executed: each walk of its bundles
-    (:func:`nonempty_blocks`) would start a Ray Data streaming executor,
-    ~13 ms of fixed time on one CPU.  ``materialize()`` on it starts
-    none (the blocks are already in the object store) and returns a
-    snapshot that every walk reads directly."""
-    return ray.data.from_arrow_refs(refs).materialize()
-
-
-def nonempty_blocks(ds: "ray.data.Dataset"):
-    """Yields ``(ref, metadata)`` of ``ds``'s blocks that hold rows;
-    a walk of an unexecuted Dataset executes it.  Zero-row blocks are
-    skipped by their metadata: Ray forwards them untouched, often
+    """A stage input as :class:`Blocks`: as is, or a Dataset's non-empty
+    blocks with the row counts, sizes and schema of its block metadata,
+    from one walk of its bundles (a Dataset not yet executed executes
+    there) — the engine's one way from a Dataset to block refs.
+    Zero-row blocks are skipped: Ray forwards them untouched, often
     without a schema, so one must never reach a task that reads
     columns."""
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows != 0:
-                yield ref, meta
-
-
-def block_refs_of(ds: "Blocks | ray.data.Dataset") -> list:
-    """Object refs of a Dataset's (or :class:`Blocks`') non-empty
-    blocks — the broadcast handle: shipping refs costs nothing, workers
-    fetch the Arrow blocks zero-copy from the object store (no
-    driver-side pull, no pickled dict serialized on the driver and
-    re-deserialized per worker)."""
     if isinstance(ds, Blocks):
-        return list(ds.refs)
-    return [ref for ref, _ in nonempty_blocks(ds)]
+        return ds
+    bundles = list(ds.iter_internal_ref_bundles())
+    kept = [(ref, meta) for b in bundles for ref, meta in b.blocks
+            if meta.num_rows]
+    # a bundle of rows types the blocks before a zero-row one does
+    schemas = ([b.schema for b in bundles
+                if any(meta.num_rows for _, meta in b.blocks)]
+               + [b.schema for b in bundles])
+    return Blocks(tuple(r for r, _ in kept), tuple(m.num_rows for _, m in kept),
+                  tuple(m.size_bytes or 0 for _, m in kept),
+                  next((s for s in schemas if isinstance(s, pa.Schema)), None))
+
+
+def dataset_of(blocks: Blocks) -> "ray.data.MaterializedDataset":
+    """``blocks`` as an executed Dataset, typed by their schema when
+    they hold no block: the one way back from :class:`Blocks`, used
+    only where Ray Data must run — a map over them, a caller's write,
+    the registry's edge.  ``from_arrow_refs`` runs one metadata task
+    per block and waits for them, and every Dataset Ray Data constructs
+    asks its stats actor for an id: the wrap and its snapshot cost 7-9
+    ms for 3 blocks on one CPU.  The wrapper is not executed: each walk
+    of its bundles would start a Ray Data streaming executor, ~13 ms of
+    fixed time on one CPU.  ``materialize()`` on it starts none (the
+    blocks are already in the object store) and returns a snapshot
+    that every walk reads directly."""
+    refs = list(blocks.refs) or [ray.put(blocks.to_arrow())]
+    return ray.data.from_arrow_refs(refs).materialize()
 
 
 @ray.remote
@@ -337,14 +338,13 @@ def _block_task(fn, block, *args):
 
 def map_blocks(refs: list, fn, *args, num_returns: int = 1) -> list:
     """One plain Ray task per block ref: ``fn(block, *args)``, the
-    block as an Arrow table.  ``args`` that are ObjectRefs arrive
-    resolved (zero-copy from the object store), as top-level task
-    arguments do; nothing is fetched inside the task.  Submits and
-    returns at once: the tasks' output refs (a list of
+    block as an Arrow table — a stage's per-block map.  ``args`` that
+    are ObjectRefs arrive resolved (zero-copy from the object store),
+    as top-level task arguments do; nothing is fetched inside the task.
+    Submits and returns at once: the tasks' output refs (a list of
     ``num_returns``-tuples when ``num_returns > 1``).  A stage whose
     ``fn`` returns :func:`with_stats` (``num_returns=2``) awaits the
-    small stats with :func:`gather` and hands on :class:`Blocks`;
-    :func:`dataset_of` wraps refs only where Ray Data must run."""
+    small stats with :func:`gather` and hands on :class:`Blocks`."""
     task = _block_task.options(num_returns=num_returns)
     return [task.remote(fn, r, *args) for r in refs]
 
@@ -397,14 +397,15 @@ def sorted_probe(keys_sorted: np.ndarray, queries: np.ndarray):
     return pos, keys_sorted[pos] == queries
 
 
-def dedupe_rows(ds: "ray.data.Dataset", keys: list[str], num_partitions: int = 64):
+def dedupe_rows(ds: "Blocks | ray.data.Dataset", keys: list[str],
+                num_partitions: int = 64) -> Blocks:
     """Distinct rows by `keys` (one hash shuffle, vectorized dedupe)."""
     return grouped_apply(
         ds, keys, lambda df: df.drop_duplicates(keys), num_partitions
     )
 
 
-def keys_over(ds: "ray.data.Dataset", col: str, cap: int,
+def keys_over(ds: "Blocks | ray.data.Dataset", col: str, cap: int,
               pre_fn=None) -> np.ndarray:
     """Sorted int64 keys of ``col`` that occur more than ``cap`` times:
     one exchange whose split tasks ship per-block (key, count)
@@ -423,7 +424,6 @@ def keys_over(ds: "ray.data.Dataset", col: str, cap: int,
         s = t.group_by(col, use_threads=False).aggregate([("n", "sum")])
         return s.filter(pc.greater(s["n_sum"], cap)).select([col])
 
-    hot = grouped_apply(as_blocks(ds), [col], over, arrow_fn=True,
-                        pre_fn=partial)
+    hot = grouped_apply(ds, [col], over, arrow_fn=True, pre_fn=partial)
     parts = [np.asarray(t[col], np.int64) for t in ray.get(list(hot.refs))]
     return np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)

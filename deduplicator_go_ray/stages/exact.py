@@ -22,7 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from .common import Blocks, as_blocks, grouped_apply, like
+from .common import Blocks, as_blocks, grouped_apply
 
 
 def add_content_key(ds: "ray.data.Dataset", text_col: str = "text") -> "ray.data.Dataset":
@@ -70,16 +70,14 @@ def assign_exact_groups(
     ds: "Blocks | ray.data.Dataset",
     keep_cols: tuple[str, ...] = ("url", "warc_ts", "lang", "text"),
     min_size: int = 0,
-) -> "Blocks | ray.data.Dataset":
+) -> Blocks:
     """groupby (text_sha256, n_bytes) → per-member rows with
     ``rep_url`` (= min url, the deterministic group representative),
     ``exact_size`` (member count) and ``is_rep``.
 
     Only :func:`dup_candidates` rows group; they are picked, and
     ``keep_cols`` selected, inside the exchange's split tasks — over a
-    materialized ``ds`` the stage starts no Dataset execution.  Returns
-    :class:`~.common.Blocks` when given them (``run_dedup``), else a
-    Dataset, typed when it has no rows.
+    materialized ``ds`` the stage starts no Dataset execution.
 
     ``text`` is blanked for non-representatives right inside the group
     reduce so the wide column leaves the shuffle exactly once —
@@ -111,15 +109,6 @@ def assign_exact_groups(
     if schema is not None and "key64" in schema.names:
         cols.append("key64")
         part_key = "key64"
-    out = grouped_apply(
+    return grouped_apply(
         blocks, [part_key], resolve, num_partitions=128,
         pre_fn=lambda t: dup_candidates(t, min_size).select(cols))
-    if isinstance(ds, Blocks):
-        return out
-    empty = (pa.table({"url": pa.array([], pa.string())}) if schema is None
-             else schema.empty_table().select(
-                 [c for c in cols if c != "key64"]))
-    empty = (empty.append_column("rep_url", pa.array([], pa.string()))
-             .append_column("exact_size", pa.array([], pa.int64()))
-             .append_column("is_rep", pa.array([], pa.bool_())))
-    return like(ds, out, empty)

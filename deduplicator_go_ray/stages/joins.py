@@ -26,6 +26,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .common import Blocks, grouped_apply
+
 # per-worker-process cache for broadcast_lookup's deserialized probe
 # indexes (FIFO-bounded via common.bounded_cache_put — two lookup
 # stages of one topology may interleave batches in the same worker)
@@ -38,21 +40,20 @@ _SIDE, _RIGHT = "__side", "__right__."
 
 
 def hash_join(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
+    left: "Blocks | ray.data.Dataset",
+    right: "Blocks | ray.data.Dataset",
     key: str,
     how: str = "inner",
     *,
     post_fn: Callable[[pa.Table], pa.Table] | None = None,
     num_partitions: int = 64,
-) -> "ray.data.Dataset":
-    """Equi-join two Datasets on their shared column ``key`` through
-    one hash exchange: each row is tagged with its side, both sides
+) -> "Blocks":
+    """Equi-join two inputs on their shared column ``key`` through one
+    hash exchange: each row is tagged with its side, both sides
     partition on ``key`` (one ``grouped_apply`` over ``[left,
     right]``) and every reduce task splits its partition by the tag
     and joins it with ``pa.Table.join`` (single-threaded — the task is
-    the unit of parallelism).  Given two ``common.Blocks``, it returns
-    ``Blocks`` (``grouped_apply``'s refs contract).
+    the unit of parallelism).  Returns ``common.Blocks``.
 
     ``how`` is one of :data:`JOIN_TYPES`.  ``inner`` and ``left outer``
     append the right side's other columns (null on unmatched left rows
@@ -68,8 +69,6 @@ def hash_join(
     ``post_fn`` runs on each partition's joined table inside the
     reduce (it must accept a zero-row table): a check fused there
     never writes the wide joined rows to the object store."""
-    from .common import grouped_apply
-
     if how not in JOIN_TYPES:
         raise ValueError(f"unknown join type {how!r}; one of {JOIN_TYPES}")
     semi = how in ("left semi", "left anti")

@@ -32,7 +32,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from .common import grouped_apply
+from .common import Blocks, gather, grouped_apply, map_blocks, with_stats
 
 
 def lcs_length(a: str, b: str) -> int:
@@ -90,10 +90,10 @@ def lcs_length(a: str, b: str) -> int:
 
 
 def shared_anchor_pairs(
-    anchors: "ray.data.Dataset",
+    anchors: "Blocks | ray.data.Dataset",
     min_shared_anchors: int = 2,
     bucket_cap: int = 1024,
-) -> "ray.data.Dataset":
+) -> Blocks:
     """(u, v, shared) candidate uid pairs from common anchor buckets
     (``anchors``: kind-2 ``bucket_rows``, u < v).
 
@@ -136,22 +136,20 @@ def shared_anchor_pairs(
 
 
 def long_substring_pairs(
-    texts: "ray.data.Dataset",
-    anchors: "ray.data.Dataset",
+    texts: "Blocks | ray.data.Dataset",
+    anchors: "Blocks | ray.data.Dataset",
     min_len: int = 256,
     min_shared_anchors: int = 2,
-) -> "ray.data.Dataset":
+) -> Blocks:
     """(u, v, lcs_len) uid pairs whose exact longest common substring
     is at least ``min_len`` bytes.  ``texts``: rows with ``text`` and
     a ``DOC_UID`` (or ``url``) column; ``anchors``: kind-2 bucket rows of
     the same documents."""
     from .verify import containment_spec, endpoint_index, index_rows
 
-    cand = shared_anchor_pairs(anchors, min_shared_anchors).materialize()
-    if cand.count() == 0:
-        return ray.data.from_arrow(pa.table({
-            "u": pa.array([], pa.int64()), "v": pa.array([], pa.int64()),
-            "lcs_len": pa.array([], pa.int64())}))
+    cand = shared_anchor_pairs(anchors, min_shared_anchors)
+    if cand.num_rows == 0:
+        return cand
 
     index = endpoint_index(cand, texts, containment_spec().payload)
 
@@ -165,8 +163,8 @@ def long_substring_pairs(
             lcs[k] = lcs_length(txt[int(ru[k])].as_py() or "",
                                 txt[int(rv[k])].as_py() or "")
         keep = ok & (lcs >= min_len)
-        return pa.table({"u": pa.array(u[keep], pa.int64()),
-                         "v": pa.array(v[keep], pa.int64()),
-                         "lcs_len": pa.array(lcs[keep], pa.int64())})
+        return with_stats(pa.table({"u": pa.array(u[keep], pa.int64()),
+                                    "v": pa.array(v[keep], pa.int64()),
+                                    "lcs_len": pa.array(lcs[keep], pa.int64())}))
 
-    return cand.map_batches(verify, batch_format="pyarrow")
+    return gather(map_blocks(cand.refs, verify, num_returns=2))

@@ -50,11 +50,10 @@ import ray.data
 
 from ..config import MinHashConfig
 from .buckets import (DOC_UID, KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
-                      batch_uids, empty_edges, min_slot_matches, uid_arrow,
-                      uid_np, uid_width, uid_words)
-from .common import (Blocks, as_blocks, block_refs_of, bounded_cache_put,
-                     dataset_of, gather, like, map_blocks, sorted_probe,
-                     with_stats)
+                      batch_uids, min_slot_matches, uid_arrow, uid_np,
+                      uid_width, uid_words)
+from .common import (Blocks, as_blocks, bounded_cache_put, gather,
+                     map_blocks, sorted_probe, with_stats)
 from .joins import hash_join
 
 # round-2 caps: up to this many pairs the exact check runs against an
@@ -172,16 +171,16 @@ def _uid_set_task(cols: tuple, *blocks):
     return uid_set(blocks, cols)
 
 
-def uid_set_refs(ds: "ray.data.Dataset", roles) -> list:
+def uid_set_refs(ds: "Blocks | ray.data.Dataset", roles) -> list:
     """One ObjectRef per role (a tuple of uid columns): the role's
     sorted-unique uids, built by a 1-cpu Ray task from ``ds``'s block
-    refs — ``ds`` executes once, nothing reaches the driver, and every
+    refs — nothing reaches the driver, and every
     worker maps the array zero-copy.  Roles matter for the attach
     exchanges: each joins on ONE endpoint, and the u and v endpoint
     sets barely overlap on a web corpus (500k docs: 92k u / 92k v /
     149k union near endpoints), so a role-scoped payload ships ~40%
     fewer bytes per exchange than the union-filtered one."""
-    refs = block_refs_of(ds)
+    refs = as_blocks(ds).refs
     return [_uid_set_task.remote(tuple(cols), *refs) for cols in roles]
 
 
@@ -215,7 +214,7 @@ def _endpoint_payload(t: pa.Table, wanted: np.ndarray, payload) -> pa.Table:
 def _endpoint_rows(source, wanted_ref, payload) -> list:
     """One task per source block: its payload rows of the uids behind
     ``wanted_ref``."""
-    return map_blocks(block_refs_of(source), _endpoint_payload, wanted_ref,
+    return map_blocks(as_blocks(source).refs, _endpoint_payload, wanted_ref,
                       payload)
 
 
@@ -249,14 +248,14 @@ def _kind_rows(kinds: tuple, *blocks) -> int:
     return sum(len(_pick(t, kinds)) for t in blocks)
 
 
-def endpoint_index(pairs: "ray.data.Dataset", source: "ray.data.Dataset",
-                   payload):
+def endpoint_index(pairs: "Blocks | ray.data.Dataset",
+                   source: "Blocks | ray.data.Dataset", payload):
     """Launch the index build over the ``payload`` values of the (u, v)
     ``pairs``' endpoint rows of ``source``; returns its ObjectRef.  One
     task builds the endpoint set, one task per source block filters it
     to those rows' payloads, and only they reach the one build task —
     no Dataset execution and no driver pull."""
-    wanted = _uid_set_task.remote(UV, *block_refs_of(pairs))
+    wanted = _uid_set_task.remote(UV, *as_blocks(pairs).refs)
     return _build_index.remote(*_endpoint_rows(source, wanted, payload))
 
 
@@ -337,55 +336,60 @@ def _distinct_pairs(t: pa.Table) -> pa.Table:
     return t.filter(pa.array(first))
 
 
-def _two_attach_check(pairs, pay_u, pay_v, exact,
-                      num_partitions: int) -> "ray.data.Dataset":
-    """Attach ``pay_u`` on u, then ``pay_v`` on v with ``exact``
-    applied inside the second reduce; both reduces keep one row per
-    pair (:func:`_distinct_pairs`)."""
-    def attach(edges, payload, end: str, post_fn):
-        renamed = payload.map_batches(
-            lambda t: pa.table({end: t[DOC_UID], f"p_{end}": t["value"]}),
-            batch_format="pyarrow")
-        return hash_join(edges, renamed, end, post_fn=post_fn,
+def _picked(t: pa.Table, kinds: tuple):
+    return with_stats(_pick(t, kinds))
+
+
+def _attach_payload(t: pa.Table, wanted: np.ndarray, payload, end: str):
+    """:func:`_endpoint_payload` keyed for the attach on ``end``."""
+    return with_stats(_endpoint_payload(t, wanted, payload).rename_columns(
+        [end, f"p_{end}"]))
+
+
+def _two_attach_check(pairs: Blocks, source: Blocks, spec: VerifySpec,
+                      num_partitions: int) -> Blocks:
+    """The pairs of the spec's kinds (one task per pair block), then
+    the payload of u attached on u, then that of v on v with the exact
+    predicate applied inside the second reduce; both reduces keep one
+    row per pair (:func:`_distinct_pairs`).  Each attach's payload rows
+    are those of its endpoint role only, one task per source block."""
+    picked = gather(map_blocks(pairs.refs, _picked, spec.kinds,
+                               num_returns=2))
+    pay_u, pay_v = (map_blocks(source.refs, _attach_payload, ref,
+                               spec.payload, end, num_returns=2)
+                    for ref, end in zip(uid_set_refs(picked, (U, V)), UV))
+
+    def attach(edges: Blocks, payload: list, end: str, post_fn) -> Blocks:
+        return hash_join(edges, gather(payload), end, post_fn=post_fn,
                          num_partitions=num_partitions)
 
     def check(t: pa.Table) -> pa.Table:
         t = _distinct_pairs(t)
         if not len(t):
             return t.select(["u", "v", "kind"])
-        return _kept(t, exact(t["p_u"].combine_chunks(),
-                              t["p_v"].combine_chunks()))
+        return _kept(t, spec.exact(t["p_u"].combine_chunks(),
+                                   t["p_v"].combine_chunks()))
 
-    return attach(attach(pairs, pay_u, "u", _distinct_pairs), pay_v, "v", check)
+    return attach(attach(picked, pay_u, "u", _distinct_pairs), pay_v, "v",
+                  check)
 
 
 # ---- the rule ----------------------------------------------------------------
-def _verify(pairs, source, spec: VerifySpec, num_partitions: int):
+def _verify(pairs, source, spec: VerifySpec,
+            num_partitions: int) -> Blocks:
     """The index check while the kind's pairs are at or below
     ``spec.round2_max``, the two-attach check above it.  The kind's
     pairs are counted (one task, awaited) only when the candidate
     total, the sum of the input's row counts, exceeds the cap.  Both
-    checks have run when this returns: the edges as
-    :class:`~.common.Blocks` when ``pairs`` are Blocks, else as an
-    executed Dataset.  The two-attach check, which no workload at
-    bench scale reaches, wraps its pairs as a Dataset at entry."""
-    blocks = as_blocks(pairs)
-    n = blocks.num_rows
+    checks have run when this returns."""
+    pairs = as_blocks(pairs)
+    n = pairs.num_rows
     if n > spec.round2_max:
-        n = ray.get(_kind_rows.remote(spec.kinds, *blocks.refs))
+        n = ray.get(_kind_rows.remote(spec.kinds, *pairs.refs))
     if n > spec.round2_max:
-        ds = dataset_of(list(blocks.refs)) if pairs is blocks else pairs
-        picked = ds.map_batches(_pick, fn_args=(spec.kinds,),
-                                batch_format="pyarrow").materialize()
-        pay_u, pay_v = (dataset_of(_endpoint_rows(source, r, spec.payload))
-                        for r in uid_set_refs(picked, (U, V)))
-        out = _two_attach_check(picked, pay_u, pay_v, spec.exact,
-                                num_partitions)
-        return as_blocks(out) if pairs is blocks else out
-    out = _index_check(blocks, source, spec) if n else Blocks()
-    schema = blocks.schema
-    return like(pairs, out, empty_edges(
-        64 if schema is None else uid_width(schema.field("u").type)))
+        return _two_attach_check(pairs, as_blocks(source), spec,
+                                 num_partitions)
+    return _index_check(pairs, source, spec) if n else Blocks()
 
 
 def verify_near_edges(
@@ -393,7 +397,7 @@ def verify_near_edges(
     sigs: "Blocks | ray.data.Dataset",
     cfg: MinHashConfig,
     num_partitions: int = 128,
-) -> "Blocks | ray.data.Dataset":
+) -> Blocks:
     """Keep the uid edges whose signature Jaccard estimate reaches
     ``cfg.verify_threshold``; the plan is :func:`_verify`'s rule."""
     return _verify(edges, sigs, near_spec(cfg), num_partitions)
@@ -403,7 +407,7 @@ def verify_containment_edges(
     pairs: "Blocks | ray.data.Dataset",
     texts: "Blocks | ray.data.Dataset",
     num_partitions: int = 128,
-) -> "Blocks | ray.data.Dataset":
+) -> Blocks:
     """Keep the uid (short, long) pairs where the short text occurs in
     the long one; the plan is :func:`_verify`'s rule."""
     return _verify(pairs, texts, containment_spec(), num_partitions)

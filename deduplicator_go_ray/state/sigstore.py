@@ -58,8 +58,8 @@ import ray
 import ray.data
 
 from ..config import MinHashConfig
-from ..stages.common import (Blocks, as_blocks, get_all, like,
-                             sized_partitions, sorted_probe)
+from ..stages.common import (NO_ROWS, Blocks, as_blocks, blocks_of, get_all,
+                             sized_partitions, sorted_probe, with_stats)
 from .statefs import StatePath, as_state_path
 
 SIG_COLS = ("minhash", "simhash", "n_shingles", "anchors", "sig_error")
@@ -398,20 +398,20 @@ def _flagged(t: pa.Table, cached: bool) -> pa.Table:
                            pa.array(np.full(len(t), cached, dtype=bool)))
 
 
-@ray.remote(num_returns=3)
+@ray.remote(num_returns=4)
 def _range_task(job: _RangeJob, lo: int, hi: int, n_split: int, *slices):
     """One prefix range of a store call: probe, decode the hits and run
     the kernel on the misses (in ``batch_size`` slices).  ``slices``
     are this range's slices of the ``n_split`` split store files, then
-    of the reps blocks.  Returns ``(sigs, [rows, computed, failed],
-    computed sigs or None)``, ``failed`` counting the computed rows
-    with a ``sig_error`` (then the output's bytes, a fourth count).
-    Writes nothing: :func:`_commit_range` persists the computed rows."""
+    of the reps blocks.  Returns ``(sigs, their stats, [computed,
+    failed], computed sigs or None)``, ``failed`` counting the computed
+    rows with a ``sig_error``.  Writes nothing: :func:`_commit_range`
+    persists the computed rows."""
     from ..pipelines.dedup import _signature_cached
 
     reps = [s for s in slices[n_split:] if s.num_rows]
     if not reps:
-        return pa.table({}), np.zeros(4, np.int64), None
+        return (*NO_ROWS, np.zeros(2, np.int64), None)
     t = pa.concat_tables(reps)
     anchors = job.sig_kwargs["compute_anchors"]
     num_perms = (job.sig_kwargs.get("minhash") or MinHashConfig()).num_perms
@@ -446,7 +446,7 @@ def _range_task(job: _RangeJob, lo: int, hi: int, n_split: int, *slices):
         parts.append(comp)
     out = (parts[0] if len(parts) == 1
            else pa.concat_tables(parts, promote_options="default"))
-    return out, np.array([len(out), len(t), failed, out.nbytes], np.int64), comp
+    return (*with_stats(out), np.array([len(t), failed], np.int64), comp)
 
 
 @ray.remote
@@ -464,7 +464,7 @@ def incremental_signatures(
     passthrough: tuple = (),
     batch_size: int = 512,
     fence_wait: bool = False,
-) -> "tuple[Blocks | ray.data.Dataset, int]":
+) -> "tuple[Blocks, int]":
     """Signatures for ``reps`` (url, text, text_sha256 — one row per
     content key, e.g. exact-class representatives), computing only rows
     whose content key is absent from the store and persisting those for
@@ -479,9 +479,7 @@ def incremental_signatures(
     (url, *passthrough, text_sha256, *SIG_COLS, sig_cached) for every
     input row — byte-identical to a fresh full compute (pinned by
     tests) — and ``n_computed`` is how many rows actually ran the
-    signature kernels this call.  ``sigs`` are
-    :class:`~..stages.common.Blocks` when ``reps`` are (``run_dedup``),
-    else an executed Dataset, typed when it has no rows.
+    signature kernels this call.
 
     The whole probe→compute→persist flow holds the store's write fence
     (``state/fence.py`` ≙ ``lock/lock.go:65-114``), so two jobs pointed
@@ -518,7 +516,8 @@ def _store_signatures(reps, sp: StatePath, compute_anchors: bool,
     the store files that are not range-named, one task per prefix
     range, one commit task per range.  Every task is awaited, on the
     error path too, before this returns — the caller's fence outlives
-    every append.  Returns ``(sigs, [rows, computed, failed])``."""
+    every append.  Returns ``(sigs, [rows, computed, failed])``; no
+    reps, no block (and no task)."""
     sig_kwargs = dict(sig_kwargs or {})
     sig_kwargs.setdefault("compute_anchors", compute_anchors)
     anchors = sig_kwargs["compute_anchors"]
@@ -530,15 +529,9 @@ def _store_signatures(reps, sp: StatePath, compute_anchors: bool,
     listing = _store_listing(sp)
     _pin_meta(sp, num_perms, anchors)
     blocks = as_blocks(reps)
-    in_cols = ["url", *passthrough, "text_sha256", "text"]
-
-    def result(sigs: Blocks, counts):
-        empty = (None if isinstance(reps, Blocks) or sigs.refs else
-                 _empty_sigs(blocks.schema, in_cols, out_cols, sig_kwargs))
-        return like(reps, sigs, empty), counts
-
     if not blocks.refs:
-        return result(blocks, np.zeros(3, np.int64))
+        return Blocks(), np.zeros(3, np.int64)
+    in_cols = ["url", *passthrough, "text_sha256", "text"]
     k = _range_count(sum(listing.values()) + sum(blocks.sizes))
     old = _split_unranged(sp, listing, k)
     slices = _split_all(_split_ranges, k,
@@ -551,25 +544,11 @@ def _store_signatures(reps, sp: StatePath, compute_anchors: bool,
                                *[s[i] for s in old + slices])
             for i, (lo, hi) in enumerate(ranges)]
     commits = [_commit_range.remote(job, lo, hi, comp)
-               for (lo, hi), (_, _, comp) in zip(ranges, outs)]
-    counts = get_all([c for _, c, _ in outs] + commits)[:k]
-    kept = [(t, c) for (t, _, _), c in zip(outs, counts) if c[0]]
-    sigs = Blocks(tuple(t for t, _ in kept), tuple(int(c[0]) for _, c in kept),
-                  tuple(int(c[3]) for _, c in kept))
-    return result(sigs, np.sum(counts, axis=0)[:3])
-
-
-def _empty_sigs(schema, in_cols: list, out_cols: tuple,
-                sig_kwargs: dict) -> pa.Table:
-    """The zero-row signature table of a store call: the kernel's
-    output over zero rows of ``schema`` (the reps' schema; string
-    columns when it is unknown), with ``out_cols``."""
-    from ..pipelines.dedup import _signature_cached
-
-    if schema is None or not set(in_cols) <= set(schema.names):
-        schema = pa.schema([(c, pa.string()) for c in in_cols])
-    t = _signature_cached(schema.empty_table().select(in_cols), **sig_kwargs)
-    return _flagged(t, False).select(out_cols)
+               for (lo, hi), (*_, comp) in zip(ranges, outs)]
+    got = get_all([st for _, st, _, _ in outs] + [c for _, _, c, _ in outs]
+                  + commits)
+    sigs = blocks_of([(t, st) for t, st, _, _ in outs], got[:k])
+    return sigs, np.array([sigs.num_rows, *np.sum(got[k:2 * k], axis=0)])
 
 
 def _split_all(task, k: int, calls: list) -> list:
@@ -587,13 +566,13 @@ def _split_unranged(sp: StatePath, names, k: int) -> list:
 
 
 def upgrade_signatures(
-    reps: "ray.data.Dataset",
+    reps: "Blocks | ray.data.Dataset",
     store_dir: str,
     sig_kwargs: dict | None = None,
     compute_anchors: bool = True,
     passthrough: tuple = (),
     batch_size: int = 512,
-) -> "tuple[ray.data.Dataset, dict]":
+) -> "tuple[Blocks, dict]":
     """Migrate the signature store to a NEW signature config / kernel
     version ≙ the reference's hash-algorithm upgrade
     (``files/hash_upgrade.go:17-110``: re-walk rows that already have
@@ -731,17 +710,17 @@ def near_gate_against_store(
     ex_sigs = store.map_batches(to_sig_rows, batch_format="pyarrow")
     cand = gate_candidates(in_sigs, ex_sigs, cfg, existing_cap,
                            num_partitions)
-    hits = cand if cand.count() == 0 else verify_near_edges(
+    hits = cand if cand.num_rows == 0 else verify_near_edges(
         cand, in_sigs.select_columns(["url", "minhash"]).union(
-            ex_sigs.select_columns(["url", "minhash"])), cfg).materialize()
-    if hits.count() > 0:
+            ex_sigs.select_columns(["url", "minhash"])), cfg)
+    if hits.num_rows > 0:
         # content keys of the matched store rows: one task builds their
         # uid set, a semi-filter scan of the store fetches them
         (v_ref,) = uid_set_refs(hits, [("v",)])
         keys = (semi_filter_by_uid_ref(ex_sigs, v_ref, columns=["url"])
                 .to_pandas()["url"].drop_duplicates())
         sha = pd.Series(keys.to_numpy(), index=uid_of_urls(keys.tolist()))
-        h = hits.select_columns(["u", "v"]).to_pandas()
+        h = hits.to_pandas()
         smallest = sha.reindex(h["v"]).groupby(h["u"].to_numpy()).min()
         match = pd.Series(uid_of_urls(out["url"].tolist())).map(smallest)
         out["match_key"] = match.astype(object).where(match.notna(), None)
@@ -798,7 +777,6 @@ def prune_store(store_dir: str,
     into one file per prefix range, and holds the store's write fence
     the same way; returns the number of rows dropped.
     Local/shared-POSIX only, like :func:`compact_store`."""
-    from ..stages.common import block_refs_of
     from .fence import WriteFence
 
     store_dir = _require_local(store_dir, "prune_store")
@@ -806,7 +784,7 @@ def prune_store(store_dir: str,
     if not listing:
         return 0
     live = live_keys.select_columns([key_col]).materialize()
-    live_ref = _live_key_set.remote(key_col, *block_refs_of(live))
+    live_ref = _live_key_set.remote(key_col, *as_blocks(live).refs)
     k = _range_count(sum(listing.values()))
     with WriteFence(store_dir):
         before, after = _rewrite_store(store_dir, k, live_ref, "prune")

@@ -32,18 +32,20 @@ def _sigs(texts: dict[str, str], ray_on) -> "ray.data.Dataset":
         lambda t: t.drop_columns(["text"]), batch_format="pyarrow").materialize()
 
 
+_BASE = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
+         "lambda mu nu xi omicron pi rho sigma tau upsilon " * 6)
+_SMALL_TEXTS = {
+    "a": _BASE,
+    "b": _BASE,                                     # exact near pair with a
+    "c": _BASE.replace("gamma", "GAMMA", 1),        # near pair (1 token edit)
+    "d": "completely different text about nothing at all " * 12,
+    "e": "short doc",                               # too short for anchors
+}
+
+
 @pytest.fixture(scope="module")
 def small_sigs(ray_session):
-    base = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
-            "lambda mu nu xi omicron pi rho sigma tau upsilon " * 6)
-    texts = {
-        "a": base,
-        "b": base,                                  # exact near pair with a
-        "c": base.replace("gamma", "GAMMA", 1),     # near pair (1 token edit)
-        "d": "completely different text about nothing at all " * 12,
-        "e": "short doc",                           # too short for anchors
-    }
-    return _sigs(texts, ray_session)
+    return _sigs(_SMALL_TEXTS, ray_session)
 
 
 def _zero_digests(n: int) -> dict:
@@ -65,63 +67,117 @@ def test_bucket_rows_kinds(small_sigs):
     assert (anc.groupby("uid")["flag"].sum() >= 1).all()
 
 
-def _rows_of(blocks) -> pa.Table:
-    return pa.concat_tables(ray.get(list(blocks.refs)))
-
-
-def _sorted(t: pa.Table) -> pa.Table:
-    return t.sort_by([(c, "ascending") for c in t.column_names])
-
-
-def test_exchanges_answer_blocks_with_blocks(small_sigs, monkeypatch):
-    """The refs contract: given ``Blocks``, ``grouped_apply`` and
-    ``candidate_edges_fused`` return ``Blocks`` — non-empty blocks with
-    their row counts and sizes, and no Dataset built — holding the rows
-    they return given a Dataset."""
-    from deduplicator_go_ray.stages.buckets import bucket_batch
-    from deduplicator_go_ray.stages.common import (Blocks, as_blocks,
+def _stage_runs(small_sigs, tmp_path):
+    """Every stage of the one contract as ``name -> run(into)``, where
+    ``into`` turns each Dataset input into the form under test."""
+    from deduplicator_go_ray.stages.buckets import bucket_batch, gate_candidates
+    from deduplicator_go_ray.stages.cluster import (
+        connected_components_distributed, resolve_components)
+    from deduplicator_go_ray.stages.common import (dataset_of, dedupe_rows,
                                                    grouped_apply)
+    from deduplicator_go_ray.stages.exact import (add_content_key,
+                                                  assign_exact_groups)
+    from deduplicator_go_ray.stages.joins import hash_join
+    from deduplicator_go_ray.stages.verify import verify_containment_edges
+    from deduplicator_go_ray.state.sigstore import (incremental_signatures,
+                                                    upgrade_signatures)
 
-    rows_ds = bucket_rows(small_sigs, MinHashConfig()).materialize()
-    rows_b, sigs_b = as_blocks(rows_ds), as_blocks(small_sigs)
-    assert rows_b.num_rows == rows_ds.count()
+    rows = bucket_rows(small_sigs, MinHashConfig()).materialize()
+    kinds = ray.data.from_arrow(pa.table({
+        "kind": pa.array([KIND_BAND, KIND_ANCHOR], pa.int8()),
+        "name": ["band", "anchor"]})).materialize()
+    docs = add_content_key(ray.data.from_arrow(pa.table({
+        "url": list(_SMALL_TEXTS) + ["a2"],
+        "text": list(_SMALL_TEXTS.values()) + [_SMALL_TEXTS["a"]]}))
+    ).materialize()
+    long = " ".join(f"token{i * 7919 % 1000}" for i in range(300))
+    contained = {"long": long, "short": long[300:1200]}
+    texts = ray.data.from_arrow(pa.table({
+        "url": list(contained), "text": list(contained.values())}))
+    anchors = dataset_of(candidate_edges_fused(
+        bucket_rows(_sigs(contained, None), MinHashConfig(), (KIND_ANCHOR,)),
+        LSHConfig(), 3))
+    cand = dataset_of(candidate_edges_fused(rows, LSHConfig(), 3))
+    edges = dataset_of(verify_near_edges(cand, small_sigs, MinHashConfig()))
 
     def per_kind(t: pa.Table) -> pa.Table:
         return t.group_by("kind", use_threads=False).aggregate(
             [("uid", "count")])
 
-    pre = functools.partial(bucket_batch, minhash=MinHashConfig())
-    via_ds = [
-        grouped_apply(rows_ds, ["kind"], per_kind, arrow_fn=True),
-        candidate_edges_fused(rows_ds, LSHConfig(), 3),
-        candidate_edges_fused(small_sigs, LSHConfig(), 3, pre_fn=pre),
-    ]
+    def store(into, name):
+        return str(tmp_path / f"{name}-{into.__name__}")
+
+    return {
+        "grouped_apply": lambda into: grouped_apply(
+            into(rows), ["kind"], per_kind, arrow_fn=True),
+        "hash_join": lambda into: hash_join(into(rows), into(kinds), "kind"),
+        "dedupe_rows": lambda into: dedupe_rows(into(rows), ["kind", "uid"]),
+        "assign_exact_groups": lambda into: assign_exact_groups(
+            into(docs), keep_cols=("url", "text")),
+        "candidate_edges_fused": lambda into: candidate_edges_fused(
+            into(rows), LSHConfig(), 3),
+        "candidate_edges_fused_pre_fn": lambda into: candidate_edges_fused(
+            into(small_sigs), LSHConfig(), 3,
+            pre_fn=functools.partial(bucket_batch, minhash=MinHashConfig())),
+        "gate_candidates": lambda into: gate_candidates(
+            into(small_sigs), into(small_sigs), MinHashConfig(), 8),
+        "verify_near_edges": lambda into: verify_near_edges(
+            into(cand), into(small_sigs), MinHashConfig()),
+        "verify_containment_edges": lambda into: verify_containment_edges(
+            into(anchors), into(texts)),
+        "resolve_components": lambda into: resolve_components(into(edges)),
+        "connected_components_distributed":
+            lambda into: connected_components_distributed(into(edges)),
+        "incremental_signatures": lambda into: incremental_signatures(
+            into(docs), store(into, "inc"))[0],
+        "upgrade_signatures": lambda into: upgrade_signatures(
+            into(docs), store(into, "up"))[0],
+    }
+
+
+_STAGES = ("grouped_apply", "hash_join", "dedupe_rows", "assign_exact_groups",
+           "candidate_edges_fused", "candidate_edges_fused_pre_fn",
+           "gate_candidates", "verify_near_edges", "verify_containment_edges",
+           "resolve_components", "connected_components_distributed",
+           "incremental_signatures", "upgrade_signatures")
+
+
+@pytest.mark.parametrize("stage", _STAGES)
+def test_exchanges_answer_blocks_with_blocks(stage, small_sigs, tmp_path,
+                                             monkeypatch):
+    """The one stage contract: given a Dataset or ``Blocks``, every
+    stage returns ``Blocks`` — non-empty blocks with their row counts
+    and sizes, holding equal rows — and given ``Blocks`` it builds no
+    Dataset."""
+    from deduplicator_go_ray.stages.common import Blocks, as_blocks
+
+    run = _stage_runs(small_sigs, tmp_path)[stage]
+
+    def dataset(ds):
+        return ds
+
+    via_ds = run(dataset)
     wraps = []
     real = ray.data.from_arrow_refs
     monkeypatch.setattr(ray.data, "from_arrow_refs",
                         lambda *a, **k: wraps.append(1) or real(*a, **k))
-    via_b = [
-        grouped_apply(rows_b, ["kind"], per_kind, arrow_fn=True),
-        candidate_edges_fused(rows_b, LSHConfig(), 3),
-        candidate_edges_fused(sigs_b, LSHConfig(), 3, pre_fn=pre),
-        grouped_apply(rows_b, ["kind"], per_kind, arrow_fn=True,
-                      pre_fn=lambda t: t.slice(0, 0)),
-    ]
+    via_b = run(as_blocks)
     assert wraps == []
-    assert all(isinstance(b, Blocks) for b in via_b)
-    assert not any(isinstance(d, Blocks) for d in via_ds)
-    for d, b in zip(via_ds, via_b):
-        assert b.refs and all(n > 0 for n in b.rows)
-        assert all(size > 0 for size in b.sizes)
-        assert b.num_rows == d.count()
-        assert _sorted(_rows_of(b)).equals(
-            _sorted(pa.concat_tables(ray.get(d.to_arrow_refs()))))
-    assert via_b[3] == Blocks()
+    for out in (via_ds, via_b):
+        assert isinstance(out, Blocks)
+        assert out.refs and all(n > 0 for n in out.rows)
+        assert all(size > 0 for size in out.sizes)
+        assert out.schema == out.to_arrow().schema
+    assert via_b.num_rows == via_ds.num_rows
+    assert (sorted(via_b.to_arrow().to_pylist(), key=repr)
+            == sorted(via_ds.to_arrow().to_pylist(), key=repr))
 
 
 def test_fused_edges_find_planted_pairs(small_sigs):
+    from deduplicator_go_ray.stages.common import dataset_of
+
     rows = bucket_rows(small_sigs, MinHashConfig())
-    edges = candidate_edges_fused(rows, LSHConfig(), 3).materialize()
+    edges = dataset_of(candidate_edges_fused(rows, LSHConfig(), 3))
     verified = verify_near_edges(edges.filter(expr=f"kind != {KIND_ANCHOR}"),
                                  small_sigs, MinHashConfig()).to_pandas()
     ua, ub, uc = uid_of_urls(["a", "b", "c"])

@@ -58,8 +58,7 @@ def test_scaled_tiers_int_keys(ray_session, force):
     pairs = [(1, 2), (2, 3), (10, 11), (30, 10)]
     ds = ray.data.from_arrow(_edge_table(pairs, pa.int64()))
     out = resolve_components(
-        ds, key_type=pa.int64(),
-        max_onetask_edges=0 if force == "distributed" else 10**9,
+        ds, max_onetask_edges=0 if force == "distributed" else 10**9,
     ).to_pandas()
     assert dict(zip(out["url"], out["root"])) == {
         1: 1, 2: 1, 3: 1, 10: 10, 11: 10, 30: 10}

@@ -262,13 +262,11 @@ def test_near_pairs_checked_once_across_candidate_partitions(corpus,
     task and keeps one row per (u, v): the exact check sees each
     distinct pair once, as many as at 1 partition, and the assignments
     equal the 1-partition run's."""
-    import pyarrow as pa
     import ray
     import ray.data as rd
 
     from deduplicator_go_ray.stages import verify
     from deduplicator_go_ray.stages.buckets import KIND_ANCHOR
-    from deduplicator_go_ray.stages.common import block_refs_of
 
     real_verify, real_check = verify._verify, verify._check_block
     log = str(tmp_path / "checked")
@@ -294,8 +292,7 @@ def test_near_pairs_checked_once_across_candidate_partitions(corpus,
         open(log, "w").close()
         out = run_dedup(rd.from_arrow(small),
                         PipelineConfig(bucket_partitions=parts)).to_pandas()
-        near = pa.concat_tables(
-            ray.get(block_refs_of(seen["pairs"]))).to_pandas()
+        near = seen["pairs"].to_pandas()
         near = near[near["kind"] != KIND_ANCHOR]
         checked = sum(int(x) for x in open(log).read().split())
         runs[parts] = (out.sort_values("url").reset_index(drop=True),
@@ -493,7 +490,7 @@ def test_result_blocks_packed_to_the_target(corpus, result, monkeypatch):
     exchanges' partition counts, so the equality is also one across
     block layouts."""
     from deduplicator_go_ray.pipelines import dedup
-    from deduplicator_go_ray.stages.common import nonempty_blocks
+    from deduplicator_go_ray.stages.common import as_blocks
 
     packed, concat = [], dedup._concat_blocks
 
@@ -511,10 +508,10 @@ def test_result_blocks_packed_to_the_target(corpus, result, monkeypatch):
         ds = run_dedup(rd.from_arrow(corpus[0]))
     finally:
         ctx.target_max_block_size = default
-    blocks = list(nonempty_blocks(ds))
-    assert len(blocks) >= 2 and packed
-    for ref, meta in blocks:
-        assert meta.size_bytes <= target or ref not in packed
+    blocks = as_blocks(ds)
+    assert len(blocks.refs) >= 2 and packed
+    for ref, size in zip(blocks.refs, blocks.sizes):
+        assert size <= target or ref not in packed
     got = ds.to_pandas().sort_values("url").reset_index(drop=True)
     want = result[0].sort_values("url").reset_index(drop=True)
     assert got.equals(want)

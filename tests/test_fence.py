@@ -139,7 +139,7 @@ def test_sigstore_writer_respects_fence(ray_session, tmp_path):
         incremental_signatures(ds, d, compute_anchors=False)
     os.remove(sentinel)
     sigs, n = incremental_signatures(ds, d, compute_anchors=False)
-    assert n == 8 and sigs.count() == 8
+    assert n == 8 and sigs.num_rows == 8
     assert not os.path.exists(lock_path(d))
 
 

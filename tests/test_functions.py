@@ -159,14 +159,18 @@ def test_grouped_apply_contract(ray_session):
     input (with and without ``empty_result``), a ``pre_fn`` that drops
     every row, schema-less zero-row blocks, a dataset list whose column
     orders differ, ``arrow_fn``, and chained exchanges whose middle
-    output also feeds a union."""
+    output also feeds a union.  Every case reads its result through
+    ``dataset_of``, the edge where a Dataset is built back, so an empty
+    result is typed by ``empty_result`` or by `partition_fn`'s own
+    zero-row output."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import ray
     import ray.data
 
-    from deduplicator_go_ray.stages.common import grouped_apply
+    from deduplicator_go_ray.stages.common import (Blocks, dataset_of,
+                                                   grouped_apply)
 
     rng = np.random.default_rng(5)
     tbl = pa.table({
@@ -193,8 +197,8 @@ def test_grouped_apply_contract(ray_session):
 
     twice = vsum(full).assign(v=lambda d: 2 * d["v"])
 
-    def check(out: "ray.data.Dataset", ref: pd.DataFrame) -> None:
-        got = out.to_pandas()
+    def check(out: Blocks, ref: pd.DataFrame) -> None:
+        got = dataset_of(out).to_pandas()
         assert len(got) == len(ref)
         if len(ref):
             got = got[list(ref.columns)].sort_values("k").reset_index(drop=True)
@@ -211,25 +215,35 @@ def test_grouped_apply_contract(ray_session):
         + [ray.put(pa.table({}))])
     swapped = [ray.data.from_arrow(tbl.slice(0, 1200)),
                ray.data.from_arrow(tbl.slice(1200).select(["v", "k"]))]
+    def typed_empty(out: Blocks) -> bool:
+        ds = dataset_of(out)
+        return (ds.count() == 0
+                and ds.schema().base_schema == out_empty.schema)
+
     for P in (1, 2, 7):
         out = grouped_apply(ds, ["k"], fn, num_partitions=P)
-        assert out.num_blocks() <= P
+        assert len(out.refs) <= P
         check(out, fn(full))
-        assert grouped_apply(empty, ["k"], fn, num_partitions=P).count() == 0
-        out = grouped_apply(empty, ["k"], fn, num_partitions=P,
-                            empty_result=out_empty)
-        assert out.count() == 0 and out.schema().base_schema == out_empty.schema
-        out = grouped_apply(ds, ["k"], fn, num_partitions=P,
-                            empty_result=out_empty,
-                            pre_fn=lambda t: t.slice(0, 0))
-        assert out.count() == 0 and out.schema().base_schema == out_empty.schema
+        assert dataset_of(
+            grouped_apply(empty, ["k"], fn, num_partitions=P)).count() == 0
+        assert grouped_apply(ds, ["k"], fn, num_partitions=P,
+                             pre_fn=lambda t: t.slice(0, 0)) == Blocks()
+        assert typed_empty(grouped_apply(empty, ["k"], fn, num_partitions=P,
+                                         empty_result=out_empty))
+        assert typed_empty(grouped_apply(ds, ["k"], fn, num_partitions=P,
+                                         empty_result=out_empty,
+                                         pre_fn=lambda t: t.slice(0, 0)))
+        assert typed_empty(grouped_apply(ds, ["k"],
+                                         lambda df: fn(df).iloc[:0],
+                                         num_partitions=P))
         check(grouped_apply(holes, ["k"], fn, num_partitions=P), fn(full))
         check(grouped_apply(swapped, ["k"], fn, num_partitions=P), fn(full))
         check(grouped_apply(ds, ["k"], fn_arrow, num_partitions=P,
                             arrow_fn=True), fn(full))
         a = grouped_apply(ds, ["k"], vsum, num_partitions=P)
         b = grouped_apply(a, ["k"], vsum, num_partitions=P)
-        check(grouped_apply(b.union(a), ["k"], vsum, num_partitions=P), twice)
+        check(grouped_apply(dataset_of(b).union(dataset_of(a)), ["k"], vsum,
+                            num_partitions=P), twice)
 
 
 def test_grouped_apply_keeps_fixed_size_binary(ray_session):
@@ -255,8 +269,8 @@ def test_grouped_apply_keeps_fixed_size_binary(ray_session):
 
     ds = ray.data.from_arrow(tbl).repartition(5)
     out = grouped_apply(ds, ["k"], ident, num_partitions=3, arrow_fn=True)
-    assert out.schema().base_schema.field("value").type == pa.binary(16)
-    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    assert out.schema.field("value").type == pa.binary(16)
+    got = out.to_arrow()
     assert sorted(got["value"].to_pylist()) == sorted(blob.to_pylist())
 
 
@@ -284,7 +298,7 @@ def test_grouped_apply_error_waits_for_every_partition(ray_session, tmp_path):
     ds = ray.data.from_arrow(pa.table({"k": list(range(60))})).materialize()
     # the same exchange without the failure: one row per partition
     parts = grouped_apply(ds, ["k"], lambda t: t.slice(0, 1),
-                          num_partitions=4, arrow_fn=True).count()
+                          num_partitions=4, arrow_fn=True).num_rows
     assert parts > 1
     with pytest.raises(Exception, match="planted reduce failure"):
         grouped_apply(ds, ["k"], fn, num_partitions=4, arrow_fn=True)

@@ -27,8 +27,8 @@ def data(ray_session):
     return ray.data.from_arrow(rows), ray.data.from_arrow(keys)
 
 
-def _arrow(ds) -> pa.Table:
-    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+def _arrow(blocks) -> pa.Table:
+    return blocks.to_arrow()
 
 
 def _sorted(df):
@@ -154,9 +154,9 @@ def test_hash_join_uid128_keys_and_list_payload(ray_session):
     got = _arrow(hash_join(left, right, "k", "left outer")).sort_by("x")
     assert got["anchors"].to_pylist() == [[1, 2], None, [], None, [3], None]
     empty = right.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
-    assert hash_join(left, empty, "k", "left outer").count() == 6
-    assert hash_join(left, empty, "k", "left anti").count() == 6
-    assert hash_join(left, empty, "k", "left semi").count() == 0
+    assert hash_join(left, empty, "k", "left outer").num_rows == 6
+    assert hash_join(left, empty, "k", "left anti").num_rows == 6
+    assert hash_join(left, empty, "k", "left semi").num_rows == 0
 
 
 def test_broadcast_semi_filter_empty_keys(ray_session):
@@ -235,7 +235,7 @@ try:
 
     a = grouped_apply(ds, ["k"], f)
     b = grouped_apply(a, ["k"], f)
-    c = grouped_apply(b.union(a), ["k"], f)
+    c = grouped_apply([b, a], ["k"], f)
     df = c.to_pandas().sort_values("k").reset_index(drop=True)
     print("RESULT", df["k"].tolist() == list(range(100)),
           float(df["v"].sum()))

@@ -142,10 +142,10 @@ def test_sigstore_warm_path_file_uri(ray_session, tmp_path):
     uri = "file://" + str(tmp_path / "sigs")
     sigs1, n1 = incremental_signatures(_pages(30), uri,
                                        compute_anchors=False)
-    assert n1 == 30 and sigs1.count() == 30
+    assert n1 == 30 and sigs1.num_rows == 30
     sigs2, n2 = incremental_signatures(_pages(30), uri,
                                        compute_anchors=False)
-    assert n2 == 0 and sigs2.count() == 30      # warm: nothing recomputed
+    assert n2 == 0 and sigs2.num_rows == 30      # warm: nothing recomputed
     drop = ["sig_cached"]                       # provenance flag differs
     a = (sigs1.to_pandas().drop(columns=drop)
          .sort_values("url").reset_index(drop=True))
@@ -170,11 +170,11 @@ def test_sigstore_unfenced_warning_off_local(ray_session, tmp_path):
     with pytest.warns(UserWarning, match="write fence cannot operate"):
         sigs1, n1 = incremental_signatures(_pages(20), store,
                                            compute_anchors=False)
-    assert n1 == 20 and sigs1.count() == 20
+    assert n1 == 20 and sigs1.num_rows == 20
     with pytest.warns(UserWarning):
         sigs2, n2 = incremental_signatures(_pages(20), store,
                                            compute_anchors=False)
-    assert n2 == 0 and sigs2.count() == 20
+    assert n2 == 0 and sigs2.num_rows == 20
 
 
 def test_compact_store_fails_fast_off_local(tmp_path):

@@ -44,6 +44,12 @@ only where Ray Data must run: the signature map's input, and the
 result handed to the caller.  A Ray Data execution costs ~55 ms of
 fixed time on one CPU against ~4 ms for a plain task.
 
+The exact, candidate and keeper reducers work on Arrow tables
+(``grouped_apply(..., arrow_fn=True)``): one stable sort per partition,
+its runs (``stages.common.sorted_runs``), then numpy — no pandas, whose
+fixed cost per call outweighed the work on partitions this small; only
+the non-default keeper policies run ``select_keepers`` on pandas.
+
 The result's block count is the write's cost: each block the caller's
 write receives is one metadata task, one write task and one parquet
 file (~17 ms on one CPU).  Left as they come, the self-clusters alone
@@ -82,7 +88,7 @@ from ..stages.buckets import (KIND_ANCHOR, KIND_BAND, KIND_SIMHASH,
 from ..stages.cluster import _cc_onetask, anchor_endpoints, resolve_components
 from ..stages.common import (Blocks, as_blocks, dataset_of, gather,
                              gather_all, grouped_apply, map_blocks,
-                             sorted_probe, with_stats)
+                             sorted_probe, sorted_runs, with_stats)
 from ..stages.exact import add_content_key, assign_exact_groups, dup_candidates
 from ..stages.extract import ExtractStage
 from ..stages.joins import hash_join
@@ -256,6 +262,38 @@ def _finalize(t: pa.Table, cc, sub, uid_type: pa.DataType,
     return (*with_stats(dups),
             *with_stats(_finished(_self_clustered(uniq, "unique"),
                                   num_partitions)))
+
+
+def keeper_reduce(t: pa.Table, policy, num_partitions: int) -> pa.Table:
+    """One keeper partition's duplicate rows → finished assignment rows,
+    sorted by (canonical, url).  The first url of each cluster is its
+    minimum: the deterministic policy's keeper, and the cluster's
+    identity (``cluster_id`` = its md5 prefix, a pure function of group
+    content ≙ files/move.go:226-236, never of the internal labels).
+    The other policies run :func:`select_keepers` per cluster."""
+    t, starts, ids = sorted_runs(t, ["canonical", "url"], ["canonical"])
+    url = t["url"]
+    if policy.policy == "deterministic":
+        keeper = url.take(starts[ids])
+        is_keeper = pc.equal(url, keeper)
+        action = pc.if_else(is_keeper, "keep", "drop")
+    else:
+        df = t.select(["url"]).to_pandas()
+        kept = pa.Table.from_pandas(pd.concat([
+            select_keepers(df.iloc[a:b], policy)
+            for a, b in zip(starts, np.r_[starts[1:], len(df)])]),
+            preserve_index=False)
+        keeper, is_keeper, action = (kept[c] for c in
+                                     ("keeper_url", "is_keeper", "action"))
+    return _finished(pa.table({
+        "url": url,
+        "cluster_id": md5_hex16(url.take(starts)).take(ids),
+        "keeper_url": keeper,
+        "is_keeper": is_keeper,
+        "action": action,
+        "match_kind": t["match_kind"],
+        "n_bytes": pc.cast(t["n_bytes"], pa.int64()),
+    }), num_partitions)
 
 
 @ray.remote
@@ -512,40 +550,9 @@ def run_dedup(
     # they NEVER enter the keeper exchange.  Only the dup fraction of
     # the corpus (typically a small minority at web scale) pays the
     # canonical-uid exchange.
-    policy = cfg.keeper
-
-    def resolve(df: pd.DataFrame) -> pa.Table:
-        df = df.sort_values(["canonical", "url"], kind="mergesort")
-        if policy.policy == "deterministic":
-            grp = df.groupby("canonical", sort=False)
-            keeper = grp["url"].transform("first")
-            df = df.assign(
-                keeper_url=keeper,
-                is_keeper=df["url"] == keeper,
-            )
-            df["action"] = np.where(df["is_keeper"], "keep", "drop")
-        else:
-            df = pd.concat([
-                select_keepers(g, policy)
-                for _, g in df.groupby("canonical", sort=False)
-            ])
-        # cluster identity = hash of the cluster's minimum url — a pure
-        # function of group content (≙ files/move.go:226-236), never of
-        # the internal integer labels
-        min_url = df.groupby("canonical", sort=False)["url"].transform("min")
-        uniq_min = min_url.unique()
-        cids = dict(zip(uniq_min, md5_hex16(list(uniq_min)).to_pylist()))
-        return _finished(pa.Table.from_pandas(pd.DataFrame({
-            "url": df["url"],
-            "cluster_id": min_url.map(cids),
-            "keeper_url": df["keeper_url"],
-            "is_keeper": df["is_keeper"],
-            "action": df["action"],
-            "match_kind": df["match_kind"],
-            "n_bytes": df["n_bytes"].astype("int64"),
-        }), preserve_index=False), num_partitions)
-
     keepers = grouped_apply(
-        dups, ["canonical"], resolve, num_partitions=cfg.bucket_partitions,
-        empty_result=_EMPTY_ASSIGN)
+        dups, ["canonical"], functools.partial(
+            keeper_reduce, policy=cfg.keeper, num_partitions=num_partitions),
+        num_partitions=cfg.bucket_partitions, empty_result=_EMPTY_ASSIGN,
+        arrow_fn=True)
     return _packed(keepers, rest)

@@ -58,6 +58,8 @@ also holds the uid codec both share.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -65,7 +67,7 @@ import ray.data
 
 from ..config import LSHConfig, MinHashConfig, PipelineConfig
 from ..functions.hashing import combine64, hash64_str, mix64
-from .common import Blocks, grouped_apply, keys_over
+from .common import Blocks, grouped_apply, keys_over, sorted_runs
 
 KIND_BAND = 0
 KIND_SIMHASH = 1
@@ -454,6 +456,110 @@ def _chain_star_pairs(sizes: np.ndarray, starts: np.ndarray, group_cap: int,
             np.concatenate([idx[np.r_[False, chain_mask[:-1]]], idx[star_ok]]))
 
 
+def _expand(starts: np.ndarray, lens: np.ndarray):
+    """Row positions ``starts[i] .. starts[i] + lens[i] - 1`` for every
+    ``i``, and the ``i`` of each."""
+    which = np.repeat(np.arange(lens.size), lens)
+    return np.arange(which.size) + np.repeat(starts - np.cumsum(lens) + lens,
+                                             lens), which
+
+
+def _first_pairs(doc: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """Positions in ``pu``/``pv`` of the first occurrence of each
+    distinct (``doc[pu]``, ``doc[pv]``) pair; ``doc`` numbers each
+    row's document (``np.unique``'s inverse of the uids)."""
+    return np.unique(doc[pu] * len(doc) + doc[pv], return_index=True)[1]
+
+
+def _edges(uid: np.ndarray, pu: np.ndarray, pv: np.ndarray,
+           kind: np.ndarray) -> pa.Table:
+    return pa.table({"u": uid_arrow(uid[pu]), "v": uid_arrow(uid[pv]),
+                     "kind": pa.array(kind, pa.int8())})
+
+
+def candidate_reduce(t: pa.Table, group_cap: int, hamming: int,
+                     anchor_cap: int, sim_cap: int, max_diff: int) -> pa.Table:
+    """One candidate partition's (u, v, kind) edges (module docstring):
+    one sort over (kind, key, uid) keeps the first row of each
+    (kind, key, doc), and the buckets are its runs of (kind, key)."""
+    t, first, _ = sorted_runs(t, ["kind", "key", "uid"])
+    t = t.take(first)
+    kind, key, flag = (np.asarray(t[c]) for c in ("kind", "key", "flag"))
+    uid, pay = uid_np(t["uid"]), np.asarray(t["payload"])
+    doc = np.unique(uid, return_inverse=True)[1]
+    dig = np.column_stack([np.asarray(t["d0"]), np.asarray(t["d1"])])
+    starts = np.flatnonzero(np.r_[True, (key[1:] != key[:-1])
+                                  | (kind[1:] != kind[:-1])])
+    sizes = np.diff(np.r_[starts, len(t)])
+    bkind = kind[starts]
+    pu, pv = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    pk = [np.empty(0, np.int8)]
+
+    # ---- kind 0: LSH bands (sorted first) — chain + star -----------------
+    band = bkind == KIND_BAND
+    if (sizes[band] > 1).any():
+        u, v = _chain_star_pairs(sizes[band], starts[band], group_cap,
+                                 star_allowed=~flag[starts[band]])
+        pu, pv, pk = [u], [v], [np.full(u.size, KIND_BAND, np.int8)]
+
+    # ---- kind 1: simhash chunks — Hamming-verified pairs -----------------
+    # vectorized across buckets by size class: same-size buckets stack
+    # into (m, s) matrices, and pairwise XOR + LUT popcount run over
+    # every bucket of that size at once
+    sim = (bkind == KIND_SIMHASH) & (sizes > 1) & (sizes <= sim_cap)
+    for s in np.unique(sizes[sim]):
+        idx = starts[sim & (sizes == s)][:, None] + np.arange(s)[None, :]
+        iu, jv = np.triu_indices(int(s), 1)
+        xor = pay[idx[:, iu]] ^ pay[idx[:, jv]]
+        keep = (_popcount(xor.view(np.uint64).reshape(-1, 1))
+                .reshape(xor.shape) <= hamming)
+        pu.append(idx[:, iu][keep])
+        pv.append(idx[:, jv][keep])
+        pk.append(np.full(int(keep.sum()), KIND_SIMHASH, np.int8))
+
+    # one row per (u, v) — the first, of the min kind — then the
+    # fingerprint bound
+    pu, pv, pk = (np.concatenate(x) for x in (pu, pv, pk))
+    first = _first_pairs(doc, pu, pv)
+    pu, pv, pk = pu[first], pv[first], pk[first]
+    near = _popcount((dig[pu] ^ dig[pv]).view(np.uint64)) <= max_diff
+
+    # ---- kind 2: anchors — each flagged row × its bucket -----------------
+    anc = (bkind == KIND_ANCHOR) & (sizes <= anchor_cap)
+    bucket = np.repeat(np.arange(starts.size), sizes)
+    shorts = np.flatnonzero(flag & np.repeat(anc, sizes))
+    av, i = _expand(starts[bucket[shorts]], sizes[bucket[shorts]])
+    au = shorts[i]
+    # the short side's bloom must be a bit-subset of the long's
+    keep = (pay[au] < pay[av]) & ((dig[au] & ~dig[av]) == 0).all(axis=1)
+    au, av = au[keep], av[keep]
+    first = _first_pairs(doc, au, av)
+    return _edges(uid, np.r_[pu[near], au[first]], np.r_[pv[near], av[first]],
+                  np.r_[pk[near], np.full(first.size, KIND_ANCHOR, np.int8)])
+
+
+def gate_reduce(t: pa.Table, existing_cap: int) -> pa.Table:
+    """One gate partition's (u, v, kind) band edges: per key, every
+    incoming doc × the first ``existing_cap`` existing docs by uid.
+    One row per (key, side, doc) — a doc whose bands fold to the same
+    key twice must not shift the existing-side rank."""
+    t, first, _ = sorted_runs(t, ["key", "is_ex", "uid"])
+    t = t.take(first)
+    key, ex, uid = np.asarray(t["key"]), np.asarray(t["is_ex"]), uid_np(t["uid"])
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sizes = np.diff(np.r_[starts, len(t)])
+    # each key's incoming rows sort first, then its existing rows by uid
+    n_in = np.add.reduceat((~ex).astype(np.int64), starts)
+    inc = np.flatnonzero(~ex)
+    bucket = np.repeat(np.arange(starts.size), sizes)[inc]
+    pv, i = _expand(starts[bucket] + n_in[bucket],
+                    np.minimum(sizes - n_in, existing_cap)[bucket])
+    pu = inc[i]
+    first = _first_pairs(np.unique(uid, return_inverse=True)[1], pu, pv)
+    return _edges(uid, pu[first], pv[first],
+                  np.full(first.size, KIND_BAND, np.int8))
+
+
 def candidate_edges_fused(
     buckets: "Blocks | ray.data.Dataset",
     lsh: LSHConfig,
@@ -471,108 +577,21 @@ def candidate_edges_fused(
     builds the bucket rows inside the exchange's split tasks —
     ``run_dedup`` passes :func:`bucket_batch` and its signature
     :class:`~.common.Blocks`, so the rows are never stored unsplit.
-    Returns (u, v, kind) candidate edges; ``uid_bits`` is the width of
-    the uids the bucket rows carry (the reducer's pandas output is cast
-    to it)."""
+    Returns (u, v, kind) candidate edges, u and v of the bucket rows'
+    uid type (:func:`candidate_reduce`, an Arrow/numpy reducer);
+    ``uid_bits``, the width of those uids, types the result when no
+    partition holds a row."""
     mh = minhash or MinHashConfig()
     # most fingerprint bits that may differ: with m_min equal slots at
     # most P - m_min bits differ, over any P (unused bits are equal)
     max_diff = mh.num_perms - min_slot_matches(mh)
 
-    def emit(df: pd.DataFrame) -> pd.DataFrame:
-        uid_dtype = df["uid"].dtype if len(df) else "int64"
-        empty = pd.DataFrame({"u": pd.Series(dtype=uid_dtype),
-                              "v": pd.Series(dtype=uid_dtype),
-                              "kind": pd.Series(dtype="int8")})
-        near: list[pd.DataFrame] = []
-
-        def add_near(rows: pd.DataFrame, pu: np.ndarray, pv: np.ndarray,
-                     kind: int) -> None:
-            uids = rows["uid"].to_numpy()
-            dig = rows[["d0", "d1"]].to_numpy(np.int64)
-            x = dig[pu] ^ dig[pv]
-            near.append(pd.DataFrame({
-                "u": uids[pu], "v": uids[pv],
-                "kind": np.full(pu.size, kind, dtype=np.int8),
-                "x0": x[:, 0], "x1": x[:, 1]}))
-
-        # ---- kind 0: LSH bands — chain + star ----------------------------
-        band = df[df["kind"] == KIND_BAND]
-        if len(band):
-            band = band.drop_duplicates(["key", "uid"]).sort_values(
-                ["key", "uid"], kind="mergesort")
-            k = band["key"].to_numpy()
-            flags = band["flag"].to_numpy()
-            starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-            sizes = np.diff(np.r_[starts, k.size])
-            if (sizes > 1).any():
-                pu, pv = _chain_star_pairs(sizes, starts, lsh.group_cap,
-                                           star_allowed=~flags[starts])
-                add_near(band, pu, pv, KIND_BAND)
-
-        # ---- kind 1: simhash chunks — Hamming-verified pairs -------------
-        # vectorized across buckets by size class (the same per-size
-        # triu pattern as the n-gram pair emission): same-size buckets
-        # stack into (m, s) matrices, pairwise XOR + LUT popcount run
-        # over every bucket of that size at once — no per-key Python
-        # loop, no 64-pass bit count.  Emits the identical edge set.
-        sim = df[df["kind"] == KIND_SIMHASH]
-        if len(sim):
-            sim = sim.drop_duplicates(["key", "uid"])
-            cnt = sim.groupby("key")["uid"].transform("size")
-            sim = sim[(cnt > 1) & (cnt <= sim_group_cap)]
-            sim = sim.sort_values(["key", "uid"], kind="mergesort")
-            k = sim["key"].to_numpy()
-            sh_all = sim["payload"].to_numpy().view(np.uint64)
-            gstarts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-            gsizes = np.diff(np.r_[gstarts, k.size])
-            for s in np.unique(gsizes):
-                sel = gstarts[gsizes == s]
-                idx = sel[:, None] + np.arange(s)[None, :]      # (m, s)
-                sh = sh_all[idx]
-                iu, jv = np.triu_indices(int(s), 1)
-                xor = sh[:, iu] ^ sh[:, jv]
-                hd = _popcount(xor.reshape(-1, 1)).reshape(xor.shape)
-                keep = hd <= simhash_hamming
-                if keep.any():
-                    add_near(sim, idx[:, iu][keep], idx[:, jv][keep],
-                             KIND_SIMHASH)
-
-        outs: list[pd.DataFrame] = []
-        if near:
-            # one row per (u, v) — min kind — then the fingerprint bound
-            nr = (pd.concat(near, ignore_index=True)
-                  .sort_values("kind", kind="mergesort")
-                  .drop_duplicates(["u", "v"]))
-            x = nr[["x0", "x1"]].to_numpy(np.int64).view(np.uint64)
-            outs.append(nr.loc[_popcount(x) <= max_diff, ["u", "v", "kind"]])
-
-        # ---- kind 2: anchors — shorts × longs ----------------------------
-        anc = df[df["kind"] == KIND_ANCHOR]
-        if len(anc):
-            anc = anc.drop_duplicates(["key", "uid"])
-            shorts = anc[anc["flag"]]
-            bucket_sz = anc.groupby("key")["uid"].transform("size")
-            longs = anc[bucket_sz <= anchor_bucket_cap]
-            m = shorts.merge(longs[["key", "uid", "payload", "d0", "d1"]],
-                             on="key", suffixes=("_u", "_v"))
-            # the short side's bloom must be a bit-subset of the long's
-            m = m[(m["payload_u"] < m["payload_v"])
-                  & ((m["d0_u"] & ~m["d0_v"]) == 0)
-                  & ((m["d1_u"] & ~m["d1_v"]) == 0)]
-            if len(m):
-                outs.append(pd.DataFrame({
-                    "u": m["uid_u"].to_numpy(),
-                    "v": m["uid_v"].to_numpy(),
-                    "kind": np.full(len(m), KIND_ANCHOR, dtype=np.int8),
-                }).drop_duplicates(["u", "v"]))
-
-        if not outs:
-            return empty
-        return pd.concat(outs, ignore_index=True)
-
+    emit = functools.partial(
+        candidate_reduce, group_cap=lsh.group_cap, hamming=simhash_hamming,
+        anchor_cap=anchor_bucket_cap, sim_cap=sim_group_cap, max_diff=max_diff)
     return grouped_apply(buckets, ["key"], emit, num_partitions=num_partitions,
-                         empty_result=empty_edges(uid_bits), pre_fn=pre_fn)
+                         empty_result=empty_edges(uid_bits), arrow_fn=True,
+                         pre_fn=pre_fn)
 
 
 def gate_candidates(
@@ -588,7 +607,8 @@ def gate_candidates(
     is bounded by bands × existing_cap whatever the bucket skew, and
     the cap is part of the gates' definition (their SQL oracle ranks
     the same way), not a silent truncation.  Each side's band rows are
-    built in the exchange's split tasks."""
+    built in the exchange's split tasks; :func:`gate_reduce` pairs
+    them."""
 
     def side(is_ex: bool):
         def rows(t: pa.Table) -> pa.Table:
@@ -598,20 +618,8 @@ def gate_candidates(
                 "is_ex": pa.array(np.full(len(b), is_ex), pa.bool_())})
         return rows
 
-    def emit(df: pd.DataFrame) -> pd.DataFrame:
-        # one row per (key, doc) per side — a doc whose bands fold to
-        # the same key twice must not shift the existing-side rank
-        df = df.drop_duplicates(["key", "uid", "is_ex"])
-        ex = df[df["is_ex"]].sort_values(["key", "uid"], kind="mergesort")
-        ex = ex[ex.groupby("key").cumcount() < existing_cap]
-        pairs = df.loc[~df["is_ex"], ["key", "uid"]].merge(
-            ex[["key", "uid"]], on="key", suffixes=("_u", "_v"))
-        return pd.DataFrame({
-            "u": pairs["uid_u"].to_numpy(), "v": pairs["uid_v"].to_numpy(),
-            "kind": np.full(len(pairs), KIND_BAND, np.int8),
-        }).drop_duplicates(["u", "v"])
-
-    return grouped_apply([incoming, existing], ["key"], emit,
+    return grouped_apply([incoming, existing], ["key"],
+                         functools.partial(gate_reduce, existing_cap=existing_cap),
                          num_partitions=num_partitions,
-                         empty_result=empty_edges(),
+                         empty_result=empty_edges(), arrow_fn=True,
                          pre_fn=[side(False), side(True)])

@@ -17,12 +17,11 @@ coordination (≙ ``files/move.go:226-236``).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from .common import Blocks, as_blocks, grouped_apply
+from .common import Blocks, as_blocks, grouped_apply, sorted_runs
 
 
 def add_content_key(ds: "ray.data.Dataset", text_col: str = "text") -> "ray.data.Dataset":
@@ -66,6 +65,27 @@ def dup_candidates(t: pa.Table, min_size: int = 0) -> pa.Table:
     return t
 
 
+def exact_reduce(t: pa.Table) -> pa.Table:
+    """One exact partition's rows sorted by (text_sha256, n_bytes, url),
+    with ``rep_url`` (the first url of each group), ``exact_size`` and
+    ``is_rep``; ``key64`` is dropped and non-representative texts of
+    groups of two or more are blanked."""
+    t, starts, ids = sorted_runs(t, ["text_sha256", "n_bytes", "url"],
+                                 ["text_sha256", "n_bytes"])
+    rep = t["url"].take(starts[ids])
+    size = np.diff(np.r_[starts, t.num_rows])[ids]
+    is_rep = pc.equal(t["url"], rep)
+    if "text" in t.column_names:
+        blank = pc.and_(pc.invert(is_rep), pa.array(size > 1))
+        t = t.set_column(t.column_names.index("text"), "text",
+                         pc.if_else(blank, "", t["text"]))
+    if "key64" in t.column_names:
+        t = t.drop_columns(["key64"])
+    return (t.append_column("rep_url", rep)
+            .append_column("exact_size", pa.array(size, pa.int64()))
+            .append_column("is_rep", is_rep))
+
+
 def assign_exact_groups(
     ds: "Blocks | ray.data.Dataset",
     keep_cols: tuple[str, ...] = ("url", "warc_ts", "lang", "text"),
@@ -84,19 +104,6 @@ def assign_exact_groups(
     candidate pruning in the spirit of ``files/hash.go:37-48``:
     near-dup signatures are computed only per exact class.
     """
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["text_sha256", "n_bytes", "url"], kind="mergesort")
-        grp = df.groupby(["text_sha256", "n_bytes"], sort=False)
-        df["rep_url"] = grp["url"].transform("first")
-        df["exact_size"] = grp["url"].transform("size").astype("int64")
-        df["is_rep"] = df["url"] == df["rep_url"]
-        if "text" in df.columns:
-            df.loc[~df["is_rep"] & (df["exact_size"] > 1), "text"] = ""
-        if "key64" in df.columns:
-            df = df.drop(columns="key64")
-        return df
-
     blocks = as_blocks(ds)
     schema = blocks.schema
     cols = list(dict.fromkeys(keep_cols)) + ["text_sha256", "n_bytes"]
@@ -110,5 +117,5 @@ def assign_exact_groups(
         cols.append("key64")
         part_key = "key64"
     return grouped_apply(
-        blocks, [part_key], resolve, num_partitions=128,
+        blocks, [part_key], exact_reduce, num_partitions=128, arrow_fn=True,
         pre_fn=lambda t: dup_candidates(t, min_size).select(cols))

@@ -79,9 +79,9 @@ class ExtractStage:
         100-TB run): the worker's per-row cost is one list write + one
         liveness read (GIL-atomic), no locks, no notifies.  The
         supervisor polls the buffer on a 2 ms tick — wakeups scale with
-        batch WALL TIME, not row count, and the tick only adds latency
-        once per batch (measured: armed-but-idle overhead <1% vs the
-        ~8% of a per-row condition-variable handshake)."""
+        batch WALL TIME, not row count.  Measured armed cost: +7.5% on
+        1,000 dedupbench pages in one process (0.114 s against 0.106 s,
+        medians of 21 alternations, BENCH/watchdog_ab_r22.md)."""
         import threading
         import time as _time
 
